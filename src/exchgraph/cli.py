@@ -41,8 +41,7 @@ from .gf2 import (DegenerateTermWarning, expected_solutions,
                   log_expected_solutions, mc_kernel_mean, rank_gf2, rate_sup,
                   threshold_bisection, write_theta_grid)
 from .hub import (competing_moment_constant, frechet_moment,
-                  hub_atom_estimate, hub_limit_cdf, mc_hub, mc_hub_values,
-                  write_hub_cdf)
+                  hub_atom_estimate, hub_limit_cdf, mc_hub, write_hub_cdf)
 from .mixing import PowerLawMixing, implied_seed, mixing_from_json, moment
 from .motifs import (connectivity_bound, mc_motifs, mc_roots_leaves,
                      mean_cycles, mean_feedback_loops, mean_feedforward_loops,
@@ -239,10 +238,9 @@ def cmd_hub(run: RunConfig) -> int:
     block = report.to_json()
     degenerate = report.limit_cdf_params["eta"] == 0.0
     if not degenerate:
-        values = mc_hub_values(cfg, chunk=chunk)
         if not math.isinf(report.L):
             threshold = float(params.get("atom_threshold", 0.99))
-            p_hat, se = hub_atom_estimate(values, cfg.n, threshold)
+            p_hat, se = hub_atom_estimate(report.values, cfg.n, threshold)
             block["atom"] = {
                 "threshold": threshold,
                 "estimate": p_hat,
@@ -250,7 +248,7 @@ def cmd_hub(run: RunConfig) -> int:
                 "reference_mass": _reference_mass(report, cfg.n, threshold),
             }
         elif report.limit_cdf_params["eta"] > 1.0:
-            block["moment"] = _moment_comparison(report, values)
+            block["moment"] = _moment_comparison(report, report.values)
     payload["hub"] = block
     _write_json(run.output_dir / "hub.json", payload)
     return EXIT_OK
@@ -515,9 +513,8 @@ def _suite_hub(run: RunConfig, threads: int) -> dict:
               "b_n": report.b_n, "m_n": report.m_n}
     ok = report.ks_distance <= ks_max
     if not math.isinf(report.L) and report.limit_cdf_params["eta"] > 0.0:
-        values = mc_hub_values(cfg, chunk=chunk)
         threshold = float(params.get("atom_threshold", 0.99))
-        p_hat, se = hub_atom_estimate(values, cfg.n, threshold)
+        p_hat, se = hub_atom_estimate(report.values, cfg.n, threshold)
         reference = _reference_mass(report, cfg.n, threshold)
         z = _z_score(p_hat, se, reference)
         z_max = float(params.get("z_max", 3.0))

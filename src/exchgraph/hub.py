@@ -174,7 +174,11 @@ def competing_moment_constant(alpha: float, beta: float, d: float) -> float:
 
 @dataclass(frozen=True)
 class HubReport:
-    """Empirical scaled-hub CDF next to its reference curve."""
+    """Empirical scaled-hub CDF next to its reference curve.
+
+    ``values`` holds the sampled hub statistics the CDF was built from, so
+    callers can reuse them; it is not serialized.
+    """
 
     n: int
     m_n: int
@@ -183,6 +187,7 @@ class HubReport:
     empirical_cdf: tuple
     limit_cdf_params: dict = field(compare=False)
     ks_distance: float
+    values: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ks_distance <= 1.0:
@@ -282,7 +287,7 @@ def mc_hub(config: EnsembleConfig, grid_points: int = 1000,
         return HubReport(n=config.n, m_n=config.m, b_n=1.0, L=0.0,
                          empirical_cdf=grid,
                          limit_cdf_params={"c_eta": 0.0, "eta": 0.0},
-                         ks_distance=0.0)
+                         ks_distance=0.0, values=values)
     limit, b = scaling.limit, scaling.scale
     if math.isinf(limit.cutoff):
         x_hi = (values.max() + 1.0) / b
@@ -299,6 +304,7 @@ def mc_hub(config: EnsembleConfig, grid_points: int = 1000,
         empirical_cdf=tuple(zip(xs.tolist(), f_emp.tolist())),
         limit_cdf_params={"c_eta": limit.c_eta, "eta": limit.eta},
         ks_distance=min(ks, 1.0),
+        values=values,
     )
 
 

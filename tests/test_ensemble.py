@@ -1,11 +1,17 @@
 """Bit-packed adjacency storage, row sampling, and replica orchestration."""
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
+from exchgraph import ensemble
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                                 GraphSample, LogFractionRows, PowerFractionRows, SquareRows,
                                 in_degrees, map_replicas, out_degrees, read_bitmatrix,
@@ -171,3 +177,134 @@ class TestIo:
         path = tmp_path / "g.xgb"
         write_bitmatrix(s.matrix, path)
         assert read_bitmatrix(path) == s.matrix
+
+
+class TestExactRowLaw:
+    """Sampled row patterns against the exact law E theta**r (1-theta)**(n-r)."""
+
+    N = 4
+
+    @pytest.mark.parametrize("m,replicas,dense_theta", [
+        (3, 20_000, None),        # few cells: one dense uniform pass
+        (10_000, 6, None),        # many cells: rows split between both routes
+        (10_000, 6, 1.1),         # every row through the subset route
+    ])
+    def test_pattern_frequencies(self, monkeypatch, m, replicas, dense_theta):
+        if dense_theta is not None:
+            monkeypatch.setattr(ensemble, "_DENSE_THETA", dense_theta)
+        n = self.N
+        spec = PowerLawMixing(alpha=0.04, beta=1.5)   # theta on (0.01, 1]
+        cfg = EnsembleConfig(n=n, mixing=spec, row_rule=ExplicitRows(m=m),
+                             master_seed=31, replicas=replicas)
+        counts = np.zeros(2 ** n, dtype=np.int64)
+        routes = set()
+        for k in range(replicas):
+            s = sample_graph(cfg, k)
+            routes |= set((s.thetas < ensemble._DENSE_THETA).tolist())
+            counts += np.bincount(s.matrix.words[:, 0].astype(np.int64), minlength=2 ** n)
+        if m * n > ensemble._DENSE_CELLS and dense_theta is None:
+            assert routes == {True, False}
+        weight = np.array([bin(p).count("1") for p in range(2 ** n)])
+        probs = np.array([row_prob(spec, n, int(r)) for r in weight])
+        assert_allclose(probs.sum(), 1.0, rtol=1e-9)
+        expected = counts.sum() * probs
+        assert expected.min() > 20
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stats.chi2.sf(stat, df=2 ** n - 1) > 1e-3
+
+    @pytest.mark.parametrize("m", [3, 2000])
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_dirac_extremes_and_padding(self, m, n):
+        empty = EnsembleConfig(n=n, mixing=DiracMixing(lam=0.0),
+                               row_rule=ExplicitRows(m=m), master_seed=4)
+        assert sample_graph(empty, 0).matrix.count_ones() == 0
+        full = EnsembleConfig(n=n, mixing=DiracMixing(lam=float(n)),
+                              row_rule=ExplicitRows(m=m), master_seed=4)
+        mat = sample_graph(full, 0).matrix
+        assert np.array_equal(mat.row_sums(), np.full(m, n))
+        assert np.all(mat.words[:, -1] >> np.uint64(n % 64) == 0)
+
+    @pytest.mark.parametrize("m", [3, 2000])
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_padding_stays_zero(self, m, n):
+        cfg = EnsembleConfig(n=n, mixing=PowerLawMixing(alpha=1.0, beta=1.5),
+                             row_rule=ExplicitRows(m=m), master_seed=8)
+        mat = sample_graph(cfg, 0).matrix
+        assert mat.count_ones() > 0
+        assert np.all(mat.words[:, -1] >> np.uint64(n % 64) == 0)
+        assert BitMatrix(m, n, mat.words.copy()) == mat
+
+
+def _write_edge_list_dense(sample, config, path):
+    """The dense-route writer: a full m x n unpack and np.nonzero."""
+    matrix = sample.matrix
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# exchgraph edge list\n")
+        fh.write(f"# n={matrix.n} m={matrix.m} replica={sample.replica_index} "
+                 f"seed={sample.seed_used}\n")
+        fh.write(f"# spec={json.dumps(config.mixing.to_json(), sort_keys=True)}\n")
+        for i, j in zip(*np.nonzero(matrix.to_dense())):
+            fh.write(f"{i}\t{j}\n")
+
+
+@st.composite
+def dense_matrices(draw):
+    """Boolean m x n arrays with n = 0, 1 or 63 (mod 64), some empty or full."""
+    m = draw(st.integers(0, 6))
+    n = 64 * draw(st.integers(0, 2)) + draw(st.sampled_from([0, 1, 63]))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill == "empty":
+        return np.zeros((m, n), dtype=bool)
+    if fill == "full":
+        return np.ones((m, n), dtype=bool)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    density = draw(st.floats(0.0, 1.0))
+    return np.random.default_rng(seed).random((m, n)) < density
+
+
+class TestCoordinateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dense_matrices())
+    def test_coords_round_trip(self, dense):
+        bm = BitMatrix.from_dense(dense)
+        rows, cols = bm.coords()
+        want_rows, want_cols = np.nonzero(dense)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        rebuilt = BitMatrix(*dense.shape)
+        rebuilt.set_coords(rows[::-1], cols[::-1])    # order does not matter
+        assert rebuilt == bm
+        assert np.array_equal(rebuilt.to_dense(), dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_matrices())
+    def test_col_sums(self, dense):
+        assert np.array_equal(BitMatrix.from_dense(dense).col_sums(), dense.sum(axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_matrices())
+    def test_edge_list_bytes_and_round_trip(self, dense):
+        m, n = dense.shape
+        sample = GraphSample(matrix=BitMatrix.from_dense(dense), thetas=np.zeros(m),
+                             replica_index=3, seed_used=17)
+        cfg = EnsembleConfig(n=2, mixing=DiracMixing(lam=1.0), master_seed=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            write_edge_list(sample, cfg, path)
+            _write_edge_list_dense(sample, cfg, oracle)
+            with open(path, "rb") as fa, open(oracle, "rb") as fb:
+                assert fa.read() == fb.read()
+            mat, meta = read_edge_list(path)
+        assert mat == sample.matrix
+        assert (meta["m"], meta["n"], meta["replica"], meta["seed"]) == (m, n, 3, 17)
+
+    def test_set_coords_rejects_out_of_range(self):
+        with pytest.raises(IndexError):
+            BitMatrix(2, 70).set_coords([1], [70])
+        with pytest.raises(IndexError):
+            BitMatrix(2, 70).set_coords([2], [0])
+
+    def test_read_rejects_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# n=3 m=3\n0\t1\t2\n1\n", encoding="utf-8")
+        with pytest.raises(ParameterError):
+            read_edge_list(path)

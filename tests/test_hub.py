@@ -166,6 +166,14 @@ def test_mc_hub_values_deterministic():
     assert np.array_equal(first, second)
 
 
+def test_mc_hub_report_carries_its_values():
+    cfg = EnsembleConfig(n=300, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
+                         master_seed=SEED, replicas=150)
+    report = mc_hub(cfg)
+    assert np.array_equal(report.values, mc_hub_values(cfg))
+    assert "values" not in report.to_json()
+
+
 def test_mc_hub_values_match_bit_sampler_law():
     # Binomial row sums must track the bit-level sampler's hub distribution
     cfg = EnsembleConfig(n=60, mixing=PowerLawMixing(alpha=1.0, beta=2.5),
