@@ -1,5 +1,7 @@
 """Triad counts: closed-form moments against a seeded Monte Carlo run."""
 
+from dataclasses import replace
+
 from exchgraph import (EnsembleConfig, PowerLawMixing, mc_motifs,
                        mc_roots_leaves, mean_cycles, mean_feedback_loops,
                        mean_feedforward_loops, mean_leaves, mean_roots,
@@ -9,7 +11,7 @@ spec = PowerLawMixing(alpha=1.0, beta=3.0)
 n = 100
 config = EnsembleConfig(n=n, mixing=spec, master_seed=7)
 
-mc = mc_motifs(config, replicas=20_000)
+mc = mc_motifs(replace(config, replicas=20_000))
 
 print(f"triads at n={n}, power-law mixture (alpha=1, beta=3), 20000 replicas")
 print(f"{'statistic':<18}{'analytic':>12}{'monte carlo':>14}{'z':>8}")
@@ -30,7 +32,7 @@ for k in (2, 3, 4, 5):
 
 # sources (no in-edges) and sinks (no out-edges) at a larger size
 config = EnsembleConfig(n=500, mixing=spec, master_seed=7)
-rl = mc_roots_leaves(config, replicas=1_000)
+rl = mc_roots_leaves(replace(config, replicas=1_000))
 print()
 print(f"roots at n=500: analytic {mean_roots(spec, 500, 500):.2f}, "
       f"mc {rl.roots_mean:.2f} +- {rl.roots_se:.2f}")

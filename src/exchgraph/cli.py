@@ -7,9 +7,11 @@ Seven subcommands share one JSON config file:
 
 ``sample`` writes one edge-list file per replica.  ``degrees``, ``motifs``,
 ``hub`` and ``gf2`` emit the matching analytic/Monte Carlo report for the
-configured ensemble.  ``report`` emits the regime summary for the power-law
-bias family (connectivity scaling, triangle ratio class, roots and leaves,
-hub scale, dilution-threshold verdict).  ``mc`` runs the validation suites
+configured ensemble, resized by the ``n``, ``rows`` and ``replicas`` keys of
+their config block as the ``mc`` suites of the same name are.  ``report``
+emits the regime summary for the power-law bias family (connectivity
+scaling, triangle ratio class, roots and leaves, hub scale,
+dilution-threshold verdict).  ``mc`` runs the validation suites
 listed under ``tasks`` and fails with a distinct exit code when a statistic
 misses its tolerance.
 
@@ -26,11 +28,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .degrees import (default_limit_law, in_pmf_exact, limit_pmf,
                       out_pmf_exact, total_variation, write_pmf_table)
@@ -125,23 +127,18 @@ def _write_json(path: Path, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-def _base_payload(run: RunConfig) -> dict:
-    return {"schema": SCHEMA, "config": run.ensemble.to_json()}
+def _base_payload(config: EnsembleConfig) -> dict:
+    return {"schema": SCHEMA, "config": config.to_json()}
 
 
-def _derived_config(base: EnsembleConfig, overrides: dict) -> EnsembleConfig:
-    """Per-suite size/replica overrides; everything else carries over."""
-    row_rule = base.row_rule
-    if "rows" in overrides:
-        row_rule = ExplicitRows(m=int(overrides["rows"]))
-    return EnsembleConfig(
-        n=int(overrides.get("n", base.n)),
-        mixing=base.mixing,
-        row_rule=row_rule,
-        variant=base.variant,
-        master_seed=base.master_seed,
-        replicas=int(overrides.get("replicas", base.replicas)),
-    )
+def _task_config(run: RunConfig, name: str) -> tuple[EnsembleConfig, dict]:
+    """The ensemble with the n/rows/replicas overrides of block ``name``, and
+    the block; everything else carries over."""
+    params = run.task_params(name)
+    changes = {key: int(params[key]) for key in ("n", "replicas") if key in params}
+    if "rows" in params:
+        changes["row_rule"] = ExplicitRows(m=int(params["rows"]))
+    return replace(run.ensemble, **changes), params
 
 
 # -- sample -----------------------------------------------------------------
@@ -149,16 +146,18 @@ def _derived_config(base: EnsembleConfig, overrides: dict) -> EnsembleConfig:
 
 def cmd_sample(run: RunConfig, threads: int) -> int:
     cfg = run.ensemble
-    samples = map_replicas(cfg, lambda s: s, threads)
-    files, edges = [], []
-    for k, sample in enumerate(samples):
-        path = run.output_dir / f"replica_{k:04d}.edges"
-        write_edge_list(sample, cfg, path)
-        files.append(path.name)
-        edges.append(int(out_degrees(sample).sum()))
+    paths = [run.output_dir / f"replica_{k:04d}.edges" for k in range(cfg.replicas)]
+
+    def worker(sample):
+        # written as drawn, so only the replicas in flight hold a matrix
+        write_edge_list(sample, cfg, paths[sample.replica_index])
+        return sample.matrix.count_ones()
+
+    edges = map_replicas(cfg, worker, threads)
+    for path in paths:
         print(f"wrote {path}")
-    payload = _base_payload(run)
-    payload["files"] = files
+    payload = _base_payload(cfg)
+    payload["files"] = [path.name for path in paths]
     payload["edges_per_replica"] = edges
     _write_json(run.output_dir / "sample.json", payload)
     return EXIT_OK
@@ -168,8 +167,7 @@ def cmd_sample(run: RunConfig, threads: int) -> int:
 
 
 def cmd_degrees(run: RunConfig) -> int:
-    cfg = run.ensemble
-    params = run.task_params("degrees")
+    cfg, params = _task_config(run, "degrees")
     k_max = int(params.get("k_max", 30))
     ks = np.arange(k_max + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
@@ -179,7 +177,7 @@ def cmd_degrees(run: RunConfig) -> int:
     table = run.output_dir / "degrees_out_pmf.csv"
     write_pmf_table(table, ks, exact_out, limit)
     print(f"wrote {table}")
-    payload = _base_payload(run)
+    payload = _base_payload(cfg)
     payload["degrees"] = {
         "k_max": k_max,
         "out_pmf_exact": [float(v) for v in exact_out],
@@ -196,8 +194,7 @@ def cmd_degrees(run: RunConfig) -> int:
 
 
 def cmd_motifs(run: RunConfig) -> int:
-    cfg = run.ensemble
-    params = run.task_params("motifs")
+    cfg, params = _task_config(run, "motifs")
     lengths = [int(k) for k in params.get("cycle_lengths", (2, 3, 4))]
     spec, n, variant = cfg.mixing, cfg.n, cfg.variant
     cycle_means = {k: mean_cycles(spec, n, k, variant) for k in lengths}
@@ -207,7 +204,7 @@ def cmd_motifs(run: RunConfig) -> int:
         for k in lengths:
             handle.write(f"{k},{cycle_means[k]:.10g}\n")
     print(f"wrote {table}")
-    payload = _base_payload(run)
+    payload = _base_payload(cfg)
     payload["motifs"] = {
         "feedback_mean": mean_feedback_loops(spec, n, variant),
         "feedback_var": var_feedback_loops(spec, n),
@@ -226,15 +223,12 @@ def cmd_motifs(run: RunConfig) -> int:
 
 
 def cmd_hub(run: RunConfig) -> int:
-    cfg = run.ensemble
-    params = run.task_params("hub")
-    grid_points = int(params.get("grid_points", 1000))
-    chunk = int(params.get("chunk", 2048))
-    report = mc_hub(cfg, grid_points=grid_points, chunk=chunk)
+    cfg, params = _task_config(run, "hub")
+    report = mc_hub(cfg, grid_points=int(params.get("grid_points", 1000)))
     table = run.output_dir / "hub_cdf.csv"
     write_hub_cdf(report, table)
     print(f"wrote {table}")
-    payload = _base_payload(run)
+    payload = _base_payload(cfg)
     block = report.to_json()
     degenerate = report.limit_cdf_params["eta"] == 0.0
     if not degenerate:
@@ -305,15 +299,14 @@ def _threshold_verdict(seed) -> dict:
 
 
 def cmd_gf2(run: RunConfig) -> int:
-    cfg = run.ensemble
-    params = run.task_params("gf2")
+    cfg, params = _task_config(run, "gf2")
     n, m = cfg.n, cfg.m
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTermWarning)
         log_mean = log_expected_solutions(cfg.mixing, n, m)
     linear = math.exp(log_mean) if log_mean < 700.0 else math.inf
     census = rank_gf2(sample_graph(cfg, 0).matrix)
-    payload = _base_payload(run)
+    payload = _base_payload(cfg)
     block = {
         "log_expected_solutions": log_mean,
         "expected_solutions": None if math.isinf(linear) else linear,
@@ -322,7 +315,7 @@ def cmd_gf2(run: RunConfig) -> int:
         "first_replica_census": census.to_json(),
     }
     if m <= 64 and cfg.replicas >= 2:
-        mc = mc_kernel_mean(cfg, chunk=int(params.get("chunk", 1024)))
+        mc = mc_kernel_mean(cfg)
         block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
                        "se": mc.se}
     try:
@@ -396,7 +389,7 @@ def cmd_report(run: RunConfig) -> int:
     fbl = mean_feedback_loops(spec, n, cfg.variant)
     ffl = mean_feedforward_loops(spec, n, cfg.variant)
     scaling = hub_limit_cdf(alpha, beta, n)
-    payload = _base_payload(run)
+    payload = _base_payload(cfg)
     payload["report"] = {
         "alpha": alpha,
         "beta": beta,
@@ -437,8 +430,7 @@ def _z_score(mc_value: float, se: float, exact: float) -> float:
 
 
 def _suite_degrees(run: RunConfig, threads: int) -> dict:
-    cfg = _derived_config(run.ensemble, run.task_params("degrees"))
-    params = run.task_params("degrees")
+    cfg, params = _task_config(run, "degrees")
     expected_spec = cfg.mixing
     if "expected_mixing" in params:
         expected_spec = mixing_from_json(params["expected_mixing"])
@@ -470,7 +462,7 @@ def _suite_degrees(run: RunConfig, threads: int) -> dict:
     if df < 1:
         raise ConfigError("degree suite needs enough draws for two bins")
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs_bins, exp_bins)))
-    p_value = float(chi2.sf(stat, df))
+    p_value = float(chdtrc(df, stat))
     tv = 0.5 * float(np.abs(counts / draws - pmf).sum())
     min_p = float(params.get("min_p", 0.01))
     ok = p_value >= min_p
@@ -481,12 +473,13 @@ def _suite_degrees(run: RunConfig, threads: int) -> dict:
 
 
 def _suite_motifs(run: RunConfig, threads: int) -> dict:
-    params = run.task_params("motifs")
-    cfg = _derived_config(run.ensemble, params)
+    cfg, params = _task_config(run, "motifs")
     z_max = float(params.get("z_max", 4.0))
     spec, n, variant = cfg.mixing, cfg.n, cfg.variant
-    rep = mc_motifs(cfg, cfg.replicas, chunk=int(params.get("chunk", 256)))
-    rl = mc_roots_leaves(cfg, cfg.replicas, chunk=int(params.get("chunk", 256)))
+    # the replica count also goes as the second argument, where the span
+    # recorder of bench/tracer.py reads it
+    rep = mc_motifs(cfg, cfg.replicas)
+    rl = mc_roots_leaves(cfg, cfg.replicas)
     checks = {
         "feedback": _z_score(rep.fbl_mean, rep.fbl_se,
                              mean_feedback_loops(spec, n, variant)),
@@ -503,11 +496,8 @@ def _suite_motifs(run: RunConfig, threads: int) -> dict:
 
 
 def _suite_hub(run: RunConfig, threads: int) -> dict:
-    params = run.task_params("hub")
-    cfg = _derived_config(run.ensemble, params)
-    chunk = int(params.get("chunk", 2048))
-    report = mc_hub(cfg, grid_points=int(params.get("grid_points", 1000)),
-                    chunk=chunk)
+    cfg, params = _task_config(run, "hub")
+    report = mc_hub(cfg, grid_points=int(params.get("grid_points", 1000)))
     ks_max = float(params.get("ks_max", 0.05))
     result = {"ks_distance": report.ks_distance, "ks_max": ks_max,
               "b_n": report.b_n, "m_n": report.m_n}
@@ -526,15 +516,14 @@ def _suite_hub(run: RunConfig, threads: int) -> dict:
 
 
 def _suite_gf2(run: RunConfig, threads: int) -> dict:
-    params = run.task_params("gf2")
-    cfg = _derived_config(run.ensemble, params)
+    cfg, params = _task_config(run, "gf2")
     z_max = float(params.get("z_max", 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
         exact = expected_solutions(cfg.mixing, cfg.n, cfg.m)
     if math.isinf(exact):
         return {"pass": False, "reason": "exact mean overflows; shrink n"}
-    rep = mc_kernel_mean(cfg, chunk=int(params.get("chunk", 1024)))
+    rep = mc_kernel_mean(cfg)
     z = _z_score(rep.mean_solutions, rep.se, exact)
     return {"pass": bool(z <= z_max), "mean": rep.mean_solutions, "se": rep.se,
             "exact": exact, "z": z, "z_max": z_max, "replicas": cfg.replicas}
@@ -556,7 +545,7 @@ def cmd_mc(run: RunConfig, threads: int) -> int:
         raise ConfigError("mc needs at least one of the validation suites "
                           f"{_SUITE_NAMES} in 'tasks'")
     if "gf2" in suites:
-        cfg = _derived_config(run.ensemble, run.task_params("gf2"))
+        cfg, _ = _task_config(run, "gf2")
         if cfg.m > 64:
             raise ConfigError(
                 "the gf2 suite eliminates all replicas in 64-bit words and "
@@ -569,7 +558,7 @@ def cmd_mc(run: RunConfig, threads: int) -> int:
         results[name] = outcome
         overall = overall and outcome["pass"]
         print(f"{name}: {'pass' if outcome['pass'] else 'FAIL'}")
-    payload = _base_payload(run)
+    payload = _base_payload(run.ensemble)
     payload["suites"] = results
     payload["pass"] = overall
     _write_json(run.output_dir / "mc.json", payload)

@@ -50,6 +50,8 @@ __all__ = [
     "GraphSample",
     "sample_graph",
     "sample_bias_matrix",
+    "replica_blocks",
+    "draw_adjacency",
     "out_degrees",
     "in_degrees",
     "row_prob",
@@ -69,6 +71,10 @@ _DENSE_CELLS = 1 << 15
 _DENSE_THETA = 0.05
 # Elements per temporary array in the sampler and the edge-list writer.
 _BLOCK = 1 << 12
+# Per-replica cells in one Monte Carlo block of replica_blocks: the hub's
+# row sums at m = 5000 take 800 replicas, and no dense kernel's temporaries
+# outgrow them.
+_MC_CELLS = 4_000_000
 
 
 def _pack_dense(bits: np.ndarray, words_per_row: int) -> np.ndarray:
@@ -447,25 +453,11 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
-def _draw_thetas(config: EnsembleConfig, m: int, rng: np.random.Generator) -> np.ndarray:
-    if config.variant == "partially_exchangeable":
-        return sample_thetas(config.mixing, config.n, rng, m)
-    if config.variant == "completely_exchangeable":
-        shared = sample_thetas(config.mixing, config.n, rng, 1)[0]
-        return np.full(m, shared)
-    # hierarchical: one cutoff for the whole matrix, then iid power-law rows
-    mix: HierarchicalMixing = config.mixing  # type: ignore[assignment]
-    cutoff = float(mix.sample_cutoff(config.n, rng))
-    inner = PowerLawMixing(alpha=cutoff, beta=mix.beta)
-    return sample_thetas(inner, config.n, rng, m)
-
-
 def sample_bias_matrix(config: EnsembleConfig, count: int, rng: np.random.Generator) -> np.ndarray:
     """Per-replica bias matrix of shape (count, m) under the config's variant.
 
-    Batched counterpart of the per-replica draw inside sample_graph, for
-    Monte Carlo loops that only need the biases (or the adjacency law built
-    from them) and not the bit-packed matrices.
+    sample_graph takes row 0 of a one-replica draw; the Monte Carlo blocks of
+    :func:`replica_blocks` take one row per replica.
     """
     spec, n, m = config.mixing, config.n, config.m
     if config.variant == "completely_exchangeable":
@@ -481,6 +473,27 @@ def sample_bias_matrix(config: EnsembleConfig, count: int, rng: np.random.Genera
     return sample_thetas(spec, n, rng, count * m).reshape(count, m)
 
 
+def replica_blocks(config: EnsembleConfig, tag: int, dense: bool = True):
+    """Yield (offset, thetas, rng) over consecutive blocks of config.replicas.
+
+    thetas holds the bias rows of replicas offset, offset + 1, ..., drawn
+    from rng = spawn_rng(master_seed, offset, tag), which then serves the
+    block's further draws.  A block holds about _MC_CELLS per-replica cells:
+    m * n for a dense adjacency draw, m when ``dense`` is false.
+    """
+    cells = config.m * (config.n if dense else 1)
+    step = max(1, _MC_CELLS // cells)
+    for lo in range(0, config.replicas, step):
+        rng = spawn_rng(config.master_seed, lo, tag)
+        yield lo, sample_bias_matrix(config, min(step, config.replicas - lo), rng), rng
+
+
+def draw_adjacency(thetas: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean adjacency of shape (replicas, m, n): entry (r, i, j) is set with
+    probability thetas[r, i], from float64 uniforms."""
+    return rng.random((*thetas.shape, n)) < thetas[..., None]
+
+
 def sample_graph(config: EnsembleConfig, replica_index: int) -> GraphSample:
     """Draw replica ``replica_index`` of the configured ensemble.
 
@@ -492,9 +505,8 @@ def sample_graph(config: EnsembleConfig, replica_index: int) -> GraphSample:
         raise ConfigError(f"replica index must be a nonnegative integer, got {replica_index!r}")
     rng = spawn_rng(config.master_seed, int(replica_index))
     seed = rng.bit_generator.seed_seq.entropy   # stream_seed(master_seed, replica_index)
-    m = config.m
-    thetas = _draw_thetas(config, m, rng)
-    matrix = BitMatrix(m, config.n)
+    thetas = sample_bias_matrix(config, 1, rng)[0]
+    matrix = BitMatrix(config.m, config.n)
     _fill_rows(matrix, thetas, rng)
     return GraphSample(matrix=matrix, thetas=thetas,
                        replica_index=int(replica_index), seed_used=seed)

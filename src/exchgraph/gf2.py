@@ -18,6 +18,9 @@ with the Laplace transform taken under the seed law of the bias scale.  For
 seeds with finite mean the sup always exceeds the x = 0 baseline; heavy
 tails push it back to the baseline for small gamma, and the crossover
 gamma_c is found by bisection.
+
+The Monte Carlo mean draws replica blocks through
+:func:`ensemble.replica_blocks` and is deterministic in master_seed.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from ._numerics import spawn_rng
-from .ensemble import BitMatrix, EnsembleConfig, sample_bias_matrix
+from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import NoThresholdError, ParameterError
 from .mixing import MixingSpec, xi
 from .seeds import SeedDistribution
@@ -107,12 +109,11 @@ class Gf2Report:
 
 def _transpose_words(matrix: BitMatrix) -> list[int]:
     """Rows of X^T as arbitrary-width integers over the m sender bits."""
-    dense = matrix.to_dense()
-    out = []
-    for j in range(matrix.n):
-        packed = np.packbits(dense[:, j], bitorder="little").tobytes()
-        out.append(int.from_bytes(packed, "little"))
-    return out
+    rows, cols = matrix.coords()
+    transpose = BitMatrix(matrix.n, matrix.m)
+    transpose.set_coords(cols, rows)
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in transpose.words.astype("<u8")]
 
 
 def _int_rank(rows: list[int]) -> int:
@@ -367,25 +368,22 @@ class KernelMcReport:
     se: float
 
 
-def mc_kernel_mean(config: EnsembleConfig, chunk: int = 1024) -> KernelMcReport:
+def mc_kernel_mean(config: EnsembleConfig) -> KernelMcReport:
     """Replica mean of the solution count N = 2^(m - rank).
 
     Samples the adjacency law directly (bias rows, then independent entries)
     and eliminates all replicas in lockstep on uint64 words, so the sender
-    count is capped at 64.  Deterministic in (master_seed, chunk).
+    count is capped at 64.  Deterministic in master_seed.
     """
     n, m, replicas = config.n, config.m, config.replicas
     if m > 64:
         raise ParameterError("batch elimination packs senders in one word; m <= 64")
     counts = np.empty(replicas)
     shifts = (np.uint64(1) << np.arange(m, dtype=np.uint64))[None, :, None]
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
-        rng = spawn_rng(config.master_seed, lo, _TAG_GF2)
-        thetas = sample_bias_matrix(config, c, rng)
-        bits = rng.random((c, m, n)) < thetas[:, :, None]
+    for lo, thetas, rng in replica_blocks(config, _TAG_GF2):
+        bits = draw_adjacency(thetas, n, rng)
         words = (bits * shifts).sum(axis=1, dtype=np.uint64)
-        counts[lo:lo + c] = 2.0 ** (m - _batch_rank(words, m))
+        counts[lo:lo + len(words)] = 2.0 ** (m - _batch_rank(words, m))
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return KernelMcReport(replicas=replicas, mean_solutions=mean, se=se)

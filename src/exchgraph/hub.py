@@ -9,7 +9,7 @@ meaningful as n grows (see hub_limit_cdf).
 
 Monte Carlo here samples row sums directly as Binomials, which is
 law-identical to popcounting sampled bit rows and orders of magnitude
-cheaper; replica streams are deterministic in (master_seed, chunk).
+cheaper; replica streams are deterministic in master_seed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import spawn_rng
-from .ensemble import EnsembleConfig, GraphSample, out_degrees, sample_bias_matrix
+from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_blocks
 from .errors import ParameterError
 from .mixing import DiracMixing, PowerLawMixing, SeedCdfMixing
 
@@ -215,21 +214,15 @@ class HubReport:
         }
 
 
-def mc_hub_values(config: EnsembleConfig, chunk: int = 2048) -> np.ndarray:
+def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
     """Hub statistic for each configured replica, as an int64 array.
 
     Samples row sums directly as Binomial(n, theta), which matches the law
-    of popcounted bit rows exactly.  Deterministic in (master_seed, chunk).
+    of popcounted bit rows exactly.  Deterministic in master_seed.
     """
-    n, m, replicas = config.n, config.m, config.replicas
-    chunk = max(1, min(chunk, 4_000_000 // m))
-    values = np.empty(replicas, dtype=np.int64)
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
-        rng = spawn_rng(config.master_seed, lo, _TAG_HUB)
-        thetas = sample_bias_matrix(config, c, rng)
-        sums = rng.binomial(n, thetas)
-        values[lo:lo + c] = sums.max(axis=1)
+    values = np.empty(config.replicas, dtype=np.int64)
+    for lo, thetas, rng in replica_blocks(config, _TAG_HUB, dense=False):
+        values[lo:lo + len(thetas)] = rng.binomial(config.n, thetas).max(axis=1)
     return values
 
 
@@ -269,8 +262,7 @@ def _subcritical_scaling(c_eta: float, eta: float, n: int, m: int) -> HubScaling
     return HubScaling(rows=m, scale=scale, limit=HubLimit(c_eta, eta))
 
 
-def mc_hub(config: EnsembleConfig, grid_points: int = 1000,
-           chunk: int = 2048) -> HubReport:
+def mc_hub(config: EnsembleConfig, grid_points: int = 1000) -> HubReport:
     """Sample the configured replicas and compare the scaled hub to its limit.
 
     The empirical CDF is evaluated on a grid mapped through floor(x * b_n),
@@ -280,7 +272,7 @@ def mc_hub(config: EnsembleConfig, grid_points: int = 1000,
     if config.replicas < 100:
         raise ParameterError("hub Monte Carlo needs at least 100 replicas")
     scaling = _reference_scaling(config)
-    values = mc_hub_values(config, chunk=chunk)
+    values = mc_hub_values(config)
     if scaling is None:
         grid = tuple((float(j) / grid_points, 1.0)
                      for j in range(1, grid_points + 1))

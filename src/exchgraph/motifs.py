@@ -8,18 +8,21 @@ average theta powers under the mixing law.  Rows are independent and biases
 iid, so the probability of a union of placements factors into per-sender
 moments; the variance routine enumerates every overlap class of two triples
 rather than trusting a transcribed polynomial.
+
+The Monte Carlo routines draw the adjacency law in replica blocks
+(:func:`ensemble.replica_blocks`) and count in float64, which is exact for
+the integer counts at hand; their results are deterministic in master_seed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import spawn_rng
-from .ensemble import BitMatrix, EnsembleConfig, sample_bias_matrix
+from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import EnumerationBudgetError, ParameterError
 from .mixing import MixingSpec, log_row_prob, moment
 
@@ -75,17 +78,22 @@ def _square_no_diag(matrix) -> np.ndarray:
 # counting on a realized graph
 
 
+def _triple_counts(a: np.ndarray):
+    """Directed 3-cycles tr(A^3) / 3 and feedforward triples sum(A^2 * A) of
+    float64 adjacency stacks (..., n, n) with a zero diagonal.  The float64
+    sums are exact integers below 2**53."""
+    sq = a @ a
+    return np.einsum("...ij,...ji->...", sq, a) / 3.0, np.einsum("...ij,...ij->...", sq, a)
+
+
 def count_feedback_loops(matrix) -> int:
     """Directed 3-cycles, each counted once: tr(A^3) / 3 on the zeroed diagonal."""
-    a = _square_no_diag(matrix)
-    c = a @ a
-    return int(round(float(np.einsum("ij,ji->", c, a)) / 3.0))
+    return int(round(float(_triple_counts(_square_no_diag(matrix))[0])))
 
 
 def count_feedforward_loops(matrix) -> int:
     """Ordered triples with edges s->m, m->t, s->t: sum (A^2 * A)."""
-    a = _square_no_diag(matrix)
-    return int(round(float(((a @ a) * a).sum())))
+    return int(round(float(_triple_counts(_square_no_diag(matrix))[1])))
 
 
 def _adjacency_lists(a: np.ndarray) -> list[np.ndarray]:
@@ -441,12 +449,6 @@ _TAG_CYCLE = 102
 _TAG_ROOT_LEAF = 103
 
 
-def _mc_adjacency(config: EnsembleConfig, count: int, rng) -> np.ndarray:
-    thetas = sample_bias_matrix(config, count, rng).astype(np.float32)
-    u = rng.random((count, config.m, config.n), dtype=np.float32)
-    return u < thetas[:, :, None]
-
-
 @dataclass(frozen=True)
 class MotifMcReport:
     replicas: int
@@ -473,34 +475,35 @@ def _mean_se_var(x: np.ndarray):
     return mean, math.sqrt(var / len(x)), var
 
 
-def mc_motifs(config: EnsembleConfig, replicas: int, chunk: int = 1024) -> MotifMcReport:
+def _with_replicas(config: EnsembleConfig, replicas) -> EnsembleConfig:
+    return config if replicas is None else replace(config, replicas=int(replicas))
+
+
+def mc_motifs(config: EnsembleConfig, replicas: int | None = None) -> MotifMcReport:
     """Replica means and variances of the two triple counts.
 
     Replicates only the adjacency law (bias draws then independent rows),
     not the bit-level sampler, so large replica counts stay affordable;
-    results are deterministic in (master_seed, chunk).
+    results are deterministic in master_seed.  ``replicas``, when given,
+    stands in for config.replicas.
     """
+    config = _with_replicas(config, replicas)
     if config.m != config.n:
         raise ParameterError("triple statistics need a square ensemble (m == n)")
     n = config.n
-    fbl = np.empty(replicas)
-    ffl = np.empty(replicas)
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
-        rng = spawn_rng(config.master_seed, lo, _TAG_MOTIF)
-        a = _mc_adjacency(config, c, rng).astype(np.float32)
-        idx = np.arange(n)
-        a[:, idx, idx] = 0.0
-        sq = a @ a
-        fbl[lo:lo + c] = np.einsum("rij,rji->r", sq, a) / 3.0
-        ffl[lo:lo + c] = (sq * a).sum(axis=(1, 2))
+    fbl = np.empty(config.replicas)
+    ffl = np.empty(config.replicas)
+    for lo, thetas, rng in replica_blocks(config, _TAG_MOTIF):
+        a = draw_adjacency(thetas, n, rng).astype(np.float64)
+        a[:, np.arange(n), np.arange(n)] = 0.0
+        fbl[lo:lo + len(a)], ffl[lo:lo + len(a)] = _triple_counts(a)
     f_mean, f_se, f_var = _mean_se_var(fbl)
     g_mean, g_se, g_var = _mean_se_var(ffl)
-    return MotifMcReport(replicas=replicas, fbl_mean=f_mean, fbl_se=f_se, fbl_var=f_var,
-                         ffl_mean=g_mean, ffl_se=g_se, ffl_var=g_var)
+    return MotifMcReport(replicas=config.replicas, fbl_mean=f_mean, fbl_se=f_se,
+                         fbl_var=f_var, ffl_mean=g_mean, ffl_se=g_se, ffl_var=g_var)
 
 
-def mc_cycles(config: EnsembleConfig, ks, replicas: int, chunk: int = 512,
+def mc_cycles(config: EnsembleConfig, ks,
               budget: int = 50_000_000) -> dict[int, tuple[float, float]]:
     """Replica mean and standard error of the k-cycle count for each k."""
     if config.m != config.n:
@@ -509,14 +512,11 @@ def mc_cycles(config: EnsembleConfig, ks, replicas: int, chunk: int = 512,
     if any(k < 2 for k in ks):
         raise ParameterError("cycle lengths must be >= 2")
     n = config.n
-    counts = {k: np.empty(replicas) for k in ks}
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
-        rng = spawn_rng(config.master_seed, lo, _TAG_CYCLE)
-        a = _mc_adjacency(config, c, rng)
-        idx = np.arange(n)
-        a[:, idx, idx] = False
-        for r in range(c):
+    counts = {k: np.empty(config.replicas) for k in ks}
+    for lo, thetas, rng in replica_blocks(config, _TAG_CYCLE):
+        a = draw_adjacency(thetas, n, rng)
+        a[:, np.arange(n), np.arange(n)] = False
+        for r in range(len(a)):
             adj = _adjacency_lists(a[r])
             for k in ks:
                 counts[k][lo + r] = _cycles_from_adj(adj, a[r], n, k, budget)
@@ -527,20 +527,23 @@ def mc_cycles(config: EnsembleConfig, ks, replicas: int, chunk: int = 512,
     return out
 
 
-def mc_roots_leaves(config: EnsembleConfig, replicas: int, chunk: int = 256) -> RootLeafMcReport:
-    """Replica means of the root and leaf counts among senders."""
+def mc_roots_leaves(config: EnsembleConfig,
+                    replicas: int | None = None) -> RootLeafMcReport:
+    """Replica means of the root and leaf counts among senders.
+
+    ``replicas``, when given, stands in for config.replicas.
+    """
+    config = _with_replicas(config, replicas)
     m = config.m
-    roots = np.empty(replicas)
-    leaves = np.empty(replicas)
-    for lo in range(0, replicas, chunk):
-        c = min(chunk, replicas - lo)
-        rng = spawn_rng(config.master_seed, lo, _TAG_ROOT_LEAF)
-        a = _mc_adjacency(config, c, rng)
+    roots = np.empty(config.replicas)
+    leaves = np.empty(config.replicas)
+    for lo, thetas, rng in replica_blocks(config, _TAG_ROOT_LEAF):
+        a = draw_adjacency(thetas, config.n, rng)
         rows = a.sum(axis=2)
         cols = a.sum(axis=1)[:, :m]
-        roots[lo:lo + c] = ((cols == 0) & (rows >= 1)).sum(axis=1)
-        leaves[lo:lo + c] = ((rows == 0) & (cols >= 1)).sum(axis=1)
+        roots[lo:lo + len(a)] = ((cols == 0) & (rows >= 1)).sum(axis=1)
+        leaves[lo:lo + len(a)] = ((rows == 0) & (cols >= 1)).sum(axis=1)
     r_mean, r_se, _ = _mean_se_var(roots)
     l_mean, l_se, _ = _mean_se_var(leaves)
-    return RootLeafMcReport(replicas=replicas, roots_mean=r_mean, roots_se=r_se,
+    return RootLeafMcReport(replicas=config.replicas, roots_mean=r_mean, roots_se=r_se,
                             leaves_mean=l_mean, leaves_se=l_se)

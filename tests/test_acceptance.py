@@ -10,6 +10,7 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_criterion_04_motif_oracle_and_moments():
 
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=100, mixing=spec, master_seed=SEED)
-    mc = mc_motifs(config, replicas=10_000, chunk=256)
+    mc = mc_motifs(replace(config, replicas=10_000))
     assert abs(mc.fbl_mean - mean_feedback_loops(spec, 100)) <= 3.0 * mc.fbl_se
     assert abs(mc.ffl_mean - mean_feedforward_loops(spec, 100)) <= 3.0 * mc.ffl_se
     assert mc.fbl_var == pytest.approx(var_feedback_loops(spec, 100), rel=0.05)
@@ -196,7 +197,7 @@ def test_criterion_05_roots_leaves_resolution():
 
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=500, mixing=spec, master_seed=SEED)
-    mc = mc_roots_leaves(config, replicas=2000, chunk=128)
+    mc = mc_roots_leaves(replace(config, replicas=2000))
     assert abs(mc.roots_mean - mean_roots(spec, 500, 500)) <= 3.0 * mc.roots_se
     assert abs(mc.leaves_mean - mean_leaves(spec, 500, 500)) <= 3.0 * mc.leaves_se
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exchgraph
 from exchgraph.cli import main
 
 SEED = 20260821
@@ -161,6 +166,20 @@ def test_gf2_includes_mc_for_narrow_systems(tmp_path):
     assert abs(block["mc"]["mean"] - exact) < 5.0 * block["mc"]["se"]
 
 
+def test_standalone_commands_honour_their_blocks(tmp_path):
+    """A gf2 block that shrinks n brings the m <= 64 Monte Carlo into range."""
+    cfg = _write_config(tmp_path, gf2={"n": 32, "gammas": [1.0]})
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(n=200, replicas=500)
+    cfg.write_text(json.dumps(data))
+    assert main(["gf2", "--config", str(cfg)]) == 0
+    payload = json.loads(_read_out(tmp_path, "gf2.json"))
+    assert payload["config"]["n"] == 32
+    assert payload["gf2"]["first_replica_census"]["cols"] == 32
+    block = payload["gf2"]["mc"]
+    assert abs(block["mean"] - payload["gf2"]["expected_solutions"]) < 5.0 * block["se"]
+
+
 # -- regime report ----------------------------------------------------------
 
 
@@ -234,7 +253,7 @@ def _mc_config(tmp_path, **extra):
         },
         "tasks": ["degrees", "motifs", "hub", "gf2"],
         "output_dir": str(tmp_path / "out"),
-        "motifs": {"replicas": 2000, "chunk": 128},
+        "motifs": {"replicas": 2000},
         "hub": {"ks_max": 0.15},
         "gf2": {"n": 24, "replicas": 4000},
     }
@@ -261,6 +280,19 @@ def test_mc_thread_count_does_not_change_report(tmp_path):
     assert main(["mc", "--config", str(cfg), "--out", str(out_b),
                  "--threads", "4"]) == 0
     assert (out_a / "mc.json").read_bytes() == (out_b / "mc.json").read_bytes()
+
+
+def test_mc_and_hub_reruns_are_byte_identical(tmp_path):
+    cfg = _mc_config(tmp_path, motifs={"n": 40, "replicas": 500},
+                     gf2={"n": 16, "replicas": 1000})
+    outs = [tmp_path / name for name in ("t1", "t1_again", "t2")]
+    for out, threads in zip(outs, ("1", "1", "2")):
+        assert main(["mc", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        assert main(["hub", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("mc.json", "hub.json", "hub_cdf.csv"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:])
 
 
 def test_mc_mismatched_expected_law_fails(tmp_path):
@@ -343,3 +375,14 @@ def test_missing_required_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["degrees"])
     assert exc.value.code == 1
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs about a third of the import time of the CLI
+    src = str(Path(exchgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, exchgraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

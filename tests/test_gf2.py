@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
                                 SquareRows, row_prob, sample_graph)
 from exchgraph.errors import NoThresholdError, ParameterError
 from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
-                           expected_solutions, gamma_critical,
+                           _transpose_words, expected_solutions, gamma_critical,
                            log_expected_solutions, mc_kernel_mean, rank_gf2,
                            rate_sup, theta_rate, threshold_bisection,
                            write_theta_grid)
@@ -33,6 +34,32 @@ def test_identity_matrix_census():
     assert rep.n_solutions == 1
     assert rep.s_hypercycles == 0
     assert rep.log2_s_hypercycles == -math.inf
+
+
+def _transpose_words_dense(matrix):
+    """The dense route: unpack the matrix, then pack each column."""
+    dense = matrix.to_dense()
+    return [int.from_bytes(np.packbits(dense[:, j], bitorder="little").tobytes(), "little")
+            for j in range(matrix.n)]
+
+
+@st.composite
+def word_edge_matrices(draw):
+    """Boolean m x n arrays with m, n = 0, 1 or 63 (mod 64), some empty or full."""
+    m, n = (64 * draw(st.integers(0, 2)) + draw(st.sampled_from([0, 1, 63]))
+            for _ in range(2))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill != "random":
+        return np.full((m, n), fill == "full")
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).random((m, n)) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_edge_matrices())
+def test_transpose_words_match_dense_route(dense):
+    matrix = BitMatrix.from_dense(dense)
+    assert _transpose_words(matrix) == _transpose_words_dense(matrix)
 
 
 def test_zero_matrix_census():

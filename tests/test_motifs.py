@@ -9,6 +9,7 @@ vertex tuples.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,31 +272,41 @@ class TestMonteCarlo:
 
     def test_triple_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
-        rep = mc_motifs(cfg, 4000)
+        rep = mc_motifs(replace(cfg, replicas=4000))
         assert abs(rep.fbl_mean - mean_feedback_loops(self.SPEC, 30)) < 4 * rep.fbl_se
         assert abs(rep.ffl_mean - mean_feedforward_loops(self.SPEC, 30)) < 4 * rep.ffl_se
 
     def test_deterministic_for_fixed_seed(self):
         cfg = EnsembleConfig(n=20, mixing=self.SPEC, master_seed=5)
-        a = mc_motifs(cfg, 500)
-        b = mc_motifs(cfg, 500)
+        a = mc_motifs(replace(cfg, replicas=500))
+        b = mc_motifs(replace(cfg, replicas=500))
         assert a == b
 
     def test_cycle_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
-        out = mc_cycles(cfg, (2, 4), 2000)
+        out = mc_cycles(replace(cfg, replicas=2000), (2, 4))
         for k, (mean, se) in out.items():
             assert abs(mean - mean_cycles(self.SPEC, 30, k)) < 4 * se
 
     def test_roots_leaves_within_four_se(self):
         cfg = EnsembleConfig(n=200, mixing=self.SPEC, row_rule=ExplicitRows(m=100),
                              master_seed=6)
-        rep = mc_roots_leaves(cfg, 3000)
+        rep = mc_roots_leaves(replace(cfg, replicas=3000))
         assert abs(rep.roots_mean - mean_roots(self.SPEC, 200, 100)) < 4 * rep.roots_se
         assert abs(rep.leaves_mean - mean_leaves(self.SPEC, 200, 100)) < 4 * rep.leaves_se
+
+    def test_triple_counts_are_exact_on_the_complete_graph(self):
+        # theta = 1 gives the complete digraph: 2 C(n,3) directed 3-cycles and
+        # 6 C(n,3) feedforward triples, sums far above float32's 2**24
+        cfg = EnsembleConfig(n=600, mixing=DiracMixing(lam=600), master_seed=5,
+                             replicas=2)
+        rep = mc_motifs(cfg)
+        assert rep.fbl_mean == 2 * math.comb(600, 3)
+        assert rep.ffl_mean == 6 * math.comb(600, 3)
+        assert rep.fbl_se == rep.ffl_se == 0.0
 
     def test_requires_square_for_triples(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=10),
                              master_seed=5)
         with pytest.raises(ParameterError):
-            mc_motifs(cfg, 10)
+            mc_motifs(replace(cfg, replicas=10))
