@@ -59,6 +59,14 @@ EXIT_STAT = 2
 
 _TASK_NAMES = ("degrees", "motifs", "hub", "gf2", "report")
 _SUITE_NAMES = ("degrees", "motifs", "hub", "gf2")
+# block keys besides n, rows and replicas: those its command and mc suite read
+_BLOCK_KEYS = {
+    "degrees": {"k_max", "expected_mixing", "min_p", "tv_max"},
+    "motifs": {"cycle_lengths", "z_max"},
+    "hub": {"grid_points", "atom_threshold", "ks_max", "z_max"},
+    "gf2": {"gammas", "grid_gamma", "z_max"},
+}
+_TOP_KEYS = {"ensemble", "tasks", "output_dir", *_BLOCK_KEYS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,12 +87,6 @@ class RunConfig:
     output_dir: Path
     params: dict
 
-    def task_params(self, name: str) -> dict:
-        value = self.params.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {name!r} must be a JSON object")
-        return value
-
 
 def _load_run_config(path: str, command: str, seed_override,
                      out_override) -> RunConfig:
@@ -97,6 +99,15 @@ def _load_run_config(path: str, command: str, seed_override,
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "ensemble" not in data:
         raise ConfigError("config must be a JSON object with an 'ensemble' field")
+    for key, block in data.items():
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"config has unknown key {key!r}")
+        if key in _BLOCK_KEYS:
+            if not isinstance(block, dict):
+                raise ConfigError(f"section {key!r} must be a JSON object")
+            for name in block:
+                if name not in {"n", "rows", "replicas", *_BLOCK_KEYS[key]}:
+                    raise ConfigError(f"section {key!r} has unknown key {name!r}")
     ensemble_data = dict(data["ensemble"])
     if seed_override is not None:
         ensemble_data["master_seed"] = seed_override
@@ -134,7 +145,7 @@ def _base_payload(config: EnsembleConfig) -> dict:
 def _task_config(run: RunConfig, name: str) -> tuple[EnsembleConfig, dict]:
     """The ensemble with the n/rows/replicas overrides of block ``name``, and
     the block; everything else carries over."""
-    params = run.task_params(name)
+    params = run.params.get(name, {})
     changes = {key: int(params[key]) for key in ("n", "replicas") if key in params}
     if "rows" in params:
         changes["row_rule"] = ExplicitRows(m=int(params["rows"]))

@@ -19,17 +19,17 @@ and cross-checked against the quadrature route in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import special
 
-from ._numerics import checked_quad, log_quad
+from ._codec import JsonCodec
+from ._numerics import log_quad
 from .errors import ParameterError
-from .mixing import (MixingSpec, DiracMixing, HierarchicalMixing, PowerLawMixing,
-                     SeedCdfMixing, log_row_prob, moment)
+from .mixing import MixingSpec, DiracMixing, HierarchicalMixing, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
-                    LerchSeed, PowerLawSeed, seed_from_json)
+                    LerchSeed, PowerLawSeed)
 
 __all__ = [
     "LimitLaw",
@@ -64,10 +64,14 @@ def _check_orders(k) -> np.ndarray:
     return ks
 
 
-class LimitLaw:
-    """Base class for limit degree distributions on {0, 1, 2, ...}."""
+class LimitLaw(JsonCodec, tag="kind", error=ParameterError, family="limit law"):
+    """Base class for limit degree distributions on {0, 1, 2, ...}.
 
-    kind = "abstract"
+    A law that is the Poisson mixture of a seed in closed form names the
+    seed's class in ``seed_class``; the two share their fields, in order.
+    """
+
+    seed_class = None
 
     def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,8 +84,19 @@ class LimitLaw:
         out = np.exp(self._log_pmf(_check_orders(k)))
         return out if np.ndim(k) else float(out.ravel()[0])
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    def pmf_range(self, k_max: int) -> np.ndarray:
+        """pmf for all k = 0..k_max."""
+        return np.exp(self.log_pmf(np.arange(k_max + 1)))
+
+    def limit_seed(self) -> SeedDistribution:
+        """The seed F whose Poisson mixture this law is."""
+        if self.seed_class is None:
+            raise ParameterError(f"no seed associated with law kind {self.kind!r}")
+        return self.seed_class(*astuple(self))
+
+    def seed_moment(self, order: float, cap: float) -> float:
+        """integral_0^cap t**order dF(t) for the seed behind the law."""
+        return self.limit_seed().truncated_moment(order, cap)
 
 
 def _poisson_window(k: int, lo: float) -> float:
@@ -109,8 +124,8 @@ class PoissonLaw(LimitLaw):
             return np.where(ks == 0, 0.0, -np.inf)
         return ks * math.log(self.lam) - self.lam - special.gammaln(ks + 1.0)
 
-    def to_json(self):
-        return {"kind": "poisson", "lam": self.lam}
+    def limit_seed(self) -> SeedDistribution:
+        return DiracSeed(t0=self.lam)
 
 
 @dataclass(frozen=True)
@@ -121,7 +136,8 @@ class PoissonMixtureLaw(LimitLaw):
     kind = "poisson_mixture"
 
     def _log_pmf(self, ks):
-        if isinstance(self.seed, DiracSeed):
+        if not self.seed.has_density():
+            # only the Dirac seed lacks a density; its mixture is Poisson
             return PoissonLaw(lam=self.seed.t0)._log_pmf(ks)
         out = np.empty(ks.shape, dtype=float)
         for idx, kk in np.ndenumerate(ks):
@@ -137,13 +153,13 @@ class PoissonMixtureLaw(LimitLaw):
                 return -np.inf
             return k * math.log(t) - t + math.log(d)
 
-        lo = self.seed.alpha if isinstance(self.seed, PowerLawSeed) else 0.0
+        lo = self.seed._support()[0]
         hi = _poisson_window(k, lo)
         peak = min(max(float(k), lo + 0.5), hi)
         return log_quad(logf, lo, hi, points=[peak]) - special.gammaln(k + 1.0)
 
-    def to_json(self):
-        return {"kind": "poisson_mixture", "seed": self.seed.to_json()}
+    def limit_seed(self) -> SeedDistribution:
+        return self.seed
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,7 @@ class GeometricLaw(LimitLaw):
 
     gamma: float
     kind = "geometric"
+    seed_class = ExponentialSeed
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -161,9 +178,6 @@ class GeometricLaw(LimitLaw):
         g = self.gamma
         return math.log(g) - (ks + 1.0) * math.log1p(g)
 
-    def to_json(self):
-        return {"kind": "geometric", "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class NegativeBinomialLaw(LimitLaw):
@@ -172,6 +186,7 @@ class NegativeBinomialLaw(LimitLaw):
     r: float
     gamma: float
     kind = "negative_binomial"
+    seed_class = GammaSeed
 
     def __post_init__(self):
         if not (self.r > 0 and self.gamma > 0):
@@ -181,9 +196,6 @@ class NegativeBinomialLaw(LimitLaw):
         r, g = self.r, self.gamma
         return (special.gammaln(r + ks) - special.gammaln(ks + 1.0) - special.gammaln(r)
                 + r * (math.log(g) - math.log1p(g)) - ks * math.log1p(g))
-
-    def to_json(self):
-        return {"kind": "negative_binomial", "r": self.r, "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -203,6 +215,7 @@ class PowerLawTailLaw(LimitLaw):
     alpha: float
     beta: float
     kind = "power_law_tail"
+    seed_class = PowerLawSeed
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 1):
@@ -237,8 +250,8 @@ class PowerLawTailLaw(LimitLaw):
             logG[kk + 1] = np.logaddexp(math.log(c) + logG[kk], c * la - a)
         return self._log_prefactor(ks) + logG
 
-    def to_json(self):
-        return {"kind": "power_law_tail", "alpha": self.alpha, "beta": self.beta}
+    def pmf_range(self, k_max: int) -> np.ndarray:
+        return np.exp(self.log_pmf_range(k_max))
 
 
 @dataclass(frozen=True)
@@ -248,6 +261,7 @@ class LerchZipfLaw(LimitLaw):
     alpha: float
     s: float
     kind = "lerch_zipf"
+    seed_class = LerchSeed
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.s > 1):
@@ -256,9 +270,6 @@ class LerchZipfLaw(LimitLaw):
     def _log_pmf(self, ks):
         norm = float(special.zeta(self.s, self.alpha))
         return -self.s * np.log(self.alpha + ks) - math.log(norm)
-
-    def to_json(self):
-        return {"kind": "lerch_zipf", "alpha": self.alpha, "s": self.s}
 
 
 @dataclass(frozen=True)
@@ -282,11 +293,13 @@ class HierarchicalMixtureLaw(LimitLaw):
         return (PowerLawTailLaw(alpha=self.A, beta=self.beta),
                 PowerLawTailLaw(alpha=self.A, beta=self.gamma_exp))
 
+    def _combine(self, low, high):
+        b, g = self.beta, self.gamma_exp
+        return (g - 1.0) / (g - b) * low - (b - 1.0) / (g - b) * high
+
     def _pmf_array(self, ks: np.ndarray) -> np.ndarray:
         low, high = self._parts()
-        b, g = self.beta, self.gamma_exp
-        return ((g - 1.0) / (g - b) * np.exp(low._log_pmf(ks))
-                - (b - 1.0) / (g - b) * np.exp(high._log_pmf(ks)))
+        return self._combine(np.exp(low._log_pmf(ks)), np.exp(high._log_pmf(ks)))
 
     def pmf(self, k):
         out = self._pmf_array(_check_orders(k))
@@ -298,55 +311,31 @@ class HierarchicalMixtureLaw(LimitLaw):
 
     def pmf_range(self, k_max: int) -> np.ndarray:
         low, high = self._parts()
-        b, g = self.beta, self.gamma_exp
-        return ((g - 1.0) / (g - b) * np.exp(low.log_pmf_range(k_max))
-                - (b - 1.0) / (g - b) * np.exp(high.log_pmf_range(k_max)))
+        return self._combine(low.pmf_range(k_max), high.pmf_range(k_max))
 
-    def to_json(self):
-        return {"kind": "hierarchical_mixture", "A": self.A, "beta": self.beta,
-                "gamma_exp": self.gamma_exp}
-
-
-_LAW_KINDS = {
-    "poisson": lambda d: PoissonLaw(lam=float(d["lam"])),
-    "poisson_mixture": lambda d: PoissonMixtureLaw(seed=seed_from_json(d["seed"])),
-    "geometric": lambda d: GeometricLaw(gamma=float(d["gamma"])),
-    "negative_binomial": lambda d: NegativeBinomialLaw(r=float(d["r"]), gamma=float(d["gamma"])),
-    "power_law_tail": lambda d: PowerLawTailLaw(alpha=float(d["alpha"]), beta=float(d["beta"])),
-    "lerch_zipf": lambda d: LerchZipfLaw(alpha=float(d["alpha"]), s=float(d["s"])),
-    "hierarchical_mixture": lambda d: HierarchicalMixtureLaw(
-        A=float(d["A"]), beta=float(d["beta"]), gamma_exp=float(d["gamma_exp"])),
-}
+    def seed_moment(self, order: float, cap: float) -> float:
+        low, high = self._parts()
+        return self._combine(low.seed_moment(order, cap), high.seed_moment(order, cap))
 
 
 def limit_law_from_json(data: dict) -> LimitLaw:
-    try:
-        kind = data["kind"]
-        return _LAW_KINDS[kind](data)
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"bad limit law JSON {data!r}") from exc
+    return LimitLaw.from_json(data)
+
+
+# closed-form Poisson mixtures, by the class of their seed
+_CLOSED_FORMS = {law.seed_class: law for law in LimitLaw._kinds.values() if law.seed_class}
 
 
 def default_limit_law(spec: MixingSpec) -> LimitLaw:
-    """The out-degree limit naturally paired with a mixing law."""
+    """The out-degree limit naturally paired with a mixing law: the Poisson
+    mixture of its limit seed, in closed form where one exists."""
     if isinstance(spec, DiracMixing):
         return PoissonLaw(lam=spec.lam)
-    if isinstance(spec, PowerLawMixing):
-        return PowerLawTailLaw(alpha=spec.alpha, beta=spec.beta)
     if isinstance(spec, HierarchicalMixing):
         return HierarchicalMixtureLaw(A=spec.A, beta=spec.beta, gamma_exp=spec.gamma_exp)
-    if isinstance(spec, SeedCdfMixing):
-        seed = spec.seed
-        if isinstance(seed, ExponentialSeed):
-            return GeometricLaw(gamma=seed.gamma)
-        if isinstance(seed, GammaSeed):
-            return NegativeBinomialLaw(r=seed.r, gamma=seed.gamma)
-        if isinstance(seed, LerchSeed):
-            return LerchZipfLaw(alpha=seed.alpha, s=seed.s)
-        if isinstance(seed, PowerLawSeed):
-            return PowerLawTailLaw(alpha=seed.alpha, beta=seed.beta)
-        return PoissonMixtureLaw(seed=seed)
-    raise ParameterError(f"no default limit law for mixing variant {spec.variant!r}")
+    seed = spec.limit_seed()
+    closed = _CLOSED_FORMS.get(type(seed))
+    return closed(*astuple(seed)) if closed else PoissonMixtureLaw(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -420,46 +409,6 @@ class MomentTransferReport:
 _STABILIZE_REL = 1e-6
 
 
-def _law_pmf_array(law: LimitLaw, k_max: int) -> np.ndarray:
-    if isinstance(law, PowerLawTailLaw):
-        return np.exp(law.log_pmf_range(k_max))
-    if isinstance(law, HierarchicalMixtureLaw):
-        return law.pmf_range(k_max)
-    if isinstance(law, PoissonMixtureLaw) and isinstance(law.seed, DiracSeed):
-        return np.exp(PoissonLaw(lam=law.seed.t0).log_pmf(np.arange(k_max + 1)))
-    return np.exp(law.log_pmf(np.arange(k_max + 1)))
-
-
-def _law_seed_moment(law: LimitLaw, gamma_ord: float, cap: float) -> float:
-    """integral_0^cap t**gamma_ord dF(t) for the seed behind a limit law."""
-    if isinstance(law, PoissonLaw):
-        return law.lam ** gamma_ord if law.lam <= cap else 0.0
-    if isinstance(law, GeometricLaw):
-        seed: SeedDistribution = ExponentialSeed(gamma=law.gamma)
-    elif isinstance(law, NegativeBinomialLaw):
-        seed = GammaSeed(r=law.r, gamma=law.gamma)
-    elif isinstance(law, PowerLawTailLaw):
-        seed = PowerLawSeed(alpha=law.alpha, beta=law.beta)
-    elif isinstance(law, LerchZipfLaw):
-        seed = LerchSeed(alpha=law.alpha, s=law.s)
-    elif isinstance(law, HierarchicalMixtureLaw):
-        b, g = law.beta, law.gamma_exp
-        low = _law_seed_moment(PowerLawTailLaw(alpha=law.A, beta=b), gamma_ord, cap)
-        high = _law_seed_moment(PowerLawTailLaw(alpha=law.A, beta=g), gamma_ord, cap)
-        return (g - 1.0) / (g - b) * low - (b - 1.0) / (g - b) * high
-    elif isinstance(law, PoissonMixtureLaw):
-        seed = law.seed
-    else:
-        raise ParameterError(f"no seed associated with law kind {law.kind!r}")
-    if isinstance(seed, DiracSeed):
-        return seed.t0 ** gamma_ord if seed.t0 <= cap else 0.0
-    lo = seed.alpha if isinstance(seed, PowerLawSeed) else 0.0
-    if cap <= lo:
-        return 0.0
-    return checked_quad(lambda t: t ** gamma_ord * float(seed.density(t)),
-                        lo, cap, rel_tol=1e-9)
-
-
 def moment_transfer_check(law: LimitLaw, gamma_ord: float, k_cap: int = 10_000) -> MomentTransferReport:
     """Check that sum k**g p_k and integral t**g dF stabilize (or grow) together.
 
@@ -472,7 +421,7 @@ def moment_transfer_check(law: LimitLaw, gamma_ord: float, k_cap: int = 10_000) 
         raise ParameterError("moment order gamma_ord must be positive")
     if k_cap < 100:
         raise ParameterError("k_cap must be at least 100 for a stabilization check")
-    pmf = _law_pmf_array(law, k_cap)
+    pmf = law.pmf_range(k_cap)
     ks = np.arange(k_cap + 1, dtype=float)
     weights = ks ** gamma_ord
     weights[0] = 0.0
@@ -480,8 +429,8 @@ def moment_transfer_check(law: LimitLaw, gamma_ord: float, k_cap: int = 10_000) 
     s_full, s_prev = float(cum[k_cap]), float(cum[k_cap // 10])
     pmf_stab = (s_full - s_prev) <= _STABILIZE_REL * s_full
 
-    m_full = _law_seed_moment(law, gamma_ord, float(k_cap))
-    m_prev = _law_seed_moment(law, gamma_ord, float(k_cap // 10))
+    m_full = law.seed_moment(gamma_ord, float(k_cap))
+    m_prev = law.seed_moment(gamma_ord, float(k_cap // 10))
     mix_stab = (m_full - m_prev) <= _STABILIZE_REL * m_full
 
     return MomentTransferReport(

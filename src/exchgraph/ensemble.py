@@ -29,10 +29,11 @@ import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._codec import JsonCodec
 from ._numerics import spawn_rng
 from .errors import ConfigError, ParameterError
 from .mixing import (MixingSpec, HierarchicalMixing, ModulatedPowerLawMixing,
@@ -204,13 +205,8 @@ class BitMatrix:
 # row-count rules
 
 
-class RowRule:
-    kind = "abstract"
-
+class RowRule(JsonCodec, tag="kind", error=ConfigError, family="row rule"):
     def resolve(self, n: int, mixing: MixingSpec) -> int:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
 
@@ -220,9 +216,6 @@ class SquareRows(RowRule):
 
     def resolve(self, n, mixing):
         return n
-
-    def to_json(self):
-        return {"kind": "square"}
 
 
 @dataclass(frozen=True)
@@ -238,9 +231,6 @@ class FractionRows(RowRule):
 
     def resolve(self, n, mixing):
         return math.floor(self.delta * n)
-
-    def to_json(self):
-        return {"kind": "fraction", "delta": self.delta}
 
 
 @dataclass(frozen=True)
@@ -260,9 +250,6 @@ class PowerFractionRows(RowRule):
                 "power fraction row rule needs a mixing family with a beta exponent")
         return math.floor(self.delta * n ** (mixing.beta - 1.0))
 
-    def to_json(self):
-        return {"kind": "power_fraction", "delta": self.delta}
-
 
 @dataclass(frozen=True)
 class LogFractionRows(RowRule):
@@ -280,9 +267,6 @@ class LogFractionRows(RowRule):
             raise ConfigError("log fraction row rule needs n >= 2")
         return math.floor(self.delta * n / math.log(n))
 
-    def to_json(self):
-        return {"kind": "log_fraction", "delta": self.delta}
-
 
 @dataclass(frozen=True)
 class ExplicitRows(RowRule):
@@ -296,25 +280,9 @@ class ExplicitRows(RowRule):
     def resolve(self, n, mixing):
         return self.m
 
-    def to_json(self):
-        return {"kind": "explicit", "m": self.m}
-
-
-_ROW_RULES = {
-    "square": lambda d: SquareRows(),
-    "fraction": lambda d: FractionRows(delta=float(d["delta"])),
-    "power_fraction": lambda d: PowerFractionRows(delta=float(d["delta"])),
-    "log_fraction": lambda d: LogFractionRows(delta=float(d["delta"])),
-    "explicit": lambda d: ExplicitRows(m=int(d["m"])),
-}
-
 
 def row_rule_from_json(data: dict) -> RowRule:
-    try:
-        kind = data["kind"]
-        return _ROW_RULES[kind](data)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad row rule JSON {data!r}") from exc
+    return RowRule.from_json(data)
 
 
 _VARIANTS = ("partially_exchangeable", "completely_exchangeable", "hierarchical")
@@ -364,17 +332,21 @@ class EnsembleConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "EnsembleConfig":
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ConfigError(f"ensemble config has unknown key {key!r}")
+        for key in ("n", "mixing", "master_seed"):
+            if key not in data:
+                raise ConfigError(f"ensemble config missing field {key!r}")
         try:
-            return cls(
-                n=int(data["n"]),
-                mixing=mixing_from_json(data["mixing"]),
-                row_rule=row_rule_from_json(data.get("row_rule", {"kind": "square"})),
-                variant=data.get("variant", "partially_exchangeable"),
-                master_seed=int(data["master_seed"]),
-                replicas=int(data.get("replicas", 1)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"ensemble config missing field {exc}") from exc
+            counts = {key: int(data[key]) for key in ("n", "master_seed", "replicas")
+                      if key in data}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ensemble config has a non-integer count: {exc}") from exc
+        return cls(mixing=mixing_from_json(data["mixing"]),
+                   row_rule=row_rule_from_json(data.get("row_rule", {"kind": "square"})),
+                   variant=data.get("variant", "partially_exchangeable"), **counts)
 
 
 @dataclass
@@ -464,12 +436,7 @@ def sample_bias_matrix(config: EnsembleConfig, count: int, rng: np.random.Genera
         shared = sample_thetas(spec, n, rng, count)
         return np.broadcast_to(shared[:, None], (count, m)).copy()
     if config.variant == "hierarchical":
-        assert isinstance(spec, HierarchicalMixing)
-        cuts = spec.sample_cutoff(n, rng, (count,))
-        u = rng.random((count, m))
-        bm1 = spec.beta - 1.0
-        top = (n / cuts[:, None]) ** bm1
-        return (top - u * (top - 1.0)) ** (-1.0 / bm1)
+        return spec.sample_slices(n, rng, count, m)
     return sample_thetas(spec, n, rng, count * m).reshape(count, m)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_blocks
 from .errors import ParameterError
-from .mixing import DiracMixing, PowerLawMixing, SeedCdfMixing
+from .mixing import DiracMixing, PowerLawMixing
 
 __all__ = [
     "hub_statistic",
@@ -232,25 +232,16 @@ def _reference_scaling(config: EnsembleConfig):
         raise ParameterError(
             "hub limit theory needs independent per-sender biases")
     mixing, n, m = config.mixing, config.n, config.m
-    if isinstance(mixing, DiracMixing):
-        if mixing.lam == 0:
-            return None
-        raise ParameterError("a point-mass bias has no power tail, so no hub limit")
+    if isinstance(mixing, DiracMixing) and mixing.lam == 0:
+        return None
     if isinstance(mixing, PowerLawMixing):
         canonical = hub_limit_cdf(mixing.alpha, mixing.beta, n)
         if m == canonical.rows:
             return canonical
-        eta = mixing.beta - 1.0
-        return _subcritical_scaling(mixing.alpha ** eta, eta, n, m)
-    if isinstance(mixing, SeedCdfMixing):
-        tail = mixing.seed.power_tail()
-        if tail is None:
-            raise ParameterError(
-                f"{mixing.seed.kind} seed has no power tail, so no hub limit")
-        c_eta, eta = tail
-        return _subcritical_scaling(c_eta, eta, n, m)
-    raise ParameterError(
-        f"no hub reference law for the {mixing.variant} mixing family")
+    seed = mixing.limit_seed()
+    if seed.power_tail() is None:
+        raise ParameterError(f"{seed.kind} seed has no power tail, so no hub limit")
+    return _subcritical_scaling(*seed.power_tail(), n, m)
 
 
 def _subcritical_scaling(c_eta: float, eta: float, n: int, m: int) -> HubScaling:

@@ -16,10 +16,14 @@ theta of a matrix row of width n.  The families implemented here:
     First draw a cutoff a ~ const * a**(-gamma) on [A, n/2], then theta from
     ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.
 
-Public operations (all dispatch on the spec variant after validating it
-against n): :func:`sample_theta` / :func:`sample_thetas`, :func:`moment`,
+Public operations validate the spec against n and then call the family's
+own hooks: :func:`sample_theta` / :func:`sample_thetas`, :func:`moment`,
 :func:`tail`, :func:`xi`, and the log-space row polynomial
-:func:`log_row_prob` that degree and motif formulas build on.
+:func:`log_row_prob` that degree and motif formulas build on.  Each family
+also names its own scaling limit, ``limit_seed()`` (the seed of n * theta;
+Dirac, power law and seed-cdf only, read through :func:`implied_seed`), and
+its JSON form: the ``variant`` discriminator plus one key per field, with
+``lam`` written as ``"lambda"`` (:func:`mixing_from_json` reads it back).
 
 Numerical policy: closed forms for Dirac and the pure power family; adaptive
 quadrature after the substitution t = n * theta everywhere else, so the
@@ -35,11 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from ._codec import JsonCodec
 from ._numerics import checked_quad, kahan_sum, log_quad
 from .errors import ParameterError
-from .seeds import SeedDistribution, DiracSeed, PowerLawSeed, seed_from_json
+from .seeds import SeedDistribution, DiracSeed, PowerLawSeed
 
 __all__ = [
     "MixingSpec",
@@ -81,10 +85,18 @@ def _power_int(a: float, b: float, p: float) -> float:
     return math.exp(_log_power_int(a, b, p))
 
 
-class MixingSpec:
-    """Base class; concrete families fill in the hooks below."""
+def _power_quantile(u, alpha, n: int, beta: float):
+    """theta at CDF level u under the density ~ theta**(-beta) on (alpha/n, 1].
 
-    variant = "abstract"
+    F(x) = ((n/alpha)**(beta-1) - x**(1-beta)) / ((n/alpha)**(beta-1) - 1).
+    """
+    bm1 = beta - 1.0
+    top = (n / alpha) ** bm1
+    return (top - u * (top - 1.0)) ** (-1.0 / bm1)
+
+
+class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"):
+    """Base class; concrete families fill in the hooks below."""
 
     def validate(self, n: int) -> None:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -119,8 +131,9 @@ class MixingSpec:
         tail_part = self._partial(n, lambda th: (2.0 * th - 1.0) ** i, 0.5, 1.0)
         return head + sign * tail_part
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    def limit_seed(self) -> SeedDistribution:
+        """Scaling limit of n * theta as a seed distribution, where closed-form."""
+        raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,7 @@ class DiracMixing(MixingSpec):
 
     lam: float
     variant = "dirac"
+    _json_keys = {"lam": "lambda"}
 
     def __post_init__(self):
         if not self.lam >= 0:
@@ -167,8 +181,10 @@ class DiracMixing(MixingSpec):
     def _sample(self, n, rng, size):
         return np.full(size, self._theta(n))
 
-    def to_json(self) -> dict:
-        return {"variant": "dirac", "lambda": self.lam}
+    def limit_seed(self) -> SeedDistribution:
+        if self.lam <= 0:
+            raise ParameterError("dirac mixing at 0 has a degenerate scaling limit")
+        return DiracSeed(t0=self.lam)
 
 
 @dataclass(frozen=True)
@@ -235,17 +251,11 @@ class PowerLawMixing(MixingSpec):
         return (log_quad(logf, self.alpha, float(n), points=[peak])
                 - self._log_norm_t(n))
 
-    def _inverse_cdf(self, n: int, u: np.ndarray) -> np.ndarray:
-        # F(x) = ((n/alpha)**(beta-1) - x**(1-beta)) / ((n/alpha)**(beta-1) - 1)
-        bm1 = self.beta - 1.0
-        top = (n / self.alpha) ** bm1
-        return (top - u * (top - 1.0)) ** (-1.0 / bm1)
-
     def _sample(self, n, rng, size):
-        return self._inverse_cdf(n, rng.random(size))
+        return _power_quantile(rng.random(size), self.alpha, n, self.beta)
 
-    def to_json(self) -> dict:
-        return {"variant": "power_law", "alpha": self.alpha, "beta": self.beta}
+    def limit_seed(self) -> SeedDistribution:
+        return PowerLawSeed(alpha=self.alpha, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -392,10 +402,6 @@ class ModulatedPowerLawMixing(MixingSpec):
             hi = np.where(under, hi, mid)
         return 0.5 * (lo + hi) / n
 
-    def to_json(self) -> dict:
-        return {"variant": "modulated_power_law", "alpha": self.alpha,
-                "beta": self.beta, "g_table": [list(p) for p in self.g_table]}
-
 
 @dataclass(frozen=True)
 class SeedCdfMixing(MixingSpec):
@@ -468,8 +474,8 @@ class SeedCdfMixing(MixingSpec):
         u = rng.random(size) * self._mass(n)
         return np.asarray(self.seed.inverse_cdf(u), dtype=float) / n
 
-    def to_json(self) -> dict:
-        return {"variant": "seed_cdf", "seed": self.seed.to_json()}
+    def limit_seed(self) -> SeedDistribution:
+        return self.seed
 
 
 @dataclass(frozen=True)
@@ -532,16 +538,15 @@ class HierarchicalMixing(MixingSpec):
         lo_p, hi_p = self.A ** q, (n / 2.0) ** q
         return (lo_p + u * (hi_p - lo_p)) ** (1.0 / q)
 
-    def _sample(self, n, rng, size):
-        cuts = self.sample_cutoff(n, rng, size)
-        u = rng.random(size)
-        bm1 = self.beta - 1.0
-        top = (n / cuts) ** bm1
-        return (top - u * (top - 1.0)) ** (-1.0 / bm1)
+    def sample_slices(self, n: int, rng: np.random.Generator, count: int,
+                      rows: int) -> np.ndarray:
+        """Draw ``count`` cutoffs, then ``rows`` biases from the power-law
+        slice at each cutoff; shape (count, rows)."""
+        cuts = self.sample_cutoff(n, rng, (count,))
+        return _power_quantile(rng.random((count, rows)), cuts[:, None], n, self.beta)
 
-    def to_json(self) -> dict:
-        return {"variant": "hierarchical", "A": self.A, "beta": self.beta,
-                "gamma_exp": self.gamma_exp}
+    def _sample(self, n, rng, size):
+        return self.sample_slices(n, rng, size, 1).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -596,42 +601,11 @@ def log_row_prob(spec: MixingSpec, n: int, r: int) -> float:
 
 
 def implied_seed(spec: MixingSpec) -> SeedDistribution:
-    """Scaling limit of n * theta as a seed distribution, where closed-form.
-
-    Defined for Dirac (point mass), PowerLaw (pure power tail), and SeedCdf
-    (the seed itself).  Other families have no closed-form limit here.
-    """
-    if isinstance(spec, DiracMixing):
-        if spec.lam <= 0:
-            raise ParameterError("dirac mixing at 0 has a degenerate scaling limit")
-        return DiracSeed(t0=spec.lam)
-    if isinstance(spec, PowerLawMixing):
-        return PowerLawSeed(alpha=spec.alpha, beta=spec.beta)
-    if isinstance(spec, SeedCdfMixing):
-        return spec.seed
-    raise ParameterError(f"no closed-form seed limit for variant {spec.variant!r}")
-
-
-_MIXING_KINDS = {
-    "dirac": lambda d: DiracMixing(lam=float(d["lambda"])),
-    "power_law": lambda d: PowerLawMixing(alpha=float(d["alpha"]), beta=float(d["beta"])),
-    "modulated_power_law": lambda d: ModulatedPowerLawMixing(
-        alpha=float(d["alpha"]), beta=float(d["beta"]),
-        g_table=tuple((float(t), float(v)) for t, v in d["g_table"])),
-    "seed_cdf": lambda d: SeedCdfMixing(seed=seed_from_json(d["seed"])),
-    "hierarchical": lambda d: HierarchicalMixing(
-        A=float(d["A"]), beta=float(d["beta"]), gamma_exp=float(d["gamma_exp"])),
-}
+    """Scaling limit of n * theta as a seed distribution, where closed-form:
+    Dirac (point mass), PowerLaw (pure power tail) and SeedCdf (the seed)."""
+    return spec.limit_seed()
 
 
 def mixing_from_json(data: dict) -> MixingSpec:
     """Rebuild a mixing spec from its JSON dict (see ``to_json``)."""
-    try:
-        variant = data["variant"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError("mixing JSON needs a 'variant' discriminator") from exc
-    try:
-        builder = _MIXING_KINDS[variant]
-    except KeyError as exc:
-        raise ParameterError(f"unknown mixing variant {variant!r}") from exc
-    return builder(data)
+    return MixingSpec.from_json(data)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._codec import JsonCodec
 from ._numerics import checked_quad
 from .errors import InversionError, ParameterError
 
@@ -59,10 +60,8 @@ def _upper_gamma(a: float, z: float) -> float:
     return value
 
 
-class SeedDistribution:
+class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed"):
     """Base interface; subclasses override closed forms where available."""
-
-    kind = "abstract"
 
     # -- distribution surface -------------------------------------------------
     def cdf(self, x):
@@ -131,9 +130,13 @@ class SeedDistribution:
     def _support(self):
         return 0.0, np.inf
 
-    # -- serialization --------------------------------------------------------
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    def truncated_moment(self, order: float, cap: float) -> float:
+        """integral_0^cap t**order dF(t)."""
+        lo = self._support()[0]
+        if cap <= lo:
+            return 0.0
+        return checked_quad(lambda t: t ** order * float(self.density(t)),
+                            lo, cap, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -166,8 +169,8 @@ class DiracSeed(SeedDistribution):
         u = np.asarray(u, dtype=float)
         return np.full_like(u, self.t0)
 
-    def to_json(self) -> dict:
-        return {"kind": "dirac", "t0": self.t0}
+    def truncated_moment(self, order: float, cap: float) -> float:
+        return self.t0 ** order if self.t0 <= cap else 0.0
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,6 @@ class ExponentialSeed(SeedDistribution):
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
         return -np.log1p(-u) / self.gamma
-
-    def to_json(self) -> dict:
-        return {"kind": "exponential", "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,6 @@ class GammaSeed(SeedDistribution):
         u = np.asarray(u, dtype=float)
         return special.gammaincinv(self.r, u) / self.gamma
 
-    def to_json(self) -> dict:
-        return {"kind": "gamma", "r": self.r, "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class ParetoTailSeed(SeedDistribution):
@@ -277,9 +274,6 @@ class ParetoTailSeed(SeedDistribution):
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
         return self.alpha * ((1.0 - u) ** (-1.0 / self.eta) - 1.0)
-
-    def to_json(self) -> dict:
-        return {"kind": "pareto_tail", "alpha": self.alpha, "eta": self.eta}
 
 
 @dataclass(frozen=True)
@@ -341,9 +335,6 @@ class PowerLawSeed(SeedDistribution):
 
     def _support(self):
         return self.alpha, np.inf
-
-    def to_json(self) -> dict:
-        return {"kind": "power_law", "alpha": self.alpha, "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -434,28 +425,7 @@ class LerchSeed(SeedDistribution):
             0.0, np.inf, rel_tol=1e-9)
         return val / z
 
-    def to_json(self) -> dict:
-        return {"kind": "lerch", "alpha": self.alpha, "s": self.s}
-
-
-_SEED_KINDS = {
-    "dirac": lambda d: DiracSeed(t0=float(d["t0"])),
-    "exponential": lambda d: ExponentialSeed(gamma=float(d["gamma"])),
-    "gamma": lambda d: GammaSeed(r=float(d["r"]), gamma=float(d["gamma"])),
-    "pareto_tail": lambda d: ParetoTailSeed(alpha=float(d["alpha"]), eta=float(d["eta"])),
-    "power_law": lambda d: PowerLawSeed(alpha=float(d["alpha"]), beta=float(d["beta"])),
-    "lerch": lambda d: LerchSeed(alpha=float(d["alpha"]), s=float(d["s"])),
-}
-
 
 def seed_from_json(data: dict) -> SeedDistribution:
     """Rebuild a seed distribution from its JSON dict (see ``to_json``)."""
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError("seed JSON needs a 'kind' discriminator") from exc
-    try:
-        builder = _SEED_KINDS[kind]
-    except KeyError as exc:
-        raise ParameterError(f"unknown seed kind {kind!r}") from exc
-    return builder(data)
+    return SeedDistribution.from_json(data)

@@ -371,6 +371,39 @@ def test_missing_seed_is_usage_error(tmp_path):
     assert main(["degrees", "--config", str(cfg)]) == 1
 
 
+_PL3 = {"variant": "power_law", "alpha": 1.0, "beta": 3.0}
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("mc", lambda d: d.update(tasks=["degrees"], degrees={"expected_mixing": {
+        "variant": "power_law", "alpha": 1.0}}), ("power_law mixing", "'beta'")),
+    ("degrees", lambda d: d["ensemble"]["mixing"].update(alpha="x"),
+     ("power_law mixing", "'alpha'")),
+    ("degrees", lambda d: d["ensemble"].update(mixing={
+        "variant": "seed_cdf", "seed": {"kind": "gamma", "r": 2.0}}),
+     ("gamma seed", "'gamma'")),
+    ("sample", lambda d: d["ensemble"].update(mixing={
+        "variant": "dirac", "lambda": 2, "lam": 5}), ("dirac mixing", "'lam'")),
+    ("hub", lambda d: d.update(hub={"chunk": 7, "replica": 5000}), ("hub", "'chunk'")),
+    ("sample", lambda d: d["ensemble"].update(replica=7), ("ensemble", "'replica'")),
+    ("sample", lambda d: d.update(hubs={}), ("'hubs'",)),
+], ids=["expected_mixing_without_beta", "non_numeric_alpha", "seed_missing_key",
+        "unknown_mixing_key", "unknown_block_keys", "unknown_ensemble_key",
+        "unknown_top_level_key"])
+def test_malformed_config_objects_exit_one_naming_kind_and_key(
+        tmp_path, capsys, command, edit, named):
+    data = {"ensemble": {"n": 60, "mixing": dict(_PL3), "master_seed": SEED,
+                         "replicas": 200},
+            "output_dir": str(tmp_path / "out")}
+    edit(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("exchgraph: error:")
+    assert all(text in err for text in named)
+
+
 def test_missing_required_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["degrees"])

@@ -1,0 +1,194 @@
+"""Wire format of the four parameter families: frozen dicts and round trips."""
+
+import json
+import re
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
+                               LimitLaw, NegativeBinomialLaw, PoissonLaw,
+                               PoissonMixtureLaw, PowerLawTailLaw, limit_law_from_json)
+from exchgraph.ensemble import (ExplicitRows, FractionRows, LogFractionRows,
+                                PowerFractionRows, RowRule, SquareRows,
+                                row_rule_from_json)
+from exchgraph.errors import ConfigError, ParameterError
+from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
+                              ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
+                              mixing_from_json)
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
+                             ParetoTailSeed, PowerLawSeed, SeedDistribution,
+                             seed_from_json)
+
+# (family root, reader, error class)
+FAMILIES = {
+    "mixing": (MixingSpec, mixing_from_json, ParameterError),
+    "seed": (SeedDistribution, seed_from_json, ParameterError),
+    "law": (LimitLaw, limit_law_from_json, ParameterError),
+    "rows": (RowRule, row_rule_from_json, ConfigError),
+}
+
+# one instance per registered kind, with its wire form written out by hand
+FROZEN = {
+    "mixing": [
+        (DiracMixing(lam=2.0), {"variant": "dirac", "lambda": 2.0}),
+        (PowerLawMixing(alpha=1.0, beta=3.0),
+         {"variant": "power_law", "alpha": 1.0, "beta": 3.0}),
+        (ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0))),
+         {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+          "g_table": [[0.0, 1.0], [3.0, 2.0]]}),
+        (SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.5)),
+         {"variant": "seed_cdf", "seed": {"kind": "gamma", "r": 2.0, "gamma": 1.5}}),
+        (HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
+         {"variant": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+    ],
+    "seed": [
+        (DiracSeed(t0=2.0), {"kind": "dirac", "t0": 2.0}),
+        (ExponentialSeed(gamma=1.3), {"kind": "exponential", "gamma": 1.3}),
+        (GammaSeed(r=2.0, gamma=0.5), {"kind": "gamma", "r": 2.0, "gamma": 0.5}),
+        (ParetoTailSeed(alpha=1.0, eta=1.5), {"kind": "pareto_tail", "alpha": 1.0, "eta": 1.5}),
+        (PowerLawSeed(alpha=1.0, beta=2.5), {"kind": "power_law", "alpha": 1.0, "beta": 2.5}),
+        (LerchSeed(alpha=1.5, s=2.5), {"kind": "lerch", "alpha": 1.5, "s": 2.5}),
+    ],
+    "law": [
+        (PoissonLaw(lam=2.0), {"kind": "poisson", "lam": 2.0}),
+        (PoissonMixtureLaw(seed=DiracSeed(t0=2.0)),
+         {"kind": "poisson_mixture", "seed": {"kind": "dirac", "t0": 2.0}}),
+        (GeometricLaw(gamma=1.3), {"kind": "geometric", "gamma": 1.3}),
+        (NegativeBinomialLaw(r=2.0, gamma=0.5),
+         {"kind": "negative_binomial", "r": 2.0, "gamma": 0.5}),
+        (PowerLawTailLaw(alpha=1.0, beta=3.0),
+         {"kind": "power_law_tail", "alpha": 1.0, "beta": 3.0}),
+        (LerchZipfLaw(alpha=1.5, s=2.5), {"kind": "lerch_zipf", "alpha": 1.5, "s": 2.5}),
+        (HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5),
+         {"kind": "hierarchical_mixture", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+    ],
+    "rows": [
+        (SquareRows(), {"kind": "square"}),
+        (FractionRows(delta=0.25), {"kind": "fraction", "delta": 0.25}),
+        (PowerFractionRows(delta=0.5), {"kind": "power_fraction", "delta": 0.5}),
+        (LogFractionRows(delta=2.0), {"kind": "log_fraction", "delta": 2.0}),
+        (ExplicitRows(m=4), {"kind": "explicit", "m": 4}),
+    ],
+}
+
+FROZEN_CASES = [(family, obj, wire) for family, cases in FROZEN.items()
+                for obj, wire in cases]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_frozen_table_covers_every_registered_kind(family):
+    root = FAMILIES[family][0]
+    assert sorted(root._kinds) == sorted(obj.to_json()[root._tag]
+                                         for obj, _ in FROZEN[family])
+
+
+@pytest.mark.parametrize("family, obj, wire", FROZEN_CASES,
+                         ids=[f"{f}-{w.get('kind', w.get('variant'))}"
+                              for f, _, w in FROZEN_CASES])
+def test_to_json_is_frozen(family, obj, wire):
+    assert obj.to_json() == wire
+    assert FAMILIES[family][1](wire) == obj
+
+
+def test_integer_values_read_as_declared_types():
+    spec = mixing_from_json({"variant": "power_law", "alpha": 1, "beta": 3})
+    assert spec.to_json() == {"variant": "power_law", "alpha": 1.0, "beta": 3.0}
+    assert isinstance(spec.alpha, float)
+    assert json.dumps(mixing_from_json({"variant": "dirac", "lambda": 2}).to_json()) == \
+        '{"variant": "dirac", "lambda": 2.0}'
+    assert isinstance(row_rule_from_json({"kind": "explicit", "m": 4.0}).m, int)
+
+
+# -- round trips over the parameter domains ----------------------------------
+
+
+def _pos(lo=1e-3, hi=1e3):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def _above(lo, hi=50.0):
+    return st.floats(min_value=lo, max_value=hi, exclude_min=True)
+
+
+def _ordered_pair(lo):
+    """(beta, gamma_exp) with gamma_exp > beta > lo."""
+    return st.tuples(_above(lo, 20.0), _pos(0.01, 10.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+_g_tables = st.lists(st.tuples(_pos(0.0, 1e3), _pos()), min_size=2, max_size=6,
+                     unique_by=lambda p: p[0]).map(lambda ps: tuple(sorted(ps)))
+
+SEEDS = st.one_of(
+    st.builds(DiracSeed, t0=_pos()),
+    st.builds(ExponentialSeed, gamma=_pos()),
+    st.builds(GammaSeed, r=_pos(), gamma=_pos()),
+    st.builds(ParetoTailSeed, alpha=_pos(), eta=_pos()),
+    st.builds(PowerLawSeed, alpha=_pos(), beta=_above(1.0)),
+    st.builds(LerchSeed, alpha=_above(1.0), s=_above(1.0)),
+)
+
+STRATEGIES = {
+    "mixing": st.one_of(
+        st.builds(DiracMixing, lam=_pos(0.0)),
+        st.builds(PowerLawMixing, alpha=_pos(), beta=_above(1.0)),
+        st.builds(ModulatedPowerLawMixing, alpha=_pos(), beta=_above(1.0), g_table=_g_tables),
+        st.builds(SeedCdfMixing, seed=SEEDS),
+        st.builds(lambda a, bg: HierarchicalMixing(A=a, beta=bg[0], gamma_exp=bg[1]),
+                  _pos(), _ordered_pair(2.0)),
+    ),
+    "seed": SEEDS,
+    "law": st.one_of(
+        st.builds(PoissonLaw, lam=_pos(0.0)),
+        st.builds(PoissonMixtureLaw, seed=SEEDS),
+        st.builds(GeometricLaw, gamma=_pos()),
+        st.builds(NegativeBinomialLaw, r=_pos(), gamma=_pos()),
+        st.builds(PowerLawTailLaw, alpha=_pos(), beta=_above(1.0)),
+        st.builds(LerchZipfLaw, alpha=_pos(), s=_above(1.0)),
+        st.builds(lambda a, bg: HierarchicalMixtureLaw(A=a, beta=bg[0], gamma_exp=bg[1]),
+                  _pos(), _ordered_pair(2.0)),
+    ),
+    "rows": st.one_of(
+        st.just(SquareRows()),
+        st.builds(FractionRows, delta=_pos(1e-3, 1.0)),
+        st.builds(PowerFractionRows, delta=_pos()),
+        st.builds(LogFractionRows, delta=_pos()),
+        st.builds(ExplicitRows, m=st.integers(1, 10**9)),
+    ),
+}
+
+
+def _round_trip_test(family):
+    reader = FAMILIES[family][1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(STRATEGIES[family])
+    def check(obj):
+        assert reader(json.loads(json.dumps(obj.to_json()))) == obj
+    return check
+
+
+test_mixing_round_trip = _round_trip_test("mixing")
+test_seed_round_trip = _round_trip_test("seed")
+test_limit_law_round_trip = _round_trip_test("law")
+test_row_rule_round_trip = _round_trip_test("rows")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FROZEN_CASES), st.text(min_size=1, max_size=8))
+def test_unknown_key_is_an_error_naming_it(case, key):
+    family, obj, wire = case
+    _, reader, error = FAMILIES[family]
+    assume(key not in wire)
+    with pytest.raises(error, match=re.escape(repr(key))):
+        reader({**wire, key: 1.0})
+
+
+@pytest.mark.parametrize("family, obj, wire", [c for c in FROZEN_CASES if len(c[2]) > 1])
+def test_missing_key_is_an_error_naming_it(family, obj, wire):
+    _, reader, error = FAMILIES[family]
+    tag = FAMILIES[family][0]._tag
+    key = next(k for k in wire if k != tag)
+    with pytest.raises(error, match=f"{wire[tag]} .* missing key '{key}'"):
+        reader({k: v for k, v in wire.items() if k != key})

@@ -245,5 +245,7 @@ def test_json_round_trip(spec):
 
 
 def test_json_rejects_unknown_kind():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="needs a 'variant' discriminator"):
         mixing_from_json({"kind": "cauchy"})
+    with pytest.raises(ParameterError, match="unknown mixing variant 'cauchy'"):
+        mixing_from_json({"variant": "cauchy"})
