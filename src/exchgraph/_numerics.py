@@ -5,12 +5,15 @@ package-wide accuracy contract (relative tolerance ``REL_TOL``, absolute floor
 ``ABS_FLOOR``) is enforced in one place.  Integrands that vary over many
 orders of magnitude go through :func:`log_quad`, which factors out the peak
 of ``log f`` before handing the rescaled integrand to QUADPACK.
+
+The package's closed forms need no integrator, so ``scipy.integrate`` is
+imported by the first :func:`checked_quad` call, not by this module: a traced
+run books that import to the span of that call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
 
@@ -50,6 +53,8 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
     """
     if a == b:
         return 0.0
+    from scipy import integrate
+
     kwargs = {"epsabs": ABS_FLOOR, "epsrel": _EPS_REQUEST, "limit": _LIMIT}
     if points is not None and np.isfinite(b) and np.isfinite(a):
         pts = [p for p in points if a < p < b]

@@ -180,9 +180,10 @@ def cmd_sample(run: RunConfig, threads: int) -> int:
 def cmd_degrees(run: RunConfig) -> int:
     cfg, params = _task_config(run, "degrees")
     k_max = int(params.get("k_max", 30))
-    ks = np.arange(k_max + 1)
+    # a degree cannot exceed the row width n or the column height m
+    ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
-    exact_in = in_pmf_exact(cfg.mixing, cfg.n, cfg.m, ks)
+    exact_in = in_pmf_exact(cfg.mixing, cfg.n, cfg.m, np.arange(min(k_max, cfg.m) + 1))
     law = default_limit_law(cfg.mixing)
     limit = limit_pmf(law, ks)
     table = run.output_dir / "degrees_out_pmf.csv"

@@ -202,14 +202,13 @@ class NegativeBinomialLaw(LimitLaw):
 class PowerLawTailLaw(LimitLaw):
     """Poisson mixture of the pure power-tail seed on (alpha, inf).
 
-    p_k = alpha**(beta-1) (beta-1) / k! * integral_alpha^inf t**(k-beta) e**-t dt,
-    which decays like k**-beta.  Single values go through log-space quadrature;
-    bulk ranges use the stable upward recurrence of the incomplete-gamma-type
-    integral G_k = integral t**(k-beta) e**-t dt,
+    p_k = alpha**(beta-1) (beta-1) / k! * G_k,  G_k = integral_alpha^inf t**(k-beta) e**-t dt,
 
-        G_{k+1} = (k+1-beta) G_k + alpha**(k+1-beta) e**-alpha,
-
-    which tracks the dominant solution and so keeps relative accuracy.
+    which decays like k**-beta.  G_k is the upper incomplete gamma
+    Gamma(k+1-beta, alpha), in closed form through ``gammaincc`` for
+    k + 1 - beta > 0.  The orders below that, and any order whose regularized
+    gamma underflows, go through log-space quadrature (``_log_G``), which the
+    tests also use as the oracle of the closed form.
     """
 
     alpha: float
@@ -234,24 +233,14 @@ class PowerLawTailLaw(LimitLaw):
                 - special.gammaln(ks + 1.0))
 
     def _log_pmf(self, ks):
-        logG = np.array([self._log_G(int(kk)) for kk in ks.ravel()]).reshape(ks.shape)
-        return self._log_prefactor(ks) + logG
-
-    def log_pmf_range(self, k_max: int) -> np.ndarray:
-        """log pmf for all k = 0..k_max via the upward recurrence."""
-        ks = np.arange(k_max + 1)
-        logG = np.empty(k_max + 1)
-        k_direct = min(k_max, int(math.ceil(self.beta)) + 1)
-        for kk in range(k_direct + 1):
-            logG[kk] = self._log_G(kk)
-        la, a = math.log(self.alpha), self.alpha
-        for kk in range(k_direct, k_max):
-            c = kk + 1.0 - self.beta
-            logG[kk + 1] = np.logaddexp(math.log(c) + logG[kk], c * la - a)
-        return self._log_prefactor(ks) + logG
-
-    def pmf_range(self, k_max: int) -> np.ndarray:
-        return np.exp(self.log_pmf_range(k_max))
+        a = ks + 1.0 - self.beta
+        log_g = np.full(ks.shape, np.nan)
+        up = a > 0
+        with np.errstate(divide="ignore"):
+            log_g[up] = special.gammaln(a[up]) + np.log(special.gammaincc(a[up], self.alpha))
+        redo = ~np.isfinite(log_g)
+        log_g[redo] = [self._log_G(int(kk)) for kk in ks[redo]]
+        return self._log_prefactor(ks) + log_g
 
 
 @dataclass(frozen=True)
@@ -347,10 +336,8 @@ def out_pmf_exact(spec: MixingSpec, n: int, k) -> np.ndarray | float:
     ks = _check_orders(k)
     if np.any(ks > n):
         raise ParameterError(f"out-degree cannot exceed n={n}")
-    out = np.empty(ks.shape, dtype=float)
-    for idx, kk in np.ndenumerate(ks):
-        logc = special.gammaln(n + 1.0) - special.gammaln(kk + 1.0) - special.gammaln(n - kk + 1.0)
-        out[idx] = math.exp(logc + log_row_prob(spec, n, int(kk)))
+    logc = special.gammaln(n + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(n - ks + 1.0)
+    out = np.exp(logc + log_row_prob(spec, n, ks))
     return out if np.ndim(k) else float(out.ravel()[0])
 
 

@@ -168,8 +168,7 @@ def log_expected_solutions(spec: MixingSpec, n: int, m: int) -> float:
     spec.validate(n)
     log_terms = np.empty(n + 1)
     vanished = []
-    for j in range(n + 1):
-        x = xi(spec, n, j)
+    for j, x in enumerate(xi(spec, n, np.arange(n + 1)).tolist()):
         if j > 0 and abs(x) <= 1e-12:
             vanished.append(j)
         x = max(x, -1.0)

@@ -343,12 +343,14 @@ class LerchSeed(SeedDistribution):
 
     The density is, for x > 0 and alpha > 1, s > 1,
 
-        f(x) = Z^-1 * integral_0^inf exp(-x u) log(1+u)**(s-1) (1+u)**(-alpha) du
+        f(x) = Z^-1 * integral_0^inf tau**(s-1) e**(-(alpha-1) tau) exp(-x (e**tau - 1)) dtau
 
     with Z = Gamma(s) * Phi(1, s, alpha) and Phi(1, s, alpha) the Hurwitz-type
-    normalizer sum_{k>=0} (alpha+k)**(-s).  The u-integral form comes from the
-    change of variable u = exp(tau) - 1 in the defining tau-integral; it keeps
-    the integrand bounded at the origin (it vanishes like u**(s-1)).
+    normalizer sum_{k>=0} (alpha+k)**(-s).  The CDF and both Laplace transforms
+    are tau-integrals of the same weight.  In tau the integrand stays bounded
+    and falls off double-exponentially once e**tau passes 1/x, where the form
+    in u = e**tau - 1 has a slow tail out to u ~ 1/x that quadrature cannot
+    resolve for x below about 1e-8.
     """
 
     alpha: float
@@ -362,44 +364,30 @@ class LerchSeed(SeedDistribution):
     def _norm(self) -> float:
         return float(special.gamma(self.s) * special.zeta(self.s, self.alpha))
 
-    def _log_weight(self, u):
-        # log of log(1+u)**(s-1) * (1+u)**(-alpha), the mixing weight sans 1/Z
-        with np.errstate(divide="ignore"):
-            return (self.s - 1.0) * np.log(np.log1p(u)) - self.alpha * np.log1p(u)
+    def _tau_integral(self, h) -> float:
+        """Z^-1 integral_0^inf tau**(s-1) e**(-(alpha-1) tau) h(e**tau - 1) dtau."""
+        def f(tau: float) -> float:
+            if tau <= 0.0:
+                return 0.0
+            # e**tau overflows past 709, where every h used here has vanished
+            u = math.expm1(tau) if tau < 700.0 else math.inf
+            return math.exp((self.s - 1.0) * math.log(tau) - (self.alpha - 1.0) * tau) * h(u)
+
+        return checked_quad(f, 0.0, np.inf, rel_tol=1e-9) / self._norm()
+
+    def _pointwise(self, x, one):
+        """Apply the scalar ``one`` at each x > 0 (0 elsewhere), keeping x's shape."""
+        x = np.asarray(x, dtype=float)
+        out = np.array([one(xv) if xv > 0 else 0.0 for xv in x.ravel()])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        z = self._norm()
-
-        def one(xv: float) -> float:
-            if xv <= 0:
-                return 0.0
-            val = checked_quad(
-                lambda u: math.exp(self._log_weight(u) - xv * u) if u > 0 else 0.0,
-                0.0, np.inf, rel_tol=1e-9)
-            return val / z
-
-        if x.ndim == 0:
-            return one(float(x))
-        return np.array([one(xv) for xv in x.ravel()]).reshape(x.shape)
+        return self._pointwise(x, lambda xv: self._tau_integral(lambda u: math.exp(-xv * u)))
 
     def cdf(self, x):
-        # integral_0^x f collapses to a single u-integral of (1-exp(-xu))/u
-        x = np.asarray(x, dtype=float)
-        z = self._norm()
-
-        def one(xv: float) -> float:
-            if xv <= 0:
-                return 0.0
-            val = checked_quad(
-                lambda u: math.exp(self._log_weight(u)) * (-math.expm1(-xv * u)) / u
-                if u > 0 else 0.0,
-                0.0, np.inf, rel_tol=1e-9)
-            return val / z
-
-        if x.ndim == 0:
-            return one(float(x))
-        return np.array([one(xv) for xv in x.ravel()]).reshape(x.shape)
+        # integral_0^x of exp(-t u) dt is (1 - exp(-x u)) / u
+        return self._pointwise(x, lambda xv: self._tau_integral(
+            lambda u: -math.expm1(-xv * u) / u if u > 0 else xv))
 
     def mean_is_finite(self) -> bool:
         # mean transfers from the pmf tail (alpha+k)**(-s): finite iff s > 2
@@ -410,20 +398,12 @@ class LerchSeed(SeedDistribution):
             raise ParameterError("laplace transform argument must be >= 0")
         if s == 0:
             return 1.0
-        z = self._norm()
-        val = checked_quad(
-            lambda u: math.exp(self._log_weight(u)) / (u + s) if u > 0 else 0.0,
-            0.0, np.inf, rel_tol=1e-9)
-        return val / z
+        return self._tau_integral(lambda u: 1.0 / (u + s))
 
     def t_laplace(self, s: float) -> float:
         if s <= 0:
             raise ParameterError("t-weighted laplace transform needs s > 0")
-        z = self._norm()
-        val = checked_quad(
-            lambda u: math.exp(self._log_weight(u)) / (u + s) ** 2 if u > 0 else 0.0,
-            0.0, np.inf, rel_tol=1e-9)
-        return val / z
+        return self._tau_integral(lambda u: 1.0 / (u + s) / (u + s))
 
 
 def seed_from_json(data: dict) -> SeedDistribution:

@@ -108,6 +108,38 @@ def test_degrees_report_and_table(tmp_path):
     assert len(table) == 14  # header + 13 orders
 
 
+@pytest.mark.parametrize("ensemble,m", [
+    ({"n": 20}, 20),
+    ({"n": 40, "row_rule": {"kind": "fraction", "delta": 0.5}}, 20),
+])
+def test_degrees_ranges_stop_at_row_width_and_column_height(tmp_path, ensemble, m):
+    # the default k_max = 30 exceeds m = 20 in both cases, and n = 20 in the first
+    cfg = _write_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(ensemble)
+    cfg.write_text(json.dumps(data))
+    assert main(["degrees", "--config", str(cfg)]) == 0
+    block = json.loads(_read_out(tmp_path, "degrees.json"))["degrees"]
+    assert block["k_max"] == 30
+    assert len(block["out_pmf_exact"]) == len(block["limit_pmf"]) == min(30, ensemble["n"]) + 1
+    assert len(block["in_pmf_exact"]) == m + 1
+    assert sum(block["in_pmf_exact"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_degrees_on_lerch_seed_cdf(tmp_path):
+    # the row polynomial integrates the seed density down to t ~ 1e-9, so
+    # the density must hold its tolerance there
+    cfg = _write_config(tmp_path, degrees={"k_max": 12})
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(n=12, mixing={
+        "variant": "seed_cdf", "seed": {"kind": "lerch", "alpha": 1.5, "s": 2.5}})
+    cfg.write_text(json.dumps(data))
+    assert main(["degrees", "--config", str(cfg)]) == 0
+    block = json.loads(_read_out(tmp_path, "degrees.json"))["degrees"]
+    assert block["limit_law"]["kind"] == "lerch_zipf"
+    assert sum(block["out_pmf_exact"]) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_motifs_report_fields(tmp_path):
     cfg = _write_config(tmp_path, motifs={"cycle_lengths": [2, 3]})
     assert main(["motifs", "--config", str(cfg)]) == 0
@@ -408,6 +440,26 @@ def test_missing_required_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["degrees"])
     assert exc.value.code == 1
+
+
+def test_cli_import_leaves_scipy_integrate_out(tmp_path):
+    # the power-law closed forms need no integrator at non-integer beta
+    cfg = _write_config(tmp_path, degrees={"k_max": 12})
+    data = json.loads(cfg.read_text())
+    data["ensemble"]["mixing"]["beta"] = 1.5
+    cfg.write_text(json.dumps(data))
+    src = str(Path(exchgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, exchgraph.cli\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "for command in ('gf2', 'report'):\n"
+            "    assert exchgraph.cli.main([command, '--config', sys.argv[1]]) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split()[0] == "False"
+    assert out.stdout.split()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_stats_out():

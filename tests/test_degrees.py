@@ -7,6 +7,7 @@ numerically) that every specialized family must reproduce.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,12 +81,13 @@ class TestPowerLawTail:
     LAW = PowerLawTailLaw(alpha=1.0, beta=3.0)
 
     def test_recurrence_matches_direct_quadrature(self):
+        # the closed form (incomplete gamma) against the quadrature of G_k
         ks = np.array([0, 1, 2, 5, 17, 60, 143, 300])
-        by_range = self.LAW.log_pmf_range(300)[ks]
-        assert_allclose(by_range, self.LAW.log_pmf(ks), rtol=0, atol=1e-9)
+        by_quad = self.LAW._log_prefactor(ks) + [self.LAW._log_G(int(k)) for k in ks]
+        assert_allclose(self.LAW.log_pmf(ks), by_quad, rtol=0, atol=1e-9)
 
     def test_normalizes(self):
-        assert np.exp(self.LAW.log_pmf_range(3000)).sum() == pytest.approx(1.0, abs=1e-6)
+        assert self.LAW.pmf_range(3000).sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_asymptote_within_five_percent_at_k200(self):
         ratio = self.LAW.pmf(200) / tail_asymptote(1.0, 3.0, 200)
@@ -93,7 +95,38 @@ class TestPowerLawTail:
 
     def test_noninteger_tail_exponent(self):
         law = PowerLawTailLaw(alpha=0.5, beta=2.3)
-        assert np.exp(law.log_pmf_range(20000)).sum() == pytest.approx(1.0, abs=1e-4)
+        assert law.pmf_range(20000).sum() == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 10.0])
+@pytest.mark.parametrize("beta", [1.0001, 1.5, 1.999, 2.0, 2.0001, 2.5, 3.0, 3.7])
+def test_power_tail_closed_form_matches_quadrature(beta, alpha):
+    # orders near beta - 1, at 11 and up to 3000; those with k + 1 - beta <= 0
+    # stay on the quadrature and match trivially
+    law = PowerLawTailLaw(alpha=alpha, beta=beta)
+    ks = np.array([0, 1, 2, 3, 4, 11, 12, 1500, 3000])
+    by_quad = law._log_prefactor(ks) + [law._log_G(int(k)) for k in ks]
+    assert_allclose(law.log_pmf(ks), by_quad, rtol=0, atol=1e-10)
+
+
+def test_lerch_seed_matches_u_form_at_small_x():
+    # oracle: the density and CDF as u-integrals, u = e**tau - 1, in mpmath;
+    # double-precision quadrature of that form fails below x ~ 1e-8
+    seed = LerchSeed(alpha=1.5, s=2.5)
+    with mpmath.workdps(25):
+        a, s = mpmath.mpf(1.5), mpmath.mpf(2.5)
+        z = mpmath.gamma(s) * mpmath.zeta(s, a)
+        cuts = [0] + [mpmath.mpf(10) ** k for k in range(14)] + [mpmath.inf]
+
+        def weight(u):
+            return mpmath.log1p(u) ** (s - 1) * (1 + u) ** -a
+
+        for x in (1e-10, 1e-3, 3.0):
+            xm = mpmath.mpf(x)
+            dens = mpmath.quad(lambda u: mpmath.exp(-xm * u) * weight(u), cuts) / z
+            cdf = mpmath.quad(lambda u: -mpmath.expm1(-xm * u) / u * weight(u), cuts) / z
+            assert seed.density(x) == pytest.approx(float(dens), rel=1e-9)
+            assert seed.cdf(x) == pytest.approx(float(cdf), rel=1e-9)
 
 
 class TestHierarchicalMixtureLaw:

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from exchgraph._numerics import checked_quad, spawn_rng
 from exchgraph.errors import ParameterError
@@ -130,6 +132,63 @@ def test_row_polynomial_normalizes(spec, n):
     assert_allclose(total, 1.0, rtol=1e-8)
 
 
+# closed forms against their quadrature routes: betas near, at and between
+# integers, and orders near beta - 1, at 11, n/2 and n
+CLOSED_FORM_BETAS = (1.0001, 1.5, 1.999, 2.0, 2.0001, 2.5, 3.0, 3.7)
+
+
+def _orders_near(beta, n):
+    ks = [math.floor(beta) - 2, math.floor(beta) - 1, math.floor(beta), math.ceil(beta),
+          11, 12, n // 2, n // 2 + 1, n - 1, n]
+    return np.unique(np.clip(ks, 0, n))
+
+
+@pytest.mark.parametrize("n", [40, 3000])
+@pytest.mark.parametrize("beta", CLOSED_FORM_BETAS)
+def test_power_law_row_polynomial_matches_quadrature(beta, n):
+    spec = PowerLawMixing(alpha=1.0, beta=beta)
+    rs = _orders_near(beta, n)
+    by_quad = [spec._log_row_prob(n, int(r)) for r in rs]
+    assert_allclose(log_row_prob(spec, n, rs), by_quad, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [40, 3000])
+@pytest.mark.parametrize("beta", CLOSED_FORM_BETAS)
+def test_power_law_signed_moment_matches_quadrature(beta, n):
+    spec = PowerLawMixing(alpha=1.0, beta=beta)
+    orders = _orders_near(beta, n)
+    by_quad = [spec._xi(n, int(i)) for i in orders]
+    assert_allclose(xi(spec, n, orders), by_quad, rtol=1e-10)
+
+
+def test_power_law_signed_moment_at_large_n():
+    # the split quadrature fails here for every i >= 32463; the oracle is
+    # mpmath's tanh-sinh rule, split where (1 - 2 theta)**i changes scale
+    n, i, beta = 50_000, 50_000, mpmath.mpf(1.5)
+    with mpmath.workdps(30):
+        lo = mpmath.mpf(1) / n
+        scales = [mpmath.mpf(2) ** k / i for k in range(-4, 12)]
+        head = mpmath.quad(lambda t: t ** -beta * (1 - 2 * t) ** i,
+                           [lo] + [lo + h for h in scales] + [0.5])
+        tail_part = mpmath.quad(lambda t: t ** -beta * (2 * t - 1) ** i,
+                                [0.5] + [1 - h for h in reversed(scales)] + [1])
+        # i is even, so both halves enter with a plus sign
+        want = (head + tail_part) / ((lo ** (1 - beta) - 1) / (beta - 1))
+    assert_allclose(xi(PowerLawMixing(alpha=1.0, beta=1.5), n, i), float(want), rtol=1e-10)
+
+
+def test_order_arrays_keep_their_shape():
+    spec = PowerLawMixing(alpha=1.0, beta=2.5)
+    orders = np.array([[0, 3], [11, 40]])
+    assert_allclose(xi(spec, 40, orders),
+                    [[xi(spec, 40, int(i)) for i in row] for row in orders], rtol=1e-15)
+    assert log_row_prob(spec, 40, orders).shape == (2, 2)
+    with pytest.raises(ParameterError):
+        log_row_prob(spec, 40, np.array([3, 41]))
+    with pytest.raises(ParameterError):
+        xi(spec, 40, 2.5)
+
+
 class TestModulated:
     SPEC = ModulatedPowerLawMixing(alpha=1.0, beta=2.5,
                                    g_table=((0.0, 1.0), (2.0, 3.0), (5.0, 0.5), (50.0, 1.0)))
@@ -155,6 +214,17 @@ class TestModulated:
         mu = moment(self.SPEC, 40, 1)
         sd = math.sqrt(moment(self.SPEC, 40, 2) - mu * mu)
         assert abs(draws.mean() - mu) < 5 * sd / math.sqrt(len(draws))
+
+    @pytest.mark.parametrize("spec,n", [
+        (SPEC, 40),
+        (ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=(
+            (0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))), 2000),
+    ])
+    def test_sampler_fits_tail(self, spec, n):
+        # Kolmogorov-Smirnov against the closed-form CDF 1 - tail
+        draws = sample_thetas(spec, n, spawn_rng(13, 0), 4000)
+        cdf = np.vectorize(lambda t: 1.0 - tail(spec, n, float(t)))
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
 
     def test_table_validation(self):
         with pytest.raises(ParameterError):
