@@ -8,9 +8,8 @@ Monte Carlo validation of every closed form.
 from .degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
                       LimitLaw, NegativeBinomialLaw, PoissonLaw,
                       PoissonMixtureLaw, PowerLawTailLaw, default_limit_law,
-                      in_pmf_exact, limit_law_from_json, limit_pmf,
-                      moment_transfer_check, out_pmf_exact, tail_asymptote,
-                      total_variation)
+                      in_pmf_exact, limit_pmf, moment_transfer_check,
+                      out_pmf_exact, tail_asymptote, total_variation)
 from .ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                        GraphSample, LogFractionRows, PowerFractionRows,
                        SquareRows, in_degrees, map_replicas, out_degrees,
@@ -28,8 +27,7 @@ from .hub import (HubLimit, HubReport, HubScaling, competing_moment_constant,
                   hub_limit_cdf, hub_statistic, mc_hub, mc_hub_values)
 from .mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                      ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
-                     implied_seed, mixing_from_json, moment, sample_thetas,
-                     tail, xi)
+                     implied_seed, moment, sample_thetas, tail, xi)
 from .motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                      count_feedback_loops, count_feedforward_loops,
                      count_isolated, count_leaves, count_roots,
@@ -39,7 +37,6 @@ from .motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                      mean_subgraph, var_feedback_loops,
                      var_feedforward_loops, weak_components)
 from .seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
-                    ParetoTailSeed, PowerLawSeed, SeedDistribution,
-                    seed_from_json)
+                    ParetoTailSeed, PowerLawSeed, SeedDistribution)
 
 __version__ = "0.1.0"

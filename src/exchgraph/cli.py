@@ -5,15 +5,15 @@ Seven subcommands share one JSON config file:
     exchgraph <sample|degrees|motifs|hub|gf2|report|mc>
         --config FILE [--seed N] [--out DIR] [--threads K]
 
+The file is read in one pass through the JSON codec into a ``RunConfig``:
+the ensemble, the ``tasks`` of ``mc``, ``output_dir`` and one typed block
+per task, each key with its default written once on its field.
 ``sample`` writes one edge-list file per replica.  ``degrees``, ``motifs``,
 ``hub`` and ``gf2`` emit the matching analytic/Monte Carlo report for the
-configured ensemble, resized by the ``n``, ``rows`` and ``replicas`` keys of
-their config block as the ``mc`` suites of the same name are.  ``report``
-emits the regime summary for the power-law bias family (connectivity
-scaling, triangle ratio class, roots and leaves, hub scale,
-dilution-threshold verdict).  ``mc`` runs the validation suites
-listed under ``tasks`` and fails with a distinct exit code when a statistic
-misses its tolerance.
+ensemble resized by the ``n``, ``rows`` and ``replicas`` of their block, as
+the ``mc`` suites of the same name are.  ``report`` emits the regime summary
+for the power-law bias family.  ``mc`` runs the validation suites listed
+under ``tasks``.
 
 Exit codes: 0 success, 1 usage/configuration/I-O error, 2 statistical
 failure.  Every JSON report embeds the resolved ensemble config and is
@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import chdtrc
 
+from ._codec import JsonCodec
 from .degrees import (default_limit_law, in_pmf_exact, limit_pmf,
                       out_pmf_exact, total_variation, write_pmf_table)
 from .ensemble import (EnsembleConfig, ExplicitRows, map_replicas,
@@ -44,7 +45,7 @@ from .gf2 import (DegenerateTermWarning, expected_solutions,
                   threshold_bisection, write_theta_grid)
 from .hub import (competing_moment_constant, frechet_moment,
                   hub_atom_estimate, hub_limit_cdf, mc_hub, write_hub_cdf)
-from .mixing import PowerLawMixing, implied_seed, mixing_from_json, moment
+from .mixing import MixingSpec, implied_seed, moment
 from .motifs import (connectivity_bound, mc_motifs, mc_roots_leaves,
                      mean_cycles, mean_feedback_loops, mean_feedforward_loops,
                      mean_leaves, mean_roots, var_feedback_loops,
@@ -59,14 +60,6 @@ EXIT_STAT = 2
 
 _TASK_NAMES = ("degrees", "motifs", "hub", "gf2", "report")
 _SUITE_NAMES = ("degrees", "motifs", "hub", "gf2")
-# block keys besides n, rows and replicas: those its command and mc suite read
-_BLOCK_KEYS = {
-    "degrees": {"k_max", "expected_mixing", "min_p", "tv_max"},
-    "motifs": {"cycle_lengths", "z_max"},
-    "hub": {"grid_points", "atom_threshold", "ks_max", "z_max"},
-    "gf2": {"gammas", "grid_gamma", "z_max"},
-}
-_TOP_KEYS = {"ensemble", "tasks", "output_dir", *_BLOCK_KEYS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,17 +72,86 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved run: ensemble, task list, output directory, per-task knobs."""
+class _Block(JsonCodec):
+    """A task block: overrides of the ensemble's n, row count and replicas,
+    then the keys its command and its ``mc`` suite read."""
+
+    n: int | None = None
+    rows: int | None = None
+    replicas: int | None = None
+    _least = {"n": 1, "rows": 1, "replicas": 1}     # key -> smallest value
+
+    def __post_init__(self):
+        for key, low in self._least.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(
+                    f"{self._family} key {key!r} must be >= {low}, got {value!r}")
+
+    def resize(self, ensemble: EnsembleConfig) -> EnsembleConfig:
+        """The ensemble with this block's overrides; everything else carries over."""
+        changes = {key: getattr(self, key) for key in ("n", "replicas")
+                   if getattr(self, key) is not None}
+        if self.rows is not None:
+            changes["row_rule"] = ExplicitRows(m=self.rows)
+        return replace(ensemble, **changes)
+
+
+@dataclass(frozen=True)
+class DegreesBlock(_Block, error=ConfigError, family="degrees block"):
+    k_max: int = 30
+    expected_mixing: MixingSpec | None = None
+    min_p: float = 0.01
+    tv_max: float | None = None
+    _least = {**_Block._least, "k_max": 0}
+
+
+@dataclass(frozen=True)
+class MotifsBlock(_Block, error=ConfigError, family="motifs block"):
+    cycle_lengths: tuple[int, ...] = (2, 3, 4)
+    z_max: float = 4.0
+
+
+@dataclass(frozen=True)
+class HubBlock(_Block, error=ConfigError, family="hub block"):
+    grid_points: int = 1000
+    atom_threshold: float = 0.99
+    ks_max: float = 0.05
+    z_max: float = 3.0
+    _least = {**_Block._least, "grid_points": 1}
+
+
+@dataclass(frozen=True)
+class Gf2Block(_Block, error=ConfigError, family="gf2 block"):
+    gammas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+    grid_gamma: float | None = None     # None: the last gamma
+    z_max: float = 4.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.gammas:
+            raise ConfigError("gf2 block key 'gammas' must be non-empty")
+
+
+@dataclass(frozen=True)
+class RunConfig(JsonCodec, error=ConfigError, family="config"):
+    """Resolved run: ensemble, task list, output directory, task blocks."""
 
     ensemble: EnsembleConfig
-    tasks: tuple
-    output_dir: Path
-    params: dict
+    tasks: tuple[str, ...] = _SUITE_NAMES     # only mc reads it
+    output_dir: Path = Path(".")
+    degrees: DegreesBlock = DegreesBlock()
+    motifs: MotifsBlock = MotifsBlock()
+    hub: HubBlock = HubBlock()
+    gf2: Gf2Block = Gf2Block()
+
+    def __post_init__(self):
+        if not self.tasks or not set(self.tasks) <= set(_TASK_NAMES):
+            raise ConfigError(f"'tasks' must be a non-empty list of names from "
+                              f"{_TASK_NAMES}, got {list(self.tasks)}")
 
 
-def _load_run_config(path: str, command: str, seed_override,
-                     out_override) -> RunConfig:
+def _load_run_config(path: str, seed_override, out_override) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -97,39 +159,20 @@ def _load_run_config(path: str, command: str, seed_override,
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "ensemble" not in data:
-        raise ConfigError("config must be a JSON object with an 'ensemble' field")
-    for key, block in data.items():
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"config has unknown key {key!r}")
-        if key in _BLOCK_KEYS:
-            if not isinstance(block, dict):
-                raise ConfigError(f"section {key!r} must be a JSON object")
-            for name in block:
-                if name not in {"n", "rows", "replicas", *_BLOCK_KEYS[key]}:
-                    raise ConfigError(f"section {key!r} has unknown key {name!r}")
-    ensemble_data = dict(data["ensemble"])
-    if seed_override is not None:
-        ensemble_data["master_seed"] = seed_override
-    if "master_seed" not in ensemble_data:
-        raise ConfigError("no seed: set ensemble.master_seed or pass --seed")
-    ensemble = EnsembleConfig.from_json(ensemble_data)
-
-    default_tasks = [command] if command in _TASK_NAMES else list(_SUITE_NAMES)
-    tasks = data.get("tasks", default_tasks)
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("'tasks' must be a non-empty list")
-    for name in tasks:
-        if name not in _TASK_NAMES:
-            raise ConfigError(f"unknown task {name!r}; choose from {_TASK_NAMES}")
-
-    out_dir = Path(out_override) if out_override else Path(data.get("output_dir", "."))
+    if isinstance(data, dict) and isinstance(data.get("ensemble"), dict):
+        if seed_override is not None:
+            data["ensemble"]["master_seed"] = seed_override
+        if "master_seed" not in data["ensemble"]:
+            raise ConfigError("no seed: set ensemble.master_seed or pass --seed")
+    if isinstance(data, dict) and out_override:
+        data["output_dir"] = out_override
+    run = RunConfig.from_json(data)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        run.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return RunConfig(ensemble=ensemble, tasks=tuple(tasks), output_dir=out_dir,
-                     params=data)
+        raise ConfigError(
+            f"cannot create output directory {run.output_dir}: {exc}") from exc
+    return run
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -140,16 +183,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _base_payload(config: EnsembleConfig) -> dict:
     return {"schema": SCHEMA, "config": config.to_json()}
-
-
-def _task_config(run: RunConfig, name: str) -> tuple[EnsembleConfig, dict]:
-    """The ensemble with the n/rows/replicas overrides of block ``name``, and
-    the block; everything else carries over."""
-    params = run.params.get(name, {})
-    changes = {key: int(params[key]) for key in ("n", "replicas") if key in params}
-    if "rows" in params:
-        changes["row_rule"] = ExplicitRows(m=int(params["rows"]))
-    return replace(run.ensemble, **changes), params
 
 
 # -- sample -----------------------------------------------------------------
@@ -178,8 +211,7 @@ def cmd_sample(run: RunConfig, threads: int) -> int:
 
 
 def cmd_degrees(run: RunConfig) -> int:
-    cfg, params = _task_config(run, "degrees")
-    k_max = int(params.get("k_max", 30))
+    cfg, k_max = run.degrees.resize(run.ensemble), run.degrees.k_max
     # a degree cannot exceed the row width n or the column height m
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
@@ -206,8 +238,7 @@ def cmd_degrees(run: RunConfig) -> int:
 
 
 def cmd_motifs(run: RunConfig) -> int:
-    cfg, params = _task_config(run, "motifs")
-    lengths = [int(k) for k in params.get("cycle_lengths", (2, 3, 4))]
+    cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
     spec, n, variant = cfg.mixing, cfg.n, cfg.variant
     cycle_means = {k: mean_cycles(spec, n, k, variant) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
@@ -235,34 +266,30 @@ def cmd_motifs(run: RunConfig) -> int:
 
 
 def cmd_hub(run: RunConfig) -> int:
-    cfg, params = _task_config(run, "hub")
-    report = mc_hub(cfg, grid_points=int(params.get("grid_points", 1000)))
+    cfg = run.hub.resize(run.ensemble)
+    report = mc_hub(cfg, grid_points=run.hub.grid_points)
     table = run.output_dir / "hub_cdf.csv"
     write_hub_cdf(report, table)
     print(f"wrote {table}")
     payload = _base_payload(cfg)
-    block = report.to_json()
-    degenerate = report.limit_cdf_params["eta"] == 0.0
-    if not degenerate:
+    block, limit = report.to_json(), report.limit_cdf_params
+    if limit["eta"] != 0.0:
         if not math.isinf(report.L):
-            threshold = float(params.get("atom_threshold", 0.99))
-            p_hat, se = hub_atom_estimate(report.values, cfg.n, threshold)
-            block["atom"] = {
-                "threshold": threshold,
-                "estimate": p_hat,
-                "se": se,
-                "reference_mass": _reference_mass(report, cfg.n, threshold),
-            }
-        elif report.limit_cdf_params["eta"] > 1.0:
+            threshold = run.hub.atom_threshold
+            block["atom"] = {"threshold": threshold, **_atom(report, cfg.n, threshold)}
+        elif limit["eta"] > 1.0:
             block["moment"] = _moment_comparison(report, report.values)
     payload["hub"] = block
     _write_json(run.output_dir / "hub.json", payload)
     return EXIT_OK
 
 
-def _reference_mass(report, n: int, threshold: float) -> float:
-    """Reference probability that the hub exceeds threshold * n."""
-    return 1.0 - report.reference_cdf(threshold * n / report.b_n)
+def _atom(report, n: int, threshold: float) -> dict:
+    """Share of replicas whose hub exceeds threshold * n, its SE, and the
+    reference probability of that event."""
+    p_hat, se = hub_atom_estimate(report.values, n, threshold)
+    return {"estimate": p_hat, "se": se,
+            "reference_mass": 1.0 - report.reference_cdf(threshold * n / report.b_n)}
 
 
 def _moment_comparison(report, values: np.ndarray) -> dict:
@@ -271,7 +298,8 @@ def _moment_comparison(report, values: np.ndarray) -> dict:
     Two closed forms circulate for the limit moment; they disagree, so the
     sampled mean arbitrates and the winner is recorded.
     """
-    c, eta = report.limit_cdf_params["c_eta"], report.limit_cdf_params["eta"]
+    limit = report.limit_cdf_params
+    c, eta = limit["c_eta"], limit["eta"]
     alpha_eff = c ** (1.0 / eta)
     scaled = values / report.b_n
     mean = float(scaled.mean())
@@ -311,7 +339,7 @@ def _threshold_verdict(seed) -> dict:
 
 
 def cmd_gf2(run: RunConfig) -> int:
-    cfg, params = _task_config(run, "gf2")
+    cfg, task = run.gf2.resize(run.ensemble), run.gf2
     n, m = cfg.n, cfg.m
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTermWarning)
@@ -335,16 +363,13 @@ def cmd_gf2(run: RunConfig) -> int:
     except ExchGraphError:
         block["rate"] = None
     else:
-        gammas = [float(g) for g in params.get("gammas", (0.2, 0.4, 0.6, 0.8, 1.0))]
-        if not gammas:
-            raise ConfigError("gf2.gammas must be non-empty when present")
         rows = []
-        for gamma in gammas:
+        for gamma in task.gammas:
             rep = rate_sup(seed, gamma)
             rows.append({"gamma": gamma, "I_gamma": rep.i_gamma,
                          "argmax_x": rep.argmax_x,
                          "exceeds_baseline": rep.exceeds_baseline})
-        grid_gamma = float(params.get("grid_gamma", gammas[-1]))
+        grid_gamma = task.gammas[-1] if task.grid_gamma is None else task.grid_gamma
         table = run.output_dir / "gf2_rate_grid.csv"
         write_theta_grid(rate_sup(seed, grid_gamma), table)
         print(f"wrote {table}")
@@ -391,11 +416,13 @@ def _roots_class(alpha: float, beta: float) -> dict:
 
 
 def cmd_report(run: RunConfig) -> int:
-    cfg = run.ensemble
-    spec = cfg.mixing
-    if not isinstance(spec, PowerLawMixing):
+    cfg, spec = run.ensemble, run.ensemble.mixing
+    if spec.power_law_params() is None:
         raise ConfigError("regime report needs the power-law mixing family")
-    alpha, beta, n = spec.alpha, spec.beta, cfg.n
+    if cfg.n < 3:
+        raise ConfigError(f"regime report compares triangle counts and needs n >= 3, "
+                          f"got n={cfg.n}")
+    (alpha, beta), n = spec.power_law_params(), cfg.n
     mu = moment(spec, n, 1)
     mu_asym = _edge_probability_asymptote(alpha, beta, n)
     fbl = mean_feedback_loops(spec, n, cfg.variant)
@@ -442,10 +469,8 @@ def _z_score(mc_value: float, se: float, exact: float) -> float:
 
 
 def _suite_degrees(run: RunConfig, threads: int) -> dict:
-    cfg, params = _task_config(run, "degrees")
-    expected_spec = cfg.mixing
-    if "expected_mixing" in params:
-        expected_spec = mixing_from_json(params["expected_mixing"])
+    cfg, block = run.degrees.resize(run.ensemble), run.degrees
+    expected_spec = block.expected_mixing or cfg.mixing
     pool_rows = cfg.variant == "partially_exchangeable"
 
     def worker(sample):
@@ -476,17 +501,15 @@ def _suite_degrees(run: RunConfig, threads: int) -> dict:
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs_bins, exp_bins)))
     p_value = float(chdtrc(df, stat))
     tv = 0.5 * float(np.abs(counts / draws - pmf).sum())
-    min_p = float(params.get("min_p", 0.01))
-    ok = p_value >= min_p
-    if "tv_max" in params:
-        ok = ok and tv <= float(params["tv_max"])
+    ok = p_value >= block.min_p
+    if block.tv_max is not None:
+        ok = ok and tv <= block.tv_max
     return {"pass": bool(ok), "p_value": p_value, "chi_square": stat,
             "bins": len(obs_bins), "draws": draws, "tv": tv}
 
 
 def _suite_motifs(run: RunConfig, threads: int) -> dict:
-    cfg, params = _task_config(run, "motifs")
-    z_max = float(params.get("z_max", 4.0))
+    cfg, z_max = run.motifs.resize(run.ensemble), run.motifs.z_max
     spec, n, variant = cfg.mixing, cfg.n, cfg.variant
     # the replica count also goes as the second argument, where the span
     # recorder of bench/tracer.py reads it
@@ -508,28 +531,23 @@ def _suite_motifs(run: RunConfig, threads: int) -> dict:
 
 
 def _suite_hub(run: RunConfig, threads: int) -> dict:
-    cfg, params = _task_config(run, "hub")
-    report = mc_hub(cfg, grid_points=int(params.get("grid_points", 1000)))
-    ks_max = float(params.get("ks_max", 0.05))
+    cfg, block = run.hub.resize(run.ensemble), run.hub
+    report = mc_hub(cfg, grid_points=block.grid_points)
+    ks_max = block.ks_max
     result = {"ks_distance": report.ks_distance, "ks_max": ks_max,
               "b_n": report.b_n, "m_n": report.m_n}
-    ok = report.ks_distance <= ks_max
-    if not math.isinf(report.L) and report.limit_cdf_params["eta"] > 0.0:
-        threshold = float(params.get("atom_threshold", 0.99))
-        p_hat, se = hub_atom_estimate(report.values, cfg.n, threshold)
-        reference = _reference_mass(report, cfg.n, threshold)
-        z = _z_score(p_hat, se, reference)
-        z_max = float(params.get("z_max", 3.0))
-        result["atom"] = {"estimate": p_hat, "se": se, "reference_mass": reference,
-                          "z": z, "z_max": z_max}
-        ok = ok and z <= z_max
+    ok, limit = report.ks_distance <= ks_max, report.limit_cdf_params
+    if not math.isinf(report.L) and limit["eta"] > 0.0:
+        atom = _atom(report, cfg.n, block.atom_threshold)
+        z = _z_score(atom["estimate"], atom["se"], atom["reference_mass"])
+        result["atom"] = {**atom, "z": z, "z_max": block.z_max}
+        ok = ok and z <= block.z_max
     result["pass"] = bool(ok)
     return result
 
 
 def _suite_gf2(run: RunConfig, threads: int) -> dict:
-    cfg, params = _task_config(run, "gf2")
-    z_max = float(params.get("z_max", 4.0))
+    cfg, z_max = run.gf2.resize(run.ensemble), run.gf2.z_max
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
         exact = expected_solutions(cfg.mixing, cfg.n, cfg.m)
@@ -557,7 +575,7 @@ def cmd_mc(run: RunConfig, threads: int) -> int:
         raise ConfigError("mc needs at least one of the validation suites "
                           f"{_SUITE_NAMES} in 'tasks'")
     if "gf2" in suites:
-        cfg, _ = _task_config(run, "gf2")
+        cfg = run.gf2.resize(run.ensemble)
         if cfg.m > 64:
             raise ConfigError(
                 "the gf2 suite eliminates all replicas in 64-bit words and "
@@ -601,7 +619,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        run = _load_run_config(args.config, args.command, args.seed, args.out)
+        run = _load_run_config(args.config, args.seed, args.out)
         if args.command == "sample":
             return cmd_sample(run, args.threads)
         if args.command == "degrees":

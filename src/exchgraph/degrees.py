@@ -40,7 +40,6 @@ __all__ = [
     "PowerLawTailLaw",
     "LerchZipfLaw",
     "HierarchicalMixtureLaw",
-    "limit_law_from_json",
     "default_limit_law",
     "out_pmf_exact",
     "in_pmf_exact",
@@ -305,10 +304,6 @@ class HierarchicalMixtureLaw(LimitLaw):
     def seed_moment(self, order: float, cap: float) -> float:
         low, high = self._parts()
         return self._combine(low.seed_moment(order, cap), high.seed_moment(order, cap))
-
-
-def limit_law_from_json(data: dict) -> LimitLaw:
-    return LimitLaw.from_json(data)
 
 
 # closed-form Poisson mixtures, by the class of their seed

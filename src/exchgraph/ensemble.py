@@ -29,15 +29,14 @@ import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import spawn_rng
 from .errors import ConfigError, ParameterError
-from .mixing import (MixingSpec, HierarchicalMixing, ModulatedPowerLawMixing,
-                     PowerLawMixing, log_row_prob, mixing_from_json, sample_thetas)
+from .mixing import MixingSpec, HierarchicalMixing, log_row_prob, sample_thetas
 
 __all__ = [
     "BitMatrix",
@@ -61,7 +60,6 @@ __all__ = [
     "read_edge_list",
     "write_bitmatrix",
     "read_bitmatrix",
-    "row_rule_from_json",
 ]
 
 _MAGIC = b"XGB1"
@@ -151,11 +149,19 @@ class BitMatrix:
             self.words[i, j >> 6] &= ~bit
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the set bits, in row-major order."""
+        """Row and column indices of the set bits, in row-major order.  The
+        nonzero words unpack _BLOCK at a time, into 64 * _BLOCK bytes."""
         rows, word_cols = np.nonzero(self.words)
-        by = self.words[rows, word_cols].astype("<u8").view(np.uint8).reshape(-1, 8)
-        hit, bit = np.nonzero(np.unpackbits(by, axis=1, bitorder="little"))
-        return rows[hit], word_cols[hit] * 64 + bit
+        values = self.words[rows, word_cols].astype("<u8", copy=False)
+        out = np.empty((2, int(np.bitwise_count(values).sum())), dtype=np.int64)
+        done = 0
+        for lo in range(0, rows.size, _BLOCK):
+            by = values[lo:lo + _BLOCK].view(np.uint8).reshape(-1, 8)
+            hit, bit = np.nonzero(np.unpackbits(by, axis=1, bitorder="little"))
+            hit += lo
+            out[:, done:done + hit.size] = rows[hit], word_cols[hit] * 64 + bit
+            done += hit.size
+        return out[0], out[1]
 
     def set_coords(self, rows, cols) -> None:
         """Set the bits at (rows[k], cols[k]); repeated entries are harmless."""
@@ -245,10 +251,11 @@ class PowerFractionRows(RowRule):
             raise ConfigError("power fraction row rule needs delta > 0")
 
     def resolve(self, n, mixing):
-        if not isinstance(mixing, (PowerLawMixing, ModulatedPowerLawMixing)):
+        beta = mixing.row_exponent()
+        if beta is None:
             raise ConfigError(
                 "power fraction row rule needs a mixing family with a beta exponent")
-        return math.floor(self.delta * n ** (mixing.beta - 1.0))
+        return math.floor(self.delta * n ** (beta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -281,15 +288,11 @@ class ExplicitRows(RowRule):
         return self.m
 
 
-def row_rule_from_json(data: dict) -> RowRule:
-    return RowRule.from_json(data)
-
-
 _VARIANTS = ("partially_exchangeable", "completely_exchangeable", "hierarchical")
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
     """Everything needed to reproduce a replica stream of random graphs."""
 
     n: int
@@ -319,34 +322,6 @@ class EnsembleConfig:
     @property
     def m(self) -> int:
         return self.row_rule.resolve(self.n, self.mixing)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mixing": self.mixing.to_json(),
-            "row_rule": self.row_rule.to_json(),
-            "variant": self.variant,
-            "master_seed": self.master_seed,
-            "replicas": self.replicas,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EnsembleConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"ensemble config has unknown key {key!r}")
-        for key in ("n", "mixing", "master_seed"):
-            if key not in data:
-                raise ConfigError(f"ensemble config missing field {key!r}")
-        try:
-            counts = {key: int(data[key]) for key in ("n", "master_seed", "replicas")
-                      if key in data}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"ensemble config has a non-integer count: {exc}") from exc
-        return cls(mixing=mixing_from_json(data["mixing"]),
-                   row_rule=row_rule_from_json(data.get("row_rule", {"kind": "square"})),
-                   variant=data.get("variant", "partially_exchangeable"), **counts)
 
 
 @dataclass

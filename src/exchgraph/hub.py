@@ -21,7 +21,6 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_blocks
 from .errors import ParameterError
-from .mixing import DiracMixing, PowerLawMixing
 
 __all__ = [
     "hub_statistic",
@@ -232,10 +231,10 @@ def _reference_scaling(config: EnsembleConfig):
         raise ParameterError(
             "hub limit theory needs independent per-sender biases")
     mixing, n, m = config.mixing, config.n, config.m
-    if isinstance(mixing, DiracMixing) and mixing.lam == 0:
+    if mixing.is_null():
         return None
-    if isinstance(mixing, PowerLawMixing):
-        canonical = hub_limit_cdf(mixing.alpha, mixing.beta, n)
+    if (power_law := mixing.power_law_params()) is not None:
+        canonical = hub_limit_cdf(*power_law, n)
         if m == canonical.rows:
             return canonical
     seed = mixing.limit_seed()

@@ -23,7 +23,7 @@ own hooks: :func:`sample_theta` / :func:`sample_thetas`, :func:`moment`,
 also names its own scaling limit, ``limit_seed()`` (the seed of n * theta;
 Dirac, power law and seed-cdf only, read through :func:`implied_seed`), and
 its JSON form: the ``variant`` discriminator plus one key per field, with
-``lam`` written as ``"lambda"`` (:func:`mixing_from_json` reads it back).
+``lam`` written as ``"lambda"`` (``MixingSpec.from_json`` reads it back).
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
@@ -63,7 +63,6 @@ __all__ = [
     "ModulatedPowerLawMixing",
     "SeedCdfMixing",
     "HierarchicalMixing",
-    "mixing_from_json",
     "implied_seed",
     "sample_theta",
     "sample_thetas",
@@ -194,6 +193,18 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         """Scaling limit of n * theta as a seed distribution, where closed-form."""
         raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
 
+    def is_null(self) -> bool:
+        """Whether every bias is 0, so that the graph has no edges."""
+        return False
+
+    def power_law_params(self) -> tuple[float, float] | None:
+        """(alpha, beta) of the pure power law, whose hub has a matched pairing."""
+        return None
+
+    def row_exponent(self) -> float | None:
+        """The beta of a theta**-beta density, which power_fraction rows read."""
+        return None
+
 
 @dataclass(frozen=True)
 class DiracMixing(MixingSpec):
@@ -239,6 +250,9 @@ class DiracMixing(MixingSpec):
 
     def _sample(self, n, rng, size):
         return np.full(size, self._theta(n))
+
+    def is_null(self) -> bool:
+        return self.lam == 0
 
     def limit_seed(self) -> SeedDistribution:
         if self.lam <= 0:
@@ -363,6 +377,12 @@ class PowerLawMixing(MixingSpec):
     def limit_seed(self) -> SeedDistribution:
         return PowerLawSeed(alpha=self.alpha, beta=self.beta)
 
+    def power_law_params(self):
+        return self.alpha, self.beta
+
+    def row_exponent(self):
+        return self.beta
+
 
 @dataclass(frozen=True)
 class ModulatedPowerLawMixing(MixingSpec):
@@ -395,6 +415,9 @@ class ModulatedPowerLawMixing(MixingSpec):
         if any(v <= 0 for _, v in pts):
             raise ParameterError("g table values must be strictly positive")
         object.__setattr__(self, "g_table", pts)
+
+    def row_exponent(self):
+        return self.beta
 
     @property
     def c1(self) -> float:
@@ -706,8 +729,3 @@ def implied_seed(spec: MixingSpec) -> SeedDistribution:
     """Scaling limit of n * theta as a seed distribution, where closed-form:
     Dirac (point mass), PowerLaw (pure power tail) and SeedCdf (the seed)."""
     return spec.limit_seed()
-
-
-def mixing_from_json(data: dict) -> MixingSpec:
-    """Rebuild a mixing spec from its JSON dict (see ``to_json``)."""
-    return MixingSpec.from_json(data)

@@ -34,7 +34,6 @@ __all__ = [
     "ParetoTailSeed",
     "PowerLawSeed",
     "LerchSeed",
-    "seed_from_json",
 ]
 
 
@@ -404,8 +403,3 @@ class LerchSeed(SeedDistribution):
         if s <= 0:
             raise ParameterError("t-weighted laplace transform needs s > 0")
         return self._tau_integral(lambda u: 1.0 / (u + s) / (u + s))
-
-
-def seed_from_json(data: dict) -> SeedDistribution:
-    """Rebuild a seed distribution from its JSON dict (see ``to_json``)."""
-    return SeedDistribution.from_json(data)

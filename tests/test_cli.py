@@ -419,9 +419,28 @@ _PL3 = {"variant": "power_law", "alpha": 1.0, "beta": 3.0}
     ("hub", lambda d: d.update(hub={"chunk": 7, "replica": 5000}), ("hub", "'chunk'")),
     ("sample", lambda d: d["ensemble"].update(replica=7), ("ensemble", "'replica'")),
     ("sample", lambda d: d.update(hubs={}), ("'hubs'",)),
+    ("degrees", lambda d: d.update(degrees={"k_max": "x"}), ("degrees block", "'k_max'")),
+    ("degrees", lambda d: d.update(degrees={"n": "x"}), ("degrees block", "'n'")),
+    ("motifs", lambda d: d.update(motifs={"cycle_lengths": "ab"}),
+     ("motifs block", "'cycle_lengths'")),
+    ("gf2", lambda d: d.update(gf2={"gammas": 0.5}), ("gf2 block", "'gammas'")),
+    ("sample", lambda d: d.update(gf2={"gammas": []}), ("gf2 block", "'gammas'")),
+    ("hub", lambda d: d.update(hub={"grid_points": None}), ("hub block", "'grid_points'")),
+    ("hub", lambda d: d.update(hub={"grid_points": 0}), ("hub block", "'grid_points'")),
+    ("sample", lambda d: d.update(output_dir=5), ("config", "'output_dir'")),
+    ("sample", lambda d: d.update(ensemble=[1, 2]), ("ensemble config", "[1, 2]")),
+    ("sample", lambda d: d["ensemble"].update(n=40.5), ("ensemble config", "'n'")),
+    ("sample", lambda d: d["ensemble"].update(replicas=True),
+     ("ensemble config", "'replicas'")),
+    ("degrees", lambda d: d.update(degrees={"k_max": 2.7}), ("degrees block", "'k_max'")),
+    ("degrees", lambda d: d.update(degrees={"k_max": -3}), ("degrees block", "'k_max'")),
 ], ids=["expected_mixing_without_beta", "non_numeric_alpha", "seed_missing_key",
         "unknown_mixing_key", "unknown_block_keys", "unknown_ensemble_key",
-        "unknown_top_level_key"])
+        "unknown_top_level_key", "non_numeric_k_max", "non_numeric_block_n",
+        "string_cycle_lengths", "scalar_gammas", "empty_gammas", "null_grid_points",
+        "zero_grid_points", "numeric_output_dir", "list_ensemble",
+        "fractional_ensemble_n", "boolean_replicas", "fractional_k_max",
+        "negative_k_max"])
 def test_malformed_config_objects_exit_one_naming_kind_and_key(
         tmp_path, capsys, command, edit, named):
     data = {"ensemble": {"n": 60, "mixing": dict(_PL3), "master_seed": SEED,

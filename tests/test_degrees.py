@@ -15,9 +15,9 @@ from scipy import stats
 
 from exchgraph._numerics import checked_quad
 from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                               NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
+                               LimitLaw, NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
                                PowerLawTailLaw, default_limit_law, in_pmf_exact,
-                               limit_law_from_json, limit_pmf, moment_transfer_check,
+                               limit_pmf, moment_transfer_check,
                                out_pmf_exact, tail_asymptote, total_variation,
                                write_pmf_table)
 from exchgraph.errors import ParameterError
@@ -254,8 +254,8 @@ class TestDefaultLimitLaw:
     HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5),
 ])
 def test_limit_law_json_round_trip(law):
-    assert limit_law_from_json(law.to_json()) == law
-    assert limit_pmf(limit_law_from_json(law.to_json()), 2) == pytest.approx(law.pmf(2))
+    assert LimitLaw.from_json(law.to_json()) == law
+    assert limit_pmf(LimitLaw.from_json(law.to_json()), 2) == pytest.approx(law.pmf(2))
 
 
 def test_pmf_table_format(tmp_path):

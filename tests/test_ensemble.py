@@ -15,7 +15,7 @@ from exchgraph import ensemble
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                                 GraphSample, LogFractionRows, PowerFractionRows, SquareRows,
                                 in_degrees, map_replicas, out_degrees, read_bitmatrix,
-                                read_edge_list, row_prob, row_rule_from_json, sample_graph,
+                                read_edge_list, row_prob, RowRule, sample_graph,
                                 write_bitmatrix, write_edge_list)
 from exchgraph.errors import ConfigError, ParameterError
 from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing
@@ -74,13 +74,17 @@ class TestRowRules:
     def test_power_rule_needs_tail_exponent(self):
         with pytest.raises(ConfigError):
             PowerFractionRows(delta=0.5).resolve(100, DiracMixing(lam=1.0))
+        # a hierarchical law has a beta, but no theta**-beta density of its own
+        with pytest.raises(ConfigError):
+            PowerFractionRows(delta=0.5).resolve(
+                100, HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5))
 
     @pytest.mark.parametrize("rule", [
         SquareRows(), FractionRows(delta=0.25), PowerFractionRows(delta=0.5),
         LogFractionRows(delta=2.0), ExplicitRows(m=4),
     ])
     def test_json_round_trip(self, rule):
-        assert row_rule_from_json(rule.to_json()) == rule
+        assert RowRule.from_json(rule.to_json()) == rule
 
 
 class TestSampling:
@@ -274,6 +278,16 @@ class TestCoordinateProperties:
         rebuilt.set_coords(rows[::-1], cols[::-1])    # order does not matter
         assert rebuilt == bm
         assert np.array_equal(rebuilt.to_dense(), dense)
+
+    @pytest.mark.parametrize("density", [0.002, 0.3, 1.0])
+    def test_coords_across_word_blocks(self, density):
+        # 60 x 150 words: the nonzero words unpack in several blocks
+        dense = np.random.default_rng(7).random((60, 64 * 150 - 5)) < density
+        bm = BitMatrix.from_dense(dense)
+        assert np.count_nonzero(bm.words) > 2 * ensemble._BLOCK or density < 0.01
+        rows, cols = bm.coords()
+        want_rows, want_cols = np.nonzero(bm.to_dense())
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     @settings(max_examples=60, deadline=None)
     @given(dense_matrices())

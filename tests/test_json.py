@@ -7,26 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from exchgraph.cli import Gf2Block, MotifsBlock
 from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
                                LimitLaw, NegativeBinomialLaw, PoissonLaw,
-                               PoissonMixtureLaw, PowerLawTailLaw, limit_law_from_json)
-from exchgraph.ensemble import (ExplicitRows, FractionRows, LogFractionRows,
-                                PowerFractionRows, RowRule, SquareRows,
-                                row_rule_from_json)
+                               PoissonMixtureLaw, PowerLawTailLaw)
+from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, FractionRows, LogFractionRows,
+                                PowerFractionRows, RowRule, SquareRows)
 from exchgraph.errors import ConfigError, ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
-                              ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
-                              mixing_from_json)
+                              ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
-                             ParetoTailSeed, PowerLawSeed, SeedDistribution,
-                             seed_from_json)
+                             ParetoTailSeed, PowerLawSeed, SeedDistribution)
 
 # (family root, reader, error class)
 FAMILIES = {
-    "mixing": (MixingSpec, mixing_from_json, ParameterError),
-    "seed": (SeedDistribution, seed_from_json, ParameterError),
-    "law": (LimitLaw, limit_law_from_json, ParameterError),
-    "rows": (RowRule, row_rule_from_json, ConfigError),
+    "mixing": (MixingSpec, MixingSpec.from_json, ParameterError),
+    "seed": (SeedDistribution, SeedDistribution.from_json, ParameterError),
+    "law": (LimitLaw, LimitLaw.from_json, ParameterError),
+    "rows": (RowRule, RowRule.from_json, ConfigError),
 }
 
 # one instance per registered kind, with its wire form written out by hand
@@ -93,12 +91,12 @@ def test_to_json_is_frozen(family, obj, wire):
 
 
 def test_integer_values_read_as_declared_types():
-    spec = mixing_from_json({"variant": "power_law", "alpha": 1, "beta": 3})
+    spec = MixingSpec.from_json({"variant": "power_law", "alpha": 1, "beta": 3})
     assert spec.to_json() == {"variant": "power_law", "alpha": 1.0, "beta": 3.0}
     assert isinstance(spec.alpha, float)
-    assert json.dumps(mixing_from_json({"variant": "dirac", "lambda": 2}).to_json()) == \
+    assert json.dumps(MixingSpec.from_json({"variant": "dirac", "lambda": 2}).to_json()) == \
         '{"variant": "dirac", "lambda": 2.0}'
-    assert isinstance(row_rule_from_json({"kind": "explicit", "m": 4.0}).m, int)
+    assert isinstance(RowRule.from_json({"kind": "explicit", "m": 4.0}).m, int)
 
 
 # -- round trips over the parameter domains ----------------------------------
@@ -192,3 +190,44 @@ def test_missing_key_is_an_error_naming_it(family, obj, wire):
     key = next(k for k in wire if k != tag)
     with pytest.raises(error, match=f"{wire[tag]} .* missing key '{key}'"):
         reader({k: v for k, v in wire.items() if k != key})
+
+
+# -- reading rules shared by every config object --------------------------------
+
+
+@pytest.mark.parametrize("wire", [
+    {"kind": "explicit", "m": True}, {"kind": "explicit", "m": 2.5},
+    {"kind": "explicit", "m": "4"}, {"kind": "fraction", "delta": False},
+    {"kind": "fraction", "delta": "0.5"}, {"kind": "fraction", "delta": None},
+], ids=["int-bool", "int-fraction", "int-string", "float-bool", "float-string",
+        "float-null"])
+def test_numbers_must_be_numbers_that_fit_the_field(wire):
+    key = next(k for k in wire if k != "kind")
+    with pytest.raises(ConfigError, match=f"key '{key}' has a bad value"):
+        RowRule.from_json(wire)
+
+
+def test_untagged_root_reads_its_fields_alone_with_defaults():
+    cfg = EnsembleConfig.from_json({"n": 40.0, "mixing": {"variant": "dirac", "lambda": 2}})
+    assert cfg == EnsembleConfig(n=40, mixing=DiracMixing(lam=2.0))
+    assert cfg.to_json() == {"n": 40, "mixing": {"variant": "dirac", "lambda": 2.0},
+                             "row_rule": {"kind": "square"},
+                             "variant": "partially_exchangeable", "master_seed": 0,
+                             "replicas": 1}
+    with pytest.raises(ConfigError, match="ensemble config is missing key 'mixing'"):
+        EnsembleConfig.from_json({"n": 40})
+    with pytest.raises(ConfigError, match="ensemble config key 'variant' has a bad value 5"):
+        EnsembleConfig.from_json({**cfg.to_json(), "variant": 5})
+    with pytest.raises(ConfigError, match="ensemble config must be a JSON object"):
+        EnsembleConfig.from_json([40])
+
+
+def test_tuple_and_optional_fields_coerce_present_values():
+    block = Gf2Block.from_json({"gammas": [1, 0.5], "grid_gamma": 1})
+    assert block.gammas == (1.0, 0.5) and block.grid_gamma == 1.0
+    assert all(isinstance(g, float) for g in (*block.gammas, block.grid_gamma))
+    assert MotifsBlock.from_json({"cycle_lengths": [2.0, 3]}).cycle_lengths == (2, 3)
+    assert Gf2Block.from_json({}) == Gf2Block() and Gf2Block().grid_gamma is None
+    for bad in ({"gammas": "ab"}, {"gammas": [1, "x"]}, {"grid_gamma": None}):
+        with pytest.raises(ConfigError, match="gf2 block key"):
+            Gf2Block.from_json(bad)

@@ -10,9 +10,9 @@ from scipy import stats
 
 from exchgraph._numerics import checked_quad, spawn_rng
 from exchgraph.errors import ParameterError
-from exchgraph.mixing import (DiracMixing, HierarchicalMixing, ModulatedPowerLawMixing,
-                              PowerLawMixing, SeedCdfMixing, implied_seed, log_row_prob,
-                              mixing_from_json, moment, sample_thetas, tail, xi)
+from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
+                              ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
+                              implied_seed, log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import DiracSeed, ExponentialSeed, PowerLawSeed
 
 
@@ -311,11 +311,22 @@ class TestImpliedSeed:
     HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
 ])
 def test_json_round_trip(spec):
-    assert mixing_from_json(spec.to_json()) == spec
+    assert MixingSpec.from_json(spec.to_json()) == spec
 
 
 def test_json_rejects_unknown_kind():
     with pytest.raises(ParameterError, match="needs a 'variant' discriminator"):
-        mixing_from_json({"kind": "cauchy"})
+        MixingSpec.from_json({"kind": "cauchy"})
     with pytest.raises(ParameterError, match="unknown mixing variant 'cauchy'"):
-        mixing_from_json({"variant": "cauchy"})
+        MixingSpec.from_json({"variant": "cauchy"})
+
+
+def test_family_facts_read_by_the_hub_and_the_row_rules():
+    modulated = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0)))
+    hierarchical = HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
+    specs = [DiracMixing(lam=0.0), DiracMixing(lam=2.0), PowerLawMixing(alpha=1.0, beta=1.5),
+             modulated, SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=2.5)), hierarchical]
+    assert [s.is_null() for s in specs] == [True] + [False] * 5
+    assert [s.power_law_params() for s in specs] == [None, None, (1.0, 1.5), None, None, None]
+    # a hierarchical law has a beta, but no theta**-beta density of its own
+    assert [s.row_exponent() for s in specs] == [None, None, 1.5, 2.5, None, None]
