@@ -42,7 +42,7 @@ exchgraph report --config "$work/config.json"
 
 echo
 echo "== mc: seeded validation suites (exit 2 on a statistical failure) =="
-exchgraph mc --config "$work/config.json" --threads 4
+exchgraph mc --config "$work/config.json"
 echo "exit $?"
 
 echo

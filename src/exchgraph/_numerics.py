@@ -33,6 +33,7 @@ ABS_FLOOR = 1e-300
 # QUADPACK is asked for one digit more than we promise.
 _EPS_REQUEST = 1e-11
 _LIMIT = 200
+_N_SCAN = 257   # points of the peak scan in log_quad
 
 
 def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
@@ -74,25 +75,25 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
     return value
 
 
-def log_quad(log_func, a, b, points=None, n_scan=257, rel_tol=REL_TOL):
+def log_quad(log_func, a, b, points=None):
     """Compute log of ``integral(exp(log_func))`` over [a, b].
 
-    The peak of ``log_func`` is located on a scan grid (log-spaced when the
-    interval spans orders of magnitude), subtracted off, and the remaining
-    O(1) integrand is passed to :func:`checked_quad`.  Returns ``-inf`` for an
-    identically negligible integrand.
+    The peak of ``log_func`` is located on a scan grid of _N_SCAN points
+    (log-spaced when the interval spans orders of magnitude), subtracted off,
+    and the remaining O(1) integrand is passed to :func:`checked_quad`.
+    Returns ``-inf`` for an identically negligible integrand.
     """
     if not b > a:
         return -np.inf
     if np.isfinite(b):
         if a > 0 and b / a > 50.0:
-            grid = np.geomspace(a, b, n_scan)
+            grid = np.geomspace(a, b, _N_SCAN)
         else:
-            grid = np.linspace(a, b, n_scan)
+            grid = np.linspace(a, b, _N_SCAN)
     else:
         lo = a if a > 0 else 1e-12
-        grid = np.concatenate([np.geomspace(lo, max(10.0 * lo, 1.0), n_scan // 2),
-                               np.geomspace(max(10.0 * lo, 1.0), 1e6, n_scan // 2)])
+        grid = np.concatenate([np.geomspace(lo, max(10.0 * lo, 1.0), _N_SCAN // 2),
+                               np.geomspace(max(10.0 * lo, 1.0), 1e6, _N_SCAN // 2)])
         grid = np.unique(np.clip(grid, a, None))
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = np.array([log_func(g) for g in grid], dtype=float)
@@ -107,7 +108,7 @@ def log_quad(log_func, a, b, points=None, n_scan=257, rel_tol=REL_TOL):
         v = log_func(x) - peak
         return np.exp(v) if v > -745.0 else 0.0
 
-    value = checked_quad(scaled, a, b, points=brk, rel_tol=rel_tol)
+    value = checked_quad(scaled, a, b, points=brk)
     if value <= 0.0:
         return -np.inf
     return peak + np.log(value)

@@ -3,7 +3,7 @@
 Seven subcommands share one JSON config file:
 
     exchgraph <sample|degrees|motifs|hub|gf2|report|mc>
-        --config FILE [--seed N] [--out DIR] [--threads K]
+        --config FILE [--seed N] [--out DIR]
 
 The file is read in one pass through the JSON codec into a ``RunConfig``:
 the ensemble, the ``tasks`` of ``mc``, ``output_dir`` and one typed block
@@ -13,7 +13,7 @@ per task, each key with its default written once on its field.
 ensemble resized by the ``n``, ``rows`` and ``replicas`` of their block, as
 the ``mc`` suites of the same name are.  ``report`` emits the regime summary
 for the power-law bias family.  ``mc`` runs the validation suites listed
-under ``tasks``.
+under ``tasks``.  Replicas are drawn one after another, in index order.
 
 Exit codes: 0 success, 1 usage/configuration/I-O error, 2 statistical
 failure.  Every JSON report embeds the resolved ensemble config and is
@@ -188,16 +188,16 @@ def _base_payload(config: EnsembleConfig) -> dict:
 # -- sample -----------------------------------------------------------------
 
 
-def cmd_sample(run: RunConfig, threads: int) -> int:
+def cmd_sample(run: RunConfig) -> int:
     cfg = run.ensemble
     paths = [run.output_dir / f"replica_{k:04d}.edges" for k in range(cfg.replicas)]
 
     def worker(sample):
-        # written as drawn, so only the replicas in flight hold a matrix
+        # written as drawn, so only the current replica holds a matrix
         write_edge_list(sample, cfg, paths[sample.replica_index])
         return sample.matrix.count_ones()
 
-    edges = map_replicas(cfg, worker, threads)
+    edges = map_replicas(cfg, worker)
     for path in paths:
         print(f"wrote {path}")
     payload = _base_payload(cfg)
@@ -468,7 +468,7 @@ def _z_score(mc_value: float, se: float, exact: float) -> float:
     return 0.0 if mc_value == exact else math.inf
 
 
-def _suite_degrees(run: RunConfig, threads: int) -> dict:
+def _suite_degrees(run: RunConfig) -> dict:
     cfg, block = run.degrees.resize(run.ensemble), run.degrees
     expected_spec = block.expected_mixing or cfg.mixing
     pool_rows = cfg.variant == "partially_exchangeable"
@@ -479,7 +479,7 @@ def _suite_degrees(run: RunConfig, threads: int) -> dict:
             degs = degs[:1]     # rows share a bias; only row 0 is iid across replicas
         return np.bincount(degs, minlength=cfg.n + 1)
 
-    counts = np.sum(map_replicas(cfg, worker, threads), axis=0)
+    counts = np.sum(map_replicas(cfg, worker), axis=0)
     draws = int(counts.sum())
     pmf = np.asarray(out_pmf_exact(expected_spec, cfg.n, np.arange(cfg.n + 1)))
     expected = draws * pmf
@@ -508,7 +508,7 @@ def _suite_degrees(run: RunConfig, threads: int) -> dict:
             "bins": len(obs_bins), "draws": draws, "tv": tv}
 
 
-def _suite_motifs(run: RunConfig, threads: int) -> dict:
+def _suite_motifs(run: RunConfig) -> dict:
     cfg, z_max = run.motifs.resize(run.ensemble), run.motifs.z_max
     spec, n, variant = cfg.mixing, cfg.n, cfg.variant
     # the replica count also goes as the second argument, where the span
@@ -530,7 +530,7 @@ def _suite_motifs(run: RunConfig, threads: int) -> dict:
             "replicas": cfg.replicas}
 
 
-def _suite_hub(run: RunConfig, threads: int) -> dict:
+def _suite_hub(run: RunConfig) -> dict:
     cfg, block = run.hub.resize(run.ensemble), run.hub
     report = mc_hub(cfg, grid_points=block.grid_points)
     ks_max = block.ks_max
@@ -546,7 +546,7 @@ def _suite_hub(run: RunConfig, threads: int) -> dict:
     return result
 
 
-def _suite_gf2(run: RunConfig, threads: int) -> dict:
+def _suite_gf2(run: RunConfig) -> dict:
     cfg, z_max = run.gf2.resize(run.ensemble), run.gf2.z_max
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
@@ -567,7 +567,7 @@ _SUITES = {
 }
 
 
-def cmd_mc(run: RunConfig, threads: int) -> int:
+def cmd_mc(run: RunConfig) -> int:
     if run.ensemble.replicas < 100:
         raise ConfigError("mc needs at least 100 replicas")
     suites = [name for name in run.tasks if name in _SUITE_NAMES]
@@ -584,7 +584,7 @@ def cmd_mc(run: RunConfig, threads: int) -> int:
     results = {}
     overall = True
     for name in suites:
-        outcome = _SUITES[name](run, threads)
+        outcome = _SUITES[name](run)
         results[name] = outcome
         overall = overall and outcome["pass"]
         print(f"{name}: {'pass' if outcome['pass'] else 'FAIL'}")
@@ -612,7 +612,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--out", default=None,
                          help="override output_dir")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="replica fan-out for sampling commands")
+                         help="ignored; replicas run in order")
     return parser
 
 
@@ -621,7 +621,7 @@ def main(argv=None) -> int:
     try:
         run = _load_run_config(args.config, args.seed, args.out)
         if args.command == "sample":
-            return cmd_sample(run, args.threads)
+            return cmd_sample(run)
         if args.command == "degrees":
             return cmd_degrees(run)
         if args.command == "motifs":
@@ -632,7 +632,7 @@ def main(argv=None) -> int:
             return cmd_gf2(run)
         if args.command == "report":
             return cmd_report(run)
-        return cmd_mc(run, args.threads)
+        return cmd_mc(run)
     except ExchGraphError as exc:
         print(f"exchgraph: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

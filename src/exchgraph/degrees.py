@@ -344,15 +344,10 @@ def in_pmf_exact(spec: MixingSpec, n: int, m: int, k) -> np.ndarray | float:
     if np.any(ks > m):
         raise ParameterError(f"in-degree cannot exceed m={m}")
     mu = moment(spec, n, 1)
-    out = np.empty(ks.shape, dtype=float)
-    for idx, kk in np.ndenumerate(ks):
-        logc = special.gammaln(m + 1.0) - special.gammaln(kk + 1.0) - special.gammaln(m - kk + 1.0)
-        if mu == 0.0:
-            out[idx] = 1.0 if kk == 0 else 0.0
-        elif mu == 1.0:
-            out[idx] = 1.0 if kk == m else 0.0
-        else:
-            out[idx] = math.exp(logc + kk * math.log(mu) + (m - kk) * math.log1p(-mu))
+    logc = special.gammaln(m + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(m - ks + 1.0)
+    # xlogy and xlog1py read 0 * log 0 as 0, which gives the mu = 0 and
+    # mu = 1 point masses exactly
+    out = np.exp(logc + special.xlogy(ks, mu) + special.xlog1py(m - ks, -mu))
     return out if np.ndim(k) else float(out.ravel()[0])
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,22 +468,10 @@ def row_prob(spec: MixingSpec, n: int, r: int) -> float:
     return math.exp(log_row_prob(spec, n, r))
 
 
-def map_replicas(config: EnsembleConfig, worker, threads: int = 1) -> list:
-    """Apply ``worker(sample)`` to every replica; results in replica order.
-
-    The result list is indexed by replica, so reductions over it are
-    independent of the thread count and of completion order.
-    """
-    indices = range(config.replicas)
-    if threads <= 1:
-        return [worker(sample_graph(config, k)) for k in indices]
-    results = [None] * config.replicas
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(lambda k=k: worker(sample_graph(config, k))): k
-                   for k in indices}
-        for fut, k in futures.items():
-            results[k] = fut.result()
-    return results
+def map_replicas(config: EnsembleConfig, worker) -> list:
+    """Apply ``worker(sample)`` to every replica, one after another; the
+    results come in replica order."""
+    return [worker(sample_graph(config, k)) for k in range(config.replicas)]
 
 
 # -- file formats -----------------------------------------------------------

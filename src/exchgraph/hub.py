@@ -261,6 +261,8 @@ def mc_hub(config: EnsembleConfig, grid_points: int = 1000) -> HubReport:
     """
     if config.replicas < 100:
         raise ParameterError("hub Monte Carlo needs at least 100 replicas")
+    if grid_points < 1:
+        raise ParameterError(f"hub CDF grid needs grid_points >= 1, got {grid_points}")
     scaling = _reference_scaling(config)
     values = mc_hub_values(config)
     if scaling is None:

@@ -40,11 +40,25 @@ __all__ = [
 def _upper_gamma(a: float, z: float) -> float:
     """Upper incomplete gamma for any real a, z > 0.
 
-    Nonpositive a is lifted into (0, 1] and walked back down with
-    Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a.
+    For a < 0 and z > 2: Legendre's continued fraction e^-z z^a / (z + 1 - a
+    - 1 (1 - a) / (z + 3 - a - ...)) by modified Lentz, whose denominators
+    stay positive there.  Other nonpositive a is lifted into (0, 1] and walked
+    down by Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a, whose subtractions
+    cancel once z is large.
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
+    if a < 0.0 and z > 2.0:
+        b = z + 1.0 - a
+        c, d, h = math.inf, 1.0 / b, 1.0 / b
+        for i in range(1, 1000):
+            b += 2.0
+            d = 1.0 / (b - i * (i - a) * d)
+            c = b - i * (i - a) / c
+            h *= d * c
+            if abs(d * c - 1.0) < 1e-16:
+                break
+        return math.exp(a * math.log(z) - z) * h
     steps = 0
     while a < 0.0:
         a += 1.0

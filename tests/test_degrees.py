@@ -164,10 +164,13 @@ class TestExactFiniteN:
         assert_allclose(out_pmf_exact(spec, 10, ks), stats.binom.pmf(ks, 10, 0.2), rtol=1e-10)
 
     def test_in_pmf_is_binomial_in_mean_rate(self):
-        spec = PowerLawMixing(alpha=1.0, beta=3.0)
-        mu = moment(spec, 50, 1)
         ks = np.arange(0, 31)
-        assert_allclose(in_pmf_exact(spec, 50, 30, ks), stats.binom.pmf(ks, 30, mu), rtol=1e-10)
+        # the Dirac laws at lambda = 0 and lambda = n are point masses at 0 and m
+        for spec in (PowerLawMixing(alpha=1.0, beta=3.0), DiracMixing(lam=0.0),
+                     DiracMixing(lam=50.0)):
+            mu = moment(spec, 50, 1)
+            assert_allclose(in_pmf_exact(spec, 50, 30, ks), stats.binom.pmf(ks, 30, mu),
+                            rtol=1e-10)
 
     def test_out_degree_tv_convergence(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)

@@ -151,11 +151,11 @@ class TestSampling:
                              row_rule=FractionRows(delta=0.5), master_seed=9, replicas=3)
         assert EnsembleConfig.from_json(cfg.to_json()) == cfg
 
-    def test_replica_map_thread_invariance(self):
+    def test_replica_map_runs_replicas_in_order(self):
         cfg = EnsembleConfig(n=128, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
                              master_seed=21, replicas=6)
-        ones = lambda s: s.matrix.count_ones()
-        assert map_replicas(cfg, ones, threads=1) == map_replicas(cfg, ones, threads=4)
+        assert map_replicas(cfg, lambda s: (s.replica_index, s.matrix.count_ones())) == [
+            (k, sample_graph(cfg, k).matrix.count_ones()) for k in range(6)]
 
 
 class TestRowProb:

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                            write_theta_grid)
 from exchgraph.mixing import DiracMixing, PowerLawMixing
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed,
-                             ParetoTailSeed, PowerLawSeed)
+                             ParetoTailSeed, PowerLawSeed, _upper_gamma)
 
 SEED = 20260821
 
@@ -217,6 +218,27 @@ def test_expected_solutions_rejects_bad_dimensions():
     for n, m in ((0, 3), (3, 0), (2.0, 3), (3, -1)):
         with pytest.raises(ParameterError):
             log_expected_solutions(spec, n, m)
+
+
+# -- seed Laplace transforms ------------------------------------------------
+
+
+@pytest.mark.parametrize("z", [0.1, 2.0, 30.0, 200.0, 600.0])
+@pytest.mark.parametrize("a", [-0.5, -3.5, -7.3])
+def test_upper_gamma_matches_mpmath(a, z):
+    # a downward recurrence from (0, 1] cancels at large z
+    with mpmath.workdps(30):
+        exact = float(mpmath.gammainc(a, z))
+    assert _upper_gamma(a, z) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [60.0, 200.0, 500.0])
+def test_power_law_laplace_matches_mpmath_at_large_argument(s):
+    # (beta - 1) s^(beta - 1) Gamma(1 - beta, s) at alpha = 1
+    with mpmath.workdps(30):
+        exact = float(3.5 * mpmath.mpf(s) ** 3.5 * mpmath.gammainc(-3.5, s))
+    value = PowerLawSeed(alpha=1.0, beta=4.5).laplace(s)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 # -- pointwise rate ---------------------------------------------------------

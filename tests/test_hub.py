@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from exchgraph import hub
 from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, LogFractionRows,
                                 PowerFractionRows, SquareRows, sample_graph)
 from exchgraph.errors import ParameterError
@@ -271,6 +272,18 @@ def test_mc_hub_rejections():
         mc_hub(EnsembleConfig(n=100, mixing=PowerLawMixing(1.0, 1.5),
                               row_rule=ExplicitRows(8), master_seed=1,
                               replicas=200))
+
+
+def test_mc_hub_rejects_empty_grid_before_sampling(monkeypatch):
+    def no_sampling(config):
+        raise AssertionError("sampled before checking grid_points")
+
+    monkeypatch.setattr(hub, "mc_hub_values", no_sampling)
+    cfg = EnsembleConfig(n=50, mixing=PowerLawMixing(1.0, 3.0), master_seed=1,
+                         replicas=200)
+    for points in (0, -3):
+        with pytest.raises(ParameterError, match="grid_points"):
+            mc_hub(cfg, grid_points=points)
 
 
 def test_atom_estimate_handmade():
