@@ -23,11 +23,11 @@ from .gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                   mc_kernel_mean, rank_gf2, rate_sup, theta_rate,
                   threshold_bisection)
 from .hub import (HubLimit, HubReport, HubScaling, competing_moment_constant,
-                  frechet_moment, hub_atom_estimate, hub_general_limit,
-                  hub_limit_cdf, hub_statistic, mc_hub, mc_hub_values)
+                  frechet_moment, hub_atom_estimate, hub_limit_cdf,
+                  hub_statistic, mc_hub, mc_hub_values)
 from .mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                      ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
-                     implied_seed, moment, sample_thetas, tail, xi)
+                     moment, sample_thetas, tail, xi)
 from .motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                      count_feedback_loops, count_feedforward_loops,
                      count_isolated, count_leaves, count_roots,

@@ -1,4 +1,4 @@
-"""Shared numeric helpers: checked quadrature, log-domain integrals, RNG streams.
+"""Shared numeric helpers: checked quadrature, log-domain integrals, orders, RNG streams.
 
 All integrals in the package funnel through :func:`checked_quad` so that the
 package-wide accuracy contract (relative tolerance ``REL_TOL``, absolute floor
@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 
 __all__ = [
     "REL_TOL",
     "ABS_FLOOR",
     "checked_quad",
     "log_quad",
-    "kahan_sum",
+    "check_orders",
+    "shaped_like",
     "stream_seed",
     "spawn_rng",
 ]
@@ -114,16 +115,23 @@ def log_quad(log_func, a, b, points=None):
     return peak + np.log(value)
 
 
-def kahan_sum(terms):
-    """Compensated summation of an iterable of floats."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total
+def check_orders(k, what: str, hi=None) -> np.ndarray:
+    """One order or an array of them as int64 of at least one dimension, each
+    an integer in [0, hi].  Integral floats such as 3.0 are accepted."""
+    ks = np.atleast_1d(np.asarray(k))
+    integral = ks.dtype.kind in "biu"
+    if ks.dtype.kind == "f":    # NaN and inf fail both tests
+        integral = bool(np.all((np.abs(ks) < 2.0 ** 62) & (ks == np.floor(ks))))
+    ks = ks.astype(np.int64) if integral else ks
+    if not integral or np.any(ks < 0) or (hi is not None and np.any(ks > hi)):
+        bound = "a nonnegative integer" if hi is None else f"an integer in [0, {hi}]"
+        raise ParameterError(f"{what} must be {bound}, got {k!r}")
+    return ks
+
+
+def shaped_like(out, k):
+    """``out`` for an array order argument ``k``, else its one value as a float."""
+    return out if np.ndim(k) else float(np.ravel(out)[0])
 
 
 # SplitMix64 constants; the finalizer below is the standard 64-bit mix.

@@ -45,7 +45,7 @@ from .gf2 import (DegenerateTermWarning, expected_solutions,
                   threshold_bisection, write_theta_grid)
 from .hub import (competing_moment_constant, frechet_moment,
                   hub_atom_estimate, hub_limit_cdf, mc_hub, write_hub_cdf)
-from .mixing import MixingSpec, implied_seed, moment
+from .mixing import MixingSpec, moment
 from .motifs import (connectivity_bound, mc_motifs, mc_roots_leaves,
                      mean_cycles, mean_feedback_loops, mean_feedforward_loops,
                      mean_leaves, mean_roots, var_feedback_loops,
@@ -333,9 +333,8 @@ def _threshold_verdict(seed) -> dict:
         value, trace = threshold_bisection(seed)
         return {"verdict": "threshold", "gamma_c": value, "probes": len(trace)}
     except NoThresholdError as exc:
-        text = str(exc)
-        verdict = "no_threshold" if "finite mean" in text else "indeterminate"
-        return {"verdict": verdict, "gamma_c": None, "reason": text}
+        verdict = "no_threshold" if seed.mean_is_finite() else "indeterminate"
+        return {"verdict": verdict, "gamma_c": None, "reason": str(exc)}
 
 
 def cmd_gf2(run: RunConfig) -> int:
@@ -359,7 +358,7 @@ def cmd_gf2(run: RunConfig) -> int:
         block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
                        "se": mc.se}
     try:
-        seed = implied_seed(cfg.mixing)
+        seed = cfg.mixing.limit_seed()
     except ExchGraphError:
         block["rate"] = None
     else:
@@ -453,7 +452,7 @@ def cmd_report(run: RunConfig) -> int:
             "scale": scaling.scale,
             "limit": scaling.limit.to_json(),
         },
-        "gf2_threshold": _threshold_verdict(implied_seed(spec)),
+        "gf2_threshold": _threshold_verdict(spec.limit_seed()),
     }
     _write_json(run.output_dir / "report.json", payload)
     return EXIT_OK

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from ._codec import JsonCodec
-from ._numerics import log_quad
+from ._numerics import check_orders, log_quad, shaped_like
 from .errors import ParameterError
 from .mixing import MixingSpec, DiracMixing, HierarchicalMixing, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
@@ -52,17 +52,6 @@ __all__ = [
 ]
 
 
-def _check_orders(k) -> np.ndarray:
-    ks = np.atleast_1d(np.asarray(k))
-    if not np.issubdtype(ks.dtype, np.integer):
-        if not np.all(ks == np.floor(ks)):
-            raise ParameterError("degree values must be integers")
-        ks = ks.astype(np.int64)
-    if np.any(ks < 0):
-        raise ParameterError("degree values must be nonnegative")
-    return ks
-
-
 class LimitLaw(JsonCodec, tag="kind", error=ParameterError, family="limit law"):
     """Base class for limit degree distributions on {0, 1, 2, ...}.
 
@@ -76,16 +65,14 @@ class LimitLaw(JsonCodec, tag="kind", error=ParameterError, family="limit law"):
         raise NotImplementedError
 
     def log_pmf(self, k):
-        out = self._log_pmf(_check_orders(k))
-        return out if np.ndim(k) else float(out.ravel()[0])
+        return shaped_like(self._log_pmf(check_orders(k, "degree")), k)
 
     def pmf(self, k):
-        out = np.exp(self._log_pmf(_check_orders(k)))
-        return out if np.ndim(k) else float(out.ravel()[0])
+        return shaped_like(np.exp(self._log_pmf(check_orders(k, "degree"))), k)
 
     def pmf_range(self, k_max: int) -> np.ndarray:
         """pmf for all k = 0..k_max."""
-        return np.exp(self.log_pmf(np.arange(k_max + 1)))
+        return self.pmf(np.arange(k_max + 1))
 
     def limit_seed(self) -> SeedDistribution:
         """The seed F whose Poisson mixture this law is."""
@@ -290,16 +277,11 @@ class HierarchicalMixtureLaw(LimitLaw):
         return self._combine(np.exp(low._log_pmf(ks)), np.exp(high._log_pmf(ks)))
 
     def pmf(self, k):
-        out = self._pmf_array(_check_orders(k))
-        return out if np.ndim(k) else float(out.ravel()[0])
+        return shaped_like(self._pmf_array(check_orders(k, "degree")), k)
 
     def _log_pmf(self, ks):
         with np.errstate(divide="ignore"):
             return np.log(self._pmf_array(ks))
-
-    def pmf_range(self, k_max: int) -> np.ndarray:
-        low, high = self._parts()
-        return self._combine(low.pmf_range(k_max), high.pmf_range(k_max))
 
     def seed_moment(self, order: float, cap: float) -> float:
         low, high = self._parts()
@@ -328,27 +310,21 @@ def default_limit_law(spec: MixingSpec) -> LimitLaw:
 
 def out_pmf_exact(spec: MixingSpec, n: int, k) -> np.ndarray | float:
     """P{out-degree = k} for a row of width n under the mixing law."""
-    ks = _check_orders(k)
-    if np.any(ks > n):
-        raise ParameterError(f"out-degree cannot exceed n={n}")
+    ks = check_orders(k, "out-degree", hi=n)
     logc = special.gammaln(n + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(n - ks + 1.0)
-    out = np.exp(logc + log_row_prob(spec, n, ks))
-    return out if np.ndim(k) else float(out.ravel()[0])
+    return shaped_like(np.exp(logc + log_row_prob(spec, n, ks)), k)
 
 
 def in_pmf_exact(spec: MixingSpec, n: int, m: int, k) -> np.ndarray | float:
     """P{in-degree = k} = Binomial(m, mu_n) pmf at k."""
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ParameterError(f"row count m must be a positive integer, got {m!r}")
-    ks = _check_orders(k)
-    if np.any(ks > m):
-        raise ParameterError(f"in-degree cannot exceed m={m}")
+    ks = check_orders(k, "in-degree", hi=m)
     mu = moment(spec, n, 1)
     logc = special.gammaln(m + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(m - ks + 1.0)
     # xlogy and xlog1py read 0 * log 0 as 0, which gives the mu = 0 and
     # mu = 1 point masses exactly
-    out = np.exp(logc + special.xlogy(ks, mu) + special.xlog1py(m - ks, -mu))
-    return out if np.ndim(k) else float(out.ravel()[0])
+    return shaped_like(np.exp(logc + special.xlogy(ks, mu) + special.xlog1py(m - ks, -mu)), k)
 
 
 def limit_pmf(law: LimitLaw, k) -> np.ndarray | float:

@@ -16,18 +16,19 @@ count k_i ~ Binomial(n, theta_i) in one call, then a uniform k_i-subset of
 columns per row in bulk: k_i iid uniform columns, deduplicated, with only
 the deficit redrawn, which keeps the first k_i distinct values of an iid
 uniform sequence.  Rows with a large theta, and matrices with few cells,
-take a dense uniform pass instead; both routes give each row n iid
+take a dense uniform pass instead, through :func:`draw_adjacency`, the same
+Bernoulli draw the Monte Carlo kernels use; both routes give each row n iid
 Bernoulli(theta_i) bits.  Matrices are packed 64 columns per word,
 little-endian within the word, and padding bits above column n-1 are kept at
-zero so word-level equality is matrix equality.  Edge-list I/O and column
-sums go through the coordinates of the set bits, never a dense m x n array.
+zero so word-level equality is matrix equality.  The text edge list is the
+one file format; its I/O and column sums go through the coordinates of the
+set bits, never a dense m x n array.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,7 @@ __all__ = [
     "map_replicas",
     "write_edge_list",
     "read_edge_list",
-    "write_bitmatrix",
-    "read_bitmatrix",
 ]
-
-_MAGIC = b"XGB1"
 
 # Matrices with at most this many cells take one dense uniform pass.
 _DENSE_CELLS = 1 << 15
@@ -346,7 +343,7 @@ def _fill_rows(matrix: BitMatrix, thetas: np.ndarray, rng: np.random.Generator) 
     """
     m, n, width = matrix.m, matrix.n, matrix.words_per_row
     if m * n <= _DENSE_CELLS:
-        matrix.words[:] = _pack_dense(rng.random((m, n)) < thetas[:, None], width)
+        matrix.words[:] = _pack_dense(draw_adjacency(thetas, n, rng), width)
         return
     sparse = thetas < _DENSE_THETA
     rows = np.flatnonzero(sparse)
@@ -355,8 +352,7 @@ def _fill_rows(matrix: BitMatrix, thetas: np.ndarray, rng: np.random.Generator) 
     step = max(1, _BLOCK // n)
     for lo in range(0, dense.size, step):
         block = dense[lo:lo + step]
-        bits = rng.random((block.size, n)) < thetas[block, None]
-        matrix.words[block] = _pack_dense(bits, width)
+        matrix.words[block] = _pack_dense(draw_adjacency(thetas[block], n, rng), width)
 
 
 def _fill_subsets(matrix: BitMatrix, rows: np.ndarray, counts: np.ndarray,
@@ -474,7 +470,7 @@ def map_replicas(config: EnsembleConfig, worker) -> list:
     return [worker(sample_graph(config, k)) for k in range(config.replicas)]
 
 
-# -- file formats -----------------------------------------------------------
+# -- edge-list files --------------------------------------------------------
 
 
 def write_edge_list(sample: GraphSample, config: EnsembleConfig, path) -> None:
@@ -526,24 +522,3 @@ def read_edge_list(path) -> tuple[BitMatrix, dict]:
     matrix.set_coords(pairs[0::2], pairs[1::2])
     return matrix, meta
 
-
-def write_bitmatrix(matrix: BitMatrix, path) -> None:
-    """Binary dump: magic 'XGB1', u64-LE m and n, then the packed rows."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", matrix.m, matrix.n))
-        fh.write(matrix.words.astype("<u8").tobytes())
-
-
-def read_bitmatrix(path) -> BitMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParameterError(f"bad magic {magic!r}; not a bit-matrix dump")
-        m, n = struct.unpack("<QQ", fh.read(16))
-        w = (n + 63) // 64
-        payload = fh.read(m * w * 8)
-        if len(payload) != m * w * 8:
-            raise ParameterError("truncated bit-matrix dump")
-        words = np.frombuffer(payload, dtype="<u8").reshape(m, w).astype(np.uint64)
-    return BitMatrix(int(m), int(n), words)

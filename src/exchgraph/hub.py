@@ -25,7 +25,6 @@ from .errors import ParameterError
 __all__ = [
     "hub_statistic",
     "HubLimit",
-    "hub_general_limit",
     "HubScaling",
     "hub_limit_cdf",
     "frechet_moment",
@@ -81,16 +80,6 @@ class HubLimit:
     def to_json(self) -> dict:
         return {"c_eta": self.c_eta, "eta": self.eta,
                 "cutoff": None if math.isinf(self.cutoff) else self.cutoff}
-
-
-def hub_general_limit(c_eta: float, eta: float, cutoff: float = math.inf) -> HubLimit:
-    """Reference CDF for a max of m rows whose bias tail is c*(n*t)**-eta.
-
-    Any bias family whose slice tail has that shape, with m growing slowly
-    enough that the remainder term m/n**eta vanishes, sends the hub over
-    b = m**(1/eta) to this curve with c_eta equal to the tail constant.
-    """
-    return HubLimit(c_eta=float(c_eta), eta=float(eta), cutoff=float(cutoff))
 
 
 @dataclass(frozen=True)

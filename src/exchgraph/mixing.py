@@ -17,19 +17,20 @@ theta of a matrix row of width n.  The families implemented here:
     ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.
 
 Public operations validate the spec against n and then call the family's
-own hooks: :func:`sample_theta` / :func:`sample_thetas`, :func:`moment`,
-:func:`tail`, :func:`xi`, and the log-space row polynomial
-:func:`log_row_prob` that degree and motif formulas build on.  Each family
-also names its own scaling limit, ``limit_seed()`` (the seed of n * theta;
-Dirac, power law and seed-cdf only, read through :func:`implied_seed`), and
-its JSON form: the ``variant`` discriminator plus one key per field, with
-``lam`` written as ``"lambda"`` (``MixingSpec.from_json`` reads it back).
+own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
+and the log-space row polynomial :func:`log_row_prob` that degree and motif
+formulas build on.  Each family also names its own scaling limit,
+``limit_seed()`` (the seed of n * theta; Dirac, power law and seed-cdf
+only), and its JSON form: the ``variant`` discriminator plus one key per
+field, with ``lam`` written as ``"lambda"`` (``MixingSpec.from_json`` reads
+it back).
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
 Numerical policy: closed forms for Dirac and the pure power family; adaptive
 quadrature after the substitution t = n * theta everywhere else, so the
-integrand is O(1) near the lower support edge.  The signed moment
+integrand is O(1) near the lower support edge; the two quadratures over the
+density of t are written once, in ``MixingSpec``.  The signed moment
 ``xi(i) = E (1 - 2 theta)**i`` is expanded into ordinary moments for small i
 and split at theta = 1/2 into two single-sign integrals for large i, which
 avoids the alternating-sum cancellation.
@@ -52,7 +53,7 @@ import numpy as np
 from scipy import special
 
 from ._codec import JsonCodec
-from ._numerics import checked_quad, kahan_sum, log_quad
+from ._numerics import REL_TOL, check_orders, checked_quad, log_quad, shaped_like
 from .errors import ParameterError
 from .seeds import SeedDistribution, DiracSeed, PowerLawSeed
 
@@ -63,8 +64,6 @@ __all__ = [
     "ModulatedPowerLawMixing",
     "SeedCdfMixing",
     "HierarchicalMixing",
-    "implied_seed",
-    "sample_theta",
     "sample_thetas",
     "moment",
     "tail",
@@ -125,16 +124,6 @@ def _log_beta(c: float, b):
             + _stirling_rest(b) - _stirling_rest(b + c))
 
 
-def _order_array(k, what: str, hi=None) -> np.ndarray:
-    """One order or an array of them, as int64, each in [0, hi]."""
-    ks = np.atleast_1d(np.asarray(k))
-    if (not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 0)
-            or (hi is not None and np.any(ks > hi))):
-        bound = "a nonnegative integer" if hi is None else f"an integer in [0, {hi}]"
-        raise ParameterError(f"{what} must be {bound}, got {k!r}")
-    return ks.astype(np.int64)
-
-
 def _power_quantile(u, alpha, n: int, beta: float):
     """theta at CDF level u under the density ~ theta**(-beta) on (alpha/n, 1].
 
@@ -154,17 +143,55 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     # hooks ------------------------------------------------------------------
     def _moment(self, n: int, i: int) -> float:
-        raise NotImplementedError
+        return 1.0 if i == 0 else self._partial(n, lambda th: th ** i, 0.0, 1.0)
 
     def _tail(self, n: int, t: float) -> float:
         raise NotImplementedError
 
+    # A family with a density in t = n theta states it: _t_support(n) -> (lo,
+    # hi), _t_weight(t) and its log up to the factor exp(-_log_t_norm(n)), the
+    # kinks _t_knots(n), the row break point _row_peak(n, r) and _t_rel_tol.
+    _t_rel_tol = REL_TOL
+
+    def _log_t_weight(self, t: float) -> float:
+        w = self._t_weight(t)
+        return math.log(w) if w > 0.0 else -np.inf
+
+    def _t_knots(self, n: int) -> list[float]:
+        return []
+
+    def _row_peak(self, n: int, r: int) -> float:
+        lo, hi = self._t_support(n)
+        return min(max(lo, float(r)), hi)
+
     def _partial(self, n: int, f, lo: float, hi: float) -> float:
         """integral of f(theta) over [lo, hi] against pi_n (normalized)."""
-        raise NotImplementedError
+        t_lo, t_hi = self._t_support(n)
+        a, b = max(t_lo, lo * n), min(t_hi, hi * n)
+        if b <= a:
+            return 0.0
+        knots = [k for k in self._t_knots(n) if a < k < b]
+        val = checked_quad(lambda t: f(t / n) * self._t_weight(t), a, b,
+                           points=knots[:64], rel_tol=self._t_rel_tol)
+        return val * math.exp(-self._log_t_norm(n))
 
     def _log_row_prob(self, n: int, r: int) -> float:
-        raise NotImplementedError
+        """log integral of theta**r (1 - theta)**(n - r) against pi_n."""
+        def logf(t):
+            if t <= 0 or t > n:
+                return -np.inf
+            out = self._log_t_weight(t)
+            if r:
+                out += r * math.log(t / n)
+            if r < n:
+                if t == n:
+                    return -np.inf
+                out += (n - r) * math.log1p(-t / n)
+            return out
+
+        lo, hi = self._t_support(n)
+        points = [self._row_peak(n, r)] + self._t_knots(n)[:32]
+        return log_quad(logf, lo, hi, points=points) - self._log_t_norm(n)
 
     def _log_row_probs(self, n: int, rs: np.ndarray) -> np.ndarray:
         """``_log_row_prob`` over a 1-D array of row weights."""
@@ -179,7 +206,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         if i <= _XI_EXPANSION_MAX:
             terms = [math.comb(i, j) * (-2.0) ** j * self._moment(n, j)
                      for j in range(i + 1)]
-            return kahan_sum(terms)
+            return math.fsum(terms)
         head = self._partial(n, lambda th: (1.0 - 2.0 * th) ** i, 0.0, 0.5)
         sign = -1.0 if i % 2 else 1.0
         tail_part = self._partial(n, lambda th: (2.0 * th - 1.0) ** i, 0.5, 1.0)
@@ -295,38 +322,21 @@ class PowerLawMixing(MixingSpec):
         return math.exp(_log_power_int(t, 1.0, -self.beta)
                         - _log_power_int(lo, 1.0, -self.beta))
 
-    def _log_norm_t(self, n: int) -> float:
-        # log integral_alpha^n t**(-beta) dt, the t-space normalizer
+    def _t_support(self, n):
+        return self.alpha, float(n)
+
+    def _t_weight(self, t):
+        return t ** (-self.beta)
+
+    def _log_t_weight(self, t):
+        return -self.beta * math.log(t)
+
+    def _log_t_norm(self, n):
         return _log_power_int(self.alpha, float(n), -self.beta)
 
     def _log_norm_theta(self, n: int) -> float:
         # log integral_{alpha/n}^1 theta**(-beta) dtheta
         return _log_power_int(self.alpha / n, 1.0, -self.beta)
-
-    def _partial(self, n, f, lo, hi):
-        a = max(self.alpha, lo * n)
-        b = min(float(n), hi * n)
-        if b <= a:
-            return 0.0
-        val = checked_quad(lambda t: f(t / n) * t ** (-self.beta), a, b)
-        return val * math.exp(-self._log_norm_t(n))
-
-    def _log_row_prob(self, n: int, r: int) -> float:
-        def logf(t):
-            if t <= 0 or t > n:
-                return -np.inf
-            out = -self.beta * math.log(t)
-            if r:
-                out += r * math.log(t / n)
-            if r < n:
-                if t == n:
-                    return -np.inf
-                out += (n - r) * math.log1p(-t / n)
-            return out
-
-        peak = min(max(self.alpha, float(r)), float(n))
-        return (log_quad(logf, self.alpha, float(n), points=[peak])
-                - self._log_norm_t(n))
 
     def _log_row_probs(self, n, rs):
         # integral_{alpha/n}^1 theta**(a-1) (1-theta)**(b-1) = B(a, b) I_{alpha/n}^c(a, b)
@@ -480,31 +490,17 @@ class ModulatedPowerLawMixing(MixingSpec):
             return 0.0
         return self._t_integral(n, 0, lo=t * n) / self._t_integral(n, 0)
 
-    def _partial(self, n, f, lo, hi):
-        a = max(self.alpha, lo * n)
-        b = min(float(n), hi * n)
-        if b <= a:
-            return 0.0
-        knots = [p[0] for p in self.g_table if a < p[0] < b]
-        val = checked_quad(lambda t: f(t / n) * self.modulation(t) * t ** (-self.beta),
-                           a, b, points=knots[:64])
-        return val / self._t_integral(n, 0)
+    def _t_support(self, n):
+        return self.alpha, float(n)
 
-    def _log_row_prob(self, n: int, r: int) -> float:
-        knots = [p[0] for p in self.g_table if self.alpha < p[0] < n]
+    def _t_weight(self, t):
+        return self.modulation(t) * t ** (-self.beta)
 
-        def logf(t):
-            if t <= 0 or t >= n:
-                return -np.inf if r < n else -self.beta * math.log(t) + math.log(self.modulation(t))
-            out = -self.beta * math.log(t) + math.log(self.modulation(t))
-            if r:
-                out += r * math.log(t / n)
-            out += (n - r) * math.log1p(-t / n)
-            return out
+    def _log_t_norm(self, n):
+        return math.log(self._t_integral(n, 0))
 
-        peak = min(max(self.alpha, float(r)), float(n))
-        return (log_quad(logf, self.alpha, float(n), points=[peak] + knots[:32])
-                - math.log(self._t_integral(n, 0)))
+    def _t_knots(self, n):
+        return [p[0] for p in self.g_table if self.alpha < p[0] < n]
 
     def _sample(self, n, rng, size):
         u = rng.random(size)
@@ -539,11 +535,6 @@ class SeedCdfMixing(MixingSpec):
     def _mass(self, n: int) -> float:
         return float(self.seed.cdf(float(n)))
 
-    def _moment(self, n: int, i: int) -> float:
-        if i == 0:
-            return 1.0
-        return self._partial(n, lambda th: th ** i, 0.0, 1.0)
-
     def _tail(self, n: int, t: float) -> float:
         if t >= 1.0:
             return 0.0
@@ -552,44 +543,28 @@ class SeedCdfMixing(MixingSpec):
         fn = self._mass(n)
         return (fn - float(self.seed.cdf(t * n))) / fn
 
+    _t_rel_tol = 1e-9
+
+    def _t_support(self, n):
+        return 0.0, float(n)
+
+    def _t_weight(self, t):
+        return float(self.seed.density(t))
+
+    def _log_t_norm(self, n):
+        return math.log(self._mass(n))
+
+    def _row_peak(self, n, r):
+        return max(float(r), 1e-3)
+
+    # only the Dirac seed lacks a density; its law is a point mass
     def _partial(self, n, f, lo, hi):
-        if not self.seed.has_density():
-            # only the Dirac seed lacks a density; delegate to a point mass
-            t0 = self.seed.t0  # type: ignore[attr-defined]
-            if t0 > n:
-                raise ParameterError("dirac seed mass lies above n")
-            th = t0 / n
-            inside = (lo < th <= hi) or (lo == 0.0 and th == 0.0)
-            return float(f(th)) if inside else 0.0
-        a, b = max(0.0, lo * n), min(float(n), hi * n)
-        if b <= a:
-            return 0.0
-        val = checked_quad(lambda t: f(t / n) * float(self.seed.density(t)), a, b,
-                           rel_tol=1e-9)
-        return val / self._mass(n)
+        law = super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
+        return law._partial(n, f, lo, hi)
 
     def _log_row_prob(self, n: int, r: int) -> float:
-        if not self.seed.has_density():
-            t0 = self.seed.t0  # type: ignore[attr-defined]
-            return DiracMixing(lam=t0)._log_row_prob(n, r)
-
-        def logf(t):
-            if t <= 0 or t > n:
-                return -np.inf
-            d = float(self.seed.density(t))
-            if d <= 0.0:
-                return -np.inf
-            out = math.log(d)
-            if r:
-                out += r * math.log(t / n)
-            if r < n:
-                if t == n:
-                    return -np.inf
-                out += (n - r) * math.log1p(-t / n)
-            return out
-
-        return log_quad(logf, 0.0, float(n), points=[max(float(r), 1e-3)]) \
-            - math.log(self._mass(n))
+        law = super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
+        return law._log_row_prob(n, r)
 
     def _sample(self, n, rng, size):
         u = rng.random(size) * self._mass(n)
@@ -652,18 +627,13 @@ class HierarchicalMixing(MixingSpec):
         val = self._outer(n, inner)
         return math.log(val) if val > 0 else -np.inf
 
-    def sample_cutoff(self, n: int, rng: np.random.Generator, size=None):
-        """Draw the top-level cutoff(s) from const * a**(-gamma) on [A, n/2]."""
-        u = rng.random() if size is None else rng.random(size)
-        q = 1.0 - self.gamma_exp
-        lo_p, hi_p = self.A ** q, (n / 2.0) ** q
-        return (lo_p + u * (hi_p - lo_p)) ** (1.0 / q)
-
     def sample_slices(self, n: int, rng: np.random.Generator, count: int,
                       rows: int) -> np.ndarray:
-        """Draw ``count`` cutoffs, then ``rows`` biases from the power-law
-        slice at each cutoff; shape (count, rows)."""
-        cuts = self.sample_cutoff(n, rng, (count,))
+        """Draw ``count`` cutoffs from const * a**(-gamma) on [A, n/2], then
+        ``rows`` biases from the power-law slice at each; shape (count, rows)."""
+        q = 1.0 - self.gamma_exp
+        lo_p, hi_p = self.A ** q, (n / 2.0) ** q
+        cuts = (lo_p + rng.random((count,)) * (hi_p - lo_p)) ** (1.0 / q)
         return _power_quantile(rng.random((count, rows)), cuts[:, None], n, self.beta)
 
     def _sample(self, n, rng, size):
@@ -672,12 +642,6 @@ class HierarchicalMixing(MixingSpec):
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def sample_theta(spec: MixingSpec, n: int, rng: np.random.Generator) -> float:
-    """Draw one row bias from pi_n."""
-    spec.validate(n)
-    return float(spec._sample(n, rng, 1)[0])
 
 
 def sample_thetas(spec: MixingSpec, n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -709,9 +673,8 @@ def xi(spec: MixingSpec, n: int, i):
 
     ``i`` is one order (giving a float) or an array of orders (an array)."""
     spec.validate(n)
-    orders = _order_array(i, "signed moment order")
-    out = spec._xis(n, orders.ravel()).reshape(orders.shape)
-    return out if np.ndim(i) else float(out[0])
+    orders = check_orders(i, "signed moment order")
+    return shaped_like(spec._xis(n, orders.ravel()).reshape(orders.shape), i)
 
 
 def log_row_prob(spec: MixingSpec, n: int, r):
@@ -720,12 +683,5 @@ def log_row_prob(spec: MixingSpec, n: int, r):
 
     ``r`` is one row weight (giving a float) or an array of them (an array)."""
     spec.validate(n)
-    rs = _order_array(r, "row weight r", hi=n)
-    out = spec._log_row_probs(n, rs.ravel()).reshape(rs.shape)
-    return out if np.ndim(r) else float(out[0])
-
-
-def implied_seed(spec: MixingSpec) -> SeedDistribution:
-    """Scaling limit of n * theta as a seed distribution, where closed-form:
-    Dirac (point mass), PowerLaw (pure power tail) and SeedCdf (the seed)."""
-    return spec.limit_seed()
+    rs = check_orders(r, "row weight r", hi=n)
+    return shaped_like(spec._log_row_probs(n, rs.ravel()).reshape(rs.shape), r)

@@ -10,8 +10,10 @@ moments; the variance routine enumerates every overlap class of two triples
 rather than trusting a transcribed polynomial.
 
 The Monte Carlo routines draw the adjacency law in replica blocks
-(:func:`ensemble.replica_blocks`) and count in float64, which is exact for
-the integer counts at hand; their results are deterministic in master_seed.
+(:func:`ensemble.replica_blocks`) and count with the routines a realized
+graph uses, over stacks of adjacency matrices; triple counts run in float64,
+which is exact for the integer counts at hand.  Their results are
+deterministic in master_seed.
 """
 
 from __future__ import annotations
@@ -136,22 +138,23 @@ def count_cycles(matrix, k: int, budget: int = 50_000_000) -> int:
     return _cycles_from_adj(_adjacency_lists(a), a, a.shape[0], int(k), budget)
 
 
+def _roots_leaves(a: np.ndarray):
+    """Root and leaf counts among the m senders of adjacency stacks (..., m, n):
+    a root has an empty in-column and some out-edge, a leaf an empty out-row
+    and some in-edge."""
+    rows = a.sum(axis=-1)
+    cols = a.sum(axis=-2)[..., :a.shape[-2]]
+    return ((cols == 0) & (rows >= 1)).sum(axis=-1), ((rows == 0) & (cols >= 1)).sum(axis=-1)
+
+
 def count_roots(matrix) -> int:
     """Sender nodes with an empty in-column but at least one outgoing edge."""
-    a = _dense(matrix)
-    m = a.shape[0]
-    rows = a.sum(axis=1)
-    cols = a.sum(axis=0)[:m]
-    return int(((cols == 0) & (rows >= 1)).sum())
+    return int(_roots_leaves(_dense(matrix))[0])
 
 
 def count_leaves(matrix) -> int:
     """Sender nodes with an empty out-row but at least one incoming edge."""
-    a = _dense(matrix)
-    m = a.shape[0]
-    rows = a.sum(axis=1)
-    cols = a.sum(axis=0)[:m]
-    return int(((rows == 0) & (cols >= 1)).sum())
+    return int(_roots_leaves(_dense(matrix))[1])
 
 
 def count_isolated(matrix) -> int:
@@ -167,24 +170,14 @@ def count_isolated(matrix) -> int:
 
 def weak_components(matrix) -> int:
     """Connected components of the undirected support on all n nodes."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     a = _dense(matrix)
-    m, n = a.shape
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    n = a.shape[1]
     src, dst = np.nonzero(a)
-    for i, j in zip(src.tolist(), dst.tolist()):
-        if i == j:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(x) for x in range(n)})
+    graph = csr_array((np.ones(src.size), (src, dst)), shape=(n, n))
+    return int(connected_components(graph, directed=True, connection="weak")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +527,11 @@ def mc_roots_leaves(config: EnsembleConfig,
     ``replicas``, when given, stands in for config.replicas.
     """
     config = _with_replicas(config, replicas)
-    m = config.m
     roots = np.empty(config.replicas)
     leaves = np.empty(config.replicas)
     for lo, thetas, rng in replica_blocks(config, _TAG_ROOT_LEAF):
         a = draw_adjacency(thetas, config.n, rng)
-        rows = a.sum(axis=2)
-        cols = a.sum(axis=1)[:, :m]
-        roots[lo:lo + len(a)] = ((cols == 0) & (rows >= 1)).sum(axis=1)
-        leaves[lo:lo + len(a)] = ((rows == 0) & (cols >= 1)).sum(axis=1)
+        roots[lo:lo + len(a)], leaves[lo:lo + len(a)] = _roots_leaves(a)
     r_mean, r_se, _ = _mean_se_var(roots)
     l_mean, l_se, _ = _mean_se_var(leaves)
     return RootLeafMcReport(replicas=config.replicas, roots_mean=r_mean, roots_se=r_se,

@@ -44,7 +44,9 @@ def _upper_gamma(a: float, z: float) -> float:
     - 1 (1 - a) / (z + 3 - a - ...)) by modified Lentz, whose denominators
     stay positive there.  Other nonpositive a is lifted into (0, 1] and walked
     down by Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a, whose subtractions
-    cancel once z is large.
+    cancel once z is large.  Within 0.01 of a negative integer or 0, one step
+    divides by a number near 0 (1e-9 lost at a = -1e-6), so there Gamma(a, z)
+    is the integral of the positive exp(a u - e^u) over u > log z.
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
@@ -59,6 +61,9 @@ def _upper_gamma(a: float, z: float) -> float:
             if abs(d * c - 1.0) < 1e-16:
                 break
         return math.exp(a * math.log(z) - z) * h
+    if a < 0.0 and 0.0 < abs(a - round(a)) < 0.01:
+        # the integrand is below exp(-1000) past u = 7
+        return checked_quad(lambda u: math.exp(a * u - math.exp(u)), math.log(z), 7.0)
     steps = 0
     while a < 0.0:
         a += 1.0

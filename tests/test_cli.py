@@ -1,8 +1,10 @@
 """CLI front end: config handling, artifacts, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -473,11 +475,25 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats alone costs about a third of the import time of the CLI
+    # scipy.stats alone costs about a third of the import time of the CLI;
+    # scipy.sparse serves only weak_components, which imports it itself
     src = str(Path(exchgraph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, exchgraph.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, exchgraph.cli; "
+            "print([name for name in ('scipy.stats', 'scipy.sparse') if name in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry breaks only the star import that reads it
+    for info in pkgutil.iter_modules(exchgraph.__path__):
+        module = importlib.import_module(f"exchgraph.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+        exec(f"from exchgraph.{info.name} import *", {})
+    namespace = {}
+    exec("from exchgraph import *", namespace)
+    assert "sample_graph" in namespace

@@ -22,7 +22,7 @@ from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLa
                                write_pmf_table)
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing,
-                              SeedCdfMixing, moment)
+                              SeedCdfMixing, log_row_prob, moment, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
                              PowerLawSeed)
 
@@ -269,3 +269,17 @@ def test_pmf_table_format(tmp_path):
     assert lines[1].startswith("0,0.5,0.5,")
     k, e, l, d = lines[2].split(",")
     assert float(d) == pytest.approx(0.05)
+
+
+def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():
+    spec, n, m = PowerLawMixing(alpha=1.0, beta=2.5), 40, 30
+    law = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
+    calls = [lambda k: xi(spec, n, k), lambda k: log_row_prob(spec, n, k),
+             lambda k: out_pmf_exact(spec, n, k), lambda k: in_pmf_exact(spec, n, m, k),
+             PoissonLaw(lam=2.0).log_pmf, PoissonLaw(lam=2.0).pmf, law.pmf]
+    for call in calls:
+        assert call(3.0) == call(3)
+        assert_allclose(call(np.array([0.0, 3.0])), call(np.array([0, 3])), rtol=0)
+        for bad in (math.nan, math.inf, -math.inf, 1e300, 2.5, -1, [1, math.nan]):
+            with pytest.raises(ParameterError):
+                call(bad)

@@ -14,9 +14,8 @@ from scipy import stats
 from exchgraph import ensemble
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                                 GraphSample, LogFractionRows, PowerFractionRows, SquareRows,
-                                in_degrees, map_replicas, out_degrees, read_bitmatrix,
-                                read_edge_list, row_prob, RowRule, sample_graph,
-                                write_bitmatrix, write_edge_list)
+                                in_degrees, map_replicas, out_degrees, read_edge_list,
+                                row_prob, RowRule, sample_graph, write_edge_list)
 from exchgraph.errors import ConfigError, ParameterError
 from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing
 
@@ -175,12 +174,6 @@ class TestIo:
         mat, meta = read_edge_list(path)
         assert mat == s.matrix
         assert meta["replica"] == 0
-
-    def test_bitmatrix_round_trip(self, tmp_path):
-        s = sample_graph(TestSampling.CFG, 1)
-        path = tmp_path / "g.xgb"
-        write_bitmatrix(s.matrix, path)
-        assert read_bitmatrix(path) == s.matrix
 
 
 class TestExactRowLaw:

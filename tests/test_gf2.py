@@ -223,13 +223,25 @@ def test_expected_solutions_rejects_bad_dimensions():
 # -- seed Laplace transforms ------------------------------------------------
 
 
-@pytest.mark.parametrize("z", [0.1, 2.0, 30.0, 200.0, 600.0])
-@pytest.mark.parametrize("a", [-0.5, -3.5, -7.3])
+@pytest.mark.parametrize("a, z", [
+    *itertools.product([-0.5, -3.5, -7.3], [0.1, 2.0, 30.0, 200.0, 600.0]),
+    # just below 0 or a negative integer, where the recurrence divides by a
+    # number near 0
+    (-1e-6, 1.9), (-1.000001, 1.9), (-1e-9, 0.5)])
 def test_upper_gamma_matches_mpmath(a, z):
     # a downward recurrence from (0, 1] cancels at large z
     with mpmath.workdps(30):
         exact = float(mpmath.gammainc(a, z))
     assert _upper_gamma(a, z) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_power_law_t_laplace_matches_mpmath_just_above_beta_two():
+    # beta - 1 times s^(beta - 2) Gamma(2 - beta, s) at alpha = 1
+    beta, s = mpmath.mpf(2.000001), mpmath.mpf(1.9)
+    with mpmath.workdps(50):
+        exact = float((beta - 1) * s ** (beta - 2) * mpmath.gammainc(2 - beta, s))
+    value = PowerLawSeed(alpha=1.0, beta=2.000001).t_laplace(1.9)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [60.0, 200.0, 500.0])

@@ -11,7 +11,7 @@ from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, LogFractionRows,
                                 PowerFractionRows, SquareRows, sample_graph)
 from exchgraph.errors import ParameterError
 from exchgraph.hub import (HubLimit, competing_moment_constant, frechet_moment,
-                           hub_atom_estimate, hub_general_limit, hub_limit_cdf,
+                           hub_atom_estimate, hub_limit_cdf,
                            hub_statistic, mc_hub, mc_hub_values, write_hub_cdf)
 from exchgraph.mixing import DiracMixing, PowerLawMixing, SeedCdfMixing
 from exchgraph.seeds import ExponentialSeed, ParetoTailSeed
@@ -49,7 +49,7 @@ def test_limit_cdf_at_alpha_is_inverse_e():
 
 
 def test_limit_cdf_endpoints():
-    limit = hub_general_limit(c_eta=1.0, eta=2.0)
+    limit = HubLimit(c_eta=1.0, eta=2.0)
     assert limit.cdf(1e-12) == pytest.approx(0.0, abs=1e-300)
     assert limit.cdf(0.0) == 0.0
     assert limit.cdf(1e12) == pytest.approx(1.0, rel=1e-12)
@@ -77,7 +77,7 @@ def test_truncated_curve_jumps_to_one_at_cutoff():
 
 
 def test_untruncated_curve_has_no_atom():
-    assert hub_general_limit(2.0, 1.5).atom_mass == 0.0
+    assert HubLimit(2.0, 1.5).atom_mass == 0.0
 
 
 def test_regime_rows_and_scale():
@@ -108,9 +108,9 @@ def test_reference_curve_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         hub_limit_cdf(alpha=1.0, beta=3.0, n=1)
     with pytest.raises(ParameterError):
-        hub_general_limit(c_eta=-1.0, eta=2.0)
+        HubLimit(c_eta=-1.0, eta=2.0)
     with pytest.raises(ParameterError):
-        hub_general_limit(c_eta=1.0, eta=0.0)
+        HubLimit(c_eta=1.0, eta=0.0)
 
 
 # -- moments ----------------------------------------------------------------

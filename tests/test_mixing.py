@@ -12,7 +12,7 @@ from exchgraph._numerics import checked_quad, spawn_rng
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
-                              implied_seed, log_row_prob, moment, sample_thetas, tail, xi)
+                              log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import DiracSeed, ExponentialSeed, PowerLawSeed
 
 
@@ -293,14 +293,14 @@ class TestHierarchical:
 
 class TestImpliedSeed:
     def test_known_mappings(self):
-        assert implied_seed(DiracMixing(lam=2.0)) == DiracSeed(t0=2.0)
-        assert implied_seed(PowerLawMixing(alpha=1.0, beta=3.0)) == PowerLawSeed(alpha=1.0, beta=3.0)
+        assert DiracMixing(lam=2.0).limit_seed() == DiracSeed(t0=2.0)
+        assert PowerLawMixing(alpha=1.0, beta=3.0).limit_seed() == PowerLawSeed(alpha=1.0, beta=3.0)
         seed = ExponentialSeed(gamma=1.3)
-        assert implied_seed(SeedCdfMixing(seed=seed)) == seed
+        assert SeedCdfMixing(seed=seed).limit_seed() == seed
 
     def test_zero_rate_has_no_seed(self):
         with pytest.raises(ParameterError):
-            implied_seed(DiracMixing(lam=0.0))
+            DiracMixing(lam=0.0).limit_seed()
 
 
 @pytest.mark.parametrize("spec", [
