@@ -6,12 +6,17 @@ package-wide accuracy contract (relative tolerance ``REL_TOL``, absolute floor
 orders of magnitude go through :func:`log_quad`, which factors out the peak
 of ``log f`` before handing the rescaled integrand to QUADPACK.
 
-The package's closed forms need no integrator, so ``scipy.integrate`` is
-imported by the first :func:`checked_quad` call, not by this module: a traced
-run books that import to the span of that call.
+SciPy submodules load on first use, never at import: ``special`` and
+``integrate`` below are :class:`_Deferred` handles that import
+``scipy.special`` and ``scipy.integrate`` on their first attribute lookup.
+So ``sample`` and ``hub`` on power-law configs load neither, and a traced run
+books each import to the span of its first caller.
 """
 
 from __future__ import annotations
+
+import importlib
+import types
 
 import numpy as np
 
@@ -37,6 +42,20 @@ _LIMIT = 200
 _N_SCAN = 257   # points of the peak scan in log_quad
 
 
+class _Deferred(types.ModuleType):
+    """Stands in for the module of its name, imported on the first attribute
+    lookup; each resolved name is cached, so later lookups skip the hook."""
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self.__name__), attr)
+        setattr(self, attr, value)
+        return value
+
+
+special = _Deferred("scipy.special")
+integrate = _Deferred("scipy.integrate")
+
+
 def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
     """Integrate ``func`` over [a, b], failing loudly if accuracy is not met.
 
@@ -55,8 +74,6 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
     """
     if a == b:
         return 0.0
-    from scipy import integrate
-
     kwargs = {"epsabs": ABS_FLOOR, "epsrel": _EPS_REQUEST, "limit": _LIMIT}
     if points is not None and np.isfinite(b) and np.isfinite(a):
         pts = [p for p in points if a < p < b]

@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ._codec import JsonCodec
+from ._numerics import special
 from .degrees import (default_limit_law, in_pmf_exact, limit_pmf,
                       out_pmf_exact, total_variation, write_pmf_table)
 from .ensemble import (EnsembleConfig, ExplicitRows, map_replicas,
@@ -498,7 +498,7 @@ def _suite_degrees(run: RunConfig) -> dict:
     if df < 1:
         raise ConfigError("degree suite needs enough draws for two bins")
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs_bins, exp_bins)))
-    p_value = float(chdtrc(df, stat))
+    p_value = float(special.chdtrc(df, stat))
     tv = 0.5 * float(np.abs(counts / draws - pmf).sum())
     ok = p_value >= block.min_p
     if block.tv_max is not None:
@@ -581,12 +581,10 @@ def cmd_mc(run: RunConfig) -> int:
                 f"needs m <= 64 senders, got m={cfg.m}; set gf2.n to shrink "
                 "the compared system")
     results = {}
-    overall = True
     for name in suites:
-        outcome = _SUITES[name](run)
-        results[name] = outcome
-        overall = overall and outcome["pass"]
+        results[name] = outcome = _SUITES[name](run)
         print(f"{name}: {'pass' if outcome['pass'] else 'FAIL'}")
+    overall = all(outcome["pass"] for outcome in results.values())
     payload = _base_payload(run.ensemble)
     payload["suites"] = results
     payload["pass"] = overall
@@ -619,19 +617,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = _load_run_config(args.config, args.seed, args.out)
-        if args.command == "sample":
-            return cmd_sample(run)
-        if args.command == "degrees":
-            return cmd_degrees(run)
-        if args.command == "motifs":
-            return cmd_motifs(run)
-        if args.command == "hub":
-            return cmd_hub(run)
-        if args.command == "gf2":
-            return cmd_gf2(run)
-        if args.command == "report":
-            return cmd_report(run)
-        return cmd_mc(run)
+        # looked up by name at call time, so a rebound cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](run)
     except ExchGraphError as exc:
         print(f"exchgraph: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,10 +22,9 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy import special
 
 from ._codec import JsonCodec
-from ._numerics import check_orders, log_quad, shaped_like
+from ._numerics import check_orders, log_quad, shaped_like, special
 from .errors import ParameterError
 from .mixing import MixingSpec, DiracMixing, HierarchicalMixing, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,

@@ -31,8 +31,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._numerics import special
 from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import NoThresholdError, ParameterError
 from .mixing import MixingSpec, xi
@@ -184,7 +184,7 @@ def log_expected_solutions(spec: MixingSpec, n: int, m: int) -> float:
         warnings.warn(
             f"xi vanishes at j in {{{shown}{more}}}; the mean formula keeps "
             "only the surviving terms", DegenerateTermWarning, stacklevel=2)
-    return float(-n * _LOG2 + logsumexp(log_terms))
+    return float(-n * _LOG2 + special.logsumexp(log_terms))
 
 
 def expected_solutions(spec: MixingSpec, n: int, m: int) -> float:

@@ -50,10 +50,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._codec import JsonCodec
-from ._numerics import REL_TOL, check_orders, checked_quad, log_quad, shaped_like
+from ._numerics import REL_TOL, check_orders, checked_quad, log_quad, shaped_like, special
 from .errors import ParameterError
 from .seeds import SeedDistribution, DiracSeed, PowerLawSeed
 
@@ -653,11 +652,10 @@ def sample_thetas(spec: MixingSpec, n: int, rng: np.random.Generator, size: int)
 def moment(spec: MixingSpec, n: int, i: int) -> float:
     """i-th moment of theta under pi_n; moment(spec, n, 1) is the edge probability."""
     spec.validate(n)
-    if not (isinstance(i, (int, np.integer)) and i >= 0):
-        raise ParameterError(f"moment order must be a nonnegative integer, got {i!r}")
-    if i == 0:
-        return 1.0
-    return float(spec._moment(n, int(i)))
+    if np.ndim(i):
+        raise ParameterError(f"moment order must be one integer, got {i!r}")
+    i = check_orders(i, "moment order").item()
+    return 1.0 if i == 0 else float(spec._moment(n, i))
 
 
 def tail(spec: MixingSpec, n: int, t: float) -> float:

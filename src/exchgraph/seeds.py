@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._codec import JsonCodec
-from ._numerics import checked_quad
+from ._numerics import checked_quad, special
 from .errors import InversionError, ParameterError
 
 __all__ = [

@@ -454,37 +454,59 @@ def test_missing_required_flag_exits_one():
     assert exc.value.code == 1
 
 
+def _run_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this exchgraph."""
+    src = str(Path(exchgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True, env=env)
+    return out.stdout
+
+
 def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     # the power-law closed forms need no integrator at non-integer beta
     cfg = _write_config(tmp_path, degrees={"k_max": 12})
     data = json.loads(cfg.read_text())
     data["ensemble"]["mixing"]["beta"] = 1.5
     cfg.write_text(json.dumps(data))
-    src = str(Path(exchgraph.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, exchgraph.cli\n"
             "print('scipy.integrate' in sys.modules)\n"
             "for command in ('gf2', 'report'):\n"
             "    assert exchgraph.cli.main([command, '--config', sys.argv[1]]) == 0\n"
             "print('scipy.integrate' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split()[0] == "False"
-    assert out.stdout.split()[-1] == "False"
+    out = _run_python(code, str(cfg))
+    assert out.split()[0] == "False"
+    assert out.split()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats alone costs about a third of the import time of the CLI;
-    # scipy.sparse serves only weak_components, which imports it itself
-    src = str(Path(exchgraph.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys, exchgraph.cli; "
-            "print([name for name in ('scipy.stats', 'scipy.sparse') if name in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    # scipy.sparse serves only weak_components, which imports it itself;
+    # scipy.special and scipy.integrate load on first use (_numerics)
+    names = ("scipy.stats", "scipy.sparse", "scipy.special", "scipy.integrate")
+    code = f"import sys, exchgraph.cli; print([n for n in {names!r} if n in sys.modules])"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_sample_and_hub_never_load_scipy_special(tmp_path):
+    # each command starts a fresh interpreter, so for a short sample run the
+    # import is most of the cost
+    modulated = {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+                 "g_table": [[0.0, 1.0], [10.0, 2.0], [100.0, 0.5]]}
+    args = []
+    for command, ensemble in [("sample", {}), ("sample", {"mixing": modulated}),
+                              ("hub", {"n": 200, "replicas": 100})]:
+        cfg = _write_config(tmp_path, f"cfg{len(args)}.json")
+        data = json.loads(cfg.read_text())
+        data["ensemble"].update(ensemble)
+        cfg.write_text(json.dumps(data))
+        args += [command, str(cfg)]
+    code = ("import sys, exchgraph.cli\n"
+            "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert exchgraph.cli.main([command, '--config', path]) == 0\n"
+            "print('scipy.special' in sys.modules)\n")
+    assert _run_python(code, *args).split()[-1] == "False"
 
 
 def test_public_names_resolve():

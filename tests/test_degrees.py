@@ -283,3 +283,7 @@ def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():
         for bad in (math.nan, math.inf, -math.inf, 1e300, 2.5, -1, [1, math.nan]):
             with pytest.raises(ParameterError):
                 call(bad)
+    assert moment(spec, n, 3.0) == moment(spec, n, 3)
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 2.5, -1, [3]):
+        with pytest.raises(ParameterError):
+            moment(spec, n, bad)

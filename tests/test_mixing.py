@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from exchgraph._numerics import checked_quad, spawn_rng
+from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
@@ -187,6 +187,17 @@ def test_order_arrays_keep_their_shape():
         log_row_prob(spec, 40, np.array([3, 41]))
     with pytest.raises(ParameterError):
         xi(spec, 40, 2.5)
+
+
+def test_deferred_scipy_handles_resolve_and_cache_names():
+    import scipy.integrate
+    import scipy.special
+
+    assert special.gammaln is scipy.special.gammaln
+    assert integrate.quad is scipy.integrate.quad
+    assert vars(special)["gammaln"] is scipy.special.gammaln   # later lookups skip the hook
+    with pytest.raises(AttributeError):
+        special.no_such_function
 
 
 class TestModulated:
