@@ -19,7 +19,7 @@ config = EnsembleConfig(n=10_000, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
 report = mc_hub(config)
 scaling = hub_limit_cdf(1.0, 3.0, config.n)
 print(f"beta=3: scale b_n = {scaling.scale:.1f}, "
-      f"limit params {report.limit_cdf_params}, "
+      f"limit params {report.to_json()['limit_cdf_params']}, "
       f"KS over {config.replicas} replicas = {report.ks_distance:.4f}")
 
 # the first moment separates the two candidate constants

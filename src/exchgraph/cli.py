@@ -239,8 +239,8 @@ def cmd_degrees(run: RunConfig) -> int:
 
 def cmd_motifs(run: RunConfig) -> int:
     cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
-    spec, n, variant = cfg.mixing, cfg.n, cfg.variant
-    cycle_means = {k: mean_cycles(spec, n, k, variant) for k in lengths}
+    spec, n, m, variant = cfg.mixing, cfg.n, cfg.m, cfg.variant
+    cycle_means = {k: mean_cycles(spec, n, k, variant, m) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
     with open(table, "w", encoding="ascii") as handle:
         handle.write("k,mean\n")
@@ -249,14 +249,15 @@ def cmd_motifs(run: RunConfig) -> int:
     print(f"wrote {table}")
     payload = _base_payload(cfg)
     payload["motifs"] = {
-        "feedback_mean": mean_feedback_loops(spec, n, variant),
-        "feedback_var": var_feedback_loops(spec, n),
-        "feedforward_mean": mean_feedforward_loops(spec, n, variant),
-        "feedforward_var": var_feedforward_loops(spec, n),
+        "feedback_mean": mean_feedback_loops(spec, n, variant, m),
+        "feedforward_mean": mean_feedforward_loops(spec, n, variant, m),
         "cycle_means": {str(k): cycle_means[k] for k in lengths},
-        "roots_mean": mean_roots(spec, n, cfg.m),
-        "leaves_mean": mean_leaves(spec, n, cfg.m),
-        "isolated_bound": connectivity_bound(spec, n),
+        "roots_mean": mean_roots(spec, n, m),
+        "leaves_mean": mean_leaves(spec, n, m),
+        # no rectangular form: null rather than the square value
+        "feedback_var": var_feedback_loops(spec, n) if m == n else None,
+        "feedforward_var": var_feedforward_loops(spec, n) if m == n else None,
+        "isolated_bound": connectivity_bound(spec, n) if m == n else None,
     }
     _write_json(run.output_dir / "motifs.json", payload)
     return EXIT_OK
@@ -272,13 +273,12 @@ def cmd_hub(run: RunConfig) -> int:
     write_hub_cdf(report, table)
     print(f"wrote {table}")
     payload = _base_payload(cfg)
-    block, limit = report.to_json(), report.limit_cdf_params
-    if limit["eta"] != 0.0:
-        if not math.isinf(report.L):
-            threshold = run.hub.atom_threshold
-            block["atom"] = {"threshold": threshold, **_atom(report, cfg.n, threshold)}
-        elif limit["eta"] > 1.0:
-            block["moment"] = _moment_comparison(report, report.values)
+    block, scaling = report.to_json(), report.scaling
+    if scaling and not math.isinf(scaling.limit.cutoff):
+        threshold = run.hub.atom_threshold
+        block["atom"] = {"threshold": threshold, **_atom(report, cfg.n, threshold)}
+    elif scaling and scaling.limit.eta > 1.0:
+        block["moment"] = _moment_comparison(report)
     payload["hub"] = block
     _write_json(run.output_dir / "hub.json", payload)
     return EXIT_OK
@@ -292,16 +292,15 @@ def _atom(report, n: int, threshold: float) -> dict:
             "reference_mass": 1.0 - report.reference_cdf(threshold * n / report.b_n)}
 
 
-def _moment_comparison(report, values: np.ndarray) -> dict:
+def _moment_comparison(report) -> dict:
     """First-moment check of the scaled hub against both candidate constants.
 
     Two closed forms circulate for the limit moment; they disagree, so the
     sampled mean arbitrates and the winner is recorded.
     """
-    limit = report.limit_cdf_params
-    c, eta = limit["c_eta"], limit["eta"]
-    alpha_eff = c ** (1.0 / eta)
-    scaled = values / report.b_n
+    eta = report.scaling.limit.eta
+    alpha_eff = report.scaling.limit.c_eta ** (1.0 / eta)
+    scaled = report.values / report.b_n
     mean = float(scaled.mean())
     se = float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
     frechet = frechet_moment(alpha_eff, eta, 1.0)
@@ -535,8 +534,8 @@ def _suite_hub(run: RunConfig) -> dict:
     ks_max = block.ks_max
     result = {"ks_distance": report.ks_distance, "ks_max": ks_max,
               "b_n": report.b_n, "m_n": report.m_n}
-    ok, limit = report.ks_distance <= ks_max, report.limit_cdf_params
-    if not math.isinf(report.L) and limit["eta"] > 0.0:
+    ok = report.ks_distance <= ks_max
+    if report.scaling and not math.isinf(report.scaling.limit.cutoff):
         atom = _atom(report, cfg.n, block.atom_threshold)
         z = _z_score(atom["estimate"], atom["se"], atom["reference_mass"])
         result["atom"] = {**atom, "z": z, "z_max": block.z_max}

@@ -68,7 +68,7 @@ class DegenerateTermWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Gf2Report:
-    """Kernel census of one m x n matrix.
+    """Kernel census of one m x n matrix, derived from its rank.
 
     Counts stay exact Python integers while their exponents fit 512 bits;
     beyond that the count fields are None and only the log2 fields are
@@ -78,17 +78,37 @@ class Gf2Report:
     rows: int
     cols: int
     rank: int
-    nullity_of_transpose: int
-    n_solutions: int | None
-    s_hypercycles: int | None
-    log2_n_solutions: float
-    log2_s_hypercycles: float
 
     def __post_init__(self):
         if not 0 <= self.rank <= min(self.rows, self.cols):
             raise ParameterError("rank must lie in [0, min(m, n)]")
-        if self.nullity_of_transpose != self.rows - self.rank:
-            raise ParameterError("nullity must equal m - rank")
+
+    @property
+    def nullity_of_transpose(self) -> int:
+        return self.rows - self.rank
+
+    @property
+    def n_solutions(self) -> int | None:
+        """N = 2^(m - rank)."""
+        exponent = self.nullity_of_transpose
+        return 1 << exponent if exponent <= _BIG_EXPONENT else None
+
+    @property
+    def s_hypercycles(self) -> int | None:
+        """S = 2^(n - rank) - 1."""
+        exponent = self.cols - self.rank
+        return (1 << exponent) - 1 if exponent <= _BIG_EXPONENT else None
+
+    @property
+    def log2_n_solutions(self) -> float:
+        return float(self.nullity_of_transpose)
+
+    @property
+    def log2_s_hypercycles(self) -> float:
+        s = self.s_hypercycles
+        if s is None:
+            return float(self.cols - self.rank)
+        return math.log2(s) if s else -math.inf
 
     def to_json(self) -> dict:
         def count_field(value, log2_value):
@@ -132,25 +152,9 @@ def _int_rank(rows: list[int]) -> int:
     return rank
 
 
-def _census(m: int, n: int, rank: int) -> Gf2Report:
-    nullity = m - rank
-    cycle_exp = n - rank
-    n_sol = (1 << nullity) if nullity <= _BIG_EXPONENT else None
-    if cycle_exp <= _BIG_EXPONENT:
-        s_count = (1 << cycle_exp) - 1
-        log2_s = math.log2(s_count) if s_count else -math.inf
-    else:
-        s_count = None
-        log2_s = float(cycle_exp)
-    return Gf2Report(rows=m, cols=n, rank=rank, nullity_of_transpose=nullity,
-                     n_solutions=n_sol, s_hypercycles=s_count,
-                     log2_n_solutions=float(nullity), log2_s_hypercycles=log2_s)
-
-
 def rank_gf2(matrix: BitMatrix) -> Gf2Report:
     """Eliminate X^T over the two-element field and report the kernel census."""
-    rank = _int_rank(_transpose_words(matrix))
-    return _census(matrix.m, matrix.n, rank)
+    return Gf2Report(matrix.m, matrix.n, _int_rank(_transpose_words(matrix)))
 
 
 # -- exact mean of the solution count ---------------------------------------
@@ -225,7 +229,6 @@ class RateReport:
     i_gamma: float
     argmax_x: float
     exceeds_baseline: bool
-    gamma_c: float | None = None
 
     def __post_init__(self):
         baseline = (1.0 / self.gamma - 1.0) * _LOG2
@@ -233,16 +236,6 @@ class RateReport:
             raise ParameterError("sup fell below its x = 0 baseline")
         if not 0.0 <= self.argmax_x <= 1.0:
             raise ParameterError("argmax must lie in [0, 1]")
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "theta_values": [[x, t] for x, t in self.theta_values],
-            "I_gamma": self.i_gamma,
-            "argmax_x": self.argmax_x,
-            "exceeds_baseline": self.exceeds_baseline,
-            "gamma_c": self.gamma_c,
-        }
 
 
 @functools.lru_cache(maxsize=16)

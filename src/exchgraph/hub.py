@@ -14,6 +14,7 @@ cheaper; replica streams are deterministic in master_seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,11 +72,6 @@ class HubLimit:
         out = np.where(x > 0.0, body, 0.0)
         out = np.where(x >= self.cutoff, 1.0, out)
         return out if out.ndim else float(out)
-
-    @property
-    def atom_mass(self) -> float:
-        """Mass at the cutoff: none, since the conditioned curve is continuous."""
-        return 0.0
 
     def to_json(self) -> dict:
         return {"c_eta": self.c_eta, "eta": self.eta,
@@ -163,41 +159,54 @@ def competing_moment_constant(alpha: float, beta: float, d: float) -> float:
 class HubReport:
     """Empirical scaled-hub CDF next to its reference curve.
 
-    ``values`` holds the sampled hub statistics the CDF was built from, so
-    callers can reuse them; it is not serialized.
+    ``values`` holds the sampled hub statistics (not serialized).  The
+    empirical CDF is evaluated from them on ``grid_points`` points mapped
+    through floor(x * b_n), the same integer truncation the scaled statistic
+    itself undergoes, so grid points between attainable values do not bias
+    the comparison.  ``scaling`` is None when every bias is 0: the hub is
+    pinned at 0, the scale is 1 and the reference CDF is 1.
     """
 
     n: int
     m_n: int
-    b_n: float
-    L: float
-    empirical_cdf: tuple
-    limit_cdf_params: dict = field(compare=False)
-    ks_distance: float
+    scaling: HubScaling | None
+    grid_points: int
     values: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not 0.0 <= self.ks_distance <= 1.0:
-            raise ParameterError("ks distance must lie in [0, 1]")
-        c, e = self.limit_cdf_params["c_eta"], self.limit_cdf_params["eta"]
-        if (c > 0) != (e > 0) or c < 0 or e < 0:
-            raise ParameterError("limit params need c_eta, eta both positive or both zero")
+    @property
+    def b_n(self) -> float:
+        return float(self.scaling.scale) if self.scaling else 1.0
 
-    def reference_cdf(self, x) -> float:
-        """Reference CDF of the scaled hub at x; 1 when the hub is pinned at 0."""
-        c, eta = self.limit_cdf_params["c_eta"], self.limit_cdf_params["eta"]
-        if c == 0:
-            return 1.0
-        return float(HubLimit(c, eta, cutoff=self.L).cdf(x))
+    def reference_cdf(self, x):
+        """Reference CDF of the scaled hub at x."""
+        return self.scaling.cdf(x) if self.scaling else 1.0
+
+    @functools.cached_property
+    def empirical_cdf(self) -> tuple:
+        """(x, F_emp(x)) pairs on a grid up to the cutoff, or past the largest value."""
+        b, cutoff = self.b_n, self.scaling.limit.cutoff if self.scaling else math.inf
+        x_hi = (self.values.max() + 1.0) / b if math.isinf(cutoff) else cutoff
+        xs = x_hi * np.arange(1, self.grid_points + 1) / self.grid_points
+        thresholds = np.floor(xs * b)
+        f_emp = np.searchsorted(np.sort(self.values), thresholds, side="right") / len(self.values)
+        return tuple(zip(xs.tolist(), f_emp.tolist()))
+
+    @property
+    def ks_distance(self) -> float:
+        xs, f_emp = np.array(self.empirical_cdf).T
+        return min(float(np.max(np.abs(f_emp - self.reference_cdf(xs)))), 1.0)
 
     def to_json(self) -> dict:
+        params = (self.scaling.limit.to_json() if self.scaling
+                  else {"c_eta": 0.0, "eta": 0.0, "cutoff": 0.0})
+        cutoff = params.pop("cutoff")
         return {
             "n": self.n,
             "m_n": self.m_n,
             "b_n": self.b_n,
-            "L": None if math.isinf(self.L) else self.L,
+            "L": cutoff,
             "empirical_cdf": [[x, f] for x, f in self.empirical_cdf],
-            "limit_cdf_params": dict(self.limit_cdf_params),
+            "limit_cdf_params": params,
             "ks_distance": self.ks_distance,
         }
 
@@ -242,43 +251,14 @@ def _subcritical_scaling(c_eta: float, eta: float, n: int, m: int) -> HubScaling
 
 
 def mc_hub(config: EnsembleConfig, grid_points: int = 1000) -> HubReport:
-    """Sample the configured replicas and compare the scaled hub to its limit.
-
-    The empirical CDF is evaluated on a grid mapped through floor(x * b_n),
-    the same integer truncation the scaled statistic itself undergoes, so
-    grid points between attainable values do not bias the comparison.
-    """
+    """Sample the configured replicas and compare the scaled hub to its limit."""
     if config.replicas < 100:
         raise ParameterError("hub Monte Carlo needs at least 100 replicas")
     if grid_points < 1:
         raise ParameterError(f"hub CDF grid needs grid_points >= 1, got {grid_points}")
     scaling = _reference_scaling(config)
-    values = mc_hub_values(config)
-    if scaling is None:
-        grid = tuple((float(j) / grid_points, 1.0)
-                     for j in range(1, grid_points + 1))
-        return HubReport(n=config.n, m_n=config.m, b_n=1.0, L=0.0,
-                         empirical_cdf=grid,
-                         limit_cdf_params={"c_eta": 0.0, "eta": 0.0},
-                         ks_distance=0.0, values=values)
-    limit, b = scaling.limit, scaling.scale
-    if math.isinf(limit.cutoff):
-        x_hi = (values.max() + 1.0) / b
-    else:
-        x_hi = limit.cutoff
-    xs = x_hi * np.arange(1, grid_points + 1) / grid_points
-    ordered = np.sort(values)
-    thresholds = np.floor(xs * b)
-    f_emp = np.searchsorted(ordered, thresholds, side="right") / len(values)
-    ks = float(np.max(np.abs(f_emp - limit.cdf(xs))))
-    return HubReport(
-        n=config.n, m_n=scaling.rows, b_n=float(b),
-        L=limit.cutoff if not math.isinf(limit.cutoff) else math.inf,
-        empirical_cdf=tuple(zip(xs.tolist(), f_emp.tolist())),
-        limit_cdf_params={"c_eta": limit.c_eta, "eta": limit.eta},
-        ks_distance=min(ks, 1.0),
-        values=values,
-    )
+    return HubReport(n=config.n, m_n=config.m, scaling=scaling,
+                     grid_points=grid_points, values=mc_hub_values(config))
 
 
 def hub_atom_estimate(values: np.ndarray, n: int,

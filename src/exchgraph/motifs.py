@@ -7,7 +7,10 @@ patterns) on a canonical vertex set, tally distinct edges per sender, and
 average theta powers under the mixing law.  Rows are independent and biases
 iid, so the probability of a union of placements factors into per-sender
 moments; the variance routine enumerates every overlap class of two triples
-rather than trusting a transcribed polynomial.
+rather than trusting a transcribed polynomial.  The means count the copies
+whose out-edges all leave the m sender rows, so they hold for m < n too;
+the variances and the connectivity bound are square-only, and the
+``motifs`` command writes them as null when m != n.
 
 The Monte Carlo routines draw the adjacency law in replica blocks
 (:func:`ensemble.replica_blocks`) and count with the routines a realized
@@ -276,76 +279,66 @@ def _moment_cache(spec: MixingSpec, n: int):
 
     return get
 
-def _placement_prob(edge_set, delta, variant: str) -> float:
+
+def _placement_prob(edge_set, delta) -> float:
     out: dict[int, int] = {}
     for u, _ in edge_set:
         out[u] = out.get(u, 0) + 1
+    return math.prod(delta(d) for d in out.values())
+
+
+def _check_senders(n: int, m) -> int:
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
+        raise ParameterError(f"sender count must satisfy 1 <= m <= n, got {m!r}")
+    return int(m)
+
+
+def _mean_pattern(spec, n, k, aut, out_degrees, variant, m) -> float:
+    """Expected copies of a k-vertex pattern with aut automorphisms whose
+    vertices send out_degrees edges.  A copy puts each of its s sending
+    vertices on one of the m senders and the rest anywhere else, so there
+    are perm(m, s) * perm(n - s, k - s) / aut of them, each present with
+    the product of its senders' theta moments (one shared theta under the
+    completely exchangeable variant)."""
+    m = n if m is None else _check_senders(n, m)
+    degrees, delta = [d for d in out_degrees if d], _moment_cache(spec, n)
     if variant == "completely_exchangeable":
-        return delta(sum(out.values()))
-    prod = 1.0
-    for d in out.values():
-        prod *= delta(d)
-    return prod
-
-
-def _check_variant(variant: str) -> None:
-    if variant == "hierarchical":
+        per = delta(sum(degrees))
+    elif variant == "partially_exchangeable":
+        per = math.prod(delta(d) for d in degrees)
+    else:
         raise ParameterError(
-            "closed-form pattern moments cover the independent and shared-bias "
-            "ensembles; use the sampling route for the two-level one")
-    if variant not in ("partially_exchangeable", "completely_exchangeable"):
-        raise ParameterError(f"unknown variant {variant!r}")
+            f"closed-form pattern means cover the independent and shared-bias "
+            f"ensembles, not {variant!r}; use the sampling route")
+    s = len(degrees)
+    return math.perm(m, s) * math.perm(n - s, k - s) / aut * per if s <= m else 0.0
 
 
-def _mean_pattern_on_triples(spec, n, edges, variant) -> float:
-    _check_variant(variant)
-    delta = _moment_cache(spec, n)
-    per_triple = sum(_placement_prob(p, delta, variant)
-                     for p in _placements(edges, (0, 1, 2)))
-    return math.comb(n, 3) * per_triple
+def mean_feedback_loops(spec: MixingSpec, n: int, variant: str = "partially_exchangeable",
+                        m: int | None = None) -> float:
+    """Expected directed 3-cycle count: perm(m, 3) E[theta]^3 / 3 for iid biases."""
+    return _mean_pattern(spec, n, 3, 3, (1, 1, 1), variant, m)
 
 
-def mean_feedback_loops(spec: MixingSpec, n: int,
-                        variant: str = "partially_exchangeable") -> float:
-    """Expected directed 3-cycle count: 2 C(n,3) E[theta]^3 for iid biases."""
-    return _mean_pattern_on_triples(spec, n, _FBL_EDGES, variant)
+def mean_feedforward_loops(spec: MixingSpec, n: int, variant: str = "partially_exchangeable",
+                           m: int | None = None) -> float:
+    """Expected feedforward count: perm(m, 2) (n-2) E[theta^2] E[theta] for iid biases."""
+    return _mean_pattern(spec, n, 3, 1, (2, 1, 0), variant, m)
 
 
-def mean_feedforward_loops(spec: MixingSpec, n: int,
-                           variant: str = "partially_exchangeable") -> float:
-    """Expected feedforward count: 6 C(n,3) E[theta^2] E[theta] for iid biases."""
-    return _mean_pattern_on_triples(spec, n, _FFL_EDGES, variant)
-
-
-def mean_cycles(spec: MixingSpec, n: int, k: int,
-                variant: str = "partially_exchangeable") -> float:
-    """Expected simple k-cycle count: (k-1)! C(n,k) E[theta]^k for iid biases."""
-    _check_variant(variant)
+def mean_cycles(spec: MixingSpec, n: int, k: int, variant: str = "partially_exchangeable",
+                m: int | None = None) -> float:
+    """Expected simple k-cycle count: perm(m, k) E[theta]^k / k for iid biases."""
     if not (isinstance(k, (int, np.integer)) and 2 <= k <= n):
         raise ParameterError(f"cycle length must satisfy 2 <= k <= n, got {k!r}")
-    if variant == "completely_exchangeable":
-        per = moment(spec, n, int(k))
-    else:
-        per = moment(spec, n, 1) ** k
-    return math.factorial(k - 1) * math.comb(n, int(k)) * per
+    return _mean_pattern(spec, n, int(k), int(k), (1,) * int(k), variant, m)
 
 
 def mean_subgraph(spec: MixingSpec, n: int, pattern: SubgraphPattern,
-                  variant: str = "partially_exchangeable") -> float:
-    """Expected copies: falling factorial over automorphisms times the
-    per-placement probability, which factors into sender moments."""
-    _check_variant(variant)
-    if pattern.k > n:
-        return 0.0
-    delta = _moment_cache(spec, n)
-    if variant == "completely_exchangeable":
-        per = delta(len(pattern.edges))
-    else:
-        per = 1.0
-        for d in pattern.out_degrees():
-            per *= delta(d)
-    falling = math.perm(n, pattern.k)
-    return falling / pattern.aut_size * per
+                  variant: str = "partially_exchangeable", m: int | None = None) -> float:
+    """Expected copies of the pattern; see _mean_pattern."""
+    return _mean_pattern(spec, n, pattern.k, pattern.aut_size, pattern.out_degrees(),
+                         variant, m)
 
 
 def _second_moment_on_triples(spec, n, edges) -> float:
@@ -369,7 +362,7 @@ def _second_moment_on_triples(spec, n, edges) -> float:
         class_sum = 0.0
         for p in base:
             for q in _placements(edges, other):
-                class_sum += _placement_prob(p | q, delta, "partially_exchangeable")
+                class_sum += _placement_prob(p | q, delta)
         total += mult * class_sum
     return math.comb(n, 3) * total
 
@@ -393,8 +386,7 @@ def var_feedforward_loops(spec: MixingSpec, n: int) -> float:
 
 
 def _root_leaf_inputs(spec: MixingSpec, n: int, m: int):
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
-        raise ParameterError(f"sender count must satisfy 1 <= m <= n, got {m!r}")
+    _check_senders(n, m)
     mu = moment(spec, n, 1)
     p_empty_row = math.exp(log_row_prob(spec, n, 0))
     return mu, p_empty_row

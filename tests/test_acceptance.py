@@ -208,7 +208,7 @@ def test_criterion_06_hub_frechet_ks():
     config = EnsembleConfig(n=10_000, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
                             master_seed=SEED, replicas=1000)
     report = mc_hub(config)
-    assert report.limit_cdf_params == {"c_eta": 1.0, "eta": 2.0}
+    assert (report.scaling.limit.c_eta, report.scaling.limit.eta) == (1.0, 2.0)
     assert report.ks_distance < 0.05
     assert time.monotonic() - start < 600.0
 

@@ -154,6 +154,27 @@ def test_motifs_report_fields(tmp_path):
     assert len(table) == 3
 
 
+def test_motifs_on_a_rectangular_ensemble(tmp_path):
+    """Copies need their out-edges on the m senders.  At n = 6, m = 3 and a
+    Dirac bias of 1/2 that gives perm(3, 3) / 3 / 8 = 0.25 feedback loops,
+    perm(3, 2) * 4 / 8 = 3 feedforward ones and perm(3, 2) / 2 / 4 = 0.75
+    2-cycles (20 000 sampled replicas: 0.249 and 3.01 for the first two).
+    The square-only fields are written as null."""
+    cfg = _write_config(tmp_path, motifs={"cycle_lengths": [2, 3]})
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(n=6, mixing={"variant": "dirac", "lambda": 3.0},
+                            row_rule={"kind": "explicit", "m": 3})
+    cfg.write_text(json.dumps(data))
+    assert main(["motifs", "--config", str(cfg)]) == 0
+    block = json.loads(_read_out(tmp_path, "motifs.json"))["motifs"]
+    assert block["feedback_mean"] == pytest.approx(0.25, rel=1e-12)
+    assert block["feedforward_mean"] == pytest.approx(3.0, rel=1e-12)
+    assert block["cycle_means"]["2"] == pytest.approx(0.75, rel=1e-12)
+    assert block["cycle_means"]["3"] == block["feedback_mean"]
+    assert block["feedback_var"] is block["feedforward_var"] is None
+    assert block["isolated_bound"] is None
+
+
 def test_hub_report_records_moment_winner(tmp_path):
     cfg = _write_config(tmp_path)
     data = json.loads(cfg.read_text())

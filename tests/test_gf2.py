@@ -152,13 +152,13 @@ def test_census_json_round_trips():
 
 def test_report_invariants_are_enforced():
     with pytest.raises(ParameterError):
-        Gf2Report(rows=2, cols=2, rank=3, nullity_of_transpose=-1,
-                  n_solutions=1, s_hypercycles=0,
-                  log2_n_solutions=0.0, log2_s_hypercycles=-math.inf)
+        Gf2Report(rows=2, cols=2, rank=3)
     with pytest.raises(ParameterError):
-        Gf2Report(rows=3, cols=3, rank=1, nullity_of_transpose=1,
-                  n_solutions=2, s_hypercycles=3,
-                  log2_n_solutions=1.0, log2_s_hypercycles=2.0)
+        Gf2Report(rows=3, cols=3, rank=-1)
+    # the derived fields follow the rank: nullity m - rank, N = 2^nullity
+    rep = Gf2Report(rows=3, cols=3, rank=1)
+    assert (rep.nullity_of_transpose, rep.n_solutions, rep.s_hypercycles) == (2, 4, 3)
+    assert (rep.log2_n_solutions, rep.log2_s_hypercycles) == (2.0, math.log2(3))
 
 
 # -- exact mean of the solution count ---------------------------------------
@@ -320,11 +320,6 @@ def test_rate_report_rejects_sup_below_baseline():
 
 def test_rate_report_json_shape(tmp_path):
     rep = rate_sup(GammaSeed(r=1.0, gamma=2.0), 0.5)
-    payload = rep.to_json()
-    assert set(payload) == {"gamma", "theta_values", "I_gamma", "argmax_x",
-                            "exceeds_baseline", "gamma_c"}
-    assert payload["gamma_c"] is None
-    json.dumps(payload)
     out = tmp_path / "grid.csv"
     write_theta_grid(rep, out)
     lines = out.read_text(encoding="ascii").splitlines()

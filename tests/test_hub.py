@@ -72,12 +72,15 @@ def test_truncated_curve_jumps_to_one_at_cutoff():
     assert limit.cutoff == 1.0
     assert limit.cdf(1.0) == 1.0
     assert limit.cdf(1.0 - 1e-9) == pytest.approx(1.0, rel=1e-9)
-    assert limit.atom_mass == 0.0
+    assert limit.cdf(1.0 + 1e-12) - limit.cdf(1.0 - 1e-12) < 1e-11
     assert limit.cdf(0.25) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_untruncated_curve_has_no_atom():
-    assert HubLimit(2.0, 1.5).atom_mass == 0.0
+    limit = HubLimit(2.0, 1.5)
+    xs = np.array([0.5, 1.0, 10.0, 1e6])
+    assert np.all(limit.cdf(xs + 1e-9) - limit.cdf(xs - 1e-9) < 1e-8)
+    assert limit.cdf(1e300) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_regime_rows_and_scale():
@@ -192,8 +195,8 @@ def test_mc_hub_top_regime_ks():
                          row_rule=SquareRows(), master_seed=SEED, replicas=1000)
     report = mc_hub(cfg)
     assert report.m_n == 10_000
-    assert report.b_n == pytest.approx(100.0)
-    assert math.isinf(report.L)
+    assert report.scaling.scale == pytest.approx(100.0)
+    assert math.isinf(report.scaling.limit.cutoff)
     assert report.ks_distance < 0.05
 
 
@@ -203,8 +206,8 @@ def test_mc_hub_subcritical_rows_ks():
                          row_rule=ExplicitRows(400), master_seed=SEED,
                          replicas=1000)
     report = mc_hub(cfg)
-    assert report.b_n == pytest.approx(20.0)
-    assert math.isinf(report.L)
+    assert report.scaling.scale == pytest.approx(20.0)
+    assert math.isinf(report.scaling.limit.cutoff)
     assert report.ks_distance < 0.08
 
 
@@ -214,8 +217,8 @@ def test_mc_hub_seed_slice_tail_ks():
                          row_rule=ExplicitRows(100), master_seed=SEED,
                          replicas=1000)
     report = mc_hub(cfg)
-    assert report.limit_cdf_params["c_eta"] == pytest.approx(2.0 ** 1.5)
-    assert report.limit_cdf_params["eta"] == pytest.approx(1.5)
+    assert report.scaling.limit.c_eta == pytest.approx(2.0 ** 1.5)
+    assert report.scaling.limit.eta == pytest.approx(1.5)
     assert report.ks_distance < 0.05
 
 
@@ -228,8 +231,8 @@ def test_mc_hub_graph_scale_regime_is_continuous():
                          replicas=1000)
     report = mc_hub(cfg)
     assert report.m_n == 100
-    assert report.b_n == pytest.approx(10_000.0)
-    assert report.L == 1.0
+    assert report.scaling.scale == pytest.approx(10_000.0)
+    assert report.scaling.limit.cutoff == 1.0
     assert report.ks_distance < 0.05
     xs = np.array([x for x, _ in report.empirical_cdf])
     emp = np.array([f for _, f in report.empirical_cdf])
@@ -240,7 +243,7 @@ def test_mc_hub_graph_scale_regime_is_continuous():
     values = mc_hub_values(cfg)
     p_hat, _ = hub_atom_estimate(values, cfg.n)
     assert p_hat < 0.03
-    assert report.limit_cdf_params == {"c_eta": 1.0, "eta": 0.5}
+    assert (report.scaling.limit.c_eta, report.scaling.limit.eta) == (1.0, 0.5)
 
 
 def test_mc_hub_degenerate_point_mass_at_zero():
@@ -248,8 +251,9 @@ def test_mc_hub_degenerate_point_mass_at_zero():
                          replicas=200)
     report = mc_hub(cfg)
     assert report.ks_distance == 0.0
-    assert report.L == 0.0
-    assert report.limit_cdf_params == {"c_eta": 0.0, "eta": 0.0}
+    assert report.scaling is None
+    assert report.b_n == 1.0
+    assert report.reference_cdf(0.5) == 1.0
     assert all(f == 1.0 for _, f in report.empirical_cdf)
 
 

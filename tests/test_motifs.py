@@ -186,6 +186,29 @@ class TestExactMoments:
         assert_allclose(mean_feedback_loops(spec, n, "completely_exchangeable"),
                         2 * math.comb(n, 3) * d3, rtol=1e-12)
 
+    def test_pattern_means_exhaustive_rectangular(self):
+        """Only the m senders have out-rows: every m x n matrix, padded to
+        n x n with empty rows, weighted by its row-sum probabilities."""
+        spec, n, m = PowerLawMixing(alpha=1.0, beta=2.5), 4, 2
+        path = SubgraphPattern.parse("0>1,1>2")
+        stats = {"ffl": count_feedforward_loops, "fbl": count_feedback_loops,
+                 "c2": lambda a: count_cycles(a, 2), "c3": lambda a: count_cycles(a, 3),
+                 "path": lambda a: count_subgraph(a, path)}
+        rp = [math.exp(log_row_prob(spec, n, r)) for r in range(n + 1)]
+        sums = dict.fromkeys(stats, 0.0)
+        for gid in range(2 ** (m * n)):
+            a = np.zeros((n, n), dtype=bool)
+            a[:m] = np.array([(gid >> b) & 1 for b in range(m * n)]).reshape(m, n)
+            w = math.prod(rp[int(a[i].sum())] for i in range(m))
+            for key, stat in stats.items():
+                sums[key] += w * stat(a)
+        assert_allclose(mean_feedforward_loops(spec, n, m=m), sums["ffl"], rtol=1e-10)
+        assert_allclose(mean_cycles(spec, n, 2, m=m), sums["c2"], rtol=1e-10)
+        assert_allclose(mean_subgraph(spec, n, path, m=m), sums["path"], rtol=1e-10)
+        assert sums["fbl"] == sums["c3"] == 0.0
+        assert mean_feedback_loops(spec, n, m=m) == mean_cycles(spec, n, 3, m=m) == 0.0
+        assert_allclose((sums["ffl"], sums["c2"]), (0.367347, 0.183673), atol=1e-6)
+
     def test_two_level_variant_rejected(self):
         with pytest.raises(ParameterError):
             mean_feedback_loops(PowerLawMixing(alpha=1.0, beta=3.0), 10, "hierarchical")
