@@ -460,10 +460,15 @@ def cmd_report(run: RunConfig) -> int:
 # -- validation suites ------------------------------------------------------
 
 
-def _z_score(mc_value: float, se: float, exact: float) -> float:
+def _z_score(mc_value: float, se: float, exact: float) -> float | None:
+    """|mc_value - exact| / se; for se = 0, 0.0 on a match and None on a miss.
+
+    With no spread there is no z-score, and the means must agree to 1e-12
+    relative: an exact mean taken out of log space is off by a few ulps of its
+    log (2**16 comes back as 65535.999999999396, 9e-15 relative)."""
     if se > 0.0:
         return abs(mc_value - exact) / se
-    return 0.0 if mc_value == exact else math.inf
+    return 0.0 if math.isclose(mc_value, exact, rel_tol=1e-12) else None
 
 
 def _suite_degrees(run: RunConfig) -> dict:
@@ -523,7 +528,7 @@ def _suite_motifs(run: RunConfig) -> dict:
         "leaves": _z_score(rl.leaves_mean, rl.leaves_se,
                            mean_leaves(spec, n, cfg.m)),
     }
-    ok = all(z <= z_max for z in checks.values())
+    ok = all(z is not None and z <= z_max for z in checks.values())
     return {"pass": bool(ok), "z_scores": checks, "z_max": z_max,
             "replicas": cfg.replicas}
 
@@ -539,7 +544,7 @@ def _suite_hub(run: RunConfig) -> dict:
         atom = _atom(report, cfg.n, block.atom_threshold)
         z = _z_score(atom["estimate"], atom["se"], atom["reference_mass"])
         result["atom"] = {**atom, "z": z, "z_max": block.z_max}
-        ok = ok and z <= block.z_max
+        ok = ok and z is not None and z <= block.z_max
     result["pass"] = bool(ok)
     return result
 
@@ -553,8 +558,9 @@ def _suite_gf2(run: RunConfig) -> dict:
         return {"pass": False, "reason": "exact mean overflows; shrink n"}
     rep = mc_kernel_mean(cfg)
     z = _z_score(rep.mean_solutions, rep.se, exact)
-    return {"pass": bool(z <= z_max), "mean": rep.mean_solutions, "se": rep.se,
-            "exact": exact, "z": z, "z_max": z_max, "replicas": cfg.replicas}
+    miss = {} if z is not None else {"reason": "all replicas agree and miss the exact mean"}
+    return {"pass": bool(z is not None and z <= z_max), "mean": rep.mean_solutions, "se": rep.se,
+            "exact": exact, "z": z, "z_max": z_max, "replicas": cfg.replicas, **miss}
 
 
 _SUITES = {

@@ -36,12 +36,12 @@ and split at theta = 1/2 into two single-sign integrals for large i, which
 avoids the alternating-sum cancellation.
 
 For the pure power family the row polynomial and both halves of the split
-signed moment are incomplete beta functions, and run in closed form wherever
-that form holds the package tolerance ``REL_TOL``: row weights r > beta - 1,
-and signed-moment orders above the expansion when beta lies at least
-``_XI_LIFT_MIN`` above an integer and 2 alpha < n.  The remaining orders, and every family
-without a closed form, keep the scalar quadrature hooks ``_log_row_prob`` and
-``_xi``, which the tests also use as the oracle of each closed form.
+signed moment are incomplete beta functions, in closed form wherever that
+holds ``REL_TOL``: B(a, b) I_x^c(a, b) for row weights r > beta - 1, and
+``_upper_beta`` for the rest and for signed moments above the expansion.
+Quadrature (the scalar hooks ``_log_row_prob`` and ``_xi``, also the oracle of
+each closed form) stays for beta within ``_XI_LIFT_MIN`` above an integer,
+orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
 """
 
 from __future__ import annotations
@@ -74,11 +74,15 @@ __all__ = [
 # the alternating sum loses more digits than the split quadrature does.
 _XI_EXPANSION_MAX = 10
 
-# The closed-form power-law signed moment walks an incomplete beta down from
-# (0, 1] to 1 - beta, dividing last by beta's distance above the integer below
-# it.  Measured against mpmath at n <= 5e4 that costs 2e-10 at a distance of
-# 1e-4, 1e-11 at 1e-3 and 3e-12 at 1e-2, so under 1e-2 quadrature stays.
+# _upper_beta walks down from a - floor(a) in (0, 1), dividing first by beta's
+# distance above the integer below it.  Measured against mpmath at n <= 5e4
+# that costs 2e-10 at a distance of 1e-4, 1e-11 at 1e-3 and 3e-12 at 1e-2, so
+# under 1e-2 quadrature stays.  Integer beta starts from a = 0 and has no such step.
 _XI_LIFT_MIN = 0.01
+# Each step magnifies the error of the one before by |(a+b) U(a+1, b) / (a U(a, b))|,
+# about b x / |a| for b x > |a|.  Against mpmath (a in [-8, 1], b <= 5e4) the error
+# stayed under 4e-15 times their product, so above 1e4 (b x past 10-40) quadrature stays.
+_WALK_GAIN_MAX = 1e4
 
 
 def _log_power_int(a: float, b: float, p: float) -> float:
@@ -121,6 +125,34 @@ def _log_beta(c: float, b):
     """
     return (special.gammaln(c) - (b - 0.5) * np.log1p(c / b) - c * np.log(b + c) + c
             + _stirling_rest(b) - _stirling_rest(b + c))
+
+
+def _upper_beta(a, b, x: float):
+    """U(a, b; x) = integral_x^1 u**(a-1) (1-u)**(b-1) du elementwise over a <= 1,
+    integer b >= 1, 0 < x < 1: by parts, a U(a, b) = (a + b) U(a + 1, b) - x**a (1-x)**b,
+    down from a0 = a - floor(a), where U = B(a0, b) I_x^c(a0, b), or at integer a
+    U(0, b) = sum_{k >= b} (1-x)**k / k.  NaN where that does not hold ``REL_TOL``."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    steps = np.maximum(-np.floor(a), 0.0)
+    a0, lam, gain = a + steps, -math.log1p(-x), np.ones(a.shape)
+    with np.errstate(all="ignore"):
+        out = special.betaincc(a0, b, x) * np.exp(np.where(
+            b >= 10.0, _log_beta(a0, np.maximum(b, 10.0)), special.betaln(a0, b)))
+        if (a0 == 0).any():
+            # to K = max b + 8192 from the far end, the rest by Euler-Maclaurin: off by
+            # (lam + 1/K)**4 / 120 of the sum: 5e-12 at most, since lam K > 40 leaves no rest
+            bs = b[a0 == 0]
+            lo, hi = int(bs.min()), int(bs.max()) + 8192
+            k = np.arange(hi - 1, lo - 1, -1.0)
+            rest = special.exp1(lam * hi) + math.exp(-lam * hi) * (6.0 + lam + 1 / hi) / (12 * hi)
+            out[a0 == 0] = (rest + np.cumsum(np.exp(-lam * k) / k))[hi - 1 - bs.astype(int)]
+        for s in range(int(steps.max(initial=0.0))):
+            c = a0 - s - 1.0
+            big = (c + b) * out
+            down = (big - x ** c * np.exp(-lam * b)) / c
+            gain = np.where(steps > s, gain * np.abs(big / (c * down)), gain)
+            out = np.where(steps > s, down, out)
+    return np.where((steps > 0) & (a0 > 1 - _XI_LIFT_MIN) | ~(gain <= _WALK_GAIN_MAX), np.nan, out)
 
 
 def _power_quantile(u, alpha, n: int, beta: float):
@@ -338,46 +370,38 @@ class PowerLawMixing(MixingSpec):
         return _log_power_int(self.alpha / n, 1.0, -self.beta)
 
     def _log_row_probs(self, n, rs):
-        # integral_{alpha/n}^1 theta**(a-1) (1-theta)**(b-1) = B(a, b) I_{alpha/n}^c(a, b)
-        # with a = r + 1 - beta and b = n - r + 1, in closed form for a > 0
+        # integral_{alpha/n}^1 theta**(a-1) (1-theta)**(b-1) with a = r + 1 - beta
+        # and b = n - r + 1: B(a, b) I_{alpha/n}^c(a, b) for a > 0, else _upper_beta
         a = rs + 1.0 - self.beta
         b = n - rs + 1.0
-        out = np.full(rs.shape, np.nan)
+        out = np.empty(rs.shape)
         up = a > 0
         with np.errstate(divide="ignore"):
             out[up] = (special.betaln(a[up], b[up])
-                       + np.log(special.betaincc(a[up], b[up], self.alpha / n))
-                       - self._log_norm_theta(n))
-        # a <= 0, or an incomplete beta that underflowed
+                       + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
+            out[~up] = np.log(_upper_beta(a[~up], b[~up], self.alpha / n))
+        out -= self._log_norm_theta(n)
+        # orders _upper_beta leaves out, or an incomplete beta that underflowed
         redo = ~np.isfinite(out)
         out[redo] = super()._log_row_probs(n, rs[redo])
         return out
 
     def _xis(self, n, orders):
         x = 2.0 * self.alpha / n
-        big = orders > _XI_EXPANSION_MAX
-        if not (x < 1.0 and self.beta - math.floor(self.beta) >= _XI_LIFT_MIN):
+        if not x < 1.0:
             return super()._xis(n, orders)
-        out = np.empty(orders.shape)
-        out[~big] = super()._xis(n, orders[~big])
-        i = orders[big].astype(float)
-        b = i + 1.0
-        # head: integral_{alpha/n}^{1/2} theta**-beta (1 - 2 theta)**i
-        #   = 2**(beta-1) U(1 - beta, b) with U(a, b) = integral_x^1 u**(a-1) (1-u)**(b-1),
-        # lifted to a in (0, 1], where U = B(a, b) I_x^c(a, b), and walked down by
-        # parts: a U(a, b) = (a + b) U(a + 1, b) - x**a (1 - x)**b
-        a = 1.0 - self.beta + math.floor(self.beta)
-        head = np.exp(_log_beta(a, b)) * special.betaincc(a, b, x)
-        edge = np.exp(b * math.log1p(-x))
-        for _ in range(math.floor(self.beta)):
-            a -= 1.0
-            head = ((a + b) * head - x ** a * edge) / a
+        b = orders + 1.0
+        # head: integral_{alpha/n}^{1/2} theta**-beta (1 - 2 theta)**i = 2**(beta-1) U(1 - beta, b)
         # tail: integral_{1/2}^1 theta**-beta (2 theta - 1)**i
         #   = 2**(beta-1) integral_0^1 v**i (1+v)**-beta = 2F1(beta, 1; i+2; 1/2) / (2 b)
-        tail_part = special.hyp2f1(self.beta, 1.0, i + 2.0, 0.5) / (2.0 * b)
-        sign = np.where(orders[big] % 2, -1.0, 1.0)
-        out[big] = ((2.0 ** (self.beta - 1.0) * head + sign * tail_part)
-                    * math.exp(-self._log_norm_theta(n)))
+        tail_part = special.hyp2f1(self.beta, 1.0, b + 1.0, 0.5) / (2.0 * b)
+        out = np.where(orders > _XI_EXPANSION_MAX, (
+            2.0 ** (self.beta - 1.0) * _upper_beta(1.0 - self.beta, b, x)
+            + np.where(orders % 2, -1.0, 1.0) * tail_part) * math.exp(-self._log_norm_theta(n)),
+            np.nan)
+        # the orders of the expansion, and those _upper_beta leaves out
+        redo = ~np.isfinite(out)
+        out[redo] = super()._xis(n, orders[redo])
         return out
 
     def _sample(self, n, rng, size):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import exchgraph
+from exchgraph import cli
 from exchgraph.cli import main
 
 SEED = 20260821
@@ -359,6 +360,31 @@ def test_mc_rejects_wide_gf2_suite_up_front(tmp_path):
     assert not (tmp_path / "out" / "mc.json").exists()
 
 
+def _zero_spread_gf2_config(tmp_path):
+    # a null bias law leaves every replica's kernel at exactly 2**16, while the
+    # exact mean comes out of log space as 65535.999999999396
+    return _mc_config(tmp_path, tasks=["gf2"], gf2={"n": 32, "rows": 16}, ensemble={
+        "n": 200, "mixing": {"variant": "dirac", "lambda": 0}, "master_seed": SEED,
+        "replicas": 200})
+
+
+def test_mc_gf2_suite_with_zero_spread_compares_the_means(tmp_path):
+    assert main(["mc", "--config", str(_zero_spread_gf2_config(tmp_path))]) == 0
+    suite = json.loads(_read_out(tmp_path, "mc.json"))["suites"]["gf2"]
+    assert suite["se"] == 0.0 and suite["mean"] == 2.0 ** 16
+    assert suite["exact"] != suite["mean"]
+    assert suite["z"] == 0.0 and suite["pass"] is True
+
+
+def test_mc_gf2_suite_with_zero_spread_still_fails_a_real_miss(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "expected_solutions", lambda spec, n, m: 2.0 ** 16 * (1 + 1e-9))
+    assert main(["mc", "--config", str(_zero_spread_gf2_config(tmp_path))]) == 2
+    payload = json.loads(_read_out(tmp_path, "mc.json"))     # strict JSON: no inf or NaN
+    suite = payload["suites"]["gf2"]
+    assert payload["pass"] is False and suite["pass"] is False
+    assert suite["z"] is None and "miss the exact mean" in suite["reason"]
+
+
 def test_hub_suite_passes_on_conditioned_heavy_tail_law(tmp_path):
     """beta = 1.5 at its matched pairing is checked against the conditioned curve."""
     cfg = _mc_config(tmp_path, tasks=["hub"], hub={})
@@ -499,6 +525,21 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     out = _run_python(code, str(cfg))
     assert out.split()[0] == "False"
     assert out.split()[-1] == "False"
+
+
+def test_power_law_motifs_and_mc_never_load_scipy_integrate(tmp_path):
+    # every order these commands need has a closed form, at integer beta too;
+    # degrees still loads it, for the limit pmf at k <= beta - 1
+    motifs = _write_config(tmp_path, "motifs.json")
+    data = json.loads(motifs.read_text())
+    data["ensemble"]["mixing"]["beta"] = 1.5
+    motifs.write_text(json.dumps(data))
+    mc = _mc_config(tmp_path, motifs={"replicas": 200}, gf2={"n": 24, "replicas": 400})
+    code = ("import sys, exchgraph.cli\n"
+            "assert exchgraph.cli.main(['motifs', '--config', sys.argv[1]]) == 0\n"
+            "assert exchgraph.cli.main(['mc', '--config', sys.argv[2]]) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    assert _run_python(code, str(motifs), str(mc)).split()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -193,6 +193,8 @@ _C13_BLOCKS = {
 @example(("mc", {**_ensemble(40, _power_law(1.0, 3.0), replicas=100), "tasks": ["degrees"],
                  "degrees": {"expected_mixing": {"variant": "dirac", "lambda": 2}}}))  # c15
 @example(("report", _ensemble(2, _power_law(1, 3))))  # no triangles: divided by zero
+@example(("mc", {**_ensemble(200, {"variant": "dirac", "lambda": 0}, replicas=200),
+                 "tasks": ["gf2"], "gf2": {"n": 32, "rows": 16}}))  # no spread: z was inf
 def test_every_config_runs_or_fails_with_a_config_error(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,7 +10,7 @@ from scipy import stats
 
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
 from exchgraph.errors import ParameterError
-from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
+from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import DiracSeed, ExponentialSeed, PowerLawSeed
@@ -175,6 +175,49 @@ def test_power_law_signed_moment_at_large_n():
         # i is even, so both halves enter with a plus sign
         want = (head + tail_part) / ((lo ** (1 - beta) - 1) / (beta - 1))
     assert_allclose(xi(PowerLawMixing(alpha=1.0, beta=1.5), n, i), float(want), rtol=1e-10)
+
+
+def test_power_law_signed_moment_at_large_alpha():
+    # b x reaches 2 alpha = 24, where an unbounded walk lost 4.8e-8 over 6 steps
+    spec, n = PowerLawMixing(alpha=12.0, beta=6.05), 3000
+    orders = np.array([500, 1500, 2999, 3000])
+    assert_allclose(xi(spec, n, orders), [spec._xi(n, int(i)) for i in orders], rtol=1e-10)
+
+
+def _upper_beta_by_mpmath(a, b, x):
+    # tanh-sinh at 30 digits, split geometrically from x on the scale of the
+    # faster of the two factors
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        h, points = min(x, 1 / b) / 4, [x]
+        while x + h < 1:
+            points.append(x + h)
+            h *= 2
+        return float(mpmath.quad(lambda u: u ** (a - 1) * (1 - u) ** (b - 1), points + [1]))
+
+
+def _upper_beta_at(a, b, x):
+    return float(_upper_beta(np.array([a]), np.array([float(b)]), x)[0])
+
+
+# integer and non-integer a in [-4, 1], with -0.99 and -1.01 on either side of
+# the lift; b from 1 to 5e4; b x around 1 and past the edge of the walk
+@pytest.mark.parametrize("a", [1.0, 0.0, -1.0, -2.0, -4.0, 0.5, -0.99, -1.01, -2.5, -3.7])
+def test_upper_beta_matches_mpmath(a):
+    cases = [(b, bx / b) for b in (1, 12, 50_001) for bx in (0.01, 0.9, 1.0, 1.1, 16.0, 40.0)
+             if bx < b]
+    got = np.array([_upper_beta_at(a, b, x) for b, x in cases])
+    inside = np.isfinite(got)
+    # the closed form covers every b x up to 1.1; further out the walk may decline
+    assert all(inside[i] for i, (b, x) in enumerate(cases) if b * x <= 1.1)
+    want = [_upper_beta_by_mpmath(a, b, x) for (b, x), ok in zip(cases, inside) if ok]
+    assert_allclose(got[inside], want, rtol=1e-10)
+
+
+def test_upper_beta_declines_near_an_integer_and_on_long_walks():
+    assert math.isnan(_upper_beta_at(-1.005, 3001, 1.0 / 3001))
+    assert math.isfinite(_upper_beta_at(-4.0, 50_001, 16.0 / 50_001))
+    assert math.isnan(_upper_beta_at(-4.0, 50_001, 25.0 / 50_001))
 
 
 def test_order_arrays_keep_their_shape():
