@@ -185,6 +185,13 @@ def _base_payload(config: EnsembleConfig) -> dict:
     return {"schema": SCHEMA, "config": config.to_json()}
 
 
+def _iid_rows(config: EnsembleConfig) -> bool:
+    """Whether the row biases are iid, as the in-degree law, the root, leaf
+    and variance formulas and the GF(2) mean assume; under the other
+    variants the reports write null for them."""
+    return config.variant == "partially_exchangeable"
+
+
 # -- sample -----------------------------------------------------------------
 
 
@@ -215,7 +222,8 @@ def cmd_degrees(run: RunConfig) -> int:
     # a degree cannot exceed the row width n or the column height m
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
-    exact_in = in_pmf_exact(cfg.mixing, cfg.n, cfg.m, np.arange(min(k_max, cfg.m) + 1))
+    exact_in = (in_pmf_exact(cfg.mixing, cfg.n, cfg.m, np.arange(min(k_max, cfg.m) + 1))
+                if _iid_rows(cfg) else None)
     law = default_limit_law(cfg.mixing)
     limit = limit_pmf(law, ks)
     table = run.output_dir / "degrees_out_pmf.csv"
@@ -225,7 +233,7 @@ def cmd_degrees(run: RunConfig) -> int:
     payload["degrees"] = {
         "k_max": k_max,
         "out_pmf_exact": [float(v) for v in exact_out],
-        "in_pmf_exact": [float(v) for v in exact_in],
+        "in_pmf_exact": None if exact_in is None else [float(v) for v in exact_in],
         "limit_pmf": [float(v) for v in limit],
         "limit_law": law.to_json(),
         "tv_exact_vs_limit": float(total_variation(exact_out, limit)),
@@ -240,6 +248,8 @@ def cmd_degrees(run: RunConfig) -> int:
 def cmd_motifs(run: RunConfig) -> int:
     cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
     spec, n, m, variant = cfg.mixing, cfg.n, cfg.m, cfg.variant
+    iid = _iid_rows(cfg)
+    square = iid and m == n
     cycle_means = {k: mean_cycles(spec, n, k, variant, m) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
     with open(table, "w", encoding="ascii") as handle:
@@ -252,12 +262,12 @@ def cmd_motifs(run: RunConfig) -> int:
         "feedback_mean": mean_feedback_loops(spec, n, variant, m),
         "feedforward_mean": mean_feedforward_loops(spec, n, variant, m),
         "cycle_means": {str(k): cycle_means[k] for k in lengths},
-        "roots_mean": mean_roots(spec, n, m),
-        "leaves_mean": mean_leaves(spec, n, m),
+        "roots_mean": mean_roots(spec, n, m) if iid else None,
+        "leaves_mean": mean_leaves(spec, n, m) if iid else None,
         # no rectangular form: null rather than the square value
-        "feedback_var": var_feedback_loops(spec, n) if m == n else None,
-        "feedforward_var": var_feedforward_loops(spec, n) if m == n else None,
-        "isolated_bound": connectivity_bound(spec, n) if m == n else None,
+        "feedback_var": var_feedback_loops(spec, n) if square else None,
+        "feedforward_var": var_feedforward_loops(spec, n) if square else None,
+        "isolated_bound": connectivity_bound(spec, n) if square else None,
     }
     _write_json(run.output_dir / "motifs.json", payload)
     return EXIT_OK
@@ -339,15 +349,17 @@ def _threshold_verdict(seed) -> dict:
 def cmd_gf2(run: RunConfig) -> int:
     cfg, task = run.gf2.resize(run.ensemble), run.gf2
     n, m = cfg.n, cfg.m
+    log_mean = linear = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTermWarning)
-        log_mean = log_expected_solutions(cfg.mixing, n, m)
-    linear = math.exp(log_mean) if log_mean < 700.0 else math.inf
+        if _iid_rows(cfg):
+            log_mean = log_expected_solutions(cfg.mixing, n, m)
+            linear = math.exp(log_mean) if log_mean < 700.0 else None
     census = rank_gf2(sample_graph(cfg, 0).matrix)
     payload = _base_payload(cfg)
     block = {
         "log_expected_solutions": log_mean,
-        "expected_solutions": None if math.isinf(linear) else linear,
+        "expected_solutions": linear,
         "degenerate_terms": [str(w.message) for w in caught
                              if issubclass(w.category, DegenerateTermWarning)],
         "first_replica_census": census.to_json(),

@@ -1,4 +1,4 @@
-"""Sampling of exchangeable random directed graphs as bit-packed matrices.
+"""Sampling of exchangeable random directed graphs as sorted edge keys.
 
 A graph on n nodes is stored as its m x n adjacency matrix: row i lists the
 out-edges of sender i, column j the in-edges of receiver j.  Rows are filled
@@ -18,11 +18,10 @@ the deficit redrawn, which keeps the first k_i distinct values of an iid
 uniform sequence.  Rows with a large theta, and matrices with few cells,
 take a dense uniform pass instead, through :func:`draw_adjacency`, the same
 Bernoulli draw the Monte Carlo kernels use; both routes give each row n iid
-Bernoulli(theta_i) bits.  Matrices are packed 64 columns per word,
-little-endian within the word, and padding bits above column n-1 are kept at
-zero so word-level equality is matrix equality.  The text edge list is the
-one file format; its I/O and column sums go through the coordinates of the
-set bits, never a dense m x n array.
+Bernoulli(theta_i) bits.  A matrix is held as the sorted row-major keys
+i * n + j of its ones, 8 bytes per edge, so equal matrices have equal keys.
+Degree sums, the text edge list (the one file format) and its reader all
+work on those keys, never on a dense m x n array.
 """
 
 from __future__ import annotations
@@ -72,132 +71,64 @@ _BLOCK = 1 << 12
 _MC_CELLS = 4_000_000
 
 
-def _pack_dense(bits: np.ndarray, words_per_row: int) -> np.ndarray:
-    """Pack a 2-D boolean array into rows of little-endian 64-bit words."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    padded = np.zeros((bits.shape[0], words_per_row * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return padded.view("<u8")
-
-
 class BitMatrix:
-    """m x n binary matrix packed 64 columns per little-endian word."""
+    """m x n binary matrix held as the sorted, distinct row-major int64 keys
+    i * n + j of its ones; from_dense and from_coords check their input."""
 
-    __slots__ = ("m", "n", "words")
+    __slots__ = ("m", "n", "keys")
 
-    def __init__(self, m: int, n: int, words: np.ndarray | None = None):
+    def __init__(self, m: int, n: int, keys: np.ndarray | None = None):
         if m < 0 or n < 0:
             raise ParameterError("matrix dimensions must be nonnegative")
         self.m = int(m)
         self.n = int(n)
-        w = (self.n + 63) // 64
-        if words is None:
-            self.words = np.zeros((self.m, w), dtype=np.uint64)
-        else:
-            words = np.ascontiguousarray(words, dtype=np.uint64)
-            if words.shape != (self.m, w):
-                raise ParameterError(
-                    f"expected word array of shape {(self.m, w)}, got {words.shape}")
-            self.words = words
-            self._mask_padding()
-
-    @property
-    def words_per_row(self) -> int:
-        return self.words.shape[1]
-
-    def _mask_padding(self) -> None:
-        rem = self.n % 64
-        if rem and self.words.shape[1]:
-            mask = np.uint64((1 << rem) - 1)
-            self.words[:, -1] &= mask
+        self.keys = np.zeros(0, dtype=np.int64) if keys is None else keys
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ParameterError("dense input must be 2-D")
-        m, n = dense.shape
-        out = cls(m, n)
-        if n == 0 or m == 0:
-            return out
-        out.words[:] = _pack_dense(dense != 0, out.words_per_row)
-        return out
+        return cls(*dense.shape, np.flatnonzero(dense))
 
-    def to_dense(self) -> np.ndarray:
-        if self.m == 0 or self.n == 0:
-            return np.zeros((self.m, self.n), dtype=np.uint8)
-        by = self.words.astype("<u8").view(np.uint8).reshape(self.m, -1)
-        bits = np.unpackbits(by, axis=1, bitorder="little")
-        return bits[:, : self.n]
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) outside {self.m} x {self.n}")
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, value: int = 1) -> None:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) outside {self.m} x {self.n}")
-        bit = np.uint64(1) << np.uint64(j & 63)
-        if value:
-            self.words[i, j >> 6] |= bit
-        else:
-            self.words[i, j >> 6] &= ~bit
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the set bits, in row-major order.  The
-        nonzero words unpack _BLOCK at a time, into 64 * _BLOCK bytes."""
-        rows, word_cols = np.nonzero(self.words)
-        values = self.words[rows, word_cols].astype("<u8", copy=False)
-        out = np.empty((2, int(np.bitwise_count(values).sum())), dtype=np.int64)
-        done = 0
-        for lo in range(0, rows.size, _BLOCK):
-            by = values[lo:lo + _BLOCK].view(np.uint8).reshape(-1, 8)
-            hit, bit = np.nonzero(np.unpackbits(by, axis=1, bitorder="little"))
-            hit += lo
-            out[:, done:done + hit.size] = rows[hit], word_cols[hit] * 64 + bit
-            done += hit.size
-        return out[0], out[1]
-
-    def set_coords(self, rows, cols) -> None:
-        """Set the bits at (rows[k], cols[k]); repeated entries are harmless."""
+    @classmethod
+    def from_coords(cls, m: int, n: int, rows, cols) -> "BitMatrix":
+        """The m x n matrix with ones at (rows[k], cols[k]), in any order;
+        repeated entries are harmless."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ParameterError("row and column indices must be 1-D and of equal length")
-        if rows.size == 0:
-            return
-        if (rows.min() < 0 or rows.max() >= self.m
-                or cols.min() < 0 or cols.max() >= self.n):
-            bad = (rows < 0) | (rows >= self.m) | (cols < 0) | (cols >= self.n)
+        # rows and columns apart: a column >= n would alias the next row's key
+        bad = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+        if bad.any():
             k = int(np.argmax(bad))
-            raise IndexError(
-                f"entry ({rows[k]}, {cols[k]}) outside {self.m} x {self.n}")
-        flat = rows * self.words_per_row + (cols >> 6)
-        bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
-        np.bitwise_or.at(self.words.reshape(-1), flat, bits)
+            raise ParameterError(f"entry ({rows[k]}, {cols[k]}) outside {m} x {n}")
+        return cls(m, n, np.unique(rows * n + cols))
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros(self.m * self.n, dtype=np.uint8)
+        dense[self.keys] = 1
+        return dense.reshape(self.m, self.n)
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones, in row-major order."""
+        return np.divmod(self.keys, max(self.n, 1))
 
     def row_sums(self) -> np.ndarray:
-        if self.words.size == 0:
-            return np.zeros(self.m, dtype=np.int64)
-        return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
+        return np.bincount(self.keys // max(self.n, 1), minlength=self.m)
 
     def col_sums(self) -> np.ndarray:
-        return np.bincount(self.coords()[1], minlength=self.n).astype(np.int64)
+        return np.bincount(self.keys % max(self.n, 1), minlength=self.n)
 
     def count_ones(self) -> int:
-        if self.words.size == 0:
-            return 0
-        return int(np.bitwise_count(self.words).sum())
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.m, self.n, self.words.copy())
+        return int(self.keys.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
         return (self.m == other.m and self.n == other.n
-                and bool(np.array_equal(self.words, other.words)))
+                and bool(np.array_equal(self.keys, other.keys)))
 
     def __repr__(self) -> str:
         return f"BitMatrix(m={self.m}, n={self.n}, ones={self.count_ones()})"
@@ -331,60 +262,65 @@ class GraphSample:
 # -- row filling ------------------------------------------------------------
 
 
-def _fill_rows(matrix: BitMatrix, thetas: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill row i of an empty ``matrix`` with n iid Bernoulli(thetas[i]) bits.
+def _fill_rows(n: int, thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sorted keys i * n + j of row i filled with n iid Bernoulli(thetas[i]) bits.
 
     A matrix of at most _DENSE_CELLS cells takes one dense uniform pass.  In
-    larger ones, rows with theta >= _DENSE_THETA take a dense pass in blocks
-    of about _BLOCK cells (one row at least), and the other rows draw their
-    counts k_i ~ Binomial(n, theta_i) in one call and then a uniform
-    k_i-subset of columns each (see :func:`_fill_subsets`).  Both routes give
-    the same law per row, so the route may follow theta.
+    larger ones, the rows with theta < _DENSE_THETA draw their counts
+    k_i ~ Binomial(n, theta_i) in one call and then a uniform k_i-subset of
+    columns each (see :func:`_subset_keys`), and the other rows take a dense
+    pass in blocks of about _BLOCK cells (one row at least).  Both routes give
+    the same law per row, so the route may follow theta.  Each route yields
+    sorted keys, and one stable sort merges the two runs.
     """
-    m, n, width = matrix.m, matrix.n, matrix.words_per_row
-    if m * n <= _DENSE_CELLS:
-        matrix.words[:] = _pack_dense(draw_adjacency(thetas, n, rng), width)
-        return
+    if thetas.size * n <= _DENSE_CELLS:
+        return np.flatnonzero(draw_adjacency(thetas, n, rng))
     sparse = thetas < _DENSE_THETA
     rows = np.flatnonzero(sparse)
-    _fill_subsets(matrix, rows, rng.binomial(n, thetas[rows]), rng)
+    parts = _subset_keys(n, rows, rng.binomial(n, thetas[rows]), rng)
     dense = np.flatnonzero(~sparse)
     step = max(1, _BLOCK // n)
     for lo in range(0, dense.size, step):
         block = dense[lo:lo + step]
-        matrix.words[block] = _pack_dense(draw_adjacency(thetas[block], n, rng), width)
+        hit, cols = np.nonzero(draw_adjacency(thetas[block], n, rng))
+        parts.append(block[hit] * n + cols)
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+    if rows.size and dense.size:
+        keys.sort(kind="stable")
+    return keys
 
 
-def _fill_subsets(matrix: BitMatrix, rows: np.ndarray, counts: np.ndarray,
-                  rng: np.random.Generator) -> None:
-    """Set a uniform counts[k]-subset of the columns of row rows[k].
+def _subset_keys(n: int, rows: np.ndarray, counts: np.ndarray,
+                 rng: np.random.Generator) -> list[np.ndarray]:
+    """Sorted keys row * n + col of a uniform counts[k]-subset of the columns
+    of row rows[k], one array per group of about _BLOCK keys.
 
-    Each row draws counts[k] iid uniform columns; keys row*n + col are
-    deduplicated, and only the deficit is redrawn until every row has its
-    count of distinct columns.  A redraw of d values adds at most d new ones,
-    so the result is the first counts[k] distinct values of an iid uniform
-    sequence: a uniform subset.  Rows go in groups of about _BLOCK keys.
+    Each row draws counts[k] iid uniform columns; keys are deduplicated, and
+    only the deficit is redrawn until every row has its count of distinct
+    columns.  A redraw of d values adds at most d new ones, so the result is
+    the first counts[k] distinct values of an iid uniform sequence: a uniform
+    subset.
     """
-    n = matrix.n
     ends = np.cumsum(counts)
     if ends.size == 0:
-        return
+        return []
     cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
     bounds = [0, *cuts.tolist(), rows.size]
+    parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         want = counts[lo:hi]
         total = int(want.sum())
         if total == 0:
             continue
-        base = rows[lo:hi].astype(np.int64) * n
+        base = rows[lo:hi] * n
         keys = _sorted_distinct(np.repeat(base, want) + rng.integers(0, n, size=total))
         while keys.size < total:
             have = np.searchsorted(keys, base + n) - np.searchsorted(keys, base)
             deficit = want - have
             fresh = np.repeat(base, deficit) + rng.integers(0, n, size=int(deficit.sum()))
             keys = _sorted_distinct(np.concatenate((keys, fresh)))
-        row_of_key = np.repeat(rows[lo:hi], want)
-        matrix.set_coords(row_of_key, keys - row_of_key * n)
+        parts.append(keys)
+    return parts
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -443,8 +379,7 @@ def sample_graph(config: EnsembleConfig, replica_index: int) -> GraphSample:
     rng = spawn_rng(config.master_seed, int(replica_index))
     seed = rng.bit_generator.seed_seq.entropy   # stream_seed(master_seed, replica_index)
     thetas = sample_bias_matrix(config, 1, rng)[0]
-    matrix = BitMatrix(config.m, config.n)
-    _fill_rows(matrix, thetas, rng)
+    matrix = BitMatrix(config.m, config.n, _fill_rows(config.n, thetas, rng))
     return GraphSample(matrix=matrix, thetas=thetas,
                        replica_index=int(replica_index), seed_used=seed)
 
@@ -478,47 +413,46 @@ def write_edge_list(sample: GraphSample, config: EnsembleConfig, path) -> None:
 
     Header comment lines record the shape, replica seed, and the full mixing
     spec as one-line JSON so a sample is reconstructible from its file.
-    Edges are written in row-major order.
+    Edges are written in row-major order, _BLOCK keys at a time.
     """
     matrix = sample.matrix
-    rows, cols = matrix.coords()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# exchgraph edge list\n")
         fh.write(f"# n={matrix.n} m={matrix.m} replica={sample.replica_index} "
                  f"seed={sample.seed_used}\n")
         fh.write(f"# spec={json.dumps(config.mixing.to_json(), sort_keys=True)}\n")
-        for lo in range(0, rows.size, _BLOCK):
-            pairs = zip(rows[lo:lo + _BLOCK].tolist(), cols[lo:lo + _BLOCK].tolist())
-            fh.write("".join([f"{i}\t{j}\n" for i, j in pairs]))
+        for lo in range(0, matrix.keys.size, _BLOCK):
+            rows, cols = np.divmod(matrix.keys[lo:lo + _BLOCK], matrix.n)
+            fh.write("".join([f"{i}\t{j}\n" for i, j in zip(rows.tolist(), cols.tolist())]))
 
 
 def read_edge_list(path) -> tuple[BitMatrix, dict]:
-    """Parse an edge list written by :func:`write_edge_list`."""
+    """Parse an edge list written by :func:`write_edge_list`.  A bad line, an
+    edge outside the header's m x n included, raises ParameterError naming it."""
     meta: dict = {}
-    edges = []
+    edges = []      # (sender, receiver, line)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    for line in lines:
-        if not line:
-            continue
-        if not line.startswith("#"):
-            if line.count("\t") != 1:
-                raise ParameterError(f"malformed edge line {line!r}")
-            edges.append(line)
-            continue
-        body = line[1:].strip()
-        for tok in body.split():
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                if key in ("n", "m", "replica", "seed"):
+    for line in filter(None, lines):
+        try:
+            if not line.startswith("#"):
+                i, j = map(int, line.split("\t"))
+                edges.append((i, j, line))
+                continue
+            body = line[1:].strip()
+            for tok in body.split():
+                key, eq, val = tok.partition("=")
+                if eq and key in ("n", "m", "replica", "seed"):
                     meta[key] = int(val)
-        if body.startswith("spec="):
-            meta["spec"] = json.loads(body[len("spec="):])
+            if body.startswith("spec="):
+                meta["spec"] = json.loads(body[len("spec="):])
+        except ValueError as exc:
+            raise ParameterError(f"bad edge list line {line!r}: {exc}") from None
     if "n" not in meta or "m" not in meta:
         raise ParameterError("edge list header must carry n= and m=")
-    cells = "\t".join(edges).split("\t") if edges else []
-    pairs = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
-    matrix = BitMatrix(meta["m"], meta["n"])
-    matrix.set_coords(pairs[0::2], pairs[1::2])
-    return matrix, meta
-
+    m, n = meta["m"], meta["n"]
+    for i, j, line in edges:
+        if not (0 <= i < m and 0 <= j < n):
+            raise ParameterError(f"bad edge list line {line!r}: outside {m} x {n}")
+    rows, cols = [e[0] for e in edges], [e[1] for e in edges]
+    return BitMatrix.from_coords(m, n, rows, cols), meta

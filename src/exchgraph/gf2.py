@@ -130,10 +130,10 @@ class Gf2Report:
 def _transpose_words(matrix: BitMatrix) -> list[int]:
     """Rows of X^T as arbitrary-width integers over the m sender bits."""
     rows, cols = matrix.coords()
-    transpose = BitMatrix(matrix.n, matrix.m)
-    transpose.set_coords(cols, rows)
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in transpose.words.astype("<u8")]
+    words = np.zeros((matrix.n, (matrix.m + 63) // 64), dtype="<u8")
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    np.bitwise_or.at(words, (cols, rows >> 6), bits)
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 def _int_rank(rows: list[int]) -> int:

@@ -236,6 +236,45 @@ def test_standalone_commands_honour_their_blocks(tmp_path):
     assert abs(block["mean"] - payload["gf2"]["expected_solutions"]) < 5.0 * block["se"]
 
 
+
+_IID_ROW_KEYS = {
+    "degrees": ("in_pmf_exact",),
+    "motifs": ("roots_mean", "leaves_mean", "feedback_var", "feedforward_var",
+               "isolated_bound"),
+    "gf2": ("log_expected_solutions", "expected_solutions"),
+}
+
+
+@pytest.mark.parametrize("variant,mixing,n", [
+    ("partially_exchangeable", {"variant": "power_law", "alpha": 2.0, "beta": 2.5}, 60),
+    ("completely_exchangeable", {"variant": "power_law", "alpha": 2.0, "beta": 2.5}, 60),
+    ("hierarchical", {"variant": "hierarchical", "A": 1.0, "beta": 3.0,
+                      "gamma_exp": 4.5}, 12),
+])
+def test_iid_row_laws_are_null_when_rows_share_a_bias(tmp_path, variant, mixing, n):
+    """The in-degree law, the root, leaf and variance formulas, the
+    connectivity bound and the GF(2) mean assume iid row biases.  When the
+    rows share a bias (or its cutoff), those keys are null, not wrong values.
+    The triangle means follow the variant and stay; ``motifs`` has none for
+    the hierarchical variant and exits 1 there."""
+    cfg = _write_config(tmp_path, gf2={"gammas": [1.0]})
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(n=n, mixing=mixing, variant=variant, replicas=1)
+    cfg.write_text(json.dumps(data))
+    for command, keys in _IID_ROW_KEYS.items():
+        if command == "motifs" and variant == "hierarchical":
+            assert main([command, "--config", str(cfg)]) == 1
+            continue
+        assert main([command, "--config", str(cfg)]) == 0
+        block = json.loads(_read_out(tmp_path, f"{command}.json"))[command]
+        values = [block[key] for key in keys]
+        if variant == "partially_exchangeable":
+            assert all(value is not None for value in values), command
+        else:
+            assert values == [None] * len(keys), command
+            if command == "motifs":
+                assert block["feedback_mean"] > 0
+
 # -- regime report ----------------------------------------------------------
 
 

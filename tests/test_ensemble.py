@@ -1,9 +1,11 @@
-"""Bit-packed adjacency storage, row sampling, and replica orchestration."""
+"""Edge-key adjacency storage, row sampling, and replica orchestration."""
 
 import json
 import math
 import os
+import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,14 +35,6 @@ class TestBitMatrix:
         assert bm.m == m and bm.n == n
         assert np.array_equal(bm.to_dense(), dense)
 
-    def test_get_set(self):
-        bm = BitMatrix(3, 70)
-        assert bm.get(2, 69) == 0
-        bm.set(2, 69, 1)
-        assert bm.get(2, 69) == 1
-        bm.set(2, 69, 0)
-        assert bm.count_ones() == 0
-
     def test_row_and_column_sums(self):
         rng = np.random.default_rng(9)
         dense = _random_dense(rng, 6, 130)
@@ -53,10 +47,11 @@ class TestBitMatrix:
         rng = np.random.default_rng(2)
         dense = _random_dense(rng, 4, 80)
         a = BitMatrix.from_dense(dense)
-        b = a.copy()
-        assert a == b
-        b.set(0, 0, 1 - b.get(0, 0))
-        assert a != b
+        b = BitMatrix.from_coords(4, 80, *a.coords())
+        assert a == b and a.keys is not b.keys
+        dense[0, 0] = not dense[0, 0]
+        assert a != BitMatrix.from_dense(dense)
+        assert a != BitMatrix.from_dense(dense[:, :79])
 
 
 class TestRowRules:
@@ -145,6 +140,21 @@ class TestSampling:
             sd = math.sqrt(reps * n * p * (1 - p))
             assert abs(tot - reps * lam) < 5 * sd
 
+    def test_sparse_sample_memory_tracks_edges(self):
+        # the sample_sparse benchmark shape: about 4e4 edges at n = 2e4, so
+        # 0.3 MiB of keys; m x n packed bits would take 48 MiB
+        cfg = EnsembleConfig(n=20_000, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
+                             master_seed=1)
+        sample_graph(cfg, 1)    # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            sample = sample_graph(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < sample.matrix.count_ones() < 10 ** 5
+        assert peak < 8 * 2 ** 20
+
     def test_config_json_round_trip(self):
         cfg = EnsembleConfig(n=100, mixing=PowerLawMixing(alpha=1.0, beta=3.0),
                              row_rule=FractionRows(delta=0.5), master_seed=9, replicas=3)
@@ -198,7 +208,8 @@ class TestExactRowLaw:
         for k in range(replicas):
             s = sample_graph(cfg, k)
             routes |= set((s.thetas < ensemble._DENSE_THETA).tolist())
-            counts += np.bincount(s.matrix.words[:, 0].astype(np.int64), minlength=2 ** n)
+            codes = s.matrix.to_dense() @ (1 << np.arange(n))
+            counts += np.bincount(codes, minlength=2 ** n)
         if m * n > ensemble._DENSE_CELLS and dense_theta is None:
             assert routes == {True, False}
         weight = np.array([bin(p).count("1") for p in range(2 ** n)])
@@ -208,6 +219,10 @@ class TestExactRowLaw:
         assert expected.min() > 20
         stat = float(np.sum((counts - expected) ** 2 / expected))
         assert stats.chi2.sf(stat, df=2 ** n - 1) > 1e-3
+
+    # m = 3 takes the one dense pass, m = 2000 both row routes; the keys
+    # must be sorted, distinct and inside m x n ("padding": no key spills
+    # past column n - 1 into the next row)
 
     @pytest.mark.parametrize("m", [3, 2000])
     @pytest.mark.parametrize("n", [65, 129])
@@ -219,17 +234,21 @@ class TestExactRowLaw:
                               row_rule=ExplicitRows(m=m), master_seed=4)
         mat = sample_graph(full, 0).matrix
         assert np.array_equal(mat.row_sums(), np.full(m, n))
-        assert np.all(mat.words[:, -1] >> np.uint64(n % 64) == 0)
+        assert np.array_equal(mat.keys, np.arange(m * n))
 
     @pytest.mark.parametrize("m", [3, 2000])
     @pytest.mark.parametrize("n", [65, 129])
     def test_padding_stays_zero(self, m, n):
         cfg = EnsembleConfig(n=n, mixing=PowerLawMixing(alpha=1.0, beta=1.5),
                              row_rule=ExplicitRows(m=m), master_seed=8)
-        mat = sample_graph(cfg, 0).matrix
-        assert mat.count_ones() > 0
-        assert np.all(mat.words[:, -1] >> np.uint64(n % 64) == 0)
-        assert BitMatrix(m, n, mat.words.copy()) == mat
+        sample = sample_graph(cfg, 0)
+        keys = sample.matrix.keys
+        if m > 3:
+            assert {True, False} <= set((sample.thetas < ensemble._DENSE_THETA).tolist())
+        assert keys.size > 0 and keys.dtype == np.int64
+        assert np.all(np.diff(keys) > 0)
+        assert keys[0] >= 0 and keys[-1] < m * n
+        assert BitMatrix.from_coords(m, n, *sample.matrix.coords()) == sample.matrix
 
 
 def _write_edge_list_dense(sample, config, path):
@@ -267,20 +286,26 @@ class TestCoordinateProperties:
         rows, cols = bm.coords()
         want_rows, want_cols = np.nonzero(dense)
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        rebuilt = BitMatrix(*dense.shape)
-        rebuilt.set_coords(rows[::-1], cols[::-1])    # order does not matter
+        # order and repeats do not matter
+        rebuilt = BitMatrix.from_coords(*dense.shape, np.tile(rows[::-1], 2),
+                                        np.tile(cols[::-1], 2))
         assert rebuilt == bm
         assert np.array_equal(rebuilt.to_dense(), dense)
 
     @pytest.mark.parametrize("density", [0.002, 0.3, 1.0])
-    def test_coords_across_word_blocks(self, density):
-        # 60 x 150 words: the nonzero words unpack in several blocks
+    def test_coords_across_word_blocks(self, density, tmp_path):
+        # the edge-list writer splits the keys in blocks of _BLOCK; at the two
+        # higher densities there are several
         dense = np.random.default_rng(7).random((60, 64 * 150 - 5)) < density
         bm = BitMatrix.from_dense(dense)
-        assert np.count_nonzero(bm.words) > 2 * ensemble._BLOCK or density < 0.01
+        assert bm.count_ones() > 2 * ensemble._BLOCK or density < 0.01
         rows, cols = bm.coords()
-        want_rows, want_cols = np.nonzero(bm.to_dense())
+        want_rows, want_cols = np.nonzero(dense)
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        sample = GraphSample(matrix=bm, thetas=np.zeros(60), replica_index=0, seed_used=1)
+        cfg = EnsembleConfig(n=2, mixing=DiracMixing(lam=1.0), master_seed=0)
+        write_edge_list(sample, cfg, tmp_path / "g.tsv")
+        assert read_edge_list(tmp_path / "g.tsv")[0] == bm
 
     @settings(max_examples=60, deadline=None)
     @given(dense_matrices())
@@ -304,14 +329,29 @@ class TestCoordinateProperties:
         assert mat == sample.matrix
         assert (meta["m"], meta["n"], meta["replica"], meta["seed"]) == (m, n, 3, 17)
 
-    def test_set_coords_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            BitMatrix(2, 70).set_coords([1], [70])
-        with pytest.raises(IndexError):
-            BitMatrix(2, 70).set_coords([2], [0])
+    @pytest.mark.parametrize("row,col", [(1, 70), (0, 140), (2, 0), (-1, 5), (0, -1)])
+    def test_from_coords_rejects_out_of_range(self, row, col):
+        # (1, 70) and (0, 140) have keys inside 2 x 70; only a check of rows
+        # and columns apart catches them
+        with pytest.raises(ParameterError, match=rf"\({row}, {col}\) outside 2 x 70"):
+            BitMatrix.from_coords(2, 70, [0, row], [0, col])
 
     def test_read_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# n=3 m=3\n0\t1\t2\n1\n", encoding="utf-8")
         with pytest.raises(ParameterError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ("# n=x m=3\n0\t1\n", "# n=x m=3"),
+        ("# n=3 m=3\n0\tx\n", "0\tx"),
+        ("# n=3 m=3\n0\t1.0\n", "0\t1.0"),
+        ("# n=3 m=3\n1\t1\n0\t3\n", "0\t3"),
+        ("# n=3 m=2\n2\t0\n", "2\t0"),
+        ("# n=3 m=3\n# spec={\n", "# spec={"),
+    ])
+    def test_read_names_the_bad_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParameterError, match=re.escape(repr(line))):
             read_edge_list(path)
