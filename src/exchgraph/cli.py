@@ -315,11 +315,11 @@ def _moment_comparison(report) -> dict:
     se = float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
     frechet = frechet_moment(alpha_eff, eta, 1.0)
     competing = competing_moment_constant(alpha_eff, eta + 1.0, 1.0)
-    z_f = abs(mean - frechet) / se if se > 0 else math.inf
-    z_c = abs(mean - competing) / se if se > 0 else math.inf
-    if z_f <= 3.0 < z_c:
+    z_f, z_c = _z_score(mean, se, frechet), _z_score(mean, se, competing)
+    hit_f, hit_c = (z is not None and z <= 3.0 for z in (z_f, z_c))
+    if hit_f and not hit_c:
         winner = "frechet_moment"
-    elif z_c <= 3.0 < z_f:
+    elif hit_c and not hit_f:
         winner = "competing_constant"
     else:
         winner = "unresolved"
@@ -427,6 +427,9 @@ def _roots_class(alpha: float, beta: float) -> dict:
 
 def cmd_report(run: RunConfig) -> int:
     cfg, spec = run.ensemble, run.ensemble.mixing
+    if not _iid_rows(cfg):
+        raise ConfigError(f"regime report needs independent per-sender biases, "
+                          f"but variant {cfg.variant!r} shares them across rows")
     if spec.power_law_params() is None:
         raise ConfigError("regime report needs the power-law mixing family")
     if cfg.n < 3:
@@ -435,8 +438,8 @@ def cmd_report(run: RunConfig) -> int:
     (alpha, beta), n = spec.power_law_params(), cfg.n
     mu = moment(spec, n, 1)
     mu_asym = _edge_probability_asymptote(alpha, beta, n)
-    fbl = mean_feedback_loops(spec, n, cfg.variant)
-    ffl = mean_feedforward_loops(spec, n, cfg.variant)
+    fbl = mean_feedback_loops(spec, n)
+    ffl = mean_feedforward_loops(spec, n)
     scaling = hub_limit_cdf(alpha, beta, n)
     payload = _base_payload(cfg)
     payload["report"] = {

@@ -13,7 +13,9 @@ Limit families: when n * theta converges to a seed distribution F, out-degrees
 converge to the Poisson mixture integral t**k e**-t / k! dF(t).  Closed forms
 of that mixture for the named seeds (geometric, negative binomial, power-law
 tail, Lerch zipf, hierarchical two-term combination) are implemented directly
-and cross-checked against the quadrature route in the tests.
+and cross-checked against the quadrature route, ``PoissonMixtureLaw``, in the
+tests.  The power-law tail also takes that route for the orders k <= beta - 1
+and wherever its incomplete gamma underflows.
 """
 
 from __future__ import annotations
@@ -192,8 +194,9 @@ class PowerLawTailLaw(LimitLaw):
     which decays like k**-beta.  G_k is the upper incomplete gamma
     Gamma(k+1-beta, alpha), in closed form through ``gammaincc`` for
     k + 1 - beta > 0.  The orders below that, and any order whose regularized
-    gamma underflows, go through log-space quadrature (``_log_G``), which the
-    tests also use as the oracle of the closed form.
+    gamma underflows, take the quadrature of the generic mixture
+    ``PoissonMixtureLaw`` of the same seed, which the tests also use as the
+    oracle of the closed form.
     """
 
     alpha: float
@@ -205,27 +208,17 @@ class PowerLawTailLaw(LimitLaw):
         if not (self.alpha > 0 and self.beta > 1):
             raise ParameterError("power law tail needs alpha > 0 and beta > 1")
 
-    def _log_G(self, k: int) -> float:
-        def logf(t):
-            return (k - self.beta) * math.log(t) - t if t > 0 else -np.inf
-
-        hi = _poisson_window(k, self.alpha)
-        peak = min(max(self.alpha, float(k) - self.beta), hi)
-        return log_quad(logf, self.alpha, hi, points=[peak])
-
-    def _log_prefactor(self, ks: np.ndarray) -> np.ndarray:
-        return ((self.beta - 1.0) * math.log(self.alpha) + math.log(self.beta - 1.0)
-                - special.gammaln(ks + 1.0))
-
     def _log_pmf(self, ks):
         a = ks + 1.0 - self.beta
         log_g = np.full(ks.shape, np.nan)
         up = a > 0
         with np.errstate(divide="ignore"):
             log_g[up] = special.gammaln(a[up]) + np.log(special.gammaincc(a[up], self.alpha))
-        redo = ~np.isfinite(log_g)
-        log_g[redo] = [self._log_G(int(kk)) for kk in ks[redo]]
-        return self._log_prefactor(ks) + log_g
+        out = ((self.beta - 1.0) * math.log(self.alpha) + math.log(self.beta - 1.0)
+               - special.gammaln(ks + 1.0)) + log_g
+        redo = ~np.isfinite(out)
+        out[redo] = PoissonMixtureLaw(seed=self.limit_seed())._log_pmf(ks[redo])
+        return out
 
 
 @dataclass(frozen=True)

@@ -226,8 +226,8 @@ def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
 def _reference_scaling(config: EnsembleConfig):
     """Pick the reference curve and scale for a config; None means hub == 0."""
     if config.variant != "partially_exchangeable":
-        raise ParameterError(
-            "hub limit theory needs independent per-sender biases")
+        raise ParameterError(f"hub limit theory needs independent per-sender biases, "
+                             f"but variant {config.variant!r} shares them across rows")
     mixing, n, m = config.mixing, config.n, config.m
     if mixing.is_null():
         return None

@@ -14,7 +14,8 @@ theta of a matrix row of width n.  The families implemented here:
     CDF x -> F(x n) / F(n) built from a seed distribution F on [0, inf).
 ``HierarchicalMixing(A, beta, gamma_exp)``
     First draw a cutoff a ~ const * a**(-gamma) on [A, n/2], then theta from
-    ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.
+    ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.  Its weight
+    in t = n theta is closed-form, so its laws take one quadrature each.
 
 Public operations validate the spec against n and then call the family's
 own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
@@ -30,7 +31,8 @@ it back).
 Numerical policy: closed forms for Dirac and the pure power family; adaptive
 quadrature after the substitution t = n * theta everywhere else, so the
 integrand is O(1) near the lower support edge; the two quadratures over the
-density of t are written once, in ``MixingSpec``.  The signed moment
+density of t are written once, in ``MixingSpec``, and no family nests one
+quadrature inside another.  The signed moment
 ``xi(i) = E (1 - 2 theta)**i`` is expanded into ordinary moments for small i
 and split at theta = 1/2 into two single-sign integrals for large i, which
 avoids the alternating-sum cancellation.
@@ -177,15 +179,15 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         return 1.0 if i == 0 else self._partial(n, lambda th: th ** i, 0.0, 1.0)
 
     def _tail(self, n: int, t: float) -> float:
-        raise NotImplementedError
+        return self._partial(n, lambda th: 1.0, t, 1.0)
 
     # A family with a density in t = n theta states it: _t_support(n) -> (lo,
-    # hi), _t_weight(t) and its log up to the factor exp(-_log_t_norm(n)), the
-    # kinks _t_knots(n), the row break point _row_peak(n, r) and _t_rel_tol.
+    # hi), _t_weight(n, t) and its log up to the factor exp(-_log_t_norm(n)),
+    # the kinks _t_knots(n), the row break point _row_peak(n, r) and _t_rel_tol.
     _t_rel_tol = REL_TOL
 
-    def _log_t_weight(self, t: float) -> float:
-        w = self._t_weight(t)
+    def _log_t_weight(self, n: int, t: float) -> float:
+        w = self._t_weight(n, t)
         return math.log(w) if w > 0.0 else -np.inf
 
     def _t_knots(self, n: int) -> list[float]:
@@ -202,7 +204,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         if b <= a:
             return 0.0
         knots = [k for k in self._t_knots(n) if a < k < b]
-        val = checked_quad(lambda t: f(t / n) * self._t_weight(t), a, b,
+        val = checked_quad(lambda t: f(t / n) * self._t_weight(n, t), a, b,
                            points=knots[:64], rel_tol=self._t_rel_tol)
         return val * math.exp(-self._log_t_norm(n))
 
@@ -211,7 +213,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         def logf(t):
             if t <= 0 or t > n:
                 return -np.inf
-            out = self._log_t_weight(t)
+            out = self._log_t_weight(n, t)
             if r:
                 out += r * math.log(t / n)
             if r < n:
@@ -356,10 +358,10 @@ class PowerLawMixing(MixingSpec):
     def _t_support(self, n):
         return self.alpha, float(n)
 
-    def _t_weight(self, t):
+    def _t_weight(self, n, t):
         return t ** (-self.beta)
 
-    def _log_t_weight(self, t):
+    def _log_t_weight(self, n, t):
         return -self.beta * math.log(t)
 
     def _log_t_norm(self, n):
@@ -516,7 +518,7 @@ class ModulatedPowerLawMixing(MixingSpec):
     def _t_support(self, n):
         return self.alpha, float(n)
 
-    def _t_weight(self, t):
+    def _t_weight(self, n, t):
         return self.modulation(t) * t ** (-self.beta)
 
     def _log_t_norm(self, n):
@@ -571,7 +573,7 @@ class SeedCdfMixing(MixingSpec):
     def _t_support(self, n):
         return 0.0, float(n)
 
-    def _t_weight(self, t):
+    def _t_weight(self, n, t):
         return float(self.seed.density(t))
 
     def _log_t_norm(self, n):
@@ -603,6 +605,9 @@ class HierarchicalMixing(MixingSpec):
 
     The per-row law is the a-marginalized mixture; the two-level ensemble in
     :mod:`exchgraph.ensemble` shares one cutoff draw across all rows instead.
+    In t = n theta the mixture has the weight t**(-beta) H(min(t, n/2)) on
+    (A, n], with H(x) = integral_A^x a**(beta-1-gamma) / (1 - (a/n)**(beta-1)) da,
+    of mass integral_A^(n/2) a**(-gamma) da / (beta - 1).
     """
 
     A: float
@@ -621,34 +626,34 @@ class HierarchicalMixing(MixingSpec):
         if not n / 2 > self.A:
             raise ParameterError(f"hierarchical mixing needs n > 2 A, got n={n}, A={self.A}")
 
-    def _cut_norm(self, n: int) -> float:
-        return _power_int(self.A, n / 2.0, -self.gamma_exp)
+    def _h(self, n: int, x: float) -> float:
+        """H(x) / A**(beta - gamma): term k of the series in (a/n)**(beta-1) is
+        (A/n)**(k c) integral_1^(x/A) v**(q-1) dv, c = beta - 1, q = beta - gamma + k c."""
+        c, q0, lx = self.beta - 1.0, self.beta - self.gamma_exp, math.log(x / self.A)
+        total = 0.0
+        for k in range(64):     # term k is at most (x/n)**(k c) <= 2**(k (1-beta)) times term 0
+            q = q0 + k * c
+            if q > 0.0:         # (A/n)**(k c) (x/A)**q = (x/n)**(k c) (x/A)**q0
+                term = math.exp(k * c * math.log(x / n) + q0 * lx) * -math.expm1(-q * lx) / q
+            else:
+                term = (self.A / n) ** (k * c) * (math.expm1(q * lx) / q if q else lx)
+            total += term
+            if term <= 1e-17 * total:
+                break
+        return total
 
-    def _outer(self, n: int, inner) -> float:
-        """Average inner(alpha) over the cutoff law on [A, n/2]."""
-        val = checked_quad(lambda a: inner(a) * a ** (-self.gamma_exp),
-                           self.A, n / 2.0, rel_tol=1e-9)
-        return val / self._cut_norm(n)
+    def _t_support(self, n):
+        return self.A, float(n)
 
-    def _inner_mix(self, a: float) -> PowerLawMixing:
-        return PowerLawMixing(alpha=a, beta=self.beta)
+    def _t_weight(self, n, t):
+        return t ** (-self.beta) * self._h(n, min(t, n / 2.0))
 
-    def _moment(self, n: int, i: int) -> float:
-        return self._outer(n, lambda a: self._inner_mix(a)._moment(n, i))
+    def _log_t_norm(self, n):
+        return (_log_power_int(self.A, n / 2.0, -self.gamma_exp) - math.log(self.beta - 1.0)
+                - (self.beta - self.gamma_exp) * math.log(self.A))
 
-    def _tail(self, n: int, t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        return self._outer(n, lambda a: self._inner_mix(a)._tail(n, t))
-
-    def _partial(self, n, f, lo, hi):
-        return self._outer(n, lambda a: self._inner_mix(a)._partial(n, f, lo, hi))
-
-    def _log_row_prob(self, n: int, r: int) -> float:
-        def inner(a):
-            return math.exp(self._inner_mix(a)._log_row_prob(n, r))
-        val = self._outer(n, inner)
-        return math.log(val) if val > 0 else -np.inf
+    def _t_knots(self, n):
+        return [n / 2.0]
 
     def sample_slices(self, n: int, rng: np.random.Generator, count: int,
                       rows: int) -> np.ndarray:

@@ -9,9 +9,10 @@ a row bias drawn from the finite-n mixing law.  Seeds drive three things:
 * kernel-counting rate functions through the Laplace transform
   ``integral exp(-s t) dF(t)`` (:mod:`exchgraph.gf2`).
 
-Closed forms are used wherever they exist (CDF inverses, Laplace transforms
-for the exponential-family seeds); everything else goes through checked
-adaptive quadrature.
+Each seed states its own Laplace transforms: elementary for the Dirac,
+exponential and gamma seeds, incomplete gammas for the power-law and shifted
+Pareto seeds, a quadrature of the mixing weight for the Lerch seed.  Other
+quantities without a closed form go through checked adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ __all__ = [
 ]
 
 
-def _upper_gamma(a: float, z: float) -> float:
-    """Upper incomplete gamma for any real a, z > 0.
+def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
+    """Upper incomplete gamma for any real a, z > 0; times e^z if ``scaled``
+    (finite where e^z overflows, for a < 1).
 
-    For a < 0 and z > 2: Legendre's continued fraction e^-z z^a / (z + 1 - a
+    For a < 1 and z > 2: Legendre's continued fraction e^-z z^a / (z + 1 - a
     - 1 (1 - a) / (z + 3 - a - ...)) by modified Lentz, whose denominators
     stay positive there.  Other nonpositive a is lifted into (0, 1] and walked
     down by Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a, whose subtractions
@@ -49,7 +51,7 @@ def _upper_gamma(a: float, z: float) -> float:
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
-    if a < 0.0 and z > 2.0:
+    if a < 1.0 and z > 2.0:
         b = z + 1.0 - a
         c, d, h = math.inf, 1.0 / b, 1.0 / b
         for i in range(1, 1000):
@@ -59,10 +61,11 @@ def _upper_gamma(a: float, z: float) -> float:
             h *= d * c
             if abs(d * c - 1.0) < 1e-16:
                 break
-        return math.exp(a * math.log(z) - z) * h
+        return math.exp(a * math.log(z) - (0.0 if scaled else z)) * h
+    scale = math.exp(z) if scaled else 1.0
     if a < 0.0 and 0.0 < abs(a - round(a)) < 0.01:
         # the integrand is below exp(-1000) past u = 7
-        return checked_quad(lambda u: math.exp(a * u - math.exp(u)), math.log(z), 7.0)
+        return scale * checked_quad(lambda u: math.exp(a * u - math.exp(u)), math.log(z), 7.0)
     steps = 0
     while a < 0.0:
         a += 1.0
@@ -74,7 +77,7 @@ def _upper_gamma(a: float, z: float) -> float:
     for _ in range(steps):
         a -= 1.0
         value = (value - z ** a * math.exp(-z)) / a
-    return value
+    return scale * value
 
 
 class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed"):
@@ -97,22 +100,18 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         """(c, eta) with 1 - F(x) ~ c * x**(-eta), or None if not power-type."""
         return None
 
-    # -- transforms -----------------------------------------------------------
+    # -- transforms: each seed states _laplace(s) and _t_laplace(s) for s > 0 --
     def laplace(self, s: float) -> float:
-        """integral exp(-s t) dF(t); generic route integrates the density."""
+        """integral exp(-s t) dF(t)."""
         if s < 0:
             raise ParameterError("laplace transform argument must be >= 0")
-        if s == 0:
-            return 1.0
-        return checked_quad(lambda t: math.exp(-s * t) * self.density(t),
-                            *self._support(), rel_tol=1e-9)
+        return 1.0 if s == 0 else self._laplace(s)
 
     def t_laplace(self, s: float) -> float:
         """integral t exp(-s t) dF(t); diverges at s=0 for infinite-mean seeds."""
         if s <= 0:
             raise ParameterError("t-weighted laplace transform needs s > 0")
-        return checked_quad(lambda t: t * math.exp(-s * t) * self.density(t),
-                            *self._support(), rel_tol=1e-9)
+        return self._t_laplace(s)
 
     # -- sampling -------------------------------------------------------------
     def inverse_cdf(self, u):
@@ -176,10 +175,10 @@ class DiracSeed(SeedDistribution):
     def mean_is_finite(self) -> bool:
         return True
 
-    def laplace(self, s: float) -> float:
+    def _laplace(self, s: float) -> float:
         return math.exp(-s * self.t0)
 
-    def t_laplace(self, s: float) -> float:
+    def _t_laplace(self, s: float) -> float:
         return self.t0 * math.exp(-s * self.t0)
 
     def inverse_cdf(self, u):
@@ -212,10 +211,10 @@ class ExponentialSeed(SeedDistribution):
     def mean_is_finite(self) -> bool:
         return True
 
-    def laplace(self, s: float) -> float:
+    def _laplace(self, s: float) -> float:
         return self.gamma / (self.gamma + s)
 
-    def t_laplace(self, s: float) -> float:
+    def _t_laplace(self, s: float) -> float:
         return self.gamma / (self.gamma + s) ** 2
 
     def inverse_cdf(self, u):
@@ -249,10 +248,10 @@ class GammaSeed(SeedDistribution):
     def mean_is_finite(self) -> bool:
         return True
 
-    def laplace(self, s: float) -> float:
+    def _laplace(self, s: float) -> float:
         return (self.gamma / (self.gamma + s)) ** self.r
 
-    def t_laplace(self, s: float) -> float:
+    def _t_laplace(self, s: float) -> float:
         return self.r * self.gamma ** self.r / (self.gamma + s) ** (self.r + 1.0)
 
     def inverse_cdf(self, u):
@@ -291,6 +290,17 @@ class ParetoTailSeed(SeedDistribution):
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
         return self.alpha * ((1.0 - u) ** (-1.0 / self.eta) - 1.0)
+
+    # with u = alpha + t, both are e^z integrals of u**p e^(-s u) over u > alpha, z = alpha s
+    def _laplace(self, s: float) -> float:
+        z = self.alpha * s
+        return self.eta * z ** self.eta * _upper_gamma(-self.eta, z, scaled=True)
+
+    def _t_laplace(self, s: float) -> float:
+        z = self.alpha * s
+        return (self.eta * self.alpha ** self.eta * s ** (self.eta - 1.0)
+                * (_upper_gamma(1.0 - self.eta, z, scaled=True)
+                   - z * _upper_gamma(-self.eta, z, scaled=True)))
 
 
 @dataclass(frozen=True)
@@ -331,21 +341,13 @@ class PowerLawSeed(SeedDistribution):
         u = np.asarray(u, dtype=float)
         return self.alpha * (1.0 - u) ** (-1.0 / (self.beta - 1.0))
 
-    def laplace(self, s: float) -> float:
-        # (beta-1) alpha^(beta-1) s^(beta-1) Gamma(1-beta, alpha s): the
-        # generic quadrature loses the slow tail at small s, the closed form
-        # does not
-        if s < 0:
-            raise ParameterError("laplace transform argument must be >= 0")
-        if s == 0.0:
-            return 1.0
+    def _laplace(self, s: float) -> float:
+        # (beta-1) alpha^(beta-1) s^(beta-1) Gamma(1-beta, alpha s)
         bm1 = self.beta - 1.0
         return bm1 * (self.alpha * s) ** bm1 * _upper_gamma(1.0 - self.beta,
                                                            self.alpha * s)
 
-    def t_laplace(self, s: float) -> float:
-        if s <= 0:
-            raise ParameterError("t-weighted laplace transform needs s > 0")
+    def _t_laplace(self, s: float) -> float:
         bm1 = self.beta - 1.0
         return (bm1 * self.alpha ** bm1 * s ** (self.beta - 2.0)
                 * _upper_gamma(2.0 - self.beta, self.alpha * s))
@@ -410,14 +412,8 @@ class LerchSeed(SeedDistribution):
         # mean transfers from the pmf tail (alpha+k)**(-s): finite iff s > 2
         return self.s > 2.0
 
-    def laplace(self, s: float) -> float:
-        if s < 0:
-            raise ParameterError("laplace transform argument must be >= 0")
-        if s == 0:
-            return 1.0
+    def _laplace(self, s: float) -> float:
         return self._tau_integral(lambda u: 1.0 / (u + s))
 
-    def t_laplace(self, s: float) -> float:
-        if s <= 0:
-            raise ParameterError("t-weighted laplace transform needs s > 0")
+    def _t_laplace(self, s: float) -> float:
         return self._tau_integral(lambda u: 1.0 / (u + s) / (u + s))

@@ -193,6 +193,32 @@ def test_hub_report_records_moment_winner(tmp_path):
     assert lines[0] == "x,F_emp,F_limit"
 
 
+def test_hub_moment_check_with_zero_spread(tmp_path):
+    """alpha just under n = 4 gives every sender a bias near 1, so every hub is
+    4 and every scaled hub 2.0: with no spread, z is null on a miss and no
+    constant wins."""
+    cfg = _write_config(tmp_path, ensemble={
+        "n": 4, "mixing": {"variant": "power_law", "alpha": 3.999, "beta": 3.0},
+        "master_seed": 1, "replicas": 200})
+    assert main(["hub", "--config", str(cfg)]) == 0
+    moment = json.loads(_read_out(tmp_path, "hub.json"))["hub"]["moment"]
+    assert moment["mc_mean"] == 2.0 and moment["mc_se"] == 0.0
+    assert moment["z_frechet"] is None and moment["z_competing"] is None
+    assert moment["winner"] == "unresolved"
+
+
+def test_gf2_threshold_on_a_pareto_seed(tmp_path):
+    """The shifted Pareto transforms are closed-form, so an infinite-mean
+    Pareto seed reaches its threshold verdict."""
+    cfg = _write_config(tmp_path, ensemble={
+        "n": 16, "mixing": {"variant": "seed_cdf",
+                            "seed": {"kind": "pareto_tail", "alpha": 1.0, "eta": 0.5}},
+        "master_seed": SEED, "replicas": 3})
+    assert main(["gf2", "--config", str(cfg)]) == 0
+    block = json.loads(_read_out(tmp_path, "gf2.json"))["gf2"]
+    assert block["rate"]["threshold"]["verdict"] == "threshold"
+
+
 def test_gf2_report_fields(tmp_path):
     cfg = _write_config(tmp_path)
     data = json.loads(cfg.read_text())
@@ -333,6 +359,20 @@ def test_report_rejects_other_mixing_families(tmp_path):
     data["ensemble"]["mixing"] = {"variant": "dirac", "lambda": 1.0}
     cfg.write_text(json.dumps(data))
     assert main(["report", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("variant,mixing", [
+    ("completely_exchangeable", {"variant": "power_law", "alpha": 1.0, "beta": 3.0}),
+    ("hierarchical", {"variant": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+])
+def test_report_refuses_shared_bias_variants(tmp_path, capsys, variant, mixing):
+    """The regime classes, the hub limit and the GF(2) verdict are
+    independent-row theory, so the report names the variant and stops."""
+    cfg = _write_config(tmp_path, ensemble={"n": 500, "mixing": mixing, "variant": variant,
+                                            "master_seed": SEED})
+    assert main(["report", "--config", str(cfg)]) == 1
+    assert f"variant {variant!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # -- validation harness -----------------------------------------------------

@@ -25,9 +25,7 @@ from exchgraph.cli import main
 COMMANDS = ("sample", "degrees", "motifs", "hub", "gf2", "report", "mc")
 # Commands whose quadratures take seconds on a kind; the tests of the
 # numerics cover those pairs, so the fuzz leaves them out.
-_SLOW = {"lerch": {"sample", "degrees", "motifs", "gf2", "mc"},
-         "pareto_tail": {"gf2"},
-         "hierarchical": {"degrees", "gf2", "mc"}}
+_SLOW = {"lerch": {"sample", "degrees", "motifs", "gf2", "mc"}}
 _ABSENT = object()
 _WRONG_TYPES = [None, "x", True, [1.0], {"a": 1}]
 _RARE = st.sampled_from([False] * 39 + [True])   # True about one time in forty

@@ -253,6 +253,32 @@ def test_power_law_laplace_matches_mpmath_at_large_argument(s):
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
+def test_pareto_transforms_match_mpmath_quadrature(eta):
+    # e^z times incomplete gammas at z = alpha s, against the transforms of the density
+    seed = ParetoTailSeed(alpha=1.0, eta=eta)
+    with mpmath.workdps(30):
+        e = mpmath.mpf(eta)
+        for s in np.geomspace(2e-6, 2.0, 6):
+            sm = mpmath.mpf(s)
+
+            def density(t):
+                return e * (1 + t) ** (-e - 1) * mpmath.exp(-sm * t)
+
+            cuts = [0, 1, 1 / sm, mpmath.inf]
+            laplace = float(mpmath.quad(density, cuts))
+            t_laplace = float(mpmath.quad(lambda t: t * density(t), cuts))
+            assert seed.laplace(s) == pytest.approx(laplace, rel=1e-12, abs=0.0)
+            assert seed.t_laplace(s) == pytest.approx(t_laplace, rel=1e-12, abs=0.0)
+
+
+def test_pareto_transforms_stay_finite_where_e_to_the_z_overflows():
+    seed = ParetoTailSeed(alpha=1.0, eta=0.5)
+    # both fall like eta / z and eta / z**2 times 1 / alpha
+    assert seed.laplace(2000.0) == pytest.approx(0.5 / 2000.0, rel=2e-3)
+    assert seed.t_laplace(2000.0) == pytest.approx(0.5 / 2000.0 ** 2, rel=4e-3)
+
+
 # -- pointwise rate ---------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Mixing-law moments, tails, row polynomials, and samplers."""
 
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from exchgraph import _numerics, mixing
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
+from exchgraph.degrees import out_pmf_exact
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
@@ -343,6 +346,51 @@ class TestHierarchical:
     def test_needs_room_for_cutoff(self):
         with pytest.raises(ParameterError):
             moment(HierarchicalMixing(A=5.0, beta=3.0, gamma_exp=4.0), 10, 1)
+
+
+def _two_level(spec, n, inner, size):
+    """The cutoff averages of the ``size`` values inner(PowerLawMixing(a, beta)) over
+    a ~ a**-gamma on [A, n/2], one quadrature each: the nested route the hierarchical
+    law took before its t-space weight.  The quadratures share each cutoff's values."""
+    lo, hi, g = spec.A, n / 2.0, spec.gamma_exp
+    norm = (lo ** (1.0 - g) - hi ** (1.0 - g)) / (g - 1.0)
+    at = functools.cache(lambda a: np.atleast_1d(inner(PowerLawMixing(alpha=a, beta=spec.beta))))
+    return np.array([checked_quad(lambda a: at(a)[k] * a ** -g, lo, hi)
+                     for k in range(size)]) / norm
+
+
+# (1, 3, 5) has the exponent beta - gamma + (beta - 1) = 0, so H takes its log term
+@pytest.mark.parametrize("A, beta, gamma_exp", [(1.0, 3.0, 4.5), (1.0, 3.0, 5.0), (2.0, 2.2, 6.0)])
+@pytest.mark.parametrize("n", [12, 40])
+def test_hierarchical_weight_matches_two_level_quadrature(A, beta, gamma_exp, n):
+    spec = HierarchicalMixing(A=A, beta=beta, gamma_exp=gamma_exp)
+    orders, ts = np.arange(n + 1), [0.1, 0.5, 0.8]
+    want = _two_level(spec, n, lambda law: np.exp(log_row_prob(law, n, orders)), n + 1)
+    assert_allclose(np.exp(log_row_prob(spec, n, orders)), want, rtol=1e-12, atol=0)
+    want = _two_level(spec, n, lambda law: [tail(law, n, t) for t in ts], len(ts))
+    assert_allclose([tail(spec, n, t) for t in ts], want, rtol=1e-12, atol=0)
+    want = _two_level(spec, n, lambda law: xi(law, n, orders), n + 1)
+    # up to order 10 xi is the alternating sum of C(i, j) (-2)**j E theta**j, whose
+    # terms reach E (1 + 2 theta)**i; both routes, and mpmath, differ there by up to
+    # 4e-12 of xi at (2, 2.2, 6), n = 12, so the tolerance there is relative to that sum
+    scale = [math.fsum(math.comb(i, j) * 2.0 ** j * moment(spec, n, j) for j in range(i + 1))
+             if i <= 10 else abs(w) for i, w in zip(orders, want)]
+    assert np.all(np.abs(xi(spec, n, orders) - want) <= 1e-12 * np.array(scale))
+
+
+def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
+    # the nested route made 7790 calls here
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return checked_quad(*args, **kwargs)
+
+    monkeypatch.setattr(_numerics, "checked_quad", counting)
+    monkeypatch.setattr(mixing, "checked_quad", counting)
+    pmf = out_pmf_exact(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5), 40, range(41))
+    assert len(calls) <= 41
+    assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestImpliedSeed:
