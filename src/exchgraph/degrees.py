@@ -399,12 +399,14 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def write_pmf_table(path, ks, exact, limit) -> None:
-    """CSV with columns k,exact,limit,abs_diff."""
+    """CSV with columns k,exact,limit,abs_diff; the last two are empty when
+    ``limit`` is None."""
     ks = np.atleast_1d(ks)
     exact = np.atleast_1d(exact)
-    limit = np.atleast_1d(limit)
+    limit = [None] * len(ks) if limit is None else np.atleast_1d(limit)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,exact,limit,abs_diff\n")
         for kk, ev, lv in zip(ks, exact, limit):
-            ev, lv = float(ev), float(lv)
-            fh.write(f"{int(kk)},{ev!r},{lv!r},{abs(ev - lv)!r}\n")
+            ev = float(ev)
+            cells = "," if lv is None else f"{float(lv)!r},{abs(ev - float(lv))!r}"
+            fh.write(f"{int(kk)},{ev!r},{cells}\n")

@@ -20,7 +20,9 @@ tails push it back to the baseline for small gamma, and the crossover
 gamma_c is found by bisection.
 
 The Monte Carlo mean draws replica blocks through
-:func:`ensemble.replica_blocks` and is deterministic in master_seed.
+:func:`ensemble.replica_blocks` and is deterministic in master_seed.  It
+ranks every replica with the column packer and XOR-basis eliminator that
+:func:`rank_gf2` uses, so it takes any sender count.
 """
 
 from __future__ import annotations
@@ -133,18 +135,20 @@ def _transpose_words(matrix: BitMatrix) -> list[int]:
     words = np.zeros((matrix.n, (matrix.m + 63) // 64), dtype="<u8")
     bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
     np.bitwise_or.at(words, (cols, rows >> 6), bits)
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
     return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
-def _int_rank(rows: list[int]) -> int:
-    # xor basis keyed by leading bit; word-parallel via Python int XOR
-    basis: dict[int, int] = {}
+def _int_rank(rows: list[int], m: int) -> int:
+    # xor basis indexed by leading bit; word-parallel via Python int XOR
+    basis = [0] * m
     rank = 0
     for value in rows:
         while value:
             lead = value.bit_length() - 1
-            pivot = basis.get(lead)
-            if pivot is None:
+            pivot = basis[lead]
+            if not pivot:
                 basis[lead] = value
                 rank += 1
                 break
@@ -154,7 +158,7 @@ def _int_rank(rows: list[int]) -> int:
 
 def rank_gf2(matrix: BitMatrix) -> Gf2Report:
     """Eliminate X^T over the two-element field and report the kernel census."""
-    return Gf2Report(matrix.m, matrix.n, _int_rank(_transpose_words(matrix)))
+    return Gf2Report(matrix.m, matrix.n, _int_rank(_transpose_words(matrix), matrix.m))
 
 
 # -- exact mean of the solution count ---------------------------------------
@@ -364,40 +368,21 @@ def mc_kernel_mean(config: EnsembleConfig) -> KernelMcReport:
     """Replica mean of the solution count N = 2^(m - rank).
 
     Samples the adjacency law directly (bias rows, then independent entries)
-    and eliminates all replicas in lockstep on uint64 words, so the sender
-    count is capped at 64.  Deterministic in master_seed.
+    and ranks each replica as rank_gf2 does, for any sender count.
+    Deterministic in master_seed.
     """
     n, m, replicas = config.n, config.m, config.replicas
-    if m > 64:
-        raise ParameterError("batch elimination packs senders in one word; m <= 64")
     counts = np.empty(replicas)
-    shifts = (np.uint64(1) << np.arange(m, dtype=np.uint64))[None, :, None]
     for lo, thetas, rng in replica_blocks(config, _TAG_GF2):
         bits = draw_adjacency(thetas, n, rng)
-        words = (bits * shifts).sum(axis=1, dtype=np.uint64)
-        counts[lo:lo + len(words)] = 2.0 ** (m - _batch_rank(words, m))
+        # the block's replicas side by side as one m x (B n) matrix, packed at once
+        block = BitMatrix.from_dense(bits.transpose(1, 0, 2).reshape(m, -1))
+        columns = _transpose_words(block)
+        ranks = [_int_rank(columns[k:k + n], m) for k in range(0, len(columns), n)]
+        counts[lo:lo + len(ranks)] = 2.0 ** (m - np.array(ranks))
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return KernelMcReport(replicas=replicas, mean_solutions=mean, se=se)
-
-
-def _batch_rank(words: np.ndarray, m: int) -> np.ndarray:
-    """Rank per replica for word rows of shape (replicas, n), senders in bits."""
-    work = words.copy()
-    replicas = work.shape[0]
-    idx = np.arange(replicas)
-    cols = np.arange(work.shape[1])[None, :]
-    rank = np.zeros(replicas, dtype=np.int64)
-    for bit in range(m):
-        has_bit = (work >> np.uint64(bit)) & np.uint64(1) > 0
-        found = has_bit.any(axis=1)
-        pivot_at = has_bit.argmax(axis=1)
-        pivot_rows = np.where(found, work[idx, pivot_at], np.uint64(0))
-        clear = has_bit & (cols != pivot_at[:, None])
-        work ^= np.where(clear, pivot_rows[:, None], np.uint64(0))
-        work[idx[found], pivot_at[found]] = np.uint64(0)
-        rank += found
-    return rank
 
 
 def write_theta_grid(report: RateReport, path) -> None:

@@ -233,12 +233,11 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
     def _sample(self, n: int, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _xi(self, n: int, i: int) -> float:
+    def _xi(self, n: int, i: int, moments: list[float]) -> float:
         if i == 0:
             return 1.0
         if i <= _XI_EXPANSION_MAX:
-            terms = [math.comb(i, j) * (-2.0) ** j * self._moment(n, j)
-                     for j in range(i + 1)]
+            terms = [math.comb(i, j) * (-2.0) ** j * moments[j] for j in range(i + 1)]
             return math.fsum(terms)
         head = self._partial(n, lambda th: (1.0 - 2.0 * th) ** i, 0.0, 0.5)
         sign = -1.0 if i % 2 else 1.0
@@ -246,8 +245,10 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         return head + sign * tail_part
 
     def _xis(self, n: int, orders: np.ndarray) -> np.ndarray:
-        """``_xi`` over a 1-D array of orders."""
-        return np.array([self._xi(n, int(i)) for i in orders], dtype=float)
+        """``_xi`` over a 1-D array of orders; the expansion's moments are taken once."""
+        top = min(int(orders.max(initial=0)), _XI_EXPANSION_MAX)
+        moments = [self._moment(n, j) for j in range(top + 1)]
+        return np.array([self._xi(n, int(i), moments) for i in orders], dtype=float)
 
     def limit_seed(self) -> SeedDistribution:
         """Scaling limit of n * theta as a seed distribution, where closed-form."""
@@ -297,7 +298,7 @@ class DiracMixing(MixingSpec):
         inside = (lo < th <= hi) or (lo == 0.0 and th == 0.0)
         return float(f(th)) if inside else 0.0
 
-    def _xi(self, n: int, i: int) -> float:
+    def _xi(self, n: int, i: int, moments: list[float]) -> float:
         return (1.0 - 2.0 * self._theta(n)) ** i
 
     def _log_row_prob(self, n: int, r: int) -> float:

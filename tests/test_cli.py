@@ -143,6 +143,26 @@ def test_degrees_on_lerch_seed_cdf(tmp_path):
     assert sum(block["out_pmf_exact"]) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_degrees_without_a_limit_law_writes_the_exact_laws(tmp_path):
+    # a modulated power law has no closed-form seed limit: the limit keys are
+    # null and the table's limit and abs_diff cells empty
+    cfg = _write_config(tmp_path, degrees={"k_max": 40})
+    data = json.loads(cfg.read_text())
+    data["ensemble"].update(n=40, mixing={
+        "variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+        "g_table": [[0, 1], [10, 2]]})
+    cfg.write_text(json.dumps(data))
+    assert main(["degrees", "--config", str(cfg)]) == 0
+    block = json.loads(_read_out(tmp_path, "degrees.json"))["degrees"]
+    assert block["limit_law"] is None and block["limit_pmf"] is None
+    assert block["tv_exact_vs_limit"] is None
+    assert sum(block["out_pmf_exact"]) == pytest.approx(1.0, abs=1e-9)
+    assert sum(block["in_pmf_exact"]) == pytest.approx(1.0, abs=1e-9)
+    table = _read_out(tmp_path, "degrees_out_pmf.csv").decode().splitlines()
+    assert table[0] == "k,exact,limit,abs_diff" and len(table) == 42
+    assert all(line.endswith(",,") and line.count(",") == 3 for line in table[1:])
+
+
 def test_motifs_report_fields(tmp_path):
     cfg = _write_config(tmp_path, motifs={"cycle_lengths": [2, 3]})
     assert main(["motifs", "--config", str(cfg)]) == 0
@@ -432,11 +452,19 @@ def test_mc_mismatched_expected_law_fails(tmp_path):
     assert payload["suites"]["degrees"]["p_value"] < 1e-6
 
 
-def test_mc_rejects_wide_gf2_suite_up_front(tmp_path):
-    """A gf2 suite beyond the 64-sender eliminator cap fails before any suite runs."""
-    cfg = _mc_config(tmp_path, gf2={"replicas": 2000})  # inherits n=120 senders
-    assert main(["mc", "--config", str(cfg)]) == 1
-    assert not (tmp_path / "out" / "mc.json").exists()
+def test_mc_gf2_suite_runs_beyond_64_senders(tmp_path):
+    """Seventy senders fill two words per column; the suite runs and compares
+    as at any width, at the default z_max."""
+    cfg = _mc_config(tmp_path, tasks=["gf2"], gf2={"n": 70, "replicas": 2000}, ensemble={
+        "n": 120, "mixing": {"variant": "dirac", "lambda": 30}, "master_seed": SEED,
+        "replicas": 400})
+    assert main(["mc", "--config", str(cfg)]) == 0
+    payload = json.loads(_read_out(tmp_path, "mc.json"))
+    suite = payload["suites"]["gf2"]
+    assert payload["pass"] is True and suite["pass"] is True
+    assert suite["z_max"] == 4.0 and suite["replicas"] == 2000 and suite["se"] > 0.0
+    # 2**-n sum_j C(n, j) (1 + 7**-j)**n at theta = 3/7: within 1e-12 of 2
+    assert suite["exact"] == pytest.approx(2.0, rel=1e-12)
 
 
 def _zero_spread_gf2_config(tmp_path):

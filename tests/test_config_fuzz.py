@@ -204,6 +204,7 @@ def test_every_config_runs_or_fails_with_a_config_error(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", path])
     event(f"{command} exit {code}")
-    assert code in (0, 1, 2)
+    # exit 2 is a statistical failure, which only mc reports
+    assert code in ((0, 1, 2) if command == "mc" else (0, 1))
     if code == 1:
         assert err.getvalue().startswith("exchgraph: error:"), err.getvalue()

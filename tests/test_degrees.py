@@ -269,6 +269,8 @@ def test_pmf_table_format(tmp_path):
     assert lines[1].startswith("0,0.5,0.5,")
     k, e, l, d = lines[2].split(",")
     assert float(d) == pytest.approx(0.05)
+    write_pmf_table(path, [0, 1], [0.5, 0.25], None)     # no limit law
+    assert path.read_text().splitlines()[1:] == ["0,0.5,,", "1,0.25,,"]
 
 
 def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():

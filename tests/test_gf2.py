@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exchgraph import ensemble, gf2
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
-                                SquareRows, row_prob, sample_graph)
+                                SquareRows, draw_adjacency, replica_blocks,
+                                row_prob, sample_graph)
 from exchgraph.errors import NoThresholdError, ParameterError
 from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                            _transpose_words, expected_solutions, gamma_critical,
@@ -57,10 +59,17 @@ def word_edge_matrices(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(word_edge_matrices())
-def test_transpose_words_match_dense_route(dense):
-    matrix = BitMatrix.from_dense(dense)
-    assert _transpose_words(matrix) == _transpose_words_dense(matrix)
+@given(word_edge_matrices(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_transpose_words_match_dense_route(dense, replicas, seed):
+    """Also on a Monte Carlo block, which packs its replicas side by side as
+    one m x (B n) matrix: each run of n column words is one replica's own."""
+    m, n = dense.shape
+    rng = np.random.default_rng(seed)
+    bits = np.stack([dense, *(rng.random((m, n)) < 0.5 for _ in range(replicas - 1))])
+    matrix = BitMatrix.from_dense(bits.transpose(1, 0, 2).reshape(m, replicas * n))
+    words = _transpose_words(matrix)
+    assert words == _transpose_words_dense(matrix)
+    assert words == [w for b in bits for w in _transpose_words_dense(BitMatrix.from_dense(b))]
 
 
 def test_zero_matrix_census():
@@ -435,12 +444,22 @@ def test_mc_kernel_mean_matches_exact_square_system():
     assert abs(rep.mean_solutions - exact) < 4.0 * rep.se
 
 
-def test_mc_kernel_mean_rejects_wide_sender_blocks():
-    cfg = EnsembleConfig(n=70, mixing=DiracMixing(lam=0.5),
-                         row_rule=ExplicitRows(m=65), master_seed=SEED,
-                         replicas=200)
-    with pytest.raises(ParameterError, match="m <= 64"):
-        mc_kernel_mean(cfg)
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+def test_mc_kernel_mean_is_the_mean_over_naive_ranks(m, monkeypatch):
+    """The same block draws, each replica ranked by the dense eliminator,
+    give the same mean and SE exactly, below, at and above 64 senders."""
+    n, replicas = 70, 24
+    cfg = EnsembleConfig(n=n, mixing=PowerLawMixing(alpha=0.5, beta=2.5),
+                         row_rule=ExplicitRows(m=m), master_seed=SEED,
+                         replicas=replicas)
+    monkeypatch.setattr(ensemble, "_MC_CELLS", 7 * m * n)     # blocks of 7, 7, 7, 3
+    counts = np.array([2.0 ** (m - _naive_rank(bits))
+                       for _, thetas, rng in replica_blocks(cfg, gf2._TAG_GF2)
+                       for bits in draw_adjacency(thetas, n, rng)])
+    assert len(set(counts.tolist())) > 1
+    rep = mc_kernel_mean(cfg)
+    assert rep.mean_solutions == counts.mean()
+    assert rep.se == counts.std(ddof=1) / math.sqrt(replicas)
 
 
 # -- finite size against the limit ------------------------------------------

@@ -16,7 +16,7 @@ from exchgraph.errors import ParameterError
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
-from exchgraph.seeds import DiracSeed, ExponentialSeed, PowerLawSeed
+from exchgraph.seeds import DiracSeed, ExponentialSeed, GammaSeed, PowerLawSeed
 
 
 def brute_moment(spec, n, i):
@@ -160,7 +160,7 @@ def test_power_law_row_polynomial_matches_quadrature(beta, n):
 def test_power_law_signed_moment_matches_quadrature(beta, n):
     spec = PowerLawMixing(alpha=1.0, beta=beta)
     orders = _orders_near(beta, n)
-    by_quad = [spec._xi(n, int(i)) for i in orders]
+    by_quad = MixingSpec._xis(spec, n, orders)
     assert_allclose(xi(spec, n, orders), by_quad, rtol=1e-10)
 
 
@@ -184,7 +184,7 @@ def test_power_law_signed_moment_at_large_alpha():
     # b x reaches 2 alpha = 24, where an unbounded walk lost 4.8e-8 over 6 steps
     spec, n = PowerLawMixing(alpha=12.0, beta=6.05), 3000
     orders = np.array([500, 1500, 2999, 3000])
-    assert_allclose(xi(spec, n, orders), [spec._xi(n, int(i)) for i in orders], rtol=1e-10)
+    assert_allclose(xi(spec, n, orders), MixingSpec._xis(spec, n, orders), rtol=1e-10)
 
 
 def _upper_beta_by_mpmath(a, b, x):
@@ -392,6 +392,25 @@ def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
     assert len(calls) <= 41
     assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("spec", [HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
+                                  SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0))])
+def test_xi_takes_each_moment_once(spec, monkeypatch):
+    # orders 1..10 expand in the moments 1..10, one quadrature each; orders
+    # 11..40 split at 1/2, two each: 10 + 60 calls (115 when every order
+    # recomputed its moments)
+    order_by_order = [xi(spec, 40, i) for i in range(41)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return checked_quad(*args, **kwargs)
+
+    monkeypatch.setattr(mixing, "checked_quad", counting)
+    values = xi(spec, 40, range(41))
+    assert len(calls) == 70
+    assert values.tolist() == order_by_order
 
 class TestImpliedSeed:
     def test_known_mappings(self):
