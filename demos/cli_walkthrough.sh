@@ -46,6 +46,25 @@ exchgraph mc --config "$work/config.json"
 echo "exit $?"
 
 echo
+echo "== degrees, hub, gf2 on a hierarchical mixing law: its own limit seed =="
+cat > "$work/hierarchical.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 2000,
+    "mixing": {"variant": "hierarchical", "A": 1.0, "beta": 2.5, "gamma_exp": 4.0},
+    "master_seed": 42,
+    "replicas": 200
+  },
+  "output_dir": "OUT",
+  "gf2": {"n": 64}
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/hierarchical\"#" "$work/hierarchical.json"
+exchgraph degrees --config "$work/hierarchical.json"
+exchgraph hub --config "$work/hierarchical.json"
+exchgraph gf2 --config "$work/hierarchical.json"
+
+echo
 echo "artifacts in $work/out:"
 ls "$work/out" | grep -cv '^replica_' | xargs -I{} echo "  {} reports and tables, plus:"
 ls "$work/out" | grep -c '^replica_' | xargs -I{} echo "  {} edge-list files"

@@ -185,13 +185,6 @@ def _base_payload(config: EnsembleConfig) -> dict:
     return {"schema": SCHEMA, "config": config.to_json()}
 
 
-def _iid_rows(config: EnsembleConfig) -> bool:
-    """Whether the row biases are iid, as the in-degree law, the root, leaf
-    and variance formulas and the GF(2) mean assume; under the other
-    variants the reports write null for them."""
-    return config.variant == "partially_exchangeable"
-
-
 # -- sample -----------------------------------------------------------------
 
 
@@ -223,7 +216,7 @@ def cmd_degrees(run: RunConfig) -> int:
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
     exact_in = (in_pmf_exact(cfg.mixing, cfg.n, cfg.m, np.arange(min(k_max, cfg.m) + 1))
-                if _iid_rows(cfg) else None)
+                if cfg.iid_rows else None)
     try:
         law = default_limit_law(cfg.mixing)
     except ExchGraphError:
@@ -252,7 +245,7 @@ def cmd_degrees(run: RunConfig) -> int:
 def cmd_motifs(run: RunConfig) -> int:
     cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
     spec, n, m, variant = cfg.mixing, cfg.n, cfg.m, cfg.variant
-    iid = _iid_rows(cfg)
+    iid = cfg.iid_rows
     square = iid and m == n
     cycle_means = {k: mean_cycles(spec, n, k, variant, m) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
@@ -356,7 +349,7 @@ def cmd_gf2(run: RunConfig) -> int:
     log_mean = linear = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTermWarning)
-        if _iid_rows(cfg):
+        if cfg.iid_rows:
             log_mean = log_expected_solutions(cfg.mixing, n, m)
             linear = math.exp(log_mean) if log_mean < 700.0 else None
     census = rank_gf2(sample_graph(cfg, 0).matrix)
@@ -373,9 +366,12 @@ def cmd_gf2(run: RunConfig) -> int:
         mc = mc_kernel_mean(cfg)
         block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
                        "se": mc.se}
+    # with one shared bias the growth rate is not the iid Laplace transform's
     try:
-        seed = cfg.mixing.limit_seed()
+        seed = cfg.mixing.limit_seed() if cfg.iid_rows else None
     except ExchGraphError:
+        seed = None
+    if seed is None:
         block["rate"] = None
     else:
         rows = []
@@ -432,7 +428,7 @@ def _roots_class(alpha: float, beta: float) -> dict:
 
 def cmd_report(run: RunConfig) -> int:
     cfg, spec = run.ensemble, run.ensemble.mixing
-    if not _iid_rows(cfg):
+    if not cfg.iid_rows:
         raise ConfigError(f"regime report needs independent per-sender biases, "
                           f"but variant {cfg.variant!r} shares them across rows")
     if spec.power_law_params() is None:
@@ -494,7 +490,7 @@ def _z_score(mc_value: float, se: float, exact: float) -> float | None:
 def _suite_degrees(run: RunConfig) -> dict:
     cfg, block = run.degrees.resize(run.ensemble), run.degrees
     expected_spec = block.expected_mixing or cfg.mixing
-    pool_rows = cfg.variant == "partially_exchangeable"
+    pool_rows = cfg.iid_rows
 
     def worker(sample):
         degs = out_degrees(sample)

@@ -11,11 +11,12 @@ independent rows, so the exact in-degree law is Binomial(m, mu_n).
 
 Limit families: when n * theta converges to a seed distribution F, out-degrees
 converge to the Poisson mixture integral t**k e**-t / k! dF(t).  Closed forms
-of that mixture for the named seeds (geometric, negative binomial, power-law
-tail, Lerch zipf, hierarchical two-term combination) are implemented directly
-and cross-checked against the quadrature route, ``PoissonMixtureLaw``, in the
-tests.  The power-law tail also takes that route for the orders k <= beta - 1
-and wherever its incomplete gamma underflows.
+of that mixture, each naming its seed's class (Poisson, geometric, negative
+binomial, power-law tail, Lerch zipf, hierarchical two-term combination), are
+looked up by ``default_limit_law`` and cross-checked against the quadrature
+route, ``PoissonMixtureLaw``, in the tests.  The power-law tail also takes
+that route for the orders k <= beta - 1 and wherever its incomplete gamma
+underflows.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
 from .errors import ParameterError
-from .mixing import MixingSpec, DiracMixing, HierarchicalMixing, log_row_prob, moment
+from .mixing import MixingSpec, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
-                    LerchSeed, PowerLawSeed)
+                    HierarchicalSeed, LerchSeed, PowerLawSeed)
 
 __all__ = [
     "LimitLaw",
@@ -77,13 +78,7 @@ class LimitLaw(JsonCodec, tag="kind", error=ParameterError, family="limit law"):
 
     def limit_seed(self) -> SeedDistribution:
         """The seed F whose Poisson mixture this law is."""
-        if self.seed_class is None:
-            raise ParameterError(f"no seed associated with law kind {self.kind!r}")
         return self.seed_class(*astuple(self))
-
-    def seed_moment(self, order: float, cap: float) -> float:
-        """integral_0^cap t**order dF(t) for the seed behind the law."""
-        return self.limit_seed().truncated_moment(order, cap)
 
 
 def _poisson_window(k: int, lo: float) -> float:
@@ -101,6 +96,7 @@ def _poisson_window(k: int, lo: float) -> float:
 class PoissonLaw(LimitLaw):
     lam: float
     kind = "poisson"
+    seed_class = DiracSeed
 
     def __post_init__(self):
         if not self.lam >= 0:
@@ -110,9 +106,6 @@ class PoissonLaw(LimitLaw):
         if self.lam == 0.0:
             return np.where(ks == 0, 0.0, -np.inf)
         return ks * math.log(self.lam) - self.lam - special.gammaln(ks + 1.0)
-
-    def limit_seed(self) -> SeedDistribution:
-        return DiracSeed(t0=self.lam)
 
 
 @dataclass(frozen=True)
@@ -251,22 +244,15 @@ class HierarchicalMixtureLaw(LimitLaw):
     beta: float
     gamma_exp: float
     kind = "hierarchical_mixture"
+    seed_class = HierarchicalSeed
 
     def __post_init__(self):
         if not (self.A > 0 and self.gamma_exp > self.beta > 2):
             raise ParameterError("hierarchical mixture needs gamma_exp > beta > 2 and A > 0")
 
-    def _parts(self):
-        return (PowerLawTailLaw(alpha=self.A, beta=self.beta),
-                PowerLawTailLaw(alpha=self.A, beta=self.gamma_exp))
-
-    def _combine(self, low, high):
-        b, g = self.beta, self.gamma_exp
-        return (g - 1.0) / (g - b) * low - (b - 1.0) / (g - b) * high
-
     def _pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        low, high = self._parts()
-        return self._combine(np.exp(low._log_pmf(ks)), np.exp(high._log_pmf(ks)))
+        return self.limit_seed().combine(
+            lambda part: np.exp(PowerLawTailLaw(*astuple(part))._log_pmf(ks)))
 
     def pmf(self, k):
         return shaped_like(self._pmf_array(check_orders(k, "degree")), k)
@@ -274,10 +260,6 @@ class HierarchicalMixtureLaw(LimitLaw):
     def _log_pmf(self, ks):
         with np.errstate(divide="ignore"):
             return np.log(self._pmf_array(ks))
-
-    def seed_moment(self, order: float, cap: float) -> float:
-        low, high = self._parts()
-        return self._combine(low.seed_moment(order, cap), high.seed_moment(order, cap))
 
 
 # closed-form Poisson mixtures, by the class of their seed
@@ -287,10 +269,6 @@ _CLOSED_FORMS = {law.seed_class: law for law in LimitLaw._kinds.values() if law.
 def default_limit_law(spec: MixingSpec) -> LimitLaw:
     """The out-degree limit naturally paired with a mixing law: the Poisson
     mixture of its limit seed, in closed form where one exists."""
-    if isinstance(spec, DiracMixing):
-        return PoissonLaw(lam=spec.lam)
-    if isinstance(spec, HierarchicalMixing):
-        return HierarchicalMixtureLaw(A=spec.A, beta=spec.beta, gamma_exp=spec.gamma_exp)
     seed = spec.limit_seed()
     closed = _CLOSED_FORMS.get(type(seed))
     return closed(*astuple(seed)) if closed else PoissonMixtureLaw(seed=seed)
@@ -374,8 +352,9 @@ def moment_transfer_check(law: LimitLaw, gamma_ord: float, k_cap: int = 10_000) 
     s_full, s_prev = float(cum[k_cap]), float(cum[k_cap // 10])
     pmf_stab = (s_full - s_prev) <= _STABILIZE_REL * s_full
 
-    m_full = law.seed_moment(gamma_ord, float(k_cap))
-    m_prev = law.seed_moment(gamma_ord, float(k_cap // 10))
+    seed = law.limit_seed()
+    m_full = seed.truncated_moment(gamma_ord, float(k_cap))
+    m_prev = seed.truncated_moment(gamma_ord, float(k_cap // 10))
     mix_stab = (m_full - m_prev) <= _STABILIZE_REL * m_full
 
     return MomentTransferReport(

@@ -250,6 +250,12 @@ class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
     def m(self) -> int:
         return self.row_rule.resolve(self.n, self.mixing)
 
+    @property
+    def iid_rows(self) -> bool:
+        """Whether the row biases are iid, as the in-degree law, the root, leaf and
+        variance formulas, the GF(2) mean and rate and the hub limit assume."""
+        return self.variant == "partially_exchangeable"
+
 
 @dataclass
 class GraphSample:

@@ -224,18 +224,18 @@ def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
 
 
 def _reference_scaling(config: EnsembleConfig):
-    """Pick the reference curve and scale for a config; None means hub == 0."""
-    if config.variant != "partially_exchangeable":
+    """Pick the reference curve and scale; None means hub == 0, all seed mass at 0."""
+    if not config.iid_rows:
         raise ParameterError(f"hub limit theory needs independent per-sender biases, "
                              f"but variant {config.variant!r} shares them across rows")
     mixing, n, m = config.mixing, config.n, config.m
-    if mixing.is_null():
+    seed = mixing.limit_seed()
+    if float(seed.cdf(0.0)) == 1.0:
         return None
     if (power_law := mixing.power_law_params()) is not None:
         canonical = hub_limit_cdf(*power_law, n)
         if m == canonical.rows:
             return canonical
-    seed = mixing.limit_seed()
     if seed.power_tail() is None:
         raise ParameterError(f"{seed.kind} seed has no power tail, so no hub limit")
     return _subcritical_scaling(*seed.power_tail(), n, m)

@@ -20,11 +20,11 @@ theta of a matrix row of width n.  The families implemented here:
 Public operations validate the spec against n and then call the family's
 own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
 and the log-space row polynomial :func:`log_row_prob` that degree and motif
-formulas build on.  Each family also names its own scaling limit,
-``limit_seed()`` (the seed of n * theta; Dirac, power law and seed-cdf
-only), and its JSON form: the ``variant`` discriminator plus one key per
-field, with ``lam`` written as ``"lambda"`` (``MixingSpec.from_json`` reads
-it back).
+formulas build on.  Each family also names the ``seed_class`` of its scaling
+limit ``limit_seed()``, the seed of n * theta (all but the modulated power
+law; seed-cdf returns its own seed), and its JSON form: the ``variant``
+discriminator plus one key per field, with ``lam`` written as ``"lambda"``
+(``MixingSpec.from_json`` reads it back).
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
@@ -49,14 +49,14 @@ orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import REL_TOL, check_orders, checked_quad, log_quad, shaped_like, special
 from .errors import ParameterError
-from .seeds import SeedDistribution, DiracSeed, PowerLawSeed
+from .seeds import SeedDistribution, DiracSeed, HierarchicalSeed, PowerLawSeed
 
 __all__ = [
     "MixingSpec",
@@ -170,6 +170,8 @@ def _power_quantile(u, alpha, n: int, beta: float):
 class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"):
     """Base class; concrete families fill in the hooks below."""
 
+    seed_class = None   # the class of limit_seed(), whose fields are the family's, in order
+
     def validate(self, n: int) -> None:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ParameterError(f"matrix width n must be a positive integer, got {n!r}")
@@ -252,11 +254,9 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     def limit_seed(self) -> SeedDistribution:
         """Scaling limit of n * theta as a seed distribution, where closed-form."""
-        raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
-
-    def is_null(self) -> bool:
-        """Whether every bias is 0, so that the graph has no edges."""
-        return False
+        if self.seed_class is None:
+            raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
+        return self.seed_class(*astuple(self))
 
     def power_law_params(self) -> tuple[float, float] | None:
         """(alpha, beta) of the pure power law, whose hub has a matched pairing."""
@@ -273,6 +273,7 @@ class DiracMixing(MixingSpec):
 
     lam: float
     variant = "dirac"
+    seed_class = DiracSeed
     _json_keys = {"lam": "lambda"}
 
     def __post_init__(self):
@@ -312,14 +313,6 @@ class DiracMixing(MixingSpec):
     def _sample(self, n, rng, size):
         return np.full(size, self._theta(n))
 
-    def is_null(self) -> bool:
-        return self.lam == 0
-
-    def limit_seed(self) -> SeedDistribution:
-        if self.lam <= 0:
-            raise ParameterError("dirac mixing at 0 has a degenerate scaling limit")
-        return DiracSeed(t0=self.lam)
-
 
 @dataclass(frozen=True)
 class PowerLawMixing(MixingSpec):
@@ -328,6 +321,7 @@ class PowerLawMixing(MixingSpec):
     alpha: float
     beta: float
     variant = "power_law"
+    seed_class = PowerLawSeed
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -409,9 +403,6 @@ class PowerLawMixing(MixingSpec):
 
     def _sample(self, n, rng, size):
         return _power_quantile(rng.random(size), self.alpha, n, self.beta)
-
-    def limit_seed(self) -> SeedDistribution:
-        return PowerLawSeed(alpha=self.alpha, beta=self.beta)
 
     def power_law_params(self):
         return self.alpha, self.beta
@@ -615,6 +606,7 @@ class HierarchicalMixing(MixingSpec):
     beta: float
     gamma_exp: float
     variant = "hierarchical"
+    seed_class = HierarchicalSeed
 
     def __post_init__(self):
         if not self.A > 0:

@@ -10,9 +10,10 @@ a row bias drawn from the finite-n mixing law.  Seeds drive three things:
   ``integral exp(-s t) dF(t)`` (:mod:`exchgraph.gf2`).
 
 Each seed states its own Laplace transforms: elementary for the Dirac,
-exponential and gamma seeds, incomplete gammas for the power-law and shifted
-Pareto seeds, a quadrature of the mixing weight for the Lerch seed.  Other
-quantities without a closed form go through checked adaptive quadrature.
+exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
+(two power-law parts) and shifted Pareto seeds, a quadrature of the mixing
+weight for the Lerch seed.  Other quantities without a closed form go through
+checked adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "GammaSeed",
     "ParetoTailSeed",
     "PowerLawSeed",
+    "HierarchicalSeed",
     "LerchSeed",
 ]
 
@@ -157,14 +159,14 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
 
 @dataclass(frozen=True)
 class DiracSeed(SeedDistribution):
-    """Point mass at t0 > 0: the scaling limit of a fixed row bias t0 / n."""
+    """Point mass at t0 >= 0: the scaling limit of a fixed row bias t0 / n."""
 
     t0: float
     kind = "dirac"
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ParameterError("dirac seed needs t0 > 0")
+        if not self.t0 >= 0:
+            raise ParameterError("dirac seed needs t0 >= 0")
 
     def cdf(self, x):
         return np.where(np.asarray(x, dtype=float) >= self.t0, 1.0, 0.0)
@@ -354,6 +356,50 @@ class PowerLawSeed(SeedDistribution):
 
     def _support(self):
         return self.alpha, np.inf
+
+
+@dataclass(frozen=True)
+class HierarchicalSeed(SeedDistribution):
+    """Scaling limit of the hierarchical mixing family: F = (g-1)/(g-b) P_b -
+    (b-1)/(g-b) P_g with b = beta, g = gamma_exp and P_e the power-law seed of
+    exponent e above A.  F has a positive density on (A, inf)."""
+
+    A: float
+    beta: float
+    gamma_exp: float
+    kind = "hierarchical"
+
+    def __post_init__(self):
+        if not (self.A > 0 and self.gamma_exp > self.beta > 2):
+            raise ParameterError("hierarchical seed needs gamma_exp > beta > 2 and A > 0")
+
+    def combine(self, part):
+        """The combination above of ``part(P_b)`` and ``part(P_g)``."""
+        b, g = self.beta, self.gamma_exp
+        low, high = part(PowerLawSeed(self.A, b)), part(PowerLawSeed(self.A, g))
+        return (g - 1.0) / (g - b) * low - (b - 1.0) / (g - b) * high
+
+    def cdf(self, x):
+        return self.combine(lambda p: p.cdf(x))
+
+    def density(self, x):
+        return self.combine(lambda p: p.density(x))
+
+    def mean_is_finite(self) -> bool:
+        return True
+
+    def power_tail(self):
+        b, g = self.beta, self.gamma_exp
+        return (g - 1.0) / (g - b) * self.A ** (b - 1.0), b - 1.0
+
+    def _laplace(self, s: float) -> float:
+        return self.combine(lambda p: p._laplace(s))
+
+    def _t_laplace(self, s: float) -> float:
+        return self.combine(lambda p: p._t_laplace(s))
+
+    def _support(self):
+        return self.A, np.inf
 
 
 @dataclass(frozen=True)

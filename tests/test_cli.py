@@ -287,7 +287,7 @@ _IID_ROW_KEYS = {
     "degrees": ("in_pmf_exact",),
     "motifs": ("roots_mean", "leaves_mean", "feedback_var", "feedforward_var",
                "isolated_bound"),
-    "gf2": ("log_expected_solutions", "expected_solutions"),
+    "gf2": ("log_expected_solutions", "expected_solutions", "rate"),
 }
 
 
@@ -299,7 +299,7 @@ _IID_ROW_KEYS = {
 ])
 def test_iid_row_laws_are_null_when_rows_share_a_bias(tmp_path, variant, mixing, n):
     """The in-degree law, the root, leaf and variance formulas, the
-    connectivity bound and the GF(2) mean assume iid row biases.  When the
+    connectivity bound and the GF(2) mean and rate assume iid row biases.  When the
     rows share a bias (or its cutoff), those keys are null, not wrong values.
     The triangle means follow the variant and stay; ``motifs`` has none for
     the hierarchical variant and exits 1 there."""

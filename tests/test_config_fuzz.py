@@ -54,12 +54,14 @@ def _object(draw, tag, kinds):
 
 
 SEEDS = _object("kind", {
-    "dirac": {"t0": ([2.0, 0.5], [0.0, -1.0])},
+    "dirac": {"t0": ([2.0, 0.5, 0.0], [-1.0])},
     "exponential": {"gamma": ([1.0, 2], [0.0])},
     "gamma": {"r": ([2.0, 0.5], [-1.0]), "gamma": ([1.0], [0.0])},
     "pareto_tail": {"alpha": ([1.0], [0.0]), "eta": ([1.5, 0.5], [-1.0])},
     "power_law": {"alpha": ([1.0], [0.0]), "beta": ([2.5, 1.5], [1.0])},
     "lerch": {"alpha": ([1.5], [0.5]), "s": ([2.5], [1.0])},
+    "hierarchical": {"A": ([1.0, 0.5], [0.0]), "beta": ([3.0, 2.5], [2.0]),
+                     "gamma_exp": ([4.5, 4.0], [2.0])},
 })
 MIXINGS = _object("variant", {
     "dirac": {"lambda": ([2, 2.5, 0], [-1.0, 100.0])},
@@ -193,6 +195,9 @@ _C13_BLOCKS = {
 @example(("report", _ensemble(2, _power_law(1, 3))))  # no triangles: divided by zero
 @example(("mc", {**_ensemble(200, {"variant": "dirac", "lambda": 0}, replicas=200),
                  "tasks": ["gf2"], "gf2": {"n": 32, "rows": 16}}))  # no spread: z was inf
+@example(("hub", _ensemble(40, _seed_cdf("hierarchical", A=1.0, beta=3.0, gamma_exp=4.5),
+                           replicas=100)))  # a seed of the hierarchical family
+@example(("hub", _ensemble(40, _seed_cdf("dirac", t0=0.0), replicas=100)))  # no edges
 def test_every_config_runs_or_fails_with_a_config_error(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:

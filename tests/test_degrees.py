@@ -23,8 +23,8 @@ from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLa
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing,
                               SeedCdfMixing, log_row_prob, moment, xi)
-from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
-                             PowerLawSeed)
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
+                             LerchSeed, PowerLawSeed)
 
 
 class TestFrozenValues:
@@ -150,6 +150,52 @@ class TestHierarchicalMixtureLaw:
     def test_exponent_ordering_enforced(self):
         with pytest.raises(ParameterError):
             HierarchicalMixtureLaw(A=1.0, beta=2.0, gamma_exp=3.0)
+        with pytest.raises(ParameterError):
+            HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=3.0)
+        with pytest.raises(ParameterError):
+            HierarchicalSeed(A=0.0, beta=3.0, gamma_exp=4.5)
+
+    @pytest.mark.parametrize("A, beta, gamma_exp", [(1.0, 3.0, 4.5), (1.0, 2.5, 4.0)])
+    def test_matches_the_quadrature_of_its_seed(self, A, beta, gamma_exp):
+        ks = np.arange(31)
+        law = HierarchicalMixtureLaw(A=A, beta=beta, gamma_exp=gamma_exp)
+        mixed = PoissonMixtureLaw(seed=HierarchicalSeed(A=A, beta=beta, gamma_exp=gamma_exp))
+        # the quadrature agrees to 6e-14 here; 1e-11 leaves room for its error estimate
+        assert_allclose(mixed.pmf(ks), law.pmf(ks), rtol=1e-11, atol=0.0)
+
+
+class TestHierarchicalSeed:
+    SEED = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
+
+    @staticmethod
+    def _density(t):
+        # (b-1)(g-1)/(g-b) (A**(b-1) t**-b - A**(g-1) t**-g) at A = 1, b = 3, g = 4.5
+        return 2.0 * 3.5 / 1.5 * (t ** -3 - t ** mpmath.mpf(-4.5))
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_transforms_match_the_pmf_and_quadrature(self, s):
+        with mpmath.workdps(30):
+            sm = mpmath.mpf(s)
+            cuts = [1, 1 / sm, mpmath.inf]
+            laplace = float(mpmath.quad(lambda t: self._density(t) * mpmath.exp(-sm * t), cuts))
+            t_laplace = float(mpmath.quad(
+                lambda t: t * self._density(t) * mpmath.exp(-sm * t), cuts))
+        assert self.SEED.laplace(s) == pytest.approx(laplace, rel=1e-12, abs=0.0)
+        assert self.SEED.t_laplace(s) == pytest.approx(t_laplace, rel=1e-12, abs=0.0)
+        # the mixture's generating function at 1 - s; (1 - s)**k is below 1e-90 past k = 2000
+        pmf = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5).pmf_range(2000)
+        pgf = math.fsum(pmf * (1.0 - s) ** np.arange(2001))
+        assert self.SEED.laplace(s) == pytest.approx(pgf, rel=1e-12, abs=0.0)
+
+    def test_cdf_and_tail(self):
+        assert self.SEED.cdf(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+        with mpmath.workdps(30):
+            mass = float(mpmath.quad(self._density, [1, 10]))
+        assert float(self.SEED.cdf(10.0)) == pytest.approx(mass, rel=1e-13)
+        c, eta = self.SEED.power_tail()
+        assert (c, eta) == pytest.approx((3.5 / 1.5, 2.0), rel=1e-15)
+        # the second part falls off faster by x**-(g - b) = 1e-6 at x = 1e4
+        assert (1.0 - float(self.SEED.cdf(1e4))) / (c * 1e4 ** -eta) == pytest.approx(1.0, abs=1e-5)
 
 
 class TestExactFiniteN:
@@ -245,6 +291,10 @@ class TestDefaultLimitLaw:
             LerchZipfLaw(alpha=1.5, s=2.5)
         assert default_limit_law(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)) == \
             HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
+        seed = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
+        assert default_limit_law(SeedCdfMixing(seed=seed)) == \
+            HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
+        assert default_limit_law(DiracMixing(lam=0.0)) == PoissonLaw(lam=0.0)
 
 
 @pytest.mark.parametrize("law", [

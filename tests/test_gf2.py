@@ -20,8 +20,8 @@ from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                            log_expected_solutions, mc_kernel_mean, rank_gf2,
                            rate_sup, theta_rate, threshold_bisection,
                            write_theta_grid)
-from exchgraph.mixing import DiracMixing, PowerLawMixing
-from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed,
+from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
                              ParetoTailSeed, PowerLawSeed, _upper_gamma)
 
 SEED = 20260821
@@ -480,3 +480,25 @@ def test_log_mean_rate_converges_to_the_sup():
     assert 0.4 < gaps[1] / gaps[0] < 0.6
     assert 0.4 < gaps[2] / gaps[1] < 0.6
     assert gaps[2] < 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_hierarchical_log_mean_rate_matches_its_seed(gamma):
+    """(1/n) log E N under the hierarchical law sits within criterion 08's
+    0.01 of its own seed's rate; the power-law seed of exponent beta alone
+    is 0.066 away at gamma = 1, so the bound tells the two seeds apart."""
+    n, spec = 200, HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
+    value = log_expected_solutions(spec, n, round(n / gamma)) / n
+    seed = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
+    assert abs(value - rate_sup(seed, gamma).i_gamma) < 0.01
+    if gamma == 1.0:
+        assert abs(value - rate_sup(PowerLawSeed(alpha=1.0, beta=3.0), gamma).i_gamma) > 0.05
+
+
+def test_rate_of_the_point_mass_at_zero_is_exact():
+    # the empty matrix has N = 2**m, so (1/n) log E N = log 2 / gamma at every n
+    for gamma in (0.5, 1.0):
+        assert rate_sup(DiracSeed(t0=0.0), gamma).i_gamma == pytest.approx(
+            math.log(2.0) / gamma, rel=1e-15)
+    assert log_expected_solutions(DiracMixing(lam=0.0), 40, 80) == pytest.approx(
+        80 * math.log(2.0), rel=1e-15)

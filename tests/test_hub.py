@@ -13,8 +13,8 @@ from exchgraph.errors import ParameterError
 from exchgraph.hub import (HubLimit, competing_moment_constant, frechet_moment,
                            hub_atom_estimate, hub_limit_cdf,
                            hub_statistic, mc_hub, mc_hub_values, write_hub_cdf)
-from exchgraph.mixing import DiracMixing, PowerLawMixing, SeedCdfMixing
-from exchgraph.seeds import ExponentialSeed, ParetoTailSeed
+from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing, SeedCdfMixing
+from exchgraph.seeds import DiracSeed, ExponentialSeed, ParetoTailSeed
 
 SEED = 20260821
 
@@ -222,6 +222,17 @@ def test_mc_hub_seed_slice_tail_ks():
     assert report.ks_distance < 0.05
 
 
+def test_mc_hub_hierarchical_tail_ks():
+    # the seed's tail is (g-1)/(g-b) A**(b-1) x**-(b-1); at n <= 2000 the KS
+    # distance to the limit is 0.06-0.18, which is finite-n bias, so n = 1e4
+    cfg = EnsembleConfig(n=10_000, mixing=HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
+                         master_seed=SEED, replicas=1000)
+    report = mc_hub(cfg)
+    assert report.scaling.limit.c_eta == pytest.approx(3.5 / 1.5)
+    assert report.scaling.limit.eta == pytest.approx(2.0)
+    assert report.ks_distance < 0.05
+
+
 def test_mc_hub_graph_scale_regime_is_continuous():
     # rows matched to the tail scale: the empirical curve follows the
     # bounded-slice law exp(-c (x**-eta - 1)), the reference curve itself,
@@ -247,14 +258,14 @@ def test_mc_hub_graph_scale_regime_is_continuous():
 
 
 def test_mc_hub_degenerate_point_mass_at_zero():
-    cfg = EnsembleConfig(n=50, mixing=DiracMixing(lam=0.0), master_seed=1,
-                         replicas=200)
-    report = mc_hub(cfg)
-    assert report.ks_distance == 0.0
-    assert report.scaling is None
-    assert report.b_n == 1.0
-    assert report.reference_cdf(0.5) == 1.0
-    assert all(f == 1.0 for _, f in report.empirical_cdf)
+    for mixing in (DiracMixing(lam=0.0), SeedCdfMixing(seed=DiracSeed(t0=0.0))):
+        cfg = EnsembleConfig(n=50, mixing=mixing, master_seed=1, replicas=200)
+        report = mc_hub(cfg)
+        assert report.ks_distance == 0.0
+        assert report.scaling is None
+        assert report.b_n == 1.0
+        assert report.reference_cdf(0.5) == 1.0
+        assert all(f == 1.0 for _, f in report.empirical_cdf)
 
 
 def test_mc_hub_rejections():

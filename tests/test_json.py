@@ -16,8 +16,8 @@ from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, FractionRows, LogF
 from exchgraph.errors import ConfigError, ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing)
-from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed,
-                             ParetoTailSeed, PowerLawSeed, SeedDistribution)
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
+                             LerchSeed, ParetoTailSeed, PowerLawSeed, SeedDistribution)
 
 # (family root, reader, error class)
 FAMILIES = {
@@ -48,6 +48,8 @@ FROZEN = {
         (ParetoTailSeed(alpha=1.0, eta=1.5), {"kind": "pareto_tail", "alpha": 1.0, "eta": 1.5}),
         (PowerLawSeed(alpha=1.0, beta=2.5), {"kind": "power_law", "alpha": 1.0, "beta": 2.5}),
         (LerchSeed(alpha=1.5, s=2.5), {"kind": "lerch", "alpha": 1.5, "s": 2.5}),
+        (HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
+         {"kind": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
     ],
     "law": [
         (PoissonLaw(lam=2.0), {"kind": "poisson", "lam": 2.0}),
@@ -119,12 +121,14 @@ _g_tables = st.lists(st.tuples(_pos(0.0, 1e3), _pos()), min_size=2, max_size=6,
                      unique_by=lambda p: p[0]).map(lambda ps: tuple(sorted(ps)))
 
 SEEDS = st.one_of(
-    st.builds(DiracSeed, t0=_pos()),
+    st.builds(DiracSeed, t0=_pos(0.0)),
     st.builds(ExponentialSeed, gamma=_pos()),
     st.builds(GammaSeed, r=_pos(), gamma=_pos()),
     st.builds(ParetoTailSeed, alpha=_pos(), eta=_pos()),
     st.builds(PowerLawSeed, alpha=_pos(), beta=_above(1.0)),
     st.builds(LerchSeed, alpha=_above(1.0), s=_above(1.0)),
+    st.builds(lambda a, bg: HierarchicalSeed(A=a, beta=bg[0], gamma_exp=bg[1]),
+              _pos(), _ordered_pair(2.0)),
 )
 
 STRATEGIES = {

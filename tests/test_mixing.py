@@ -16,7 +16,7 @@ from exchgraph.errors import ParameterError
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
-from exchgraph.seeds import DiracSeed, ExponentialSeed, GammaSeed, PowerLawSeed
+from exchgraph.seeds import DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed, PowerLawSeed
 
 
 def brute_moment(spec, n, i):
@@ -416,12 +416,18 @@ class TestImpliedSeed:
     def test_known_mappings(self):
         assert DiracMixing(lam=2.0).limit_seed() == DiracSeed(t0=2.0)
         assert PowerLawMixing(alpha=1.0, beta=3.0).limit_seed() == PowerLawSeed(alpha=1.0, beta=3.0)
+        assert HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5).limit_seed() == \
+            HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
         seed = ExponentialSeed(gamma=1.3)
         assert SeedCdfMixing(seed=seed).limit_seed() == seed
+        modulated = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0)))
+        with pytest.raises(ParameterError, match="no closed-form seed limit"):
+            modulated.limit_seed()
 
-    def test_zero_rate_has_no_seed(self):
-        with pytest.raises(ParameterError):
-            DiracMixing(lam=0.0).limit_seed()
+    def test_zero_rate_seed_is_the_point_mass_at_zero(self):
+        # theta = 0 scales to the point mass at 0, which the hub reads as no edges
+        assert DiracMixing(lam=0.0).limit_seed() == DiracSeed(t0=0.0)
+        assert float(DiracSeed(t0=0.0).cdf(0.0)) == 1.0
 
 
 @pytest.mark.parametrize("spec", [
@@ -447,7 +453,6 @@ def test_family_facts_read_by_the_hub_and_the_row_rules():
     hierarchical = HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
     specs = [DiracMixing(lam=0.0), DiracMixing(lam=2.0), PowerLawMixing(alpha=1.0, beta=1.5),
              modulated, SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=2.5)), hierarchical]
-    assert [s.is_null() for s in specs] == [True] + [False] * 5
     assert [s.power_law_params() for s in specs] == [None, None, (1.0, 1.5), None, None, None]
     # a hierarchical law has a beta, but no theta**-beta density of its own
     assert [s.row_exponent() for s in specs] == [None, None, 1.5, 2.5, None, None]
