@@ -48,8 +48,6 @@ FROZEN = {
         (ParetoTailSeed(alpha=1.0, eta=1.5), {"kind": "pareto_tail", "alpha": 1.0, "eta": 1.5}),
         (PowerLawSeed(alpha=1.0, beta=2.5), {"kind": "power_law", "alpha": 1.0, "beta": 2.5}),
         (LerchSeed(alpha=1.5, s=2.5), {"kind": "lerch", "alpha": 1.5, "s": 2.5}),
-        (HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
-         {"kind": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
     ],
     "law": [
         (PoissonLaw(lam=2.0), {"kind": "poisson", "lam": 2.0}),
@@ -73,15 +71,25 @@ FROZEN = {
     ],
 }
 
-FROZEN_CASES = [(family, obj, wire) for family, cases in FROZEN.items()
-                for obj, wire in cases]
+# kinds registered after the table above was laid out; their cases go at the end of
+# FROZEN_CASES so that the position-numbered test ids of the earlier cases stay put
+FROZEN_LATER = {
+    "seed": [
+        (HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
+         {"kind": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+    ],
+}
+
+FROZEN_CASES = [(family, obj, wire) for table in (FROZEN, FROZEN_LATER)
+                for family, cases in table.items() for obj, wire in cases]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_frozen_table_covers_every_registered_kind(family):
     root = FAMILIES[family][0]
     assert sorted(root._kinds) == sorted(obj.to_json()[root._tag]
-                                         for obj, _ in FROZEN[family])
+                                         for obj, _ in FROZEN[family]
+                                         + FROZEN_LATER.get(family, []))
 
 
 @pytest.mark.parametrize("family, obj, wire", FROZEN_CASES,
