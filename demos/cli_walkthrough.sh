@@ -46,6 +46,24 @@ exchgraph mc --config "$work/config.json"
 echo "exit $?"
 
 echo
+echo "== mc with one bias shared by all rows: the laws averaged over it =="
+cat > "$work/shared.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 60,
+    "mixing": {"variant": "power_law", "alpha": 2.0, "beta": 2.5},
+    "variant": "completely_exchangeable",
+    "master_seed": 3,
+    "replicas": 2000
+  },
+  "tasks": ["degrees", "motifs"],
+  "output_dir": "OUT"
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/shared\"#" "$work/shared.json"
+exchgraph mc --config "$work/shared.json"
+
+echo
 echo "== degrees, hub, gf2 on a hierarchical mixing law: its own limit seed =="
 cat > "$work/hierarchical.json" <<'EOF'
 {

@@ -6,7 +6,7 @@ rate, and for heavy-tailed bias seeds that rate crosses its baseline at
 a critical dilution gamma_c.
 """
 
-from exchgraph import (DiracMixing, EnsembleConfig, NoThresholdError,
+from exchgraph import (DiracMixing, EnsembleConfig, ExplicitRows, NoThresholdError,
                        PowerLawMixing, PowerLawSeed, expected_solutions,
                        gamma_critical, log_expected_solutions, mc_kernel_mean,
                        rank_gf2, rate_sup, sample_graph, threshold_bisection)
@@ -19,10 +19,9 @@ print(f"one 40x40 replica: rank {census.rank}, "
       f"{census.n_solutions} kernel vectors, {census.s_hypercycles} nonzero")
 
 # closed-form mean vs a direct replica average
-spec = DiracMixing(lam=0.9)
-exact = expected_solutions(spec, 24, 24)
-mc = mc_kernel_mean(EnsembleConfig(n=24, mixing=spec, master_seed=3,
-                                   replicas=20_000))
+dirac = EnsembleConfig(n=24, mixing=DiracMixing(lam=0.9), master_seed=3, replicas=20_000)
+exact = expected_solutions(dirac)
+mc = mc_kernel_mean(dirac)
 print(f"mean solutions, 24x24 dirac bias: exact {exact:.3f}, "
       f"mc {mc.mean_solutions:.3f} +- {mc.se:.3f}")
 
@@ -32,7 +31,7 @@ print("normalized log-mean vs variational rate, dirac seed t0=1")
 n = 400
 for gamma in (0.5, 0.8, 1.0):
     m = int(round(n / gamma))
-    lhs = log_expected_solutions(DiracMixing(lam=1.0), n, m) / n
+    lhs = log_expected_solutions(EnsembleConfig(n, DiracMixing(lam=1.0), ExplicitRows(m))) / n
     sup = rate_sup(PowerLawSeed(alpha=1.0, beta=1.5), gamma)  # heavy seed
     print(f"  gamma={gamma}: finite-n {lhs:.4f}, "
           f"heavy-seed rate {sup.i_gamma:.4f} "

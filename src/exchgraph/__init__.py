@@ -13,7 +13,7 @@ from .degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
 from .ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                        GraphSample, LogFractionRows, PowerFractionRows,
                        SquareRows, in_degrees, map_replicas, out_degrees,
-                       read_edge_list, row_prob, sample_bias_matrix,
+                       read_edge_list, sample_bias_matrix,
                        sample_graph, write_edge_list)
 from .errors import (ConfigError, EnumerationBudgetError, ExchGraphError,
                      InversionError, NoThresholdError, ParameterError,

@@ -94,7 +94,7 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
 
 
 def log_quad(log_func, a, b, points=None):
-    """Compute log of ``integral(exp(log_func))`` over [a, b].
+    """Compute log of ``integral(exp(log_func))`` over a finite [a, b].
 
     The peak of ``log_func`` is located on a scan grid of _N_SCAN points
     (log-spaced when the interval spans orders of magnitude), subtracted off,
@@ -103,16 +103,7 @@ def log_quad(log_func, a, b, points=None):
     """
     if not b > a:
         return -np.inf
-    if np.isfinite(b):
-        if a > 0 and b / a > 50.0:
-            grid = np.geomspace(a, b, _N_SCAN)
-        else:
-            grid = np.linspace(a, b, _N_SCAN)
-    else:
-        lo = a if a > 0 else 1e-12
-        grid = np.concatenate([np.geomspace(lo, max(10.0 * lo, 1.0), _N_SCAN // 2),
-                               np.geomspace(max(10.0 * lo, 1.0), 1e6, _N_SCAN // 2)])
-        grid = np.unique(np.clip(grid, a, None))
+    grid = np.geomspace(a, b, _N_SCAN) if a > 0 and b / a > 50.0 else np.linspace(a, b, _N_SCAN)
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = np.array([log_func(g) for g in grid], dtype=float)
     vals[~np.isfinite(vals)] = -np.inf

@@ -37,7 +37,7 @@ from ._codec import JsonCodec
 from ._numerics import special
 from .degrees import (default_limit_law, in_pmf_exact, limit_pmf,
                       out_pmf_exact, total_variation, write_pmf_table)
-from .ensemble import (EnsembleConfig, ExplicitRows, map_replicas,
+from .ensemble import (EnsembleConfig, ExplicitRows, SquareRows, map_replicas,
                        out_degrees, sample_graph, write_edge_list)
 from .errors import ConfigError, ExchGraphError, NoThresholdError
 from .gf2 import (DegenerateTermWarning, expected_solutions,
@@ -215,8 +215,7 @@ def cmd_degrees(run: RunConfig) -> int:
     # a degree cannot exceed the row width n or the column height m
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
-    exact_in = (in_pmf_exact(cfg.mixing, cfg.n, cfg.m, np.arange(min(k_max, cfg.m) + 1))
-                if cfg.iid_rows else None)
+    exact_in = in_pmf_exact(cfg, np.arange(min(k_max, cfg.m) + 1))
     try:
         law = default_limit_law(cfg.mixing)
     except ExchGraphError:
@@ -230,7 +229,7 @@ def cmd_degrees(run: RunConfig) -> int:
     payload["degrees"] = {
         "k_max": k_max,
         "out_pmf_exact": [float(v) for v in exact_out],
-        "in_pmf_exact": None if exact_in is None else [float(v) for v in exact_in],
+        "in_pmf_exact": [float(v) for v in exact_in],
         "limit_pmf": None if law is None else [float(v) for v in limit],
         "limit_law": None if law is None else law.to_json(),
         "tv_exact_vs_limit": None if law is None else float(total_variation(exact_out, limit)),
@@ -244,10 +243,8 @@ def cmd_degrees(run: RunConfig) -> int:
 
 def cmd_motifs(run: RunConfig) -> int:
     cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
-    spec, n, m, variant = cfg.mixing, cfg.n, cfg.m, cfg.variant
-    iid = cfg.iid_rows
-    square = iid and m == n
-    cycle_means = {k: mean_cycles(spec, n, k, variant, m) for k in lengths}
+    square = cfg.m == cfg.n
+    cycle_means = {k: mean_cycles(cfg, k) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
     with open(table, "w", encoding="ascii") as handle:
         handle.write("k,mean\n")
@@ -256,15 +253,17 @@ def cmd_motifs(run: RunConfig) -> int:
     print(f"wrote {table}")
     payload = _base_payload(cfg)
     payload["motifs"] = {
-        "feedback_mean": mean_feedback_loops(spec, n, variant, m),
-        "feedforward_mean": mean_feedforward_loops(spec, n, variant, m),
+        "feedback_mean": mean_feedback_loops(cfg),
+        "feedforward_mean": mean_feedforward_loops(cfg),
         "cycle_means": {str(k): cycle_means[k] for k in lengths},
-        "roots_mean": mean_roots(spec, n, m) if iid else None,
-        "leaves_mean": mean_leaves(spec, n, m) if iid else None,
+        "roots_mean": mean_roots(cfg),
+        "leaves_mean": mean_leaves(cfg),
         # no rectangular form: null rather than the square value
-        "feedback_var": var_feedback_loops(spec, n) if square else None,
-        "feedforward_var": var_feedforward_loops(spec, n) if square else None,
-        "isolated_bound": connectivity_bound(spec, n) if square else None,
+        "feedback_var": var_feedback_loops(cfg) if square else None,
+        "feedforward_var": var_feedforward_loops(cfg) if square else None,
+        # independent-row theory as well
+        "isolated_bound": (connectivity_bound(cfg.mixing, cfg.n)
+                           if square and cfg.iid_rows else None),
     }
     _write_json(run.output_dir / "motifs.json", payload)
     return EXIT_OK
@@ -345,13 +344,10 @@ def _threshold_verdict(seed) -> dict:
 
 def cmd_gf2(run: RunConfig) -> int:
     cfg, task = run.gf2.resize(run.ensemble), run.gf2
-    n, m = cfg.n, cfg.m
-    log_mean = linear = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateTermWarning)
-        if cfg.iid_rows:
-            log_mean = log_expected_solutions(cfg.mixing, n, m)
-            linear = math.exp(log_mean) if log_mean < 700.0 else None
+        log_mean = log_expected_solutions(cfg)
+    linear = math.exp(log_mean) if log_mean < 700.0 else None
     census = rank_gf2(sample_graph(cfg, 0).matrix)
     payload = _base_payload(cfg)
     block = {
@@ -362,7 +358,7 @@ def cmd_gf2(run: RunConfig) -> int:
         "first_replica_census": census.to_json(),
     }
     # bounds this command's work; the mc suite, sized by its block, runs wider systems
-    if m <= 64 and cfg.replicas >= 2:
+    if cfg.m <= 64 and cfg.replicas >= 2:
         mc = mc_kernel_mean(cfg)
         block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
                        "se": mc.se}
@@ -439,8 +435,9 @@ def cmd_report(run: RunConfig) -> int:
     (alpha, beta), n = spec.power_law_params(), cfg.n
     mu = moment(spec, n, 1)
     mu_asym = _edge_probability_asymptote(alpha, beta, n)
-    fbl = mean_feedback_loops(spec, n)
-    ffl = mean_feedforward_loops(spec, n)
+    square = replace(cfg, row_rule=SquareRows())
+    fbl = mean_feedback_loops(square)
+    ffl = mean_feedforward_loops(square)
     scaling = hub_limit_cdf(alpha, beta, n)
     payload = _base_payload(cfg)
     payload["report"] = {
@@ -529,20 +526,15 @@ def _suite_degrees(run: RunConfig) -> dict:
 
 def _suite_motifs(run: RunConfig) -> dict:
     cfg, z_max = run.motifs.resize(run.ensemble), run.motifs.z_max
-    spec, n, variant = cfg.mixing, cfg.n, cfg.variant
     # the replica count also goes as the second argument, where the span
     # recorder of bench/tracer.py reads it
     rep = mc_motifs(cfg, cfg.replicas)
     rl = mc_roots_leaves(cfg, cfg.replicas)
     checks = {
-        "feedback": _z_score(rep.fbl_mean, rep.fbl_se,
-                             mean_feedback_loops(spec, n, variant)),
-        "feedforward": _z_score(rep.ffl_mean, rep.ffl_se,
-                                mean_feedforward_loops(spec, n, variant)),
-        "roots": _z_score(rl.roots_mean, rl.roots_se,
-                          mean_roots(spec, n, cfg.m)),
-        "leaves": _z_score(rl.leaves_mean, rl.leaves_se,
-                           mean_leaves(spec, n, cfg.m)),
+        "feedback": _z_score(rep.fbl_mean, rep.fbl_se, mean_feedback_loops(cfg)),
+        "feedforward": _z_score(rep.ffl_mean, rep.ffl_se, mean_feedforward_loops(cfg)),
+        "roots": _z_score(rl.roots_mean, rl.roots_se, mean_roots(cfg)),
+        "leaves": _z_score(rl.leaves_mean, rl.leaves_se, mean_leaves(cfg)),
     }
     ok = all(z is not None and z <= z_max for z in checks.values())
     return {"pass": bool(ok), "z_scores": checks, "z_max": z_max,
@@ -569,7 +561,7 @@ def _suite_gf2(run: RunConfig) -> dict:
     cfg, z_max = run.gf2.resize(run.ensemble), run.gf2.z_max
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
-        exact = expected_solutions(cfg.mixing, cfg.n, cfg.m)
+        exact = expected_solutions(cfg)
     if math.isinf(exact):
         return {"pass": False, "reason": "exact mean overflows; shrink n"}
     rep = mc_kernel_mean(cfg)

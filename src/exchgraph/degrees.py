@@ -5,9 +5,10 @@ out-degree pmf is the mixing-averaged binomial
 
     P{S_n = k} = C(n, k) * E theta**k (1 - theta)**(n - k),
 
-computed through the log-space row polynomial of :mod:`exchgraph.mixing`.
-In-degrees: a column collects one Bernoulli(mu_n) entry from each of the m
-independent rows, so the exact in-degree law is Binomial(m, mu_n).
+computed through the log-space row polynomial of :mod:`exchgraph.mixing`,
+under every ensemble variant.  In-degrees: a column collects one Bernoulli(mu_n)
+entry from each of the m independent rows, so the exact in-degree law is
+Binomial(m, mu_n) for iid biases, averaged over any shared draw.
 
 Limit families: when n * theta converges to a seed distribution F, out-degrees
 converge to the Poisson mixture integral t**k e**-t / k! dF(t).  Closed forms
@@ -28,6 +29,7 @@ import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
+from .ensemble import EnsembleConfig
 from .errors import ParameterError
 from .mixing import MixingSpec, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
@@ -119,10 +121,8 @@ class PoissonMixtureLaw(LimitLaw):
         if not self.seed.has_density():
             # only the Dirac seed lacks a density; its mixture is Poisson
             return PoissonLaw(lam=self.seed.t0)._log_pmf(ks)
-        out = np.empty(ks.shape, dtype=float)
-        for idx, kk in np.ndenumerate(ks):
-            out[idx] = self._log_pmf_one(int(kk))
-        return out
+        return np.array([self._log_pmf_one(k) for k in ks.ravel().tolist()],
+                        dtype=float).reshape(ks.shape)
 
     def _log_pmf_one(self, k: int) -> float:
         def logf(t):
@@ -285,16 +285,18 @@ def out_pmf_exact(spec: MixingSpec, n: int, k) -> np.ndarray | float:
     return shaped_like(np.exp(logc + log_row_prob(spec, n, ks)), k)
 
 
-def in_pmf_exact(spec: MixingSpec, n: int, m: int, k) -> np.ndarray | float:
-    """P{in-degree = k} = Binomial(m, mu_n) pmf at k."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ParameterError(f"row count m must be a positive integer, got {m!r}")
+def in_pmf_exact(config: EnsembleConfig, k) -> np.ndarray | float:
+    """P{in-degree = k}: Binomial(m, mu_n) pmf at k for iid rows, averaged
+    over the shared draw of the config's variant."""
+    n, m = config.n, config.m
     ks = check_orders(k, "in-degree", hi=m)
-    mu = moment(spec, n, 1)
     logc = special.gammaln(m + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(m - ks + 1.0)
-    # xlogy and xlog1py read 0 * log 0 as 0, which gives the mu = 0 and
-    # mu = 1 point masses exactly
-    return shaped_like(np.exp(logc + special.xlogy(ks, mu) + special.xlog1py(m - ks, -mu)), k)
+
+    def law(spec):  # xlogy and xlog1py read 0 log 0 as 0: the mu = 0 and 1 point masses
+        mu = moment(spec, n, 1)
+        return np.exp(logc + special.xlogy(ks, mu) + special.xlog1py(m - ks, -mu))
+
+    return shaped_like(config.average(law), k)
 
 
 def limit_pmf(law: LimitLaw, k) -> np.ndarray | float:
@@ -329,38 +331,43 @@ class MomentTransferReport:
     both_finite_verdict: bool
 
 
-_STABILIZE_REL = 1e-6
+# A tail k**(g - beta) gains 10**(g - beta + 1) times as much over a decade of the
+# cap as over the one before, under 1 exactly when the order-g moment is finite.
+# At most 1/2 reads as stabilized: a pure power tail then reads finite for
+# g < beta - 1 - log10(2), a margin for the pmf's curvature before its tail.
+# Growth within 1e-9 of the total (quadrature noise, as on light tails) counts too.
+_DECADE_RATIO = 0.5
+
+
+def _stabilized(first: float, prev: float, full: float) -> bool:
+    return full - prev <= max(_DECADE_RATIO * (prev - first), 1e-9 * full)
 
 
 def moment_transfer_check(law: LimitLaw, gamma_ord: float, k_cap: int = 10_000) -> MomentTransferReport:
     """Check that sum k**g p_k and integral t**g dF stabilize (or grow) together.
 
-    Stabilization means the partial quantity grew by less than a relative
-    1e-6 over the last decade of the cap.  Finiteness of the two moments is
-    equivalent, so the two stabilization flags must agree; the verdict field
-    is their common value.
+    A partial quantity has stabilized when its growth over the last decade of
+    the cap is at most _DECADE_RATIO times its growth over the decade before.
+    Finiteness of the two moments is equivalent, so the two stabilization
+    flags must agree; the verdict field is their common value.
     """
     if not gamma_ord > 0:
         raise ParameterError("moment order gamma_ord must be positive")
     if k_cap < 100:
         raise ParameterError("k_cap must be at least 100 for a stabilization check")
+    caps = [k_cap // 100, k_cap // 10, k_cap]
     pmf = law.pmf_range(k_cap)
     ks = np.arange(k_cap + 1, dtype=float)
     weights = ks ** gamma_ord
     weights[0] = 0.0
-    cum = np.cumsum(weights * pmf)
-    s_full, s_prev = float(cum[k_cap]), float(cum[k_cap // 10])
-    pmf_stab = (s_full - s_prev) <= _STABILIZE_REL * s_full
-
+    sums = np.cumsum(weights * pmf)[caps].tolist()
     seed = law.limit_seed()
-    m_full = seed.truncated_moment(gamma_ord, float(k_cap))
-    m_prev = seed.truncated_moment(gamma_ord, float(k_cap // 10))
-    mix_stab = (m_full - m_prev) <= _STABILIZE_REL * m_full
-
+    mix = [seed.truncated_moment(gamma_ord, float(cap)) for cap in caps]
+    pmf_stab, mix_stab = _stabilized(*sums), _stabilized(*mix)
     return MomentTransferReport(
         gamma_ord=gamma_ord, k_cap=k_cap,
-        pmf_partial=s_full, pmf_prev_decade=s_prev, pmf_stabilized=pmf_stab,
-        mixing_partial=m_full, mixing_prev_decade=m_prev, mixing_stabilized=mix_stab,
+        pmf_partial=sums[2], pmf_prev_decade=sums[1], pmf_stabilized=pmf_stab,
+        mixing_partial=mix[2], mixing_prev_decade=mix[1], mixing_stabilized=mix_stab,
         agree=(pmf_stab == mix_stab), both_finite_verdict=(pmf_stab and mix_stab))
 
 

@@ -29,13 +29,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import spawn_rng
+from ._numerics import shaped_like, spawn_rng
 from .errors import ConfigError, ParameterError
-from .mixing import MixingSpec, HierarchicalMixing, log_row_prob, sample_thetas
+from .mixing import (DiracMixing, HierarchicalMixing, MixingSpec, PowerLawMixing,
+                     sample_thetas)
 
 __all__ = [
     "BitMatrix",
@@ -53,7 +55,6 @@ __all__ = [
     "draw_adjacency",
     "out_degrees",
     "in_degrees",
-    "row_prob",
     "map_replicas",
     "write_edge_list",
     "read_edge_list",
@@ -252,9 +253,39 @@ class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
 
     @property
     def iid_rows(self) -> bool:
-        """Whether the row biases are iid, as the in-degree law, the root, leaf and
-        variance formulas, the GF(2) mean and rate and the hub limit assume."""
+        """Whether the row biases are iid, as the hub limit, the GF(2) rate, the
+        regime report and the connectivity bound assume (see :meth:`average`)."""
         return self.variant == "partially_exchangeable"
+
+    def average(self, law, log: bool = False):
+        """A multi-row law under this config's variant.  ``law(mixing)`` is its
+        value (>= 0, or an array; logs if ``log``) for iid row biases from
+        ``mixing``, averaged elementwise in log space over the shared draw: at the
+        point mass theta over theta ~ pi_n (completely exchangeable), at
+        PowerLawMixing(a, beta) over the cutoff a ~ a**-gamma on [A, n/2] (hierarchical)."""
+        spec, width = self.mixing, self.n
+        if self.iid_rows:
+            return law(spec)
+        if self.variant == "completely_exchangeable":
+            outer, inner = spec, DiracMixing        # over t = n theta
+        else:   # a has the law of t under the power law t**-gamma at width n/2
+            outer, width = PowerLawMixing(spec.A, spec.gamma_exp), self.n / 2.0
+            inner = partial(PowerLawMixing, beta=spec.beta)
+        # break points close in on both ends of the range, where a law of the
+        # whole matrix may spike within 1/n**2 (empty or full rows)
+        lo, hi = outer._t_support(width)
+        near = (hi - lo) * np.logspace(-12.0, -2.0, 6)
+        points = np.append(lo + near, hi - near)
+
+        def log_law(t):
+            with np.errstate(divide="ignore"):
+                value = np.asarray(law(inner(t)), dtype=float)
+                return value if log else np.log(value)
+
+        shape = log_law(width).shape
+        out = np.reshape([outer._log_mean(width, lambda t: float(log_law(t).flat[i]), points)
+                          for i in range(math.prod(shape))], shape)
+        return shaped_like(out if log else np.exp(out), out)
 
 
 @dataclass
@@ -345,8 +376,7 @@ def sample_bias_matrix(config: EnsembleConfig, count: int, rng: np.random.Genera
     """
     spec, n, m = config.mixing, config.n, config.m
     if config.variant == "completely_exchangeable":
-        shared = sample_thetas(spec, n, rng, count)
-        return np.broadcast_to(shared[:, None], (count, m)).copy()
+        return np.repeat(sample_thetas(spec, n, rng, count)[:, None], m, axis=1)
     if config.variant == "hierarchical":
         return spec.sample_slices(n, rng, count, m)
     return sample_thetas(spec, n, rng, count * m).reshape(count, m)
@@ -398,11 +428,6 @@ def out_degrees(sample: GraphSample) -> np.ndarray:
 def in_degrees(sample: GraphSample) -> np.ndarray:
     """Column sums: number of in-edges per receiver (loops included)."""
     return sample.matrix.col_sums()
-
-
-def row_prob(spec: MixingSpec, n: int, r: int) -> float:
-    """P of one fixed row pattern with r ones: E theta**r (1-theta)**(n-r)."""
-    return math.exp(log_row_prob(spec, n, r))
 
 
 def map_replicas(config: EnsembleConfig, worker) -> list:

@@ -7,7 +7,8 @@ ensemble has a closed binomial form in the signed bias moments
 xi(j) = E[(1 - 2 theta)^j], summed from j = 0: dropping the j = 0 term, as a
 hasty reading of the alternating expansion suggests, breaks agreement with
 exhaustive enumeration (Dirac at theta = 1/2, n = m = 2 gives 1.75, not
-0.75), so the inclusive sum is authoritative here.
+0.75), so the inclusive sum is authoritative here.  That form holds for iid
+row biases; other variants average it over their shared draw, in log space.
 
 The growth rate of that mean under dilution m = floor(n / gamma) is the sup
 over x in [0, 1] of
@@ -17,7 +18,7 @@ over x in [0, 1] of
 with the Laplace transform taken under the seed law of the bias scale.  For
 seeds with finite mean the sup always exceeds the x = 0 baseline; heavy
 tails push it back to the baseline for small gamma, and the crossover
-gamma_c is found by bisection.
+gamma_c is found by bisection.  The rate is independent-row theory only.
 
 The Monte Carlo mean draws replica blocks through
 :func:`ensemble.replica_blocks` and is deterministic in master_seed.  It
@@ -37,7 +38,7 @@ import numpy as np
 from ._numerics import special
 from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import NoThresholdError, ParameterError
-from .mixing import MixingSpec, xi
+from .mixing import xi
 from .seeds import SeedDistribution
 
 __all__ = [
@@ -164,40 +165,41 @@ def rank_gf2(matrix: BitMatrix) -> Gf2Report:
 # -- exact mean of the solution count ---------------------------------------
 
 
-def log_expected_solutions(spec: MixingSpec, n: int, m: int) -> float:
-    """Natural log of E N = 2^-n * sum_j C(n, j) * (1 + xi(j))^m.
+def log_expected_solutions(config: EnsembleConfig) -> float:
+    """Natural log of E N = 2^-n * sum_j C(n, j) * (1 + xi(j))^m for iid
+    biases, averaged over the shared draw of the config's variant.
 
-    The j = 0 term is included (see the module docstring).  Vanishing
-    xi(j) values are reported as a DegenerateTermWarning but evaluation
+    The j = 0 term is included (see the module docstring).  Vanishing xi(j)
+    of the config's mixing law (not of the point masses that a shared-bias
+    average visits) are reported as a DegenerateTermWarning but evaluation
     proceeds: the exhaustive oracle validates the formula there too.
     """
-    if not (isinstance(n, int) and n >= 1 and isinstance(m, int) and m >= 1):
-        raise ParameterError("matrix dimensions must be positive integers")
-    spec.validate(n)
-    log_terms = np.empty(n + 1)
+    n, m = config.n, config.m
+    log_binom = [math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
+                 for j in range(n + 1)]
     vanished = []
-    for j, x in enumerate(xi(spec, n, np.arange(n + 1)).tolist()):
-        if j > 0 and abs(x) <= 1e-12:
-            vanished.append(j)
-        x = max(x, -1.0)
-        log_binom = (math.lgamma(n + 1.0) - math.lgamma(j + 1.0)
-                     - math.lgamma(n - j + 1.0))
-        if x <= -1.0:
-            log_terms[j] = -math.inf
-        else:
-            log_terms[j] = log_binom + m * math.log1p(x)
+
+    def law(spec):
+        xs = xi(spec, n, np.arange(n + 1)).tolist()
+        if spec is config.mixing:
+            vanished.extend(j for j, x in enumerate(xs) if j > 0 and abs(x) <= 1e-12)
+        log_terms = [b + m * math.log1p(x) if x > -1.0 else -math.inf
+                     for b, x in zip(log_binom, xs)]
+        return float(-n * _LOG2 + special.logsumexp(log_terms))
+
+    value = config.average(law, log=True)
     if vanished:
         shown = ", ".join(str(j) for j in vanished[:6])
         more = "..." if len(vanished) > 6 else ""
         warnings.warn(
             f"xi vanishes at j in {{{shown}{more}}}; the mean formula keeps "
             "only the surviving terms", DegenerateTermWarning, stacklevel=2)
-    return float(-n * _LOG2 + special.logsumexp(log_terms))
+    return value
 
 
-def expected_solutions(spec: MixingSpec, n: int, m: int) -> float:
+def expected_solutions(config: EnsembleConfig) -> float:
     """E N in linear scale; inf if the log form exceeds float range."""
-    log_value = log_expected_solutions(spec, n, m)
+    log_value = log_expected_solutions(config)
     try:
         return math.exp(log_value)
     except OverflowError:

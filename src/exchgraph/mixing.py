@@ -210,23 +210,22 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
                            points=knots[:64], rel_tol=self._t_rel_tol)
         return val * math.exp(-self._log_t_norm(n))
 
+    def _log_mean(self, n: int, log_f, points=()) -> float:
+        """log of the mean of exp(log_f(t)), t = n theta, under pi_n; ``points``
+        are break points in t."""
+        lo, hi = self._t_support(n)
+        return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), lo, hi,
+                        points=[*points, *self._t_knots(n)[:32]]) - self._log_t_norm(n)
+
     def _log_row_prob(self, n: int, r: int) -> float:
         """log integral of theta**r (1 - theta)**(n - r) against pi_n."""
-        def logf(t):
-            if t <= 0 or t > n:
+        def logf(t):    # 0 log 0 reads as 0, at the empty and the full row
+            if (r and t <= 0) or (r < n and t >= n):
                 return -np.inf
-            out = self._log_t_weight(n, t)
-            if r:
-                out += r * math.log(t / n)
-            if r < n:
-                if t == n:
-                    return -np.inf
-                out += (n - r) * math.log1p(-t / n)
-            return out
+            return ((r * math.log(t / n) if r else 0.0)
+                    + ((n - r) * math.log1p(-t / n) if r < n else 0.0))
 
-        lo, hi = self._t_support(n)
-        points = [self._row_peak(n, r)] + self._t_knots(n)[:32]
-        return log_quad(logf, lo, hi, points=points) - self._log_t_norm(n)
+        return self._log_mean(n, logf, [self._row_peak(n, r)])
 
     def _log_row_probs(self, n: int, rs: np.ndarray) -> np.ndarray:
         """``_log_row_prob`` over a 1-D array of row weights."""
@@ -288,9 +287,6 @@ class DiracMixing(MixingSpec):
     def _theta(self, n: int) -> float:
         return self.lam / n
 
-    def _moment(self, n: int, i: int) -> float:
-        return 1.0 if i == 0 else self._theta(n) ** i
-
     def _tail(self, n: int, t: float) -> float:
         return 1.0 if self._theta(n) > t else 0.0
 
@@ -299,16 +295,16 @@ class DiracMixing(MixingSpec):
         inside = (lo < th <= hi) or (lo == 0.0 and th == 0.0)
         return float(f(th)) if inside else 0.0
 
-    def _xi(self, n: int, i: int, moments: list[float]) -> float:
-        return (1.0 - 2.0 * self._theta(n)) ** i
+    def _log_mean(self, n, log_f, points=()):
+        return log_f(self.lam)
 
-    def _log_row_prob(self, n: int, r: int) -> float:
-        th = self._theta(n)
-        if th == 0.0:
-            return 0.0 if r == 0 else -np.inf
-        if th == 1.0:
-            return 0.0 if r == n else -np.inf
-        return r * math.log(th) + (n - r) * math.log1p(-th)
+    def _xis(self, n, orders):
+        x = 1.0 - 2.0 * self._theta(n)
+        # Python's pow per order: NumPy's SIMD power differs from it in the last bit
+        return np.array([x ** i for i in orders.tolist()], dtype=float)
+
+    def _t_support(self, n):
+        return self.lam, self.lam
 
     def _sample(self, n, rng, size):
         return np.full(size, self._theta(n))
@@ -574,14 +570,15 @@ class SeedCdfMixing(MixingSpec):
     def _row_peak(self, n, r):
         return max(float(r), 1e-3)
 
-    # only the Dirac seed lacks a density; its law is a point mass
-    def _partial(self, n, f, lo, hi):
-        law = super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
-        return law._partial(n, f, lo, hi)
+    def _law(self):
+        # only the Dirac seed lacks a density; its law is a point mass
+        return super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
 
-    def _log_row_prob(self, n: int, r: int) -> float:
-        law = super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
-        return law._log_row_prob(n, r)
+    def _partial(self, n, f, lo, hi):
+        return self._law()._partial(n, f, lo, hi)
+
+    def _log_mean(self, n, log_f, points=()):
+        return self._law()._log_mean(n, log_f, points)
 
     def _sample(self, n, rng, size):
         u = rng.random(size) * self._mass(n)

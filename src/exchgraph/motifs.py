@@ -4,13 +4,15 @@ Counting works on the realized adjacency matrix with the diagonal ignored,
 so self-edges never contribute to a pattern.  Expected counts and variances
 come from first principles each call: place the pattern (or a pair of
 patterns) on a canonical vertex set, tally distinct edges per sender, and
-average theta powers under the mixing law.  Rows are independent and biases
-iid, so the probability of a union of placements factors into per-sender
-moments; the variance routine enumerates every overlap class of two triples
-rather than trusting a transcribed polynomial.  The means count the copies
-whose out-edges all leave the m sender rows, so they hold for m < n too;
-the variances and the connectivity bound are square-only, and the
-``motifs`` command writes them as null when m != n.
+average theta powers under the mixing law.  Given iid biases the rows are
+independent, so the probability of a union of placements factors into
+per-sender moments; the variance routine enumerates every overlap class of
+two triples rather than trusting a transcribed polynomial.  Each law is
+written for iid biases and averaged over the shared draw of the config's
+variant (a variance averages its second moment and its mean apart).  The
+means count the copies whose out-edges all leave the m sender rows, so they
+hold for m < n too; the variances and the connectivity bound are
+square-only, and the ``motifs`` command writes them as null when m != n.
 
 The Monte Carlo routines draw the adjacency law in replica blocks
 (:func:`ensemble.replica_blocks`) and count with the routines a realized
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -269,76 +273,52 @@ def _placements(edges, verts) -> list[frozenset]:
     return sorted(seen, key=sorted)
 
 
-def _moment_cache(spec: MixingSpec, n: int):
-    cache: dict[int, float] = {0: 1.0}
-
-    def get(i: int) -> float:
-        if i not in cache:
-            cache[i] = moment(spec, n, i)
-        return cache[i]
-
-    return get
-
-
 def _placement_prob(edge_set, delta) -> float:
-    out: dict[int, int] = {}
-    for u, _ in edge_set:
-        out[u] = out.get(u, 0) + 1
-    return math.prod(delta(d) for d in out.values())
+    return math.prod(map(delta, Counter(u for u, _ in edge_set).values()))
 
 
-def _check_senders(n: int, m) -> int:
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
-        raise ParameterError(f"sender count must satisfy 1 <= m <= n, got {m!r}")
-    return int(m)
+def _check_senders(config: EnsembleConfig) -> int:
+    if config.m > config.n:
+        raise ParameterError(f"sender count must satisfy m <= n, got m={config.m}, n={config.n}")
+    return config.m
 
 
-def _mean_pattern(spec, n, k, aut, out_degrees, variant, m) -> float:
+def _mean_pattern(config, k, aut, out_degrees) -> float:
     """Expected copies of a k-vertex pattern with aut automorphisms whose
     vertices send out_degrees edges.  A copy puts each of its s sending
     vertices on one of the m senders and the rest anywhere else, so there
     are perm(m, s) * perm(n - s, k - s) / aut of them, each present with
-    the product of its senders' theta moments (one shared theta under the
-    completely exchangeable variant)."""
-    m = n if m is None else _check_senders(n, m)
-    degrees, delta = [d for d in out_degrees if d], _moment_cache(spec, n)
-    if variant == "completely_exchangeable":
-        per = delta(sum(degrees))
-    elif variant == "partially_exchangeable":
-        per = math.prod(delta(d) for d in degrees)
-    else:
-        raise ParameterError(
-            f"closed-form pattern means cover the independent and shared-bias "
-            f"ensembles, not {variant!r}; use the sampling route")
+    the product of its senders' theta moments under iid biases."""
+    n, m = config.n, _check_senders(config)
+    degrees = [d for d in out_degrees if d]
     s = len(degrees)
-    return math.perm(m, s) * math.perm(n - s, k - s) / aut * per if s <= m else 0.0
+    if s > m:
+        return 0.0
+    copies = math.perm(m, s) * math.perm(n - s, k - s) / aut
+    return config.average(
+        lambda spec: copies * math.prod(map(cache(partial(moment, spec, n)), degrees)))
 
 
-def mean_feedback_loops(spec: MixingSpec, n: int, variant: str = "partially_exchangeable",
-                        m: int | None = None) -> float:
+def mean_feedback_loops(config: EnsembleConfig) -> float:
     """Expected directed 3-cycle count: perm(m, 3) E[theta]^3 / 3 for iid biases."""
-    return _mean_pattern(spec, n, 3, 3, (1, 1, 1), variant, m)
+    return _mean_pattern(config, 3, 3, (1, 1, 1))
 
 
-def mean_feedforward_loops(spec: MixingSpec, n: int, variant: str = "partially_exchangeable",
-                           m: int | None = None) -> float:
+def mean_feedforward_loops(config: EnsembleConfig) -> float:
     """Expected feedforward count: perm(m, 2) (n-2) E[theta^2] E[theta] for iid biases."""
-    return _mean_pattern(spec, n, 3, 1, (2, 1, 0), variant, m)
+    return _mean_pattern(config, 3, 1, (2, 1, 0))
 
 
-def mean_cycles(spec: MixingSpec, n: int, k: int, variant: str = "partially_exchangeable",
-                m: int | None = None) -> float:
+def mean_cycles(config: EnsembleConfig, k: int) -> float:
     """Expected simple k-cycle count: perm(m, k) E[theta]^k / k for iid biases."""
-    if not (isinstance(k, (int, np.integer)) and 2 <= k <= n):
+    if not (isinstance(k, (int, np.integer)) and 2 <= k <= config.n):
         raise ParameterError(f"cycle length must satisfy 2 <= k <= n, got {k!r}")
-    return _mean_pattern(spec, n, int(k), int(k), (1,) * int(k), variant, m)
+    return _mean_pattern(config, int(k), int(k), (1,) * int(k))
 
 
-def mean_subgraph(spec: MixingSpec, n: int, pattern: SubgraphPattern,
-                  variant: str = "partially_exchangeable", m: int | None = None) -> float:
+def mean_subgraph(config: EnsembleConfig, pattern: SubgraphPattern) -> float:
     """Expected copies of the pattern; see _mean_pattern."""
-    return _mean_pattern(spec, n, pattern.k, pattern.aut_size, pattern.out_degrees(),
-                         variant, m)
+    return _mean_pattern(config, pattern.k, pattern.aut_size, pattern.out_degrees())
 
 
 def _second_moment_on_triples(spec, n, edges) -> float:
@@ -347,7 +327,7 @@ def _second_moment_on_triples(spec, n, edges) -> float:
     Every ordered pair of triples falls in one of four overlap classes; the
     orientation sum within a class is computed by brute placement pairing.
     """
-    delta = _moment_cache(spec, n)
+    delta = cache(partial(moment, spec, n))  # each moment once
     classes = [
         ((0, 1, 2), 1),
         ((0, 1, 3), 3 * (n - 3)),
@@ -367,47 +347,52 @@ def _second_moment_on_triples(spec, n, edges) -> float:
     return math.comb(n, 3) * total
 
 
-def var_feedback_loops(spec: MixingSpec, n: int) -> float:
+def _var_triples(config: EnsembleConfig, edges, mean) -> float:
+    """E[N^2] and E N averaged apart over the variant's shared draw."""
+    n = config.n
+    if config.m != n:
+        raise ParameterError("triple variances need a square ensemble (m == n)")
     if n < 3:
         return 0.0
-    mean = mean_feedback_loops(spec, n)
-    return _second_moment_on_triples(spec, n, _FBL_EDGES) - mean * mean
+    mu = mean(config)
+    return config.average(lambda spec: _second_moment_on_triples(spec, n, edges)) - mu * mu
 
 
-def var_feedforward_loops(spec: MixingSpec, n: int) -> float:
-    if n < 3:
-        return 0.0
-    mean = mean_feedforward_loops(spec, n)
-    return _second_moment_on_triples(spec, n, _FFL_EDGES) - mean * mean
+def var_feedback_loops(config: EnsembleConfig) -> float:
+    return _var_triples(config, _FBL_EDGES, mean_feedback_loops)
+
+
+def var_feedforward_loops(config: EnsembleConfig) -> float:
+    return _var_triples(config, _FFL_EDGES, mean_feedforward_loops)
 
 
 # ---------------------------------------------------------------------------
 # roots, leaves, connectivity
 
 
-def _root_leaf_inputs(spec: MixingSpec, n: int, m: int):
-    _check_senders(n, m)
-    mu = moment(spec, n, 1)
-    p_empty_row = math.exp(log_row_prob(spec, n, 0))
-    return mu, p_empty_row
+def _root_leaf_inputs(spec: MixingSpec, n: int):
+    return moment(spec, n, 1), math.exp(log_row_prob(spec, n, 0))
 
 
-def mean_roots(spec: MixingSpec, n: int, m: int) -> float:
+def _root_leaf_mean(config: EnsembleConfig, law) -> float:
+    n, m = config.n, _check_senders(config)
+    return config.average(lambda spec: law(m, *_root_leaf_inputs(spec, n)))
+
+
+def mean_roots(config: EnsembleConfig) -> float:
     """Expected root count among the m senders.
 
     A sender is a root when no sender row hits its column (its own row
     included, so no self-edge) and its row has at least one edge elsewhere.
-    The own-row event couples the two conditions: P = (1 - mu)**(m-1) *
-    ((1 - mu) - P{empty row}).
+    The own-row event couples the two conditions: for iid biases P =
+    (1 - mu)**(m-1) * ((1 - mu) - P{empty row}).
     """
-    mu, p0 = _root_leaf_inputs(spec, n, m)
-    return m * (1.0 - mu) ** (m - 1) * ((1.0 - mu) - p0)
+    return _root_leaf_mean(config, lambda m, mu, p0: m * (1.0 - mu) ** (m - 1) * ((1.0 - mu) - p0))
 
 
-def mean_leaves(spec: MixingSpec, n: int, m: int) -> float:
+def mean_leaves(config: EnsembleConfig) -> float:
     """Expected leaf count among the m senders: empty own row, some in-edge."""
-    mu, p0 = _root_leaf_inputs(spec, n, m)
-    return m * p0 * (1.0 - (1.0 - mu) ** (m - 1))
+    return _root_leaf_mean(config, lambda m, mu, p0: m * p0 * (1.0 - (1.0 - mu) ** (m - 1)))
 
 
 def connectivity_bound(spec: MixingSpec, n: int) -> float:
@@ -417,7 +402,7 @@ def connectivity_bound(spec: MixingSpec, n: int) -> float:
     distinct nodes' isolation events as uncorrelated; returns 1 when the
     isolation probability vanishes.
     """
-    mu, p0 = _root_leaf_inputs(spec, n, n)
+    mu, p0 = _root_leaf_inputs(spec, n)
     p_iso = (1.0 - mu) ** (n - 1) * p0
     pair = p_iso * p_iso
     denom = (n - 1) / n * pair + p_iso / n

@@ -22,8 +22,7 @@ from exchgraph.degrees import (GeometricLaw, LerchZipfLaw, NegativeBinomialLaw,
                                in_pmf_exact, limit_pmf, out_pmf_exact,
                                total_variation)
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
-                                PowerFractionRows, map_replicas, row_prob,
-                                sample_graph)
+                                PowerFractionRows, map_replicas, sample_graph)
 from exchgraph.errors import NoThresholdError
 from exchgraph.gf2 import (DegenerateTermWarning, expected_solutions,
                            log_expected_solutions, rank_gf2, rate_sup,
@@ -31,7 +30,7 @@ from exchgraph.gf2 import (DegenerateTermWarning, expected_solutions,
 from exchgraph.hub import (competing_moment_constant, frechet_moment,
                            hub_atom_estimate, hub_limit_cdf, mc_hub,
                            mc_hub_values)
-from exchgraph.mixing import DiracMixing, PowerLawMixing
+from exchgraph.mixing import DiracMixing, PowerLawMixing, log_row_prob
 from exchgraph.motifs import (count_feedback_loops, count_feedforward_loops,
                               count_leaves, count_roots, mc_motifs,
                               mc_roots_leaves, mean_feedback_loops,
@@ -52,7 +51,7 @@ def _dense_matrices(n, m):
 
 
 def _exhaustive_kernel_mean(spec, n, m):
-    probs = [row_prob(spec, n, r) for r in range(n + 1)]
+    probs = [math.exp(log_row_prob(spec, n, r)) for r in range(n + 1)]
     total = 0.0
     for rows, dense in _dense_matrices(n, m):
         weight = 1.0
@@ -78,14 +77,14 @@ def test_criterion_01_kernel_mean_exhaustive_oracle():
             for m in (1, 2, 3):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateTermWarning)
-                    got = expected_solutions(spec, n, m)
+                    got = expected_solutions(EnsembleConfig(n, spec, ExplicitRows(m)))
                 ref = _exhaustive_kernel_mean(spec, n, m)
                 assert got == pytest.approx(ref, rel=1e-8), (spec, n, m)
 
     balanced = DiracMixing(lam=1.0)  # theta = 1/2 at n = 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
-        full = expected_solutions(balanced, 2, 2)
+        full = expected_solutions(EnsembleConfig(2, balanced))
     truncated = full - 2.0 ** -2 * (1.0 + 1.0) ** 2
     ref = _exhaustive_kernel_mean(balanced, 2, 2)
     assert full == pytest.approx(ref, rel=1e-12)
@@ -105,7 +104,7 @@ def test_criterion_02_degree_law_convergence():
     out_limit = limit_pmf(default_limit_law(spec), ks)
     assert total_variation(out_exact, out_limit) < 0.01
 
-    in_exact = in_pmf_exact(spec, n, n, ks)
+    in_exact = in_pmf_exact(EnsembleConfig(n, spec), ks)
     in_limit = limit_pmf(PoissonLaw(lam=2.0), ks)
     assert total_variation(in_exact, in_limit) < 0.005
     assert time.monotonic() - start < 60.0
@@ -155,12 +154,12 @@ def test_criterion_04_motif_oracle_and_moments():
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=100, mixing=spec, master_seed=SEED)
     mc = mc_motifs(replace(config, replicas=10_000))
-    assert abs(mc.fbl_mean - mean_feedback_loops(spec, 100)) <= 3.0 * mc.fbl_se
-    assert abs(mc.ffl_mean - mean_feedforward_loops(spec, 100)) <= 3.0 * mc.ffl_se
-    assert mc.fbl_var == pytest.approx(var_feedback_loops(spec, 100), rel=0.05)
-    assert mc.ffl_var == pytest.approx(var_feedforward_loops(spec, 100), rel=0.05)
+    assert abs(mc.fbl_mean - mean_feedback_loops(config)) <= 3.0 * mc.fbl_se
+    assert abs(mc.ffl_mean - mean_feedforward_loops(config)) <= 3.0 * mc.ffl_se
+    assert mc.fbl_var == pytest.approx(var_feedback_loops(config), rel=0.05)
+    assert mc.ffl_var == pytest.approx(var_feedforward_loops(config), rel=0.05)
 
-    probs = [row_prob(spec, 3, r) for r in range(4)]
+    probs = [math.exp(log_row_prob(spec, 3, r)) for r in range(4)]
     m1f = m2f = m1g = m2g = 0.0
     for rows, dense in _dense_matrices(3, 3):
         weight = 1.0
@@ -172,8 +171,10 @@ def test_criterion_04_motif_oracle_and_moments():
         m2f += weight * f * f
         m1g += weight * g
         m2g += weight * g * g
-    assert m2f - m1f ** 2 == pytest.approx(var_feedback_loops(spec, 3), abs=1e-10)
-    assert m2g - m1g ** 2 == pytest.approx(var_feedforward_loops(spec, 3), abs=1e-10)
+    assert m2f - m1f ** 2 == pytest.approx(var_feedback_loops(EnsembleConfig(3, spec)),
+                                           abs=1e-10)
+    assert m2g - m1g ** 2 == pytest.approx(var_feedforward_loops(EnsembleConfig(3, spec)),
+                                           abs=1e-10)
     assert time.monotonic() - start < 300.0
 
 
@@ -181,7 +182,7 @@ def test_criterion_05_roots_leaves_resolution():
     """Source/sink means match enumeration and the per-node product form."""
     spec = DiracMixing(lam=0.8)  # theta = 0.4 at n = 2
     theta = 0.4
-    probs = [row_prob(spec, 2, r) for r in range(3)]
+    probs = [math.exp(log_row_prob(spec, 2, r)) for r in range(3)]
     roots = leaves = 0.0
     for rows, dense in _dense_matrices(2, 2):
         weight = 1.0
@@ -190,16 +191,16 @@ def test_criterion_05_roots_leaves_resolution():
         bm = BitMatrix.from_dense(dense)
         roots += weight * count_roots(bm)
         leaves += weight * count_leaves(bm)
-    assert mean_roots(spec, 2, 2) == pytest.approx(roots, abs=1e-12)
-    assert mean_leaves(spec, 2, 2) == pytest.approx(leaves, abs=1e-12)
-    assert mean_roots(spec, 2, 2) == pytest.approx(2.0 * (1 - theta) ** 2 * theta,
-                                                   abs=1e-12)
+    square = EnsembleConfig(2, spec)
+    assert mean_roots(square) == pytest.approx(roots, abs=1e-12)
+    assert mean_leaves(square) == pytest.approx(leaves, abs=1e-12)
+    assert mean_roots(square) == pytest.approx(2.0 * (1 - theta) ** 2 * theta, abs=1e-12)
 
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=500, mixing=spec, master_seed=SEED)
     mc = mc_roots_leaves(replace(config, replicas=2000))
-    assert abs(mc.roots_mean - mean_roots(spec, 500, 500)) <= 3.0 * mc.roots_se
-    assert abs(mc.leaves_mean - mean_leaves(spec, 500, 500)) <= 3.0 * mc.leaves_se
+    assert abs(mc.roots_mean - mean_roots(config)) <= 3.0 * mc.roots_se
+    assert abs(mc.leaves_mean - mean_leaves(config)) <= 3.0 * mc.leaves_se
 
 
 def test_criterion_06_hub_frechet_ks():
@@ -272,7 +273,8 @@ def test_criterion_08_rate_function_threshold():
     n = 800
     for gamma in (0.5, 0.8, 1.0):
         m = int(round(n / gamma))
-        empirical = log_expected_solutions(DiracMixing(lam=1.0), n, m) / n
+        cfg = EnsembleConfig(n, DiracMixing(lam=1.0), ExplicitRows(m))
+        empirical = log_expected_solutions(cfg) / n
         assert abs(empirical - rate_sup(DiracSeed(t0=1.0), gamma).i_gamma) < 0.01
 
     for seed in (ExponentialSeed(gamma=1.0), GammaSeed(r=2.0, gamma=1.5),

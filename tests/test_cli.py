@@ -283,12 +283,15 @@ def test_standalone_commands_honour_their_blocks(tmp_path):
 
 
 
-_IID_ROW_KEYS = {
+# keys of the multi-row exact laws, which every variant averages over its shared draw
+_MULTI_ROW_KEYS = {
     "degrees": ("in_pmf_exact",),
-    "motifs": ("roots_mean", "leaves_mean", "feedback_var", "feedforward_var",
-               "isolated_bound"),
-    "gf2": ("log_expected_solutions", "expected_solutions", "rate"),
+    "motifs": ("feedback_mean", "roots_mean", "leaves_mean", "feedback_var",
+               "feedforward_var"),
+    "gf2": ("log_expected_solutions", "expected_solutions"),
 }
+# keys of independent-row theory, null when the rows share a bias
+_IID_ONLY_KEYS = {"degrees": (), "motifs": ("isolated_bound",), "gf2": ("rate",)}
 
 
 @pytest.mark.parametrize("variant,mixing,n", [
@@ -297,29 +300,22 @@ _IID_ROW_KEYS = {
     ("hierarchical", {"variant": "hierarchical", "A": 1.0, "beta": 3.0,
                       "gamma_exp": 4.5}, 12),
 ])
-def test_iid_row_laws_are_null_when_rows_share_a_bias(tmp_path, variant, mixing, n):
-    """The in-degree law, the root, leaf and variance formulas, the
-    connectivity bound and the GF(2) mean and rate assume iid row biases.  When the
-    rows share a bias (or its cutoff), those keys are null, not wrong values.
-    The triangle means follow the variant and stay; ``motifs`` has none for
-    the hierarchical variant and exits 1 there."""
+def test_shared_bias_laws_hold_values(tmp_path, variant, mixing, n):
+    """The in-degree law, the pattern, root and leaf means, the variances and the
+    GF(2) mean hold values under every variant.  The connectivity bound and the
+    GF(2) rate assume iid row biases and are null when the rows share a bias
+    (or its cutoff)."""
     cfg = _write_config(tmp_path, gf2={"gammas": [1.0]})
     data = json.loads(cfg.read_text())
     data["ensemble"].update(n=n, mixing=mixing, variant=variant, replicas=1)
     cfg.write_text(json.dumps(data))
-    for command, keys in _IID_ROW_KEYS.items():
-        if command == "motifs" and variant == "hierarchical":
-            assert main([command, "--config", str(cfg)]) == 1
-            continue
+    for command, keys in _MULTI_ROW_KEYS.items():
         assert main([command, "--config", str(cfg)]) == 0
         block = json.loads(_read_out(tmp_path, f"{command}.json"))[command]
-        values = [block[key] for key in keys]
-        if variant == "partially_exchangeable":
-            assert all(value is not None for value in values), command
-        else:
-            assert values == [None] * len(keys), command
-            if command == "motifs":
-                assert block["feedback_mean"] > 0
+        assert all(block[key] is not None for key in keys), command
+        nulls = [block[key] is None for key in _IID_ONLY_KEYS[command]]
+        assert nulls == [variant != "partially_exchangeable"] * len(nulls), command
+
 
 # -- regime report ----------------------------------------------------------
 
@@ -484,7 +480,7 @@ def test_mc_gf2_suite_with_zero_spread_compares_the_means(tmp_path):
 
 
 def test_mc_gf2_suite_with_zero_spread_still_fails_a_real_miss(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "expected_solutions", lambda spec, n, m: 2.0 ** 16 * (1 + 1e-9))
+    monkeypatch.setattr(cli, "expected_solutions", lambda config: 2.0 ** 16 * (1 + 1e-9))
     assert main(["mc", "--config", str(_zero_spread_gf2_config(tmp_path))]) == 2
     payload = json.loads(_read_out(tmp_path, "mc.json"))     # strict JSON: no inf or NaN
     suite = payload["suites"]["gf2"]

@@ -20,6 +20,7 @@ from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLa
                                limit_pmf, moment_transfer_check,
                                out_pmf_exact, tail_asymptote, total_variation,
                                write_pmf_table)
+from exchgraph.ensemble import EnsembleConfig, ExplicitRows
 from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing,
                               SeedCdfMixing, log_row_prob, moment, xi)
@@ -215,7 +216,8 @@ class TestExactFiniteN:
         for spec in (PowerLawMixing(alpha=1.0, beta=3.0), DiracMixing(lam=0.0),
                      DiracMixing(lam=50.0)):
             mu = moment(spec, 50, 1)
-            assert_allclose(in_pmf_exact(spec, 50, 30, ks), stats.binom.pmf(ks, 30, mu),
+            assert_allclose(in_pmf_exact(EnsembleConfig(50, spec, ExplicitRows(30)), ks),
+                            stats.binom.pmf(ks, 30, mu),
                             rtol=1e-10)
 
     def test_out_degree_tv_convergence(self):
@@ -230,7 +232,8 @@ class TestExactFiniteN:
     def test_in_degree_tv_convergence(self):
         spec = DiracMixing(lam=2.0)
         ks = np.arange(0, 41)
-        tv = total_variation(in_pmf_exact(spec, 10_000, 10_000, ks), PoissonLaw(lam=2.0).pmf(ks))
+        tv = total_variation(in_pmf_exact(EnsembleConfig(10_000, spec), ks),
+                             PoissonLaw(lam=2.0).pmf(ks))
         assert tv < 0.005
 
     def test_degree_bounds_checked(self):
@@ -238,7 +241,7 @@ class TestExactFiniteN:
         with pytest.raises(ParameterError):
             out_pmf_exact(spec, 5, 6)
         with pytest.raises(ParameterError):
-            in_pmf_exact(spec, 5, 3, 4)
+            in_pmf_exact(EnsembleConfig(5, spec, ExplicitRows(3)), 4)
         with pytest.raises(ParameterError):
             out_pmf_exact(spec, 5, -1)
         with pytest.raises(ParameterError):
@@ -272,6 +275,21 @@ class TestMomentTransfer:
         # both routes converge to the seed mean 3/2
         assert rep.pmf_partial == pytest.approx(1.5, rel=1e-4)
         assert rep.mixing_partial == pytest.approx(1.5, rel=1e-4)
+
+    @pytest.mark.parametrize("law,order,finite", [
+        (PowerLawTailLaw(alpha=1.0, beta=3.0), 0.5, True),
+        (PowerLawTailLaw(alpha=1.0, beta=3.0), 1.0, True),
+        (PowerLawTailLaw(alpha=1.0, beta=3.0), 2.0, False),
+        (PowerLawTailLaw(alpha=1.0, beta=3.0), 2.5, False),
+        (HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5), 1.0, True),
+    ])
+    def test_verdict_splits_at_beta_minus_one(self, law, order, finite):
+        """A k**-beta tail has finite moments exactly below order beta - 1 = 2; a
+        slowly converging finite moment still reads finite, and the
+        logarithmically divergent one at order 2 reads infinite."""
+        rep = moment_transfer_check(law, order)
+        assert rep.pmf_stabilized == rep.mixing_stabilized == finite
+        assert rep.agree and rep.both_finite_verdict == finite
 
     def test_requires_positive_order(self):
         with pytest.raises(ParameterError):
@@ -327,7 +345,8 @@ def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():
     spec, n, m = PowerLawMixing(alpha=1.0, beta=2.5), 40, 30
     law = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
     calls = [lambda k: xi(spec, n, k), lambda k: log_row_prob(spec, n, k),
-             lambda k: out_pmf_exact(spec, n, k), lambda k: in_pmf_exact(spec, n, m, k),
+             lambda k: out_pmf_exact(spec, n, k),
+             lambda k: in_pmf_exact(EnsembleConfig(n, spec, ExplicitRows(m)), k),
              PoissonLaw(lam=2.0).log_pmf, PoissonLaw(lam=2.0).pmf, law.pmf]
     for call in calls:
         assert call(3.0) == call(3)

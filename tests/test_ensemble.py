@@ -17,9 +17,15 @@ from exchgraph import ensemble
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                                 GraphSample, LogFractionRows, PowerFractionRows, SquareRows,
                                 in_degrees, map_replicas, out_degrees, read_edge_list,
-                                row_prob, RowRule, sample_graph, write_edge_list)
+                                RowRule, sample_graph, write_edge_list)
+from exchgraph.degrees import in_pmf_exact
 from exchgraph.errors import ConfigError, ParameterError
-from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing
+from exchgraph.gf2 import log_expected_solutions
+from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing, log_row_prob,
+                              moment)
+from exchgraph.motifs import (mean_cycles, mean_feedback_loops, mean_feedforward_loops,
+                              mean_leaves, mean_roots, var_feedback_loops,
+                              var_feedforward_loops)
 
 
 def _random_dense(rng, m, n):
@@ -167,13 +173,45 @@ class TestSampling:
             (k, sample_graph(cfg, k).matrix.count_ones()) for k in range(6)]
 
 
+_SHARED = [("completely_exchangeable", PowerLawMixing(alpha=2.0, beta=2.5)),
+           ("hierarchical", HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5))]
+
+
+class TestAverage:
+    @pytest.mark.parametrize("variant,spec", _SHARED)
+    def test_one_row_laws_are_the_marginal_laws(self, variant, spec):
+        """A row sees only its own bias, whose law is the mixing itself under
+        every variant: averaging a one-row law over the shared draw gives it
+        back, values, arrays and logs alike."""
+        n = 40
+        cfg = EnsembleConfig(n, spec, variant=variant)
+        rs = np.array([0, 1, 7, 40])
+        assert_allclose(cfg.average(lambda s: moment(s, n, 2)), moment(spec, n, 2), rtol=1e-9)
+        assert_allclose(cfg.average(lambda s: log_row_prob(s, n, rs), log=True),
+                        log_row_prob(spec, n, rs), rtol=1e-9)
+        assert isinstance(cfg.average(lambda s: moment(s, n, 1)), float)
+
+    def test_dirac_mixing_laws_agree_across_variants(self):
+        """A point-mass bias is the same whether rows share it or not, so both
+        variants that take a Dirac mixing give one law to rounding.  (The
+        hierarchical variant takes only a hierarchical mixing.)"""
+        spec = DiracMixing(lam=1.5)
+        iid, shared = (EnsembleConfig(7, spec, variant=variant)
+                       for variant in ("partially_exchangeable", "completely_exchangeable"))
+        laws = (lambda c: in_pmf_exact(c, np.arange(8)), lambda c: mean_cycles(c, 4),
+                mean_feedback_loops, mean_feedforward_loops, var_feedback_loops,
+                var_feedforward_loops, mean_roots, mean_leaves, log_expected_solutions)
+        for law in laws:
+            assert_allclose(law(shared), law(iid), rtol=1e-12)
+
+
 class TestRowProb:
     def test_dirac_value(self):
-        assert_allclose(row_prob(DiracMixing(lam=1.0), 2, 1), 0.25, rtol=1e-14)
+        assert_allclose(math.exp(log_row_prob(DiracMixing(lam=1.0), 2, 1)), 0.25, rtol=1e-14)
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
-            row_prob(DiracMixing(lam=1.0), 2, 3)
+            log_row_prob(DiracMixing(lam=1.0), 2, 3)
 
 
 class TestIo:
@@ -213,7 +251,7 @@ class TestExactRowLaw:
         if m * n > ensemble._DENSE_CELLS and dense_theta is None:
             assert routes == {True, False}
         weight = np.array([bin(p).count("1") for p in range(2 ** n)])
-        probs = np.array([row_prob(spec, n, int(r)) for r in weight])
+        probs = np.exp(log_row_prob(spec, n, weight))
         assert_allclose(probs.sum(), 1.0, rtol=1e-9)
         expected = counts.sum() * probs
         assert expected.min() > 20

@@ -13,14 +13,14 @@ from hypothesis import given, settings, strategies as st
 from exchgraph import ensemble, gf2
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
                                 SquareRows, draw_adjacency, replica_blocks,
-                                row_prob, sample_graph)
-from exchgraph.errors import NoThresholdError, ParameterError
+                                sample_graph)
+from exchgraph.errors import ConfigError, NoThresholdError, ParameterError
 from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                            _transpose_words, expected_solutions, gamma_critical,
                            log_expected_solutions, mc_kernel_mean, rank_gf2,
                            rate_sup, theta_rate, threshold_bisection,
                            write_theta_grid)
-from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing
+from exchgraph.mixing import DiracMixing, HierarchicalMixing, PowerLawMixing, log_row_prob
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
                              ParetoTailSeed, PowerLawSeed, _upper_gamma)
 
@@ -175,7 +175,7 @@ def test_report_invariants_are_enforced():
 
 def _brute_mean(spec, n, m):
     """Sum N(A) P(A) over every binary m x n matrix A."""
-    probs = [row_prob(spec, n, r) for r in range(n + 1)]
+    probs = [math.exp(log_row_prob(spec, n, r)) for r in range(n + 1)]
     total = 0.0
     for rows in itertools.product(range(2 ** n), repeat=m):
         weight = 1.0
@@ -197,36 +197,55 @@ def _brute_mean(spec, n, m):
 def test_expected_solutions_matches_exhaustive_enumeration(spec, n, m):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTermWarning)
-        got = expected_solutions(spec, n, m)
+        got = expected_solutions(EnsembleConfig(n, spec, ExplicitRows(m)))
     ref = _brute_mean(spec, n, m)
     assert got == pytest.approx(ref, rel=1e-8)
 
 
 def test_expected_solutions_single_entry_closed_form():
     # n = m = 1 reduces to 2 - theta
-    assert expected_solutions(DiracMixing(lam=0.3), 1, 1) == pytest.approx(1.7)
+    assert expected_solutions(EnsembleConfig(1, DiracMixing(lam=0.3))) == pytest.approx(1.7)
 
 
 def test_expected_solutions_balanced_bias_keeps_constant_term():
     """theta = 1/2 kills every xi(j) with j >= 1; the j = 0 term survives
     and the mean is (2**m + 2**n - 1) / 2**n, not the crippled sum."""
     with pytest.warns(DegenerateTermWarning, match="xi vanishes"):
-        value = expected_solutions(DiracMixing(lam=1.0), 2, 2)
+        value = expected_solutions(EnsembleConfig(2, DiracMixing(lam=1.0)))
     assert value == pytest.approx(1.75, rel=1e-12)
 
 
 def test_expected_solutions_large_exponent_stays_in_log_scale():
-    spec = DiracMixing(lam=0.5)
-    log_value = log_expected_solutions(spec, 4000, 4000)
+    cfg = EnsembleConfig(4000, DiracMixing(lam=0.5))
+    log_value = log_expected_solutions(cfg)
     assert math.isfinite(log_value)
-    assert expected_solutions(spec, 4000, 4000) == math.inf
+    assert expected_solutions(cfg) == math.inf
+
+
+def test_shared_bias_mean_stays_finite_at_large_n():
+    """With one theta for every row, E N at n = m = 3000 is carried by the draws
+    within 1/(n m) of theta = 1, where each even-order term of the sum is at least
+    (2 - 2/m)**m.  So log E N is at least (m - 1) log 2 + m log(1 - 1/m) plus the
+    log-probability of those draws, and at most m log 2 (N <= 2**m): far above
+    the iid mean, and finite, since the average runs in log space."""
+    n = m = 3000
+    cfg = EnsembleConfig(n, PowerLawMixing(alpha=1.0, beta=1.5),
+                         variant="completely_exchangeable")
+    value = log_expected_solutions(cfg)
+    # P(theta >= 1 - delta) for the density theta**-1.5 on (1/n, 1]
+    delta = 1.0 / (n * m)
+    p_full = ((1.0 - delta) ** -0.5 - 1.0) / (math.sqrt(n) - 1.0)
+    floor = (m - 1) * math.log(2.0) + m * math.log1p(-1.0 / m) + math.log(p_full)
+    assert floor <= value <= m * math.log(2.0)
+    assert math.isfinite(value)
 
 
 def test_expected_solutions_rejects_bad_dimensions():
+    # the dimensions come from the ensemble config, which takes positive integers only
     spec = DiracMixing(lam=0.5)
     for n, m in ((0, 3), (3, 0), (2.0, 3), (3, -1)):
-        with pytest.raises(ParameterError):
-            log_expected_solutions(spec, n, m)
+        with pytest.raises(ConfigError):
+            log_expected_solutions(EnsembleConfig(n, spec, ExplicitRows(m)))
 
 
 # -- seed Laplace transforms ------------------------------------------------
@@ -431,7 +450,7 @@ def test_mc_kernel_mean_matches_exact_small_system():
     cfg = EnsembleConfig(n=3, mixing=spec, row_rule=ExplicitRows(m=2),
                          master_seed=SEED, replicas=20_000)
     rep = mc_kernel_mean(cfg)
-    exact = expected_solutions(spec, 3, 2)
+    exact = expected_solutions(cfg)
     assert abs(rep.mean_solutions - exact) < 4.0 * rep.se
 
 
@@ -440,7 +459,7 @@ def test_mc_kernel_mean_matches_exact_square_system():
     cfg = EnsembleConfig(n=24, mixing=spec, row_rule=SquareRows(),
                          master_seed=SEED, replicas=30_000)
     rep = mc_kernel_mean(cfg)
-    exact = expected_solutions(spec, 24, 24)
+    exact = expected_solutions(cfg)
     assert abs(rep.mean_solutions - exact) < 4.0 * rep.se
 
 
@@ -473,7 +492,8 @@ def test_log_mean_rate_converges_to_the_sup():
     gaps = []
     for n in (200, 400, 800):
         m = math.floor(n / gamma)
-        value = log_expected_solutions(DiracMixing(lam=1.0), n, m) / n
+        cfg = EnsembleConfig(n, DiracMixing(lam=1.0), ExplicitRows(m))
+        value = log_expected_solutions(cfg) / n
         gaps.append(limit - value)
     assert all(g > 0.0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -488,7 +508,7 @@ def test_hierarchical_log_mean_rate_matches_its_seed(gamma):
     0.01 of its own seed's rate; the power-law seed of exponent beta alone
     is 0.066 away at gamma = 1, so the bound tells the two seeds apart."""
     n, spec = 200, HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
-    value = log_expected_solutions(spec, n, round(n / gamma)) / n
+    value = log_expected_solutions(EnsembleConfig(n, spec, ExplicitRows(round(n / gamma)))) / n
     seed = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
     assert abs(value - rate_sup(seed, gamma).i_gamma) < 0.01
     if gamma == 1.0:
@@ -500,5 +520,5 @@ def test_rate_of_the_point_mass_at_zero_is_exact():
     for gamma in (0.5, 1.0):
         assert rate_sup(DiracSeed(t0=0.0), gamma).i_gamma == pytest.approx(
             math.log(2.0) / gamma, rel=1e-15)
-    assert log_expected_solutions(DiracMixing(lam=0.0), 40, 80) == pytest.approx(
-        80 * math.log(2.0), rel=1e-15)
+    empty = EnsembleConfig(40, DiracMixing(lam=0.0), ExplicitRows(80))
+    assert log_expected_solutions(empty) == pytest.approx(80 * math.log(2.0), rel=1e-15)

@@ -7,17 +7,23 @@ ensemble.  Counting code is pinned separately by brute-force loops over
 vertex tuples.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 
-from exchgraph.ensemble import EnsembleConfig, ExplicitRows
+from exchgraph.degrees import in_pmf_exact
+from exchgraph.ensemble import BitMatrix, EnsembleConfig, ExplicitRows
 from exchgraph.errors import EnumerationBudgetError, ParameterError
-from exchgraph.mixing import DiracMixing, PowerLawMixing, log_row_prob, moment
+from exchgraph.gf2 import expected_solutions, rank_gf2
+from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing, log_row_prob,
+                              moment)
 from exchgraph.motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                               count_feedback_loops, count_feedforward_loops,
                               count_isolated, count_leaves, count_roots,
@@ -141,24 +147,24 @@ class TestExactMoments:
     @pytest.mark.parametrize("spec,n", SPECS_SMALL)
     def test_feedback_mean_and_variance_exhaustive(self, spec, n):
         e1, e2 = enumerate_square(spec, n, count_feedback_loops)
-        assert_allclose(mean_feedback_loops(spec, n), e1, rtol=1e-10)
-        assert_allclose(var_feedback_loops(spec, n), e2 - e1 * e1, rtol=1e-10)
+        assert_allclose(mean_feedback_loops(EnsembleConfig(n, spec)), e1, rtol=1e-10)
+        assert_allclose(var_feedback_loops(EnsembleConfig(n, spec)), e2 - e1 * e1, rtol=1e-10)
 
     @pytest.mark.parametrize("spec,n", SPECS_SMALL)
     def test_feedforward_mean_and_variance_exhaustive(self, spec, n):
         e1, e2 = enumerate_square(spec, n, count_feedforward_loops)
-        assert_allclose(mean_feedforward_loops(spec, n), e1, rtol=1e-10)
-        assert_allclose(var_feedforward_loops(spec, n), e2 - e1 * e1, rtol=1e-10)
+        assert_allclose(mean_feedforward_loops(EnsembleConfig(n, spec)), e1, rtol=1e-10)
+        assert_allclose(var_feedforward_loops(EnsembleConfig(n, spec)), e2 - e1 * e1, rtol=1e-10)
 
     def test_two_cycle_mean_exhaustive(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         e1, _ = enumerate_square(spec, 3, lambda a: count_cycles(a, 2))
-        assert_allclose(mean_cycles(spec, 3, 2), e1, rtol=1e-10)
+        assert_allclose(mean_cycles(EnsembleConfig(3, spec), 2), e1, rtol=1e-10)
 
     def test_cycle_mean_closed_form(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         mu = moment(spec, 20, 1)
-        assert_allclose(mean_cycles(spec, 20, 5),
+        assert_allclose(mean_cycles(EnsembleConfig(20, spec), 5),
                         math.factorial(4) * math.comb(20, 5) * mu ** 5, rtol=1e-12)
 
     def test_feedback_variance_matches_explicit_polynomial(self):
@@ -171,19 +177,20 @@ class TestExactMoments:
                 + 6 * (n - 3) * c3 * (mu ** 3 * d2 + mu ** 2 * d2 ** 2)
                 + 12 * c3 * math.comb(n - 3, 2) * mu ** 4 * d2
                 - 4 * c3 * r_n * mu ** 6)
-        assert_allclose(var_feedback_loops(spec, n), want, rtol=1e-12)
+        assert_allclose(var_feedback_loops(EnsembleConfig(n, spec)), want, rtol=1e-12)
 
     def test_subgraph_mean_exhaustive(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         pat = SubgraphPattern.parse("0>1,1>2")
         e1, _ = enumerate_square(spec, 3, lambda a: count_subgraph(a, pat))
-        assert_allclose(mean_subgraph(spec, 3, pat), e1, rtol=1e-10)
+        assert_allclose(mean_subgraph(EnsembleConfig(3, spec), pat), e1, rtol=1e-10)
 
     def test_shared_bias_mean_uses_joint_moment(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         n = 6
         d3 = moment(spec, n, 3)
-        assert_allclose(mean_feedback_loops(spec, n, "completely_exchangeable"),
+        cfg = EnsembleConfig(n, spec, variant="completely_exchangeable")
+        assert_allclose(mean_feedback_loops(cfg),
                         2 * math.comb(n, 3) * d3, rtol=1e-12)
 
     def test_pattern_means_exhaustive_rectangular(self):
@@ -202,16 +209,100 @@ class TestExactMoments:
             w = math.prod(rp[int(a[i].sum())] for i in range(m))
             for key, stat in stats.items():
                 sums[key] += w * stat(a)
-        assert_allclose(mean_feedforward_loops(spec, n, m=m), sums["ffl"], rtol=1e-10)
-        assert_allclose(mean_cycles(spec, n, 2, m=m), sums["c2"], rtol=1e-10)
-        assert_allclose(mean_subgraph(spec, n, path, m=m), sums["path"], rtol=1e-10)
+        rect = EnsembleConfig(n, spec, ExplicitRows(m))
+        assert_allclose(mean_feedforward_loops(rect), sums["ffl"], rtol=1e-10)
+        assert_allclose(mean_cycles(rect, 2), sums["c2"], rtol=1e-10)
+        assert_allclose(mean_subgraph(rect, path), sums["path"], rtol=1e-10)
         assert sums["fbl"] == sums["c3"] == 0.0
-        assert mean_feedback_loops(spec, n, m=m) == mean_cycles(spec, n, 3, m=m) == 0.0
+        assert mean_feedback_loops(rect) == mean_cycles(rect, 3) == 0.0
         assert_allclose((sums["ffl"], sums["c2"]), (0.367347, 0.183673), atol=1e-6)
 
-    def test_two_level_variant_rejected(self):
-        with pytest.raises(ParameterError):
-            mean_feedback_loops(PowerLawMixing(alpha=1.0, beta=3.0), 10, "hierarchical")
+    @pytest.mark.parametrize("variant", ["completely_exchangeable", "hierarchical"])
+    def test_shared_bias_laws_exhaustive(self, variant):
+        """Every 3 x 3 and 2 x 3 matrix, weighted by its exact probability under a
+        shared bias draw (see _shared_bias_weight), pins the averaged motif,
+        root, leaf, in-degree and GF(2) laws; the iid-row laws miss them."""
+        n = 3
+        spec = (PowerLawMixing(alpha=1.0, beta=2.5) if variant == "completely_exchangeable"
+                else HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5))
+        for m in (3, 2):
+            cfg = EnsembleConfig(n, spec, ExplicitRows(m), variant=variant)
+            weight = functools.cache(lambda rows: _shared_bias_weight(cfg, rows))
+            keys = ("one", "fbl", "fbl2", "ffl", "ffl2", "c2", "roots", "leaves", "N")
+            sums, in_pmf = dict.fromkeys(keys, 0.0), np.zeros(m + 1)
+            for gid in range(2 ** (m * n)):
+                a = np.zeros((n, n), dtype=bool)
+                a[:m] = np.array([(gid >> b) & 1 for b in range(m * n)]).reshape(m, n)
+                w = weight(tuple(sorted(a[:m].sum(axis=1).tolist())))
+                fbl, ffl = count_feedback_loops(a), count_feedforward_loops(a)
+                stats = {"one": 1, "fbl": fbl, "fbl2": fbl * fbl, "ffl": ffl,
+                         "ffl2": ffl * ffl, "c2": count_cycles(a, 2),
+                         "roots": count_roots(a[:m]), "leaves": count_leaves(a[:m]),
+                         "N": rank_gf2(BitMatrix.from_dense(a[:m])).n_solutions}
+                for key, value in stats.items():
+                    sums[key] += w * value
+                in_pmf[int(a[:m, 0].sum())] += w
+            assert sums["one"] == pytest.approx(1.0, rel=1e-12)
+            laws = {"fbl": mean_feedback_loops, "ffl": mean_feedforward_loops,
+                    "c2": lambda c: mean_cycles(c, 2), "roots": mean_roots,
+                    "leaves": mean_leaves, "N": expected_solutions}
+            for key, law in laws.items():
+                assert_allclose(law(cfg), sums[key], rtol=1e-9, atol=1e-300, err_msg=key)
+            assert_allclose(in_pmf_exact(cfg, np.arange(m + 1)), in_pmf, rtol=1e-9)
+            if m == n:
+                assert_allclose(var_feedback_loops(cfg), sums["fbl2"] - sums["fbl"] ** 2,
+                                rtol=1e-9)
+                assert_allclose(var_feedforward_loops(cfg), sums["ffl2"] - sums["ffl"] ** 2,
+                                rtol=1e-9)
+            iid = replace(cfg, variant="partially_exchangeable")
+            for law in (mean_roots, mean_feedforward_loops, expected_solutions):
+                assert law(iid) != pytest.approx(law(cfg), rel=1e-3)
+
+    def test_completely_exchangeable_laws_match_mixed_moments(self):
+        """One shared theta: with M(p) = E (1 - theta)**p, the root mean is
+        m (M(m) - M(m + n - 1)), the leaf mean m (M(n) - M(n + m - 1)), and the
+        in-degree pmf C(m, k) E theta**k (1 - theta)**(m - k); the moments are
+        taken here by mpmath quadrature."""
+        n, m, alpha, beta = 200, 150, 2.0, 2.5
+        cfg = EnsembleConfig(n, PowerLawMixing(alpha=alpha, beta=beta), ExplicitRows(m),
+                             variant="completely_exchangeable")
+        with mpmath.workdps(20):
+            cuts = mpmath.linspace(mpmath.mpf(alpha) / n, 1, 101)   # about every peak's width
+            norm = mpmath.quad(lambda t: t ** -beta, cuts)
+
+            def mix(k, p):      # E theta**k (1 - theta)**p
+                return float(mpmath.quad(lambda t: t ** (k - beta) * (1 - t) ** p, cuts) / norm)
+
+            roots = m * (mix(0, m) - mix(0, m + n - 1))
+            leaves = m * (mix(0, n) - mix(0, n + m - 1))
+            ks = np.arange(0, m + 1, 25)
+            in_pmf = [math.comb(m, int(k)) * mix(int(k), m - int(k)) for k in ks]
+        assert_allclose(mean_roots(cfg), roots, rtol=1e-9)
+        assert_allclose(mean_leaves(cfg), leaves, rtol=1e-9)
+        assert_allclose(in_pmf_exact(cfg, ks), in_pmf, rtol=1e-9, atol=1e-300)
+
+
+def _power_row(lo, beta, width, r):
+    """P of one fixed pattern with r ones out of width when every entry has the
+    bias theta ~ theta**-beta on (lo, 1], by scipy quadrature."""
+    num = integrate.quad(lambda t: t ** (r - beta) * (1 - t) ** (width - r), lo, 1,
+                         epsabs=0, epsrel=1e-13, limit=200)[0]
+    return num / integrate.quad(lambda t: t ** -beta, lo, 1, epsabs=0, epsrel=1e-13)[0]
+
+
+def _shared_bias_weight(cfg, rows):
+    """Probability of one m x n matrix with row sums ``rows`` when the rows share
+    theta (completely exchangeable: the pattern is one row of width m n) or share
+    the cutoff a ~ a**-gamma on [A, n/2] and draw iid theta from the power law
+    at a (hierarchical); the cutoff integral is a second scipy quadrature."""
+    spec, n = cfg.mixing, cfg.n
+    if cfg.variant == "completely_exchangeable":
+        return _power_row(spec.alpha / n, spec.beta, len(rows) * n, sum(rows))
+    g = spec.gamma_exp
+    inner = integrate.quad(lambda a: a ** -g * math.prod(
+        _power_row(a / n, spec.beta, n, r) for r in rows), spec.A, n / 2,
+        epsabs=0, epsrel=1e-13)[0]
+    return inner / integrate.quad(lambda a: a ** -g, spec.A, n / 2, epsabs=0, epsrel=1e-13)[0]
 
 
 class TestRootsLeaves:
@@ -241,8 +332,8 @@ class TestRootsLeaves:
             w = rp[int(a[0].sum())] * rp[int(a[1].sum())]
             er += w * count_roots(a)
             el += w * count_leaves(a)
-        assert_allclose(mean_roots(spec, 2, 2), er, rtol=1e-10)
-        assert_allclose(mean_leaves(spec, 2, 2), el, rtol=1e-10)
+        assert_allclose(mean_roots(EnsembleConfig(2, spec)), er, rtol=1e-10)
+        assert_allclose(mean_leaves(EnsembleConfig(2, spec)), el, rtol=1e-10)
 
     def test_means_exhaustive_rectangular(self):
         spec, n, m = PowerLawMixing(alpha=0.5, beta=3.0), 3, 2
@@ -254,11 +345,12 @@ class TestRootsLeaves:
             w = math.prod(rp[int(a[i].sum())] for i in range(m))
             er += w * count_roots(a)
             el += w * count_leaves(a)
-        assert_allclose(mean_roots(spec, n, m), er, rtol=1e-10)
-        assert_allclose(mean_leaves(spec, n, m), el, rtol=1e-10)
+        rect = EnsembleConfig(n, spec, ExplicitRows(m))
+        assert_allclose(mean_roots(rect), er, rtol=1e-10)
+        assert_allclose(mean_leaves(rect), el, rtol=1e-10)
 
     def test_single_sender_has_no_leaves(self):
-        assert mean_leaves(DiracMixing(lam=1.0), 10, 1) == 0.0
+        assert mean_leaves(EnsembleConfig(10, DiracMixing(lam=1.0), ExplicitRows(1))) == 0.0
 
 
 class TestComponents:
@@ -296,8 +388,8 @@ class TestMonteCarlo:
     def test_triple_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
         rep = mc_motifs(replace(cfg, replicas=4000))
-        assert abs(rep.fbl_mean - mean_feedback_loops(self.SPEC, 30)) < 4 * rep.fbl_se
-        assert abs(rep.ffl_mean - mean_feedforward_loops(self.SPEC, 30)) < 4 * rep.ffl_se
+        assert abs(rep.fbl_mean - mean_feedback_loops(cfg)) < 4 * rep.fbl_se
+        assert abs(rep.ffl_mean - mean_feedforward_loops(cfg)) < 4 * rep.ffl_se
 
     def test_deterministic_for_fixed_seed(self):
         cfg = EnsembleConfig(n=20, mixing=self.SPEC, master_seed=5)
@@ -309,14 +401,14 @@ class TestMonteCarlo:
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
         out = mc_cycles(replace(cfg, replicas=2000), (2, 4))
         for k, (mean, se) in out.items():
-            assert abs(mean - mean_cycles(self.SPEC, 30, k)) < 4 * se
+            assert abs(mean - mean_cycles(cfg, k)) < 4 * se
 
     def test_roots_leaves_within_four_se(self):
         cfg = EnsembleConfig(n=200, mixing=self.SPEC, row_rule=ExplicitRows(m=100),
                              master_seed=6)
         rep = mc_roots_leaves(replace(cfg, replicas=3000))
-        assert abs(rep.roots_mean - mean_roots(self.SPEC, 200, 100)) < 4 * rep.roots_se
-        assert abs(rep.leaves_mean - mean_leaves(self.SPEC, 200, 100)) < 4 * rep.leaves_se
+        assert abs(rep.roots_mean - mean_roots(cfg)) < 4 * rep.roots_se
+        assert abs(rep.leaves_mean - mean_leaves(cfg)) < 4 * rep.leaves_se
 
     def test_triple_counts_are_exact_on_the_complete_graph(self):
         # theta = 1 gives the complete digraph: 2 C(n,3) directed 3-cycles and
