@@ -64,6 +64,25 @@ sed -i "s#\"OUT\"#\"$work/shared\"#" "$work/shared.json"
 exchgraph mc --config "$work/shared.json"
 
 echo
+echo "== motifs and mc with 100 of the 200 nodes sending: the rectangular laws =="
+cat > "$work/rect.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 200,
+    "mixing": {"variant": "power_law", "alpha": 1.0, "beta": 3.0},
+    "master_seed": 42,
+    "replicas": 400
+  },
+  "tasks": ["motifs"],
+  "output_dir": "OUT",
+  "motifs": {"rows": 100}
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/rect\"#" "$work/rect.json"
+exchgraph motifs --config "$work/rect.json"
+exchgraph mc --config "$work/rect.json"
+
+echo
 echo "== degrees, hub, gf2 on a hierarchical mixing law: its own limit seed =="
 cat > "$work/hierarchical.json" <<'EOF'
 {

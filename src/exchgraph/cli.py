@@ -243,7 +243,6 @@ def cmd_degrees(run: RunConfig) -> int:
 
 def cmd_motifs(run: RunConfig) -> int:
     cfg, lengths = run.motifs.resize(run.ensemble), run.motifs.cycle_lengths
-    square = cfg.m == cfg.n
     cycle_means = {k: mean_cycles(cfg, k) for k in lengths}
     table = run.output_dir / "motif_cycles.csv"
     with open(table, "w", encoding="ascii") as handle:
@@ -258,12 +257,9 @@ def cmd_motifs(run: RunConfig) -> int:
         "cycle_means": {str(k): cycle_means[k] for k in lengths},
         "roots_mean": mean_roots(cfg),
         "leaves_mean": mean_leaves(cfg),
-        # no rectangular form: null rather than the square value
-        "feedback_var": var_feedback_loops(cfg) if square else None,
-        "feedforward_var": var_feedforward_loops(cfg) if square else None,
-        # independent-row theory as well
-        "isolated_bound": (connectivity_bound(cfg.mixing, cfg.n)
-                           if square and cfg.iid_rows else None),
+        "feedback_var": var_feedback_loops(cfg),
+        "feedforward_var": var_feedforward_loops(cfg),
+        "isolated_bound": connectivity_bound(cfg),
     }
     _write_json(run.output_dir / "motifs.json", payload)
     return EXIT_OK

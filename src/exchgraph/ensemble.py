@@ -253,8 +253,8 @@ class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
 
     @property
     def iid_rows(self) -> bool:
-        """Whether the row biases are iid, as the hub limit, the GF(2) rate, the
-        regime report and the connectivity bound assume (see :meth:`average`)."""
+        """Whether the row biases are iid, as the hub limit, the GF(2) rate and the
+        regime report assume (see :meth:`average`)."""
         return self.variant == "partially_exchangeable"
 
     def average(self, law, log: bool = False):

@@ -1,18 +1,17 @@
 """Small-pattern statistics: cycles, feedforward triples, roots, leaves.
 
 Counting works on the realized adjacency matrix with the diagonal ignored,
-so self-edges never contribute to a pattern.  Expected counts and variances
-come from first principles each call: place the pattern (or a pair of
-patterns) on a canonical vertex set, tally distinct edges per sender, and
-average theta powers under the mixing law.  Given iid biases the rows are
-independent, so the probability of a union of placements factors into
-per-sender moments; the variance routine enumerates every overlap class of
-two triples rather than trusting a transcribed polynomial.  Each law is
-written for iid biases and averaged over the shared draw of the config's
-variant (a variance averages its second moment and its mean apart).  The
-means count the copies whose out-edges all leave the m sender rows, so they
-hold for m < n too; the variances and the connectivity bound are
-square-only, and the ``motifs`` command writes them as null when m != n.
+so self-edges never contribute to a pattern; an m x n matrix is the graph on
+n nodes whose nodes m..n-1 only receive.  Expected counts and second moments
+share one copy count: a graph on u vertices whose s sending vertices send
+d_1..d_s edges has perm(m, s) * perm(n - s, u - s) copies with their senders
+among the m sender rows, each present with the product of the theta moments
+E theta**d_v under iid biases.  A mean counts the copies of the pattern;
+E[N^2] counts those of every union of two copies, listed by how the second
+copy's vertices land on the first's, so no overlap class is transcribed by
+hand.  Each law is written for iid biases and averaged over the shared draw
+of the config's variant (a variance averages its second moment and its mean
+apart), and each holds for every m <= n.
 
 The Monte Carlo routines draw the adjacency law in replica blocks
 (:func:`ensemble.replica_blocks`) and count with the routines a realized
@@ -61,10 +60,6 @@ __all__ = [
     "mc_roots_leaves",
 ]
 
-_FBL_EDGES = ((0, 1), (1, 2), (2, 0))
-_FFL_EDGES = ((0, 1), (1, 2), (0, 2))
-
-
 def _dense(matrix) -> np.ndarray:
     if isinstance(matrix, BitMatrix):
         return matrix.to_dense()
@@ -74,12 +69,17 @@ def _dense(matrix) -> np.ndarray:
     return arr.astype(bool)
 
 
-def _square_no_diag(matrix) -> np.ndarray:
-    a = _dense(matrix)
-    if a.shape[0] != a.shape[1]:
-        raise ParameterError(f"pattern counting needs a square matrix, got {a.shape}")
-    a = a.astype(np.float64)
-    np.fill_diagonal(a, 0.0)
+def _no_self_edges(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """An adjacency matrix or stack (..., m, n) as dtype, its self-edges cleared
+    (in place when it already has that dtype).  Rows m..n-1 of the graph on n
+    nodes are the empty rows of the nodes that only receive, so the counters
+    read the m x n array as it is; m > n is refused."""
+    m, n = a.shape[-2:]
+    if m > n:
+        raise ParameterError(f"pattern counting needs m <= n rows, got shape {(m, n)}")
+    a = a.astype(dtype, copy=False)
+    diag = np.arange(m)
+    a[..., diag, diag] = 0
     return a
 
 
@@ -89,28 +89,33 @@ def _square_no_diag(matrix) -> np.ndarray:
 
 def _triple_counts(a: np.ndarray):
     """Directed 3-cycles tr(A^3) / 3 and feedforward triples sum(A^2 * A) of
-    float64 adjacency stacks (..., n, n) with a zero diagonal.  The float64
-    sums are exact integers below 2**53."""
-    sq = a @ a
-    return np.einsum("...ij,...ji->...", sq, a) / 3.0, np.einsum("...ij,...ij->...", sq, a)
+    float64 adjacency stacks (..., m, n) without self-edges.  Only the m
+    senders have out-edges, so a path of two edges turns at a sender:
+    the rows of A^2 are A[:, :m] A.  The float64 sums are exact integers
+    below 2**53."""
+    m = a.shape[-2]
+    sq = a[..., :m] @ a
+    return (np.einsum("...ij,...ji->...", sq[..., :m], a[..., :m]) / 3.0,
+            np.einsum("...ij,...ij->...", sq, a))
 
 
 def count_feedback_loops(matrix) -> int:
     """Directed 3-cycles, each counted once: tr(A^3) / 3 on the zeroed diagonal."""
-    return int(round(float(_triple_counts(_square_no_diag(matrix))[0])))
+    return int(round(float(_triple_counts(_no_self_edges(_dense(matrix)))[0])))
 
 
 def count_feedforward_loops(matrix) -> int:
     """Ordered triples with edges s->m, m->t, s->t: sum (A^2 * A)."""
-    return int(round(float(_triple_counts(_square_no_diag(matrix))[1])))
+    return int(round(float(_triple_counts(_no_self_edges(_dense(matrix)))[1])))
 
 
 def _adjacency_lists(a: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(a[i]) for i in range(a.shape[0])]
 
 
-def _cycles_from_adj(adj, a, n: int, k: int, budget: int) -> int:
-    # each simple directed k-cycle is found once, from its smallest vertex
+def _cycles_from_adj(adj, a, k: int, budget: int) -> int:
+    # each simple directed k-cycle is found once, from its smallest vertex;
+    # every vertex of a cycle sends, so a and adj cover the m x m sender block
     count = 0
     ops = 0
 
@@ -132,7 +137,7 @@ def _cycles_from_adj(adj, a, n: int, k: int, budget: int) -> int:
             visited.remove(w)
         return found
 
-    for s in range(n):
+    for s in range(len(adj)):
         count += extend(s, s, 0, {s})
     return count
 
@@ -141,8 +146,9 @@ def count_cycles(matrix, k: int, budget: int = 50_000_000) -> int:
     """Simple directed k-cycles (k >= 2), each counted once."""
     if not (isinstance(k, (int, np.integer)) and k >= 2):
         raise ParameterError(f"cycle length must be an integer >= 2, got {k!r}")
-    a = _square_no_diag(matrix).astype(bool)
-    return _cycles_from_adj(_adjacency_lists(a), a, a.shape[0], int(k), budget)
+    a = _no_self_edges(_dense(matrix), bool)
+    a = a[:, :a.shape[0]]
+    return _cycles_from_adj(_adjacency_lists(a), a, int(k), budget)
 
 
 def _roots_leaves(a: np.ndarray):
@@ -242,8 +248,8 @@ class SubgraphPattern:
 
 def count_subgraph(matrix, pattern: SubgraphPattern, budget: int = 50_000_000) -> int:
     """Copies of the pattern in the graph (isomorphic images, each once)."""
-    a = _square_no_diag(matrix).astype(bool)
-    n = a.shape[0]
+    a = _no_self_edges(_dense(matrix), bool)
+    m, n = a.shape
     if pattern.k > n:
         return 0
     embeddings = 0
@@ -253,7 +259,7 @@ def count_subgraph(matrix, pattern: SubgraphPattern, budget: int = 50_000_000) -
         if ops > budget:
             raise EnumerationBudgetError(
                 f"subgraph search exceeded {budget} vertex tuples at k={pattern.k}")
-        if all(a[tup[u], tup[v]] for u, v in pattern.edges):
+        if all(tup[u] < m and a[tup[u], tup[v]] for u, v in pattern.edges):
             embeddings += 1
     aut = pattern.aut_size
     assert embeddings % aut == 0
@@ -261,20 +267,11 @@ def count_subgraph(matrix, pattern: SubgraphPattern, budget: int = 50_000_000) -
 
 
 # ---------------------------------------------------------------------------
-# expected counts: placements and moment products
+# expected counts: one copy count for means and second moments
 
 
-def _placements(edges, verts) -> list[frozenset]:
-    """Distinct edge-set images of a pattern on a labeled vertex tuple."""
-    k = len(verts)
-    seen = set()
-    for perm in itertools.permutations(range(k)):
-        seen.add(frozenset((verts[perm[u]], verts[perm[v]]) for u, v in edges))
-    return sorted(seen, key=sorted)
-
-
-def _placement_prob(edge_set, delta) -> float:
-    return math.prod(map(delta, Counter(u for u, _ in edge_set).values()))
+_FBL = SubgraphPattern(edges=((0, 1), (1, 2), (2, 0)), k=3)
+_FFL = SubgraphPattern(edges=((0, 1), (0, 2), (1, 2)), k=3)
 
 
 def _check_senders(config: EnsembleConfig) -> int:
@@ -283,87 +280,83 @@ def _check_senders(config: EnsembleConfig) -> int:
     return config.m
 
 
-def _mean_pattern(config, k, aut, out_degrees) -> float:
-    """Expected copies of a k-vertex pattern with aut automorphisms whose
-    vertices send out_degrees edges.  A copy puts each of its s sending
-    vertices on one of the m senders and the rest anywhere else, so there
-    are perm(m, s) * perm(n - s, k - s) / aut of them, each present with
-    the product of its senders' theta moments under iid biases."""
+def _expected_copies(config: EnsembleConfig, shapes, aut) -> float:
+    """Expected copies of the shapes, over aut.  ``shapes`` maps (u, degrees)
+    to a weight: a graph on u vertices whose sending vertices send
+    ``degrees`` edges.  A copy puts its s = len(degrees) senders on s of the
+    m sender rows and its other vertices anywhere else, perm(m, s) *
+    perm(n - s, u - s) ways, and is present with the product of its senders'
+    theta moments under iid biases.  A shape with more than m senders or n
+    vertices has no copy."""
     n, m = config.n, _check_senders(config)
-    degrees = [d for d in out_degrees if d]
-    s = len(degrees)
-    if s > m:
+    terms = [(weight * math.perm(m, len(d)) * math.perm(n - len(d), u - len(d)) / aut, d)
+             for (u, d), weight in shapes.items() if len(d) <= m and u <= n]
+    if not terms:
         return 0.0
-    copies = math.perm(m, s) * math.perm(n - s, k - s) / aut
-    return config.average(
-        lambda spec: copies * math.prod(map(cache(partial(moment, spec, n)), degrees)))
+
+    def law(spec):
+        delta = cache(partial(moment, spec, n))  # each moment once
+        return math.fsum(copies * math.prod(map(delta, d)) for copies, d in terms)
+
+    return config.average(law)
 
 
 def mean_feedback_loops(config: EnsembleConfig) -> float:
     """Expected directed 3-cycle count: perm(m, 3) E[theta]^3 / 3 for iid biases."""
-    return _mean_pattern(config, 3, 3, (1, 1, 1))
+    return mean_subgraph(config, _FBL)
 
 
 def mean_feedforward_loops(config: EnsembleConfig) -> float:
     """Expected feedforward count: perm(m, 2) (n-2) E[theta^2] E[theta] for iid biases."""
-    return _mean_pattern(config, 3, 1, (2, 1, 0))
+    return mean_subgraph(config, _FFL)
 
 
 def mean_cycles(config: EnsembleConfig, k: int) -> float:
     """Expected simple k-cycle count: perm(m, k) E[theta]^k / k for iid biases."""
     if not (isinstance(k, (int, np.integer)) and 2 <= k <= config.n):
         raise ParameterError(f"cycle length must satisfy 2 <= k <= n, got {k!r}")
-    return _mean_pattern(config, int(k), int(k), (1,) * int(k))
+    return _expected_copies(config, {(int(k), (1,) * int(k)): 1}, int(k))
 
 
 def mean_subgraph(config: EnsembleConfig, pattern: SubgraphPattern) -> float:
-    """Expected copies of the pattern; see _mean_pattern."""
-    return _mean_pattern(config, pattern.k, pattern.aut_size, pattern.out_degrees())
+    """Expected copies of the pattern; see _expected_copies."""
+    degrees = tuple(d for d in pattern.out_degrees() if d)
+    return _expected_copies(config, {(pattern.k, degrees): 1}, pattern.aut_size)
 
 
-def _second_moment_on_triples(spec, n, edges) -> float:
-    """E[N^2] for a 3-vertex pattern count under iid biases.
-
-    Every ordered pair of triples falls in one of four overlap classes; the
-    orientation sum within a class is computed by brute placement pairing.
-    """
-    delta = cache(partial(moment, spec, n))  # each moment once
-    classes = [
-        ((0, 1, 2), 1),
-        ((0, 1, 3), 3 * (n - 3)),
-        ((0, 3, 4), 3 * math.comb(max(n - 3, 0), 2)),
-        ((3, 4, 5), math.comb(max(n - 3, 0), 3)),
-    ]
-    base = _placements(edges, (0, 1, 2))
-    total = 0.0
-    for other, mult in classes:
-        if mult == 0:
-            continue
-        class_sum = 0.0
-        for p in base:
-            for q in _placements(edges, other):
-                class_sum += _placement_prob(p | q, delta)
-        total += mult * class_sum
-    return math.comb(n, 3) * total
+def _pair_shapes(edges, k) -> Counter:
+    """The unions of two copies of a k-vertex pattern, tallied as shapes for
+    _expected_copies.  The first copy sits on 0..k-1; the second maps the
+    vertices ``shared`` onto the first copy's ``image`` and its other
+    vertices v onto new ones k + v: one union for each partial injection
+    (34 for k = 3, 209 for k = 4)."""
+    shapes = Counter()
+    for j in range(k + 1):
+        for shared in itertools.combinations(range(k), j):
+            for image in itertools.permutations(range(k), j):
+                label = dict(zip(shared, image))
+                union = set(edges) | {(label.get(u, k + u), label.get(v, k + v))
+                                      for u, v in edges}
+                degrees = Counter(u for u, _ in union).values()
+                shapes[2 * k - j, tuple(sorted(degrees))] += 1
+    return shapes
 
 
-def _var_triples(config: EnsembleConfig, edges, mean) -> float:
-    """E[N^2] and E N averaged apart over the variant's shared draw."""
-    n = config.n
-    if config.m != n:
-        raise ParameterError("triple variances need a square ensemble (m == n)")
-    if n < 3:
-        return 0.0
-    mu = mean(config)
-    return config.average(lambda spec: _second_moment_on_triples(spec, n, edges)) - mu * mu
+def _var_pattern(config: EnsembleConfig, pattern: SubgraphPattern) -> float:
+    """Variance of the pattern's copy count N.  E[N^2] sums over ordered
+    pairs of copies, that is the unions of _pair_shapes over aut**2; it and
+    E N are averaged apart over the variant's shared draw."""
+    aut, mean = pattern.aut_size, mean_subgraph(config, pattern)
+    second = _expected_copies(config, _pair_shapes(pattern.edges, pattern.k), aut * aut)
+    return second - mean * mean
 
 
 def var_feedback_loops(config: EnsembleConfig) -> float:
-    return _var_triples(config, _FBL_EDGES, mean_feedback_loops)
+    return _var_pattern(config, _FBL)
 
 
 def var_feedforward_loops(config: EnsembleConfig) -> float:
-    return _var_triples(config, _FFL_EDGES, mean_feedforward_loops)
+    return _var_pattern(config, _FFL)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +388,29 @@ def mean_leaves(config: EnsembleConfig) -> float:
     return _root_leaf_mean(config, lambda m, mu, p0: m * p0 * (1.0 - (1.0 - mu) ** (m - 1)))
 
 
-def connectivity_bound(spec: MixingSpec, n: int) -> float:
-    """Upper estimate of P{weakly connected} from the isolated-node count.
+def connectivity_bound(config: EnsembleConfig) -> float:
+    """Upper bound 1 - (E X)**2 / E[X**2] on P{weakly connected}, where X
+    counts the isolated nodes (Cauchy-Schwarz; 1 when none can be isolated).
 
-    Second-moment argument on the number of isolated nodes, treating
-    distinct nodes' isolation events as uncorrelated; returns 1 when the
-    isolation probability vanishes.
+    With p0 = E(1 - theta)**n, q = 1 - mu and q2 = E(1 - theta)**2 under iid
+    biases, a sender is isolated with probability p0 q**(m-1) and a receiver
+    with q**m; two senders are with p0**2 q2**(m-2), a sender and a receiver
+    with p0 q2**(m-1), two receivers with q2**m.  E X and E[X**2] are
+    averaged together over the variant's shared draw.
     """
-    mu, p0 = _root_leaf_inputs(spec, n)
-    p_iso = (1.0 - mu) ** (n - 1) * p0
-    pair = p_iso * p_iso
-    denom = (n - 1) / n * pair + p_iso / n
-    if denom <= 0.0:
-        return 1.0
-    return 1.0 - pair / denom
+    n, m = config.n, _check_senders(config)
+    r = n - m
+
+    def law(spec):
+        mu, p0 = _root_leaf_inputs(spec, n)
+        q, q2 = 1.0 - mu, 1.0 - 2.0 * mu + moment(spec, n, 2)
+        mean = m * p0 * q ** (m - 1) + r * q ** m
+        pairs = (m * (m - 1) * p0 * p0 * q2 ** max(m - 2, 0)
+                 + 2 * m * r * p0 * q2 ** (m - 1) + r * (r - 1) * q2 ** m)
+        return np.array([mean, mean + pairs])
+
+    mean, second = config.average(law)
+    return 1.0 if second <= 0.0 else 1.0 - mean * mean / second
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +460,10 @@ def mc_motifs(config: EnsembleConfig, replicas: int | None = None) -> MotifMcRep
     stands in for config.replicas.
     """
     config = _with_replicas(config, replicas)
-    if config.m != config.n:
-        raise ParameterError("triple statistics need a square ensemble (m == n)")
-    n = config.n
     fbl = np.empty(config.replicas)
     ffl = np.empty(config.replicas)
     for lo, thetas, rng in replica_blocks(config, _TAG_MOTIF):
-        a = draw_adjacency(thetas, n, rng).astype(np.float64)
-        a[:, np.arange(n), np.arange(n)] = 0.0
+        a = _no_self_edges(draw_adjacency(thetas, config.n, rng))
         fbl[lo:lo + len(a)], ffl[lo:lo + len(a)] = _triple_counts(a)
     f_mean, f_se, f_var = _mean_se_var(fbl)
     g_mean, g_se, g_var = _mean_se_var(ffl)
@@ -476,20 +474,16 @@ def mc_motifs(config: EnsembleConfig, replicas: int | None = None) -> MotifMcRep
 def mc_cycles(config: EnsembleConfig, ks,
               budget: int = 50_000_000) -> dict[int, tuple[float, float]]:
     """Replica mean and standard error of the k-cycle count for each k."""
-    if config.m != config.n:
-        raise ParameterError("cycle statistics need a square ensemble (m == n)")
     ks = [int(k) for k in ks]
     if any(k < 2 for k in ks):
         raise ParameterError("cycle lengths must be >= 2")
-    n = config.n
     counts = {k: np.empty(config.replicas) for k in ks}
     for lo, thetas, rng in replica_blocks(config, _TAG_CYCLE):
-        a = draw_adjacency(thetas, n, rng)
-        a[:, np.arange(n), np.arange(n)] = False
+        a = _no_self_edges(draw_adjacency(thetas, config.n, rng), bool)[..., :config.m]
         for r in range(len(a)):
             adj = _adjacency_lists(a[r])
             for k in ks:
-                counts[k][lo + r] = _cycles_from_adj(adj, a[r], n, k, budget)
+                counts[k][lo + r] = _cycles_from_adj(adj, a[r], k, budget)
     out = {}
     for k in ks:
         mean, se, _ = _mean_se_var(counts[k])

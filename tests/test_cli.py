@@ -180,7 +180,11 @@ def test_motifs_on_a_rectangular_ensemble(tmp_path):
     Dirac bias of 1/2 that gives perm(3, 3) / 3 / 8 = 0.25 feedback loops,
     perm(3, 2) * 4 / 8 = 3 feedforward ones and perm(3, 2) / 2 / 4 = 0.75
     2-cycles (20 000 sampled replicas: 0.249 and 3.01 for the first two).
-    The square-only fields are written as null."""
+    The two disjoint 3-cycles on the senders give a feedback variance of
+    2 (1/8)(7/8); enumerating the 2**18 equally likely sender rows gives the
+    feedforward variance 243/32.  With p0 = 1/64, q = 1/2 and q2 = 1/4 the
+    isolated-node count has E X = 99/256 and E[X**2] = 4083/8192, so the
+    bound is 1 - (E X)**2 / E[X**2] = 7621/10888."""
     cfg = _write_config(tmp_path, motifs={"cycle_lengths": [2, 3]})
     data = json.loads(cfg.read_text())
     data["ensemble"].update(n=6, mixing={"variant": "dirac", "lambda": 3.0},
@@ -192,8 +196,9 @@ def test_motifs_on_a_rectangular_ensemble(tmp_path):
     assert block["feedforward_mean"] == pytest.approx(3.0, rel=1e-12)
     assert block["cycle_means"]["2"] == pytest.approx(0.75, rel=1e-12)
     assert block["cycle_means"]["3"] == block["feedback_mean"]
-    assert block["feedback_var"] is block["feedforward_var"] is None
-    assert block["isolated_bound"] is None
+    assert block["feedback_var"] == pytest.approx(0.21875, rel=1e-12)
+    assert block["feedforward_var"] == pytest.approx(243 / 32, rel=1e-12)
+    assert block["isolated_bound"] == pytest.approx(7621 / 10888, rel=1e-12)
 
 
 def test_hub_report_records_moment_winner(tmp_path):
@@ -287,11 +292,11 @@ def test_standalone_commands_honour_their_blocks(tmp_path):
 _MULTI_ROW_KEYS = {
     "degrees": ("in_pmf_exact",),
     "motifs": ("feedback_mean", "roots_mean", "leaves_mean", "feedback_var",
-               "feedforward_var"),
+               "feedforward_var", "isolated_bound"),
     "gf2": ("log_expected_solutions", "expected_solutions"),
 }
 # keys of independent-row theory, null when the rows share a bias
-_IID_ONLY_KEYS = {"degrees": (), "motifs": ("isolated_bound",), "gf2": ("rate",)}
+_IID_ONLY_KEYS = {"degrees": (), "motifs": (), "gf2": ("rate",)}
 
 
 @pytest.mark.parametrize("variant,mixing,n", [
@@ -301,9 +306,9 @@ _IID_ONLY_KEYS = {"degrees": (), "motifs": ("isolated_bound",), "gf2": ("rate",)
                       "gamma_exp": 4.5}, 12),
 ])
 def test_shared_bias_laws_hold_values(tmp_path, variant, mixing, n):
-    """The in-degree law, the pattern, root and leaf means, the variances and the
-    GF(2) mean hold values under every variant.  The connectivity bound and the
-    GF(2) rate assume iid row biases and are null when the rows share a bias
+    """The in-degree law, the pattern, root and leaf means, the variances, the
+    connectivity bound and the GF(2) mean hold values under every variant.  The
+    GF(2) rate assumes iid row biases and is null when the rows share a bias
     (or its cutoff)."""
     cfg = _write_config(tmp_path, gf2={"gammas": [1.0]})
     data = json.loads(cfg.read_text())
@@ -422,6 +427,19 @@ def test_mc_all_suites_pass(tmp_path):
     assert set(payload["suites"]) == {"degrees", "motifs", "hub", "gf2"}
     assert payload["suites"]["degrees"]["p_value"] >= 0.01
     assert payload["suites"]["gf2"]["z"] <= 4.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_motifs_suite_on_a_rectangular_block(tmp_path, seed):
+    """Thirty senders among sixty nodes: the triple, root and leaf counts of
+    the m x n draws meet their rectangular means."""
+    cfg = _mc_config(tmp_path, tasks=["motifs"], motifs={"n": 60, "rows": 30})
+    data = json.loads(cfg.read_text())
+    data["ensemble"]["master_seed"] = seed
+    cfg.write_text(json.dumps(data))
+    assert main(["mc", "--config", str(cfg)]) == 0
+    suite = json.loads(_read_out(tmp_path, "mc.json"))["suites"]["motifs"]
+    assert suite["pass"] is True and suite["replicas"] == 400
 
 
 def test_mc_and_hub_reruns_are_byte_identical(tmp_path):

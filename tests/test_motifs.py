@@ -31,7 +31,7 @@ from exchgraph.motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                               mean_cycles, mean_feedback_loops, mean_feedforward_loops,
                               mean_leaves, mean_roots, mean_subgraph,
                               var_feedback_loops, var_feedforward_loops,
-                              weak_components)
+                              weak_components, _var_pattern)
 
 
 def random_adjacency(rng, n, p=0.35, self_loops=True):
@@ -92,8 +92,21 @@ class TestCounting:
             count_cycles(a, 6, budget=1000)
 
     def test_rejects_non_square(self):
+        """An m x n matrix with m <= n is the graph whose last n - m nodes only
+        receive; more rows than nodes is refused."""
         with pytest.raises(ParameterError):
-            count_feedback_loops(np.zeros((3, 4), dtype=bool))
+            count_feedback_loops(np.zeros((4, 3), dtype=bool))
+
+    def test_rectangular_counts_match_padded(self):
+        rng = np.random.default_rng(8)
+        a = random_adjacency(rng, 8, p=0.6)[:5]
+        padded = np.zeros((8, 8), dtype=bool)
+        padded[:5] = a
+        path = SubgraphPattern.parse("0>1,1>2")
+        for count in (count_feedback_loops, count_feedforward_loops,
+                      lambda g: count_cycles(g, 2), lambda g: count_cycles(g, 4),
+                      lambda g: count_subgraph(g, path)):
+            assert count(a) == count(padded) > 0
 
 
 class TestSubgraphPattern:
@@ -217,26 +230,50 @@ class TestExactMoments:
         assert mean_feedback_loops(rect) == mean_cycles(rect, 3) == 0.0
         assert_allclose((sums["ffl"], sums["c2"]), (0.367347, 0.183673), atol=1e-6)
 
+    @pytest.mark.parametrize("n,m", [(4, 2), (4, 3), (4, 4)])
+    def test_pair_formula_exhaustive(self, n, m):
+        """Every m x n matrix at once, weighted by its row-sum probabilities,
+        pins the pair-of-copies variance of 3- and 4-vertex patterns and both
+        moments of the isolated-node count behind the connectivity bound."""
+        spec = PowerLawMixing(alpha=1.0, beta=2.5)
+        cfg = EnsembleConfig(n, spec, ExplicitRows(m))
+        a, w = _every_graph(spec, n, m)
+        for text in ("0>1,1>2,2>0", "0>1,1>2,0>2", "0>1,1>2,2>3,3>0", "0>1,1>2,2>3"):
+            pattern = SubgraphPattern.parse(text)
+            copies = _copies(a, pattern)
+            mean = w @ copies
+            assert_allclose(mean_subgraph(cfg, pattern), mean, rtol=1e-10, err_msg=text)
+            assert_allclose(_var_pattern(cfg, pattern), w @ copies ** 2 - mean ** 2,
+                            rtol=1e-10, err_msg=text)
+        iso = (a.sum(axis=1) + a.sum(axis=2) == 0).sum(axis=1)
+        bound = connectivity_bound(cfg)
+        assert_allclose(bound, 1.0 - (w @ iso) ** 2 / (w @ iso ** 2), rtol=1e-12)
+        assert w @ _connected(a) <= bound
+
     @pytest.mark.parametrize("variant", ["completely_exchangeable", "hierarchical"])
     def test_shared_bias_laws_exhaustive(self, variant):
         """Every 3 x 3 and 2 x 3 matrix, weighted by its exact probability under a
         shared bias draw (see _shared_bias_weight), pins the averaged motif,
-        root, leaf, in-degree and GF(2) laws; the iid-row laws miss them."""
+        root, leaf, in-degree, isolated-node and GF(2) laws; the iid-row laws
+        miss them."""
         n = 3
         spec = (PowerLawMixing(alpha=1.0, beta=2.5) if variant == "completely_exchangeable"
                 else HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5))
         for m in (3, 2):
             cfg = EnsembleConfig(n, spec, ExplicitRows(m), variant=variant)
             weight = functools.cache(lambda rows: _shared_bias_weight(cfg, rows))
-            keys = ("one", "fbl", "fbl2", "ffl", "ffl2", "c2", "roots", "leaves", "N")
+            keys = ("one", "fbl", "fbl2", "ffl", "ffl2", "iso", "iso2", "c2", "roots",
+                    "leaves", "N")
             sums, in_pmf = dict.fromkeys(keys, 0.0), np.zeros(m + 1)
             for gid in range(2 ** (m * n)):
                 a = np.zeros((n, n), dtype=bool)
                 a[:m] = np.array([(gid >> b) & 1 for b in range(m * n)]).reshape(m, n)
                 w = weight(tuple(sorted(a[:m].sum(axis=1).tolist())))
                 fbl, ffl = count_feedback_loops(a), count_feedforward_loops(a)
+                iso = count_isolated(a[:m])
                 stats = {"one": 1, "fbl": fbl, "fbl2": fbl * fbl, "ffl": ffl,
-                         "ffl2": ffl * ffl, "c2": count_cycles(a, 2),
+                         "ffl2": ffl * ffl, "iso": iso, "iso2": iso * iso,
+                         "c2": count_cycles(a, 2),
                          "roots": count_roots(a[:m]), "leaves": count_leaves(a[:m]),
                          "N": rank_gf2(BitMatrix.from_dense(a[:m])).n_solutions}
                 for key, value in stats.items():
@@ -249,11 +286,12 @@ class TestExactMoments:
             for key, law in laws.items():
                 assert_allclose(law(cfg), sums[key], rtol=1e-9, atol=1e-300, err_msg=key)
             assert_allclose(in_pmf_exact(cfg, np.arange(m + 1)), in_pmf, rtol=1e-9)
-            if m == n:
-                assert_allclose(var_feedback_loops(cfg), sums["fbl2"] - sums["fbl"] ** 2,
-                                rtol=1e-9)
-                assert_allclose(var_feedforward_loops(cfg), sums["ffl2"] - sums["ffl"] ** 2,
-                                rtol=1e-9)
+            assert_allclose(var_feedback_loops(cfg), sums["fbl2"] - sums["fbl"] ** 2,
+                            rtol=1e-9)
+            assert_allclose(var_feedforward_loops(cfg), sums["ffl2"] - sums["ffl"] ** 2,
+                            rtol=1e-9)
+            assert_allclose(connectivity_bound(cfg), 1.0 - sums["iso"] ** 2 / sums["iso2"],
+                            rtol=1e-9)
             iid = replace(cfg, variant="partially_exchangeable")
             for law in (mean_roots, mean_feedforward_loops, expected_solutions):
                 assert law(iid) != pytest.approx(law(cfg), rel=1e-3)
@@ -280,6 +318,33 @@ class TestExactMoments:
         assert_allclose(mean_roots(cfg), roots, rtol=1e-9)
         assert_allclose(mean_leaves(cfg), leaves, rtol=1e-9)
         assert_allclose(in_pmf_exact(cfg, ks), in_pmf, rtol=1e-9, atol=1e-300)
+
+
+def _every_graph(spec, n, m):
+    """Every m x n matrix, padded to n x n with empty rows, as one boolean stack,
+    and its probability: the product of its row-sum probabilities."""
+    gid = np.arange(2 ** (m * n))
+    a = np.zeros((gid.size, n, n), dtype=bool)
+    a[:, :m] = ((gid[:, None] >> np.arange(m * n)) & 1).reshape(-1, m, n).astype(bool)
+    rp = np.exp(log_row_prob(spec, n, np.arange(n + 1)))
+    return a, rp[a[:, :m].sum(axis=2)].prod(axis=1)
+
+
+def _copies(a, pattern):
+    """Copies of the pattern in each graph of the stack: its embeddings, which
+    never use a self-edge, over its automorphisms."""
+    n = a.shape[-1]
+    hits = sum(np.all([a[:, t[u], t[v]] for u, v in pattern.edges], axis=0)
+               for t in itertools.permutations(range(n), pattern.k))
+    return hits // pattern.aut_size
+
+
+def _connected(a):
+    """Whether each graph of the stack is weakly connected: node 0 reaches
+    every node through n - 1 steps of the symmetrized support."""
+    n = a.shape[-1]
+    step = (a | a.transpose(0, 2, 1) | np.eye(n, dtype=bool)).astype(np.float64)
+    return (np.linalg.matrix_power(step, n - 1)[:, 0] > 0).all(axis=1)
 
 
 def _power_row(lo, beta, width, r):
@@ -364,13 +429,13 @@ class TestComponents:
     def test_connectivity_bound_in_unit_interval(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         for n in (10, 50, 200):
-            b = connectivity_bound(spec, n)
+            b = connectivity_bound(EnsembleConfig(n, spec))
             assert 0.0 <= b <= 1.0
 
     def test_connectivity_bound_tracks_simulation(self):
         spec = DiracMixing(lam=4.0)
         n = 40
-        bound = connectivity_bound(spec, n)
+        bound = connectivity_bound(EnsembleConfig(n, spec))
         rng = np.random.default_rng(17)
         hits = 0
         reps = 300
@@ -420,8 +485,29 @@ class TestMonteCarlo:
         assert rep.ffl_mean == 6 * math.comb(600, 3)
         assert rep.fbl_se == rep.ffl_se == 0.0
 
-    def test_requires_square_for_triples(self):
-        cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=10),
+    def test_rectangular_triple_moments(self):
+        """The m x n draw is the graph whose last n - m nodes only receive.  A
+        Dirac bias keeps the counts light-tailed, so 20 000 replicas pin the
+        variances to about 1 % (largest deviation 0.02 over seeds 1-12)."""
+        cfg = EnsembleConfig(n=60, mixing=DiracMixing(lam=6.0), row_rule=ExplicitRows(m=40),
                              master_seed=5)
+        rep = mc_motifs(replace(cfg, replicas=20_000))
+        assert abs(rep.fbl_mean - mean_feedback_loops(cfg)) < 4 * rep.fbl_se
+        assert abs(rep.ffl_mean - mean_feedforward_loops(cfg)) < 4 * rep.ffl_se
+        assert rep.fbl_var == pytest.approx(var_feedback_loops(cfg), rel=0.05)
+        assert rep.ffl_var == pytest.approx(var_feedforward_loops(cfg), rel=0.05)
+
+    def test_rectangular_cycle_means_within_four_se(self):
+        cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=20),
+                             master_seed=5)
+        out = mc_cycles(replace(cfg, replicas=2000), (2, 3, 4))
+        for k, (mean, se) in out.items():
+            assert abs(mean - mean_cycles(cfg, k)) < 4 * se
+
+    def test_rejects_more_senders_than_nodes(self):
+        cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=40),
+                             master_seed=5, replicas=10)
         with pytest.raises(ParameterError):
-            mc_motifs(replace(cfg, replicas=10))
+            mc_motifs(cfg)
+        with pytest.raises(ParameterError):
+            mc_cycles(cfg, (3,))
