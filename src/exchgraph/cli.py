@@ -12,8 +12,8 @@ per task, each key with its default written once on its field.
 ``hub`` and ``gf2`` emit the matching analytic/Monte Carlo report for the
 ensemble resized by the ``n``, ``rows`` and ``replicas`` of their block, as
 the ``mc`` suites of the same name are.  ``report`` emits the regime summary
-for the power-law bias family.  ``mc`` runs the validation suites listed
-under ``tasks``.  Replicas are drawn one after another, in index order.
+for any law whose limit seed is a power-law seed.  ``mc`` runs the validation
+suites listed under ``tasks``.  Replicas are drawn one after another, in index order.
 
 Exit codes: 0 success, 1 usage/configuration/I-O error, 2 statistical
 failure.  Every JSON report embeds the resolved ensemble config and is
@@ -50,6 +50,7 @@ from .motifs import (connectivity_bound, mc_motifs, mc_roots_leaves,
                      mean_cycles, mean_feedback_loops, mean_feedforward_loops,
                      mean_leaves, mean_roots, var_feedback_loops,
                      var_feedforward_loops)
+from .seeds import PowerLawSeed
 
 __all__ = ["main"]
 
@@ -423,12 +424,13 @@ def cmd_report(run: RunConfig) -> int:
     if not cfg.iid_rows:
         raise ConfigError(f"regime report needs independent per-sender biases, "
                           f"but variant {cfg.variant!r} shares them across rows")
-    if spec.power_law_params() is None:
-        raise ConfigError("regime report needs the power-law mixing family")
+    seed = spec.limit_seed()
+    if not isinstance(seed, PowerLawSeed):
+        raise ConfigError(f"regime report needs a power_law limit seed, got a {seed.kind} seed")
     if cfg.n < 3:
         raise ConfigError(f"regime report compares triangle counts and needs n >= 3, "
                           f"got n={cfg.n}")
-    (alpha, beta), n = spec.power_law_params(), cfg.n
+    alpha, beta, n = seed.alpha, seed.beta, cfg.n
     mu = moment(spec, n, 1)
     mu_asym = _edge_probability_asymptote(alpha, beta, n)
     square = replace(cfg, row_rule=SquareRows())
@@ -460,7 +462,7 @@ def cmd_report(run: RunConfig) -> int:
             "scale": scaling.scale,
             "limit": scaling.limit.to_json(),
         },
-        "gf2_threshold": _threshold_verdict(spec.limit_seed()),
+        "gf2_threshold": _threshold_verdict(seed),
     }
     _write_json(run.output_dir / "report.json", payload)
     return EXIT_OK

@@ -22,6 +22,7 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_blocks
 from .errors import ParameterError
+from .seeds import PowerLawSeed
 
 __all__ = [
     "hub_statistic",
@@ -107,10 +108,7 @@ def hub_limit_cdf(alpha: float, beta: float, n: int) -> HubScaling:
     conditioned at the cutoff 1: exp(-alpha**eta * (x**-eta - 1)), continuous
     on (0, 1] with no atom at the cutoff.
     """
-    if not alpha > 0:
-        raise ParameterError("hub reference law needs alpha > 0")
-    if not beta > 1:
-        raise ParameterError("hub reference law needs beta > 1")
+    PowerLawSeed(alpha, beta)     # the domain of (alpha, beta)
     if not (isinstance(n, int) and n >= 2):
         raise ParameterError("hub reference law needs integer n >= 2")
     eta = beta - 1.0
@@ -143,8 +141,7 @@ def competing_moment_constant(alpha: float, beta: float, d: float) -> float:
     print both side by side and let the Monte Carlo mean pick the curve it
     tracks rather than silently dropping one.
     """
-    if not (alpha > 0 and beta > 1):
-        raise ParameterError("competing moment constant needs alpha > 0, beta > 1")
+    PowerLawSeed(alpha, beta)     # the domain of (alpha, beta)
     if not (0 < d < beta - 1.0):
         raise ParameterError(
             f"moment order must lie in (0, beta-1); d={d}, beta={beta}")
@@ -228,12 +225,11 @@ def _reference_scaling(config: EnsembleConfig):
     if not config.iid_rows:
         raise ParameterError(f"hub limit theory needs independent per-sender biases, "
                              f"but variant {config.variant!r} shares them across rows")
-    mixing, n, m = config.mixing, config.n, config.m
-    seed = mixing.limit_seed()
+    seed, n, m = config.mixing.limit_seed(), config.n, config.m
     if float(seed.cdf(0.0)) == 1.0:
         return None
-    if (power_law := mixing.power_law_params()) is not None:
-        canonical = hub_limit_cdf(*power_law, n)
+    if isinstance(seed, PowerLawSeed):
+        canonical = hub_limit_cdf(seed.alpha, seed.beta, n)
         if m == canonical.rows:
             return canonical
     if seed.power_tail() is None:

@@ -24,7 +24,9 @@ formulas build on.  Each family also names the ``seed_class`` of its scaling
 limit ``limit_seed()``, the seed of n * theta (all but the modulated power
 law; seed-cdf returns its own seed), and its JSON form: the ``variant``
 discriminator plus one key per field, with ``lam`` written as ``"lambda"``
-(``MixingSpec.from_json`` reads it back).
+(``MixingSpec.from_json`` reads it back).  Building a family builds its seed,
+whose constructor checks the parameter domain; ``row_exponent`` is the one
+family hook beyond the seed.
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
@@ -172,6 +174,10 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     seed_class = None   # the class of limit_seed(), whose fields are the family's, in order
 
+    def __post_init__(self):
+        if self.seed_class is not None:
+            self.limit_seed()
+
     def validate(self, n: int) -> None:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ParameterError(f"matrix width n must be a positive integer, got {n!r}")
@@ -257,10 +263,6 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
             raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
         return self.seed_class(*astuple(self))
 
-    def power_law_params(self) -> tuple[float, float] | None:
-        """(alpha, beta) of the pure power law, whose hub has a matched pairing."""
-        return None
-
     def row_exponent(self) -> float | None:
         """The beta of a theta**-beta density, which power_fraction rows read."""
         return None
@@ -274,10 +276,6 @@ class DiracMixing(MixingSpec):
     variant = "dirac"
     seed_class = DiracSeed
     _json_keys = {"lam": "lambda"}
-
-    def __post_init__(self):
-        if not self.lam >= 0:
-            raise ParameterError("dirac mixing needs lam >= 0")
 
     def validate(self, n: int) -> None:
         super().validate(n)
@@ -318,12 +316,6 @@ class PowerLawMixing(MixingSpec):
     beta: float
     variant = "power_law"
     seed_class = PowerLawSeed
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError("power law mixing needs alpha > 0")
-        if not self.beta > 1:
-            raise ParameterError("power law mixing needs beta > 1")
 
     def validate(self, n: int) -> None:
         super().validate(n)
@@ -400,9 +392,6 @@ class PowerLawMixing(MixingSpec):
     def _sample(self, n, rng, size):
         return _power_quantile(rng.random(size), self.alpha, n, self.beta)
 
-    def power_law_params(self):
-        return self.alpha, self.beta
-
     def row_exponent(self):
         return self.beta
 
@@ -425,8 +414,7 @@ class ModulatedPowerLawMixing(MixingSpec):
     variant = "modulated_power_law"
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 1):
-            raise ParameterError("modulated power law needs alpha > 0 and beta > 1")
+        PowerLawSeed(self.alpha, self.beta)     # the domain of (alpha, beta)
         pts = tuple((float(t), float(v)) for t, v in self.g_table)
         if len(pts) < 2:
             raise ParameterError("g table needs at least two points")
@@ -604,12 +592,6 @@ class HierarchicalMixing(MixingSpec):
     gamma_exp: float
     variant = "hierarchical"
     seed_class = HierarchicalSeed
-
-    def __post_init__(self):
-        if not self.A > 0:
-            raise ParameterError("hierarchical mixing needs A > 0")
-        if not (self.gamma_exp > self.beta > 2):
-            raise ParameterError("hierarchical mixing needs gamma_exp > beta > 2")
 
     def validate(self, n: int) -> None:
         super().validate(n)

@@ -60,23 +60,29 @@ __all__ = [
     "mc_roots_leaves",
 ]
 
+def _senders(a: np.ndarray) -> int:
+    """m of an adjacency matrix or stack (..., m, n).  Rows m..n-1 of the graph
+    on n nodes are the empty rows of the nodes that only receive, so the
+    counters read the m x n array as it is; m > n is refused."""
+    m, n = a.shape[-2:]
+    if m > n:
+        raise ParameterError(f"counting needs m <= n rows, got shape {(m, n)}")
+    return m
+
+
 def _dense(matrix) -> np.ndarray:
     if isinstance(matrix, BitMatrix):
-        return matrix.to_dense()
-    arr = np.asarray(matrix)
-    if arr.ndim != 2:
+        a = matrix.to_dense()
+    elif (a := np.asarray(matrix).astype(bool)).ndim != 2:
         raise ParameterError("adjacency must be a 2-d matrix")
-    return arr.astype(bool)
+    _senders(a)
+    return a
 
 
 def _no_self_edges(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     """An adjacency matrix or stack (..., m, n) as dtype, its self-edges cleared
-    (in place when it already has that dtype).  Rows m..n-1 of the graph on n
-    nodes are the empty rows of the nodes that only receive, so the counters
-    read the m x n array as it is; m > n is refused."""
-    m, n = a.shape[-2:]
-    if m > n:
-        raise ParameterError(f"pattern counting needs m <= n rows, got shape {(m, n)}")
+    (in place when it already has that dtype)."""
+    m = _senders(a)
     a = a.astype(dtype, copy=False)
     diag = np.arange(m)
     a[..., diag, diag] = 0

@@ -14,6 +14,10 @@ exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
 (two power-law parts) and shifted Pareto seeds, a quadrature of the mixing
 weight for the Lerch seed.  Other quantities without a closed form go through
 checked adaptive quadrature.
+
+Each seed owns its parameter domain, which its constructor checks for the
+families that name it as ``seed_class``, and the finite-mean rule: the mean is
+finite unless the power tail has eta <= 1.
 """
 
 from __future__ import annotations
@@ -96,7 +100,9 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         return True
 
     def mean_is_finite(self) -> bool:
-        raise NotImplementedError
+        """The mean is finite unless the seed has a power tail of exponent eta <= 1."""
+        tail = self.power_tail()
+        return tail is None or tail[1] > 1.0
 
     def power_tail(self):
         """(c, eta) with 1 - F(x) ~ c * x**(-eta), or None if not power-type."""
@@ -174,9 +180,6 @@ class DiracSeed(SeedDistribution):
     def has_density(self) -> bool:
         return False
 
-    def mean_is_finite(self) -> bool:
-        return True
-
     def _laplace(self, s: float) -> float:
         return math.exp(-s * self.t0)
 
@@ -209,9 +212,6 @@ class ExponentialSeed(SeedDistribution):
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, self.gamma * np.exp(-self.gamma * x), 0.0)
-
-    def mean_is_finite(self) -> bool:
-        return True
 
     def _laplace(self, s: float) -> float:
         return self.gamma / (self.gamma + s)
@@ -247,9 +247,6 @@ class GammaSeed(SeedDistribution):
                       - self.gamma * x - special.gammaln(self.r))
         return np.where(x > 0, np.exp(logpdf), 0.0)
 
-    def mean_is_finite(self) -> bool:
-        return True
-
     def _laplace(self, s: float) -> float:
         return (self.gamma / (self.gamma + s)) ** self.r
 
@@ -282,9 +279,6 @@ class ParetoTailSeed(SeedDistribution):
         x = np.asarray(x, dtype=float)
         val = self.eta * self.alpha ** self.eta / (self.alpha + x) ** (self.eta + 1.0)
         return np.where(x >= 0, val, 0.0)
-
-    def mean_is_finite(self) -> bool:
-        return self.eta > 1.0
 
     def power_tail(self):
         return self.alpha ** self.eta, self.eta
@@ -332,9 +326,6 @@ class PowerLawSeed(SeedDistribution):
         with np.errstate(divide="ignore"):
             val = (self.beta - 1.0) * self.alpha ** (self.beta - 1.0) * x ** (-self.beta)
         return np.where(x > self.alpha, val, 0.0)
-
-    def mean_is_finite(self) -> bool:
-        return self.beta > 2.0
 
     def power_tail(self):
         return self.alpha ** (self.beta - 1.0), self.beta - 1.0
@@ -384,9 +375,6 @@ class HierarchicalSeed(SeedDistribution):
 
     def density(self, x):
         return self.combine(lambda p: p.density(x))
-
-    def mean_is_finite(self) -> bool:
-        return True
 
     def power_tail(self):
         b, g = self.beta, self.gamma_exp
@@ -455,7 +443,7 @@ class LerchSeed(SeedDistribution):
             lambda u: -math.expm1(-xv * u) / u if u > 0 else xv))
 
     def mean_is_finite(self) -> bool:
-        # mean transfers from the pmf tail (alpha+k)**(-s): finite iff s > 2
+        # no power tail is stated; from the pmf tail (alpha+k)**(-s): finite iff s > 2
         return self.s > 2.0
 
     def _laplace(self, s: float) -> float:

@@ -374,6 +374,31 @@ def test_report_boundary_regime_is_indeterminate(tmp_path):
     assert rep["roots_leaves"]["roots"]["scaling"] == "n^0"
 
 
+def test_hub_and_report_read_the_power_law_seed_of_a_seed_cdf_law(tmp_path):
+    """seed_cdf(power_law(1, 1.5)) is the power law, so at the matched pairing
+    m = floor(n**0.5) both commands give the pure family's scaling and limit."""
+    blocks = []
+    for name, mixing in (("pure", dict(_PL3, beta=1.5)), ("seed_cdf", {
+            "variant": "seed_cdf", "seed": {"kind": "power_law", "alpha": 1.0, "beta": 1.5}})):
+        cfg = _write_config(tmp_path, name=f"{name}.json", ensemble={
+            "n": 400, "mixing": mixing, "row_rule": {"kind": "explicit", "m": 20},
+            "master_seed": SEED, "replicas": 200})
+        out = tmp_path / name
+        assert main(["hub", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        blocks.append((json.loads((out / "hub.json").read_text())["hub"],
+                       json.loads((out / "report.json").read_text())["report"]))
+    (hub_pure, report_pure), (hub_seed, report_seed) = blocks
+    for key in ("m_n", "b_n", "L", "limit_cdf_params"):
+        assert hub_seed[key] == hub_pure[key]
+    assert hub_pure["L"] == 1.0 and hub_pure["m_n"] == 20
+    for key in ("alpha", "beta", "hub", "gf2_threshold", "roots_leaves"):
+        assert report_seed[key] == report_pure[key]
+    assert report_seed["triangles"]["ratio_class"] == report_pure["triangles"]["ratio_class"]
+    assert report_seed["edge_probability"]["exact"] == pytest.approx(
+        report_pure["edge_probability"]["exact"], rel=1e-12)
+
+
 def test_report_rejects_other_mixing_families(tmp_path):
     cfg = _write_config(tmp_path)
     data = json.loads(cfg.read_text())
@@ -440,6 +465,20 @@ def test_mc_motifs_suite_on_a_rectangular_block(tmp_path, seed):
     assert main(["mc", "--config", str(cfg)]) == 0
     suite = json.loads(_read_out(tmp_path, "mc.json"))["suites"]["motifs"]
     assert suite["pass"] is True and suite["replicas"] == 400
+
+
+@pytest.mark.parametrize("variant,mixing", [
+    ("completely_exchangeable", {"variant": "power_law", "alpha": 2.0, "beta": 2.5}),
+    ("hierarchical", {"variant": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+])
+def test_mc_degree_suite_keeps_row_zero_under_shared_biases(tmp_path, variant, mixing):
+    """Rows that share a bias draw are not independent, so the degree suite
+    keeps one row per replica; its marginal law is the per-row mixture."""
+    cfg = _mc_config(tmp_path, tasks=["degrees"], ensemble={
+        "n": 60, "mixing": mixing, "variant": variant, "master_seed": SEED, "replicas": 400})
+    assert main(["mc", "--config", str(cfg)]) == 0
+    suite = json.loads(_read_out(tmp_path, "mc.json"))["suites"]["degrees"]
+    assert suite["pass"] is True and suite["draws"] == 400
 
 
 def test_mc_and_hub_reruns_are_byte_identical(tmp_path):

@@ -11,8 +11,11 @@ from scipy import stats
 
 from exchgraph import _numerics, mixing
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
-from exchgraph.degrees import out_pmf_exact
-from exchgraph.errors import ParameterError
+from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
+                               NegativeBinomialLaw, PoissonLaw, PowerLawTailLaw,
+                               out_pmf_exact, tail_asymptote)
+from exchgraph.errors import ParameterError, QuadratureError
+from exchgraph.hub import competing_moment_constant, hub_limit_cdf
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
@@ -235,6 +238,24 @@ def test_order_arrays_keep_their_shape():
         xi(spec, 40, 2.5)
 
 
+@pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
+def test_checked_quad_fails_loudly_after_one_retry(monkeypatch):
+    """sin(1/x) oscillates without end at 0, so neither subdivision limit meets
+    the tolerance; the error names the estimate it reached."""
+    limits = []
+
+    def quad(*args, **kwargs):
+        limits.append(kwargs["limit"])
+        return scipy_quad(*args, **kwargs)
+
+    scipy_quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad", quad)
+    with pytest.raises(QuadratureError, match="above tolerance") as exc:
+        checked_quad(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0)
+    assert limits == [200, 1000]
+    assert 1e-6 < exc.value.achieved < 1e-4
+
+
 def test_deferred_scipy_handles_resolve_and_cache_names():
     import scipy.integrate
     import scipy.special
@@ -307,6 +328,16 @@ class TestSeedCdfSlice:
         draws = sample_thetas(spec, 20, rng, 50_000)
         assert draws.min() > 0.0 and draws.max() <= 1.0
         assert_allclose(draws.mean(), moment(spec, 20, 1), rtol=0.02)
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_power_law_seed_is_the_power_law(self, n):
+        """F(x n) / F(n) of the power-law seed is the theta**-beta density on
+        (alpha/n, 1]: the seed's quantile draws fit the pure family's CDF."""
+        draws = sample_thetas(SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=1.5)), n,
+                              spawn_rng(17, 0), 4000)
+        pure = PowerLawMixing(alpha=1.0, beta=1.5)
+        cdf = np.vectorize(lambda t: 1.0 - tail(pure, n, float(t)))
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
 
     def test_dirac_seed_point_mass(self):
         spec = SeedCdfMixing(seed=DiracSeed(t0=4.0))
@@ -453,6 +484,38 @@ def test_family_facts_read_by_the_hub_and_the_row_rules():
     hierarchical = HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
     specs = [DiracMixing(lam=0.0), DiracMixing(lam=2.0), PowerLawMixing(alpha=1.0, beta=1.5),
              modulated, SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=2.5)), hierarchical]
-    assert [s.power_law_params() for s in specs] == [None, None, (1.0, 1.5), None, None, None]
     # a hierarchical law has a beta, but no theta**-beta density of its own
     assert [s.row_exponent() for s in specs] == [None, None, 1.5, 2.5, None, None]
+
+
+_BAD_POWER = [(0.0, 2.0), (1.0, 1.0), (math.nan, 2.0), (1.0, math.nan)]
+_BAD_HIERARCHICAL = [(0.0, 3.0, 4.5), (1.0, 2.0, 4.5), (1.0, 3.0, 3.0), (math.nan, 3.0, 4.5),
+                     (1.0, 3.0, math.nan)]
+_TABLE = ((0.0, 1.0), (3.0, 2.0))
+
+
+@pytest.mark.parametrize("build, args", [
+    *[(DiracMixing, (lam,)) for lam in (-1.0, math.nan)],
+    *[(PoissonLaw, (lam,)) for lam in (-1.0, math.nan)],
+    *[(GeometricLaw, (g,)) for g in (0.0, math.nan)],
+    *[(NegativeBinomialLaw, rg) for rg in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan))],
+    *[(build, ab) for build in (PowerLawMixing, PowerLawTailLaw) for ab in _BAD_POWER],
+    *[(lambda a, b: ModulatedPowerLawMixing(a, b, _TABLE), ab) for ab in _BAD_POWER],
+    *[(lambda a, b: tail_asymptote(a, b, 5), ab) for ab in _BAD_POWER],
+    *[(lambda a, b: hub_limit_cdf(a, b, 100), ab) for ab in _BAD_POWER],
+    *[(lambda a, b: competing_moment_constant(a, b, 0.5), ab) for ab in _BAD_POWER],
+    *[(build, abg) for build in (HierarchicalMixing, HierarchicalMixtureLaw)
+      for abg in _BAD_HIERARCHICAL],
+])
+def test_families_refuse_what_their_seed_refuses(build, args):
+    """Each family's parameter domain is its seed's: the seed's constructor
+    raises, NaN included, with the seed's message."""
+    with pytest.raises(ParameterError, match="seed needs"):
+        build(*args)
+
+
+def test_lerch_zipf_law_keeps_its_wider_domain():
+    # alpha in (0, 1] is a Lerch zipf law whose seed the package does not state
+    assert LerchZipfLaw(1.0, 2.0).pmf(0) > 0.0
+    with pytest.raises(ParameterError, match="lerch zipf law needs"):
+        LerchZipfLaw(0.0, 2.0)

@@ -97,6 +97,18 @@ class TestCounting:
         with pytest.raises(ParameterError):
             count_feedback_loops(np.zeros((4, 3), dtype=bool))
 
+    @pytest.mark.parametrize("count", [
+        count_feedback_loops, count_feedforward_loops, lambda a: count_cycles(a, 3),
+        lambda a: count_subgraph(a, SubgraphPattern.parse("0>1")), count_roots,
+        count_leaves, count_isolated, weak_components,
+    ], ids=["feedback", "feedforward", "cycles", "subgraph", "roots", "leaves",
+            "isolated", "weak_components"])
+    def test_every_counter_refuses_more_rows_than_nodes(self, count):
+        """One refusal, named, where NumPy or SciPy would fail on the shapes."""
+        for a in (np.ones((4, 3), dtype=bool), BitMatrix.from_dense(np.ones((4, 3), dtype=bool))):
+            with pytest.raises(ParameterError, match="needs m <= n rows"):
+                count(a)
+
     def test_rectangular_counts_match_padded(self):
         rng = np.random.default_rng(8)
         a = random_adjacency(rng, 8, p=0.6)[:5]
