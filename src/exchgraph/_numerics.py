@@ -79,11 +79,12 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
         pts = [p for p in points if a < p < b]
         if pts:
             kwargs["points"] = sorted(pts)
-    value, abserr = integrate.quad(func, a, b, full_output=0, **kwargs)
+    # full_output returns QUADPACK's complaint instead of warning; the test below decides
+    value, abserr = integrate.quad(func, a, b, full_output=1, **kwargs)[:2]
     if abserr > max(rel_tol * abs(value), ABS_FLOOR):
         # One retry with a finer subdivision limit before giving up.
         kwargs["limit"] = 1000
-        value, abserr = integrate.quad(func, a, b, full_output=0, **kwargs)
+        value, abserr = integrate.quad(func, a, b, full_output=1, **kwargs)[:2]
         if abserr > max(rel_tol * abs(value), ABS_FLOOR):
             raise QuadratureError(
                 f"quadrature on [{a}, {b}] reached |err|~{abserr:.3e} "

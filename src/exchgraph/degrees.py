@@ -119,9 +119,9 @@ class PoissonMixtureLaw(LimitLaw):
     kind = "poisson_mixture"
 
     def _log_pmf(self, ks):
-        if not self.seed.has_density():
-            # only the Dirac seed lacks a density; its mixture is Poisson
-            return PoissonLaw(lam=self.seed.t0)._log_pmf(ks)
+        lo, hi = self.seed._support()
+        if lo == hi:    # a point mass: its mixture is Poisson
+            return PoissonLaw(lam=lo)._log_pmf(ks)
         return np.array([self._log_pmf_one(k) for k in ks.ravel().tolist()],
                         dtype=float).reshape(ks.shape)
 

@@ -4,7 +4,7 @@ A mixing law ``pi_n`` is a probability measure on [0, 1] governing the bias
 theta of a matrix row of width n.  The families implemented here:
 
 ``DiracMixing(lam)``
-    Point mass at theta = lam / n.
+    Point mass at theta = lam / n; needs lam <= n.
 ``PowerLawMixing(alpha, beta)``
     Density proportional to theta**(-beta) on (alpha/n, 1]; needs n > alpha.
 ``ModulatedPowerLawMixing(alpha, beta, g_table)``
@@ -16,6 +16,9 @@ theta of a matrix row of width n.  The families implemented here:
     First draw a cutoff a ~ const * a**(-gamma) on [A, n/2], then theta from
     ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.  Its weight
     in t = n theta is closed-form, so its laws take one quadrature each.
+
+The Dirac, power-law and seed-cdf families are seed truncations, their limit
+seed F cut at n (theta has CDF F(x n) / F(n)), stated once in ``_SeedTruncation``.
 
 Public operations validate the spec against n and then call the family's
 own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
@@ -56,7 +59,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import REL_TOL, check_orders, checked_quad, log_quad, shaped_like, special
+from ._numerics import check_orders, checked_quad, log_quad, shaped_like, special
 from .errors import ParameterError
 from .seeds import SeedDistribution, DiracSeed, HierarchicalSeed, PowerLawSeed
 
@@ -191,9 +194,8 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     # A family with a density in t = n theta states it: _t_support(n) -> (lo,
     # hi), _t_weight(n, t) and its log up to the factor exp(-_log_t_norm(n)),
-    # the kinks _t_knots(n), the row break point _row_peak(n, r) and _t_rel_tol.
-    _t_rel_tol = REL_TOL
-
+    # the kinks _t_knots(n) and the row break point _row_peak(n, r).  A
+    # zero-width support lo == hi is the point mass at t = lo, and needs no weight.
     def _log_t_weight(self, n: int, t: float) -> float:
         w = self._t_weight(n, t)
         return math.log(w) if w > 0.0 else -np.inf
@@ -208,18 +210,23 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
     def _partial(self, n: int, f, lo: float, hi: float) -> float:
         """integral of f(theta) over [lo, hi] against pi_n (normalized)."""
         t_lo, t_hi = self._t_support(n)
+        if t_lo == t_hi:    # a point mass counts in (lo, hi], or at theta = lo = 0
+            th = t_lo / n
+            return float(f(th)) if lo < th <= hi or lo == th == 0.0 else 0.0
         a, b = max(t_lo, lo * n), min(t_hi, hi * n)
         if b <= a:
             return 0.0
         knots = [k for k in self._t_knots(n) if a < k < b]
         val = checked_quad(lambda t: f(t / n) * self._t_weight(n, t), a, b,
-                           points=knots[:64], rel_tol=self._t_rel_tol)
+                           points=knots[:64])
         return val * math.exp(-self._log_t_norm(n))
 
     def _log_mean(self, n: int, log_f, points=()) -> float:
         """log of the mean of exp(log_f(t)), t = n theta, under pi_n; ``points``
         are break points in t."""
         lo, hi = self._t_support(n)
+        if lo == hi:
+            return log_f(lo)
         return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), lo, hi,
                         points=[*points, *self._t_knots(n)[:32]]) - self._log_t_norm(n)
 
@@ -268,8 +275,41 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         return None
 
 
+class _SeedTruncation(MixingSpec):
+    """The limit seed F cut at n: theta = t / n for t ~ F given t <= n, so theta
+    has CDF F(x n) / F(n) on [0, 1] and t the support (lo, min(hi, n)) of the
+    seed's (lo, hi).  A point-mass seed (lo == hi) stays a point mass."""
+
+    def validate(self, n: int) -> None:
+        super().validate(n)
+        lo, hi = self.limit_seed()._support()
+        if not (lo < n or lo == hi <= n):
+            raise ParameterError(
+                f"{self.variant} mixing has no mass on [0, {n}]: its seed starts at {lo}")
+
+    def _t_support(self, n):
+        lo, hi = self.limit_seed()._support()
+        return lo, min(hi, float(n))
+
+    def _t_weight(self, n, t):
+        return float(self.limit_seed().density(t))
+
+    def _log_t_norm(self, n):
+        return math.log(float(self.limit_seed().cdf(float(n))))
+
+    def _tail(self, n: int, t: float) -> float:
+        seed = self.limit_seed()
+        fn = float(seed.cdf(float(n)))
+        return (fn - float(seed.cdf(t * n))) / fn
+
+    def _sample(self, n, rng, size):
+        seed = self.limit_seed()
+        u = rng.random(size) * float(seed.cdf(float(n)))
+        return np.asarray(seed.inverse_cdf(u), dtype=float) / n
+
+
 @dataclass(frozen=True)
-class DiracMixing(MixingSpec):
+class DiracMixing(_SeedTruncation):
     """All rows share the deterministic bias theta = lam / n."""
 
     lam: float
@@ -277,51 +317,23 @@ class DiracMixing(MixingSpec):
     seed_class = DiracSeed
     _json_keys = {"lam": "lambda"}
 
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if self.lam > n:
-            raise ParameterError(f"dirac mixing needs lam <= n, got lam={self.lam}, n={n}")
-
-    def _theta(self, n: int) -> float:
-        return self.lam / n
-
-    def _tail(self, n: int, t: float) -> float:
-        return 1.0 if self._theta(n) > t else 0.0
-
-    def _partial(self, n, f, lo, hi):
-        th = self._theta(n)
-        inside = (lo < th <= hi) or (lo == 0.0 and th == 0.0)
-        return float(f(th)) if inside else 0.0
-
-    def _log_mean(self, n, log_f, points=()):
-        return log_f(self.lam)
-
     def _xis(self, n, orders):
-        x = 1.0 - 2.0 * self._theta(n)
+        x = 1.0 - 2.0 * self.lam / n
         # Python's pow per order: NumPy's SIMD power differs from it in the last bit
         return np.array([x ** i for i in orders.tolist()], dtype=float)
 
-    def _t_support(self, n):
-        return self.lam, self.lam
-
     def _sample(self, n, rng, size):
-        return np.full(size, self._theta(n))
+        return np.full(size, self.lam / n)
 
 
 @dataclass(frozen=True)
-class PowerLawMixing(MixingSpec):
+class PowerLawMixing(_SeedTruncation):
     """Density Z_n**-1 theta**(-beta) on (alpha/n, 1]."""
 
     alpha: float
     beta: float
     variant = "power_law"
     seed_class = PowerLawSeed
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if not n > self.alpha:
-            raise ParameterError(
-                f"power law mixing needs n > alpha, got n={n}, alpha={self.alpha}")
 
     # All integrals are ratios of power integrals over theta in (alpha/n, 1].
     def _moment(self, n: int, i: int) -> float:
@@ -337,9 +349,6 @@ class PowerLawMixing(MixingSpec):
             return 1.0
         return math.exp(_log_power_int(t, 1.0, -self.beta)
                         - _log_power_int(lo, 1.0, -self.beta))
-
-    def _t_support(self, n):
-        return self.alpha, float(n)
 
     def _t_weight(self, n, t):
         return t ** (-self.beta)
@@ -522,55 +531,14 @@ class ModulatedPowerLawMixing(MixingSpec):
 
 
 @dataclass(frozen=True)
-class SeedCdfMixing(MixingSpec):
+class SeedCdfMixing(_SeedTruncation):
     """theta has CDF F(x n) / F(n) on [0, 1] for a seed distribution F."""
 
     seed: SeedDistribution
     variant = "seed_cdf"
 
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if float(self.seed.cdf(float(n))) <= 0.0:
-            raise ParameterError(f"seed cdf has no mass on [0, {n}]")
-
-    def _mass(self, n: int) -> float:
-        return float(self.seed.cdf(float(n)))
-
-    def _tail(self, n: int, t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        if t < 0.0:
-            return 1.0
-        fn = self._mass(n)
-        return (fn - float(self.seed.cdf(t * n))) / fn
-
-    _t_rel_tol = 1e-9
-
-    def _t_support(self, n):
-        return 0.0, float(n)
-
-    def _t_weight(self, n, t):
-        return float(self.seed.density(t))
-
-    def _log_t_norm(self, n):
-        return math.log(self._mass(n))
-
     def _row_peak(self, n, r):
         return max(float(r), 1e-3)
-
-    def _law(self):
-        # only the Dirac seed lacks a density; its law is a point mass
-        return super() if self.seed.has_density() else DiracMixing(lam=self.seed.t0)
-
-    def _partial(self, n, f, lo, hi):
-        return self._law()._partial(n, f, lo, hi)
-
-    def _log_mean(self, n, log_f, points=()):
-        return self._law()._log_mean(n, log_f, points)
-
-    def _sample(self, n, rng, size):
-        u = rng.random(size) * self._mass(n)
-        return np.asarray(self.seed.inverse_cdf(u), dtype=float) / n
 
     def limit_seed(self) -> SeedDistribution:
         return self.seed

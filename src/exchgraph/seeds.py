@@ -15,6 +15,9 @@ exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
 weight for the Lerch seed.  Other quantities without a closed form go through
 checked adaptive quadrature.
 
+A seed has a density on its support (lo, hi), except the point mass at t0,
+whose support is the zero-width (t0, t0).
+
 Each seed owns its parameter domain, which its constructor checks for the
 families that name it as ``seed_class``, and the finite-mean rule: the mean is
 finite unless the power tail has eta <= 1.
@@ -96,9 +99,6 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
     def density(self, x):
         raise ParameterError(f"{self.kind} seed has no density")
 
-    def has_density(self) -> bool:
-        return True
-
     def mean_is_finite(self) -> bool:
         """The mean is finite unless the seed has a power tail of exponent eta <= 1."""
         tail = self.power_tail()
@@ -152,11 +152,14 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         return 0.5 * (lo + hi)
 
     def _support(self):
+        """(lo, hi): F has a density on (lo, hi), or is the point mass at lo = hi."""
         return 0.0, np.inf
 
     def truncated_moment(self, order: float, cap: float) -> float:
         """integral_0^cap t**order dF(t)."""
-        lo = self._support()[0]
+        lo, hi = self._support()
+        if lo == hi:
+            return lo ** order if lo <= cap else 0.0
         if cap <= lo:
             return 0.0
         return checked_quad(lambda t: t ** order * float(self.density(t)),
@@ -177,9 +180,6 @@ class DiracSeed(SeedDistribution):
     def cdf(self, x):
         return np.where(np.asarray(x, dtype=float) >= self.t0, 1.0, 0.0)
 
-    def has_density(self) -> bool:
-        return False
-
     def _laplace(self, s: float) -> float:
         return math.exp(-s * self.t0)
 
@@ -190,8 +190,8 @@ class DiracSeed(SeedDistribution):
         u = np.asarray(u, dtype=float)
         return np.full_like(u, self.t0)
 
-    def truncated_moment(self, order: float, cap: float) -> float:
-        return self.t0 ** order if self.t0 <= cap else 0.0
+    def _support(self):
+        return self.t0, self.t0
 
 
 @dataclass(frozen=True)

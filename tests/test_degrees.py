@@ -25,7 +25,7 @@ from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing,
                               SeedCdfMixing, log_row_prob, moment, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                             LerchSeed, PowerLawSeed)
+                             LerchSeed, ParetoTailSeed, PowerLawSeed)
 
 
 class TestFrozenValues:
@@ -313,6 +313,33 @@ class TestDefaultLimitLaw:
         assert default_limit_law(SeedCdfMixing(seed=seed)) == \
             HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
         assert default_limit_law(DiracMixing(lam=0.0)) == PoissonLaw(lam=0.0)
+
+
+@pytest.mark.parametrize("seed", [
+    DiracSeed(t0=2.0),
+    ExponentialSeed(gamma=1.3),
+    GammaSeed(r=2.0, gamma=0.5),
+    ParetoTailSeed(alpha=1.0, eta=2.5),
+    PowerLawSeed(alpha=1.0, beta=3.0),
+    PowerLawSeed(alpha=1.0, beta=1.5),
+    HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
+    LerchSeed(alpha=1.5, s=2.5),
+], ids=lambda seed: "-".join(map(str, seed.to_json().values())))
+def test_seed_transforms_are_the_generating_function_of_its_limit_law(seed):
+    """The Poisson mixture p of a seed has sum_k p_k z**k = E exp(-t (1 - z)),
+    so at z = 1 - u its pmf sums to laplace(u), and its z-derivative to
+    t_laplace(u): p_0 and p_1 at u = 1.  The sums stop at k = 159, where
+    z**k < 1e-24."""
+    law = default_limit_law(SeedCdfMixing(seed=seed))
+    ks = np.arange(160)
+    p = law.pmf(ks)
+    for u in (0.3, 0.6, 1.0):
+        z = 1.0 - u
+        assert_allclose(seed.laplace(u), math.fsum(p * z ** ks), rtol=1e-11)
+        assert_allclose(seed.t_laplace(u), math.fsum(ks[1:] * p[1:] * z ** (ks[1:] - 1)),
+                        rtol=1e-11)
+    if not isinstance(law, PoissonMixtureLaw):      # every closed form
+        assert_allclose(law.log_pmf(ks), np.log(p), rtol=1e-13)
 
 
 @pytest.mark.parametrize("law", [

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,8 +13,9 @@ from scipy import stats
 from exchgraph import _numerics, mixing
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
 from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                               NegativeBinomialLaw, PoissonLaw, PowerLawTailLaw,
-                               out_pmf_exact, tail_asymptote)
+                               NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
+                               PowerLawTailLaw, default_limit_law, out_pmf_exact,
+                               tail_asymptote)
 from exchgraph.errors import ParameterError, QuadratureError
 from exchgraph.hub import competing_moment_constant, hub_limit_cdf
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
@@ -238,10 +240,8 @@ def test_order_arrays_keep_their_shape():
         xi(spec, 40, 2.5)
 
 
-@pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
-def test_checked_quad_fails_loudly_after_one_retry(monkeypatch):
-    """sin(1/x) oscillates without end at 0, so neither subdivision limit meets
-    the tolerance; the error names the estimate it reached."""
+def _recording_quad(monkeypatch):
+    """Patch ``integrate.quad`` to record the subdivision limit of each call."""
     limits = []
 
     def quad(*args, **kwargs):
@@ -250,6 +250,26 @@ def test_checked_quad_fails_loudly_after_one_retry(monkeypatch):
 
     scipy_quad = integrate.quad
     monkeypatch.setattr(integrate, "quad", quad)
+    return limits
+
+
+@pytest.mark.parametrize("lo,limits", [(5e-4, [200]), (2e-4, [200, 1000])],
+                         ids=["first-call", "retry"])
+def test_checked_quad_accepts_without_a_warning(monkeypatch, lo, limits):
+    """sin(1/x) on [lo, 1] exhausts QUADPACK's subdivisions yet meets the
+    tolerance, on the first call or the retry; no IntegrationWarning escapes."""
+    calls = _recording_quad(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = checked_quad(lambda x: math.sin(1.0 / x), lo, 1.0)
+    assert calls == limits
+    assert value == pytest.approx(0.504067, abs=1e-6)
+
+
+def test_checked_quad_fails_loudly_after_one_retry(monkeypatch):
+    """sin(1/x) oscillates without end at 0, so neither subdivision limit meets
+    the tolerance; the error names the estimate it reached."""
+    limits = _recording_quad(monkeypatch)
     with pytest.raises(QuadratureError, match="above tolerance") as exc:
         checked_quad(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0)
     assert limits == [200, 1000]
@@ -344,6 +364,60 @@ class TestSeedCdfSlice:
         assert_allclose(moment(spec, 10, 1), 0.4, rtol=1e-12)
         assert tail(spec, 10, 0.3) == 1.0
         assert tail(spec, 10, 0.5) == 0.0
+
+
+class TestSeedTruncation:
+    """Dirac, power law and seed cdf are each their limit seed cut at n, so the
+    seed-cdf law of the other two families' seeds is that family."""
+
+    @pytest.mark.parametrize("alpha,beta,n", [(1.0, 1.5, 400), (1.0, 3.0, 60), (2.0, 2.5, 200)])
+    def test_power_law_seed_cut_at_n_is_the_power_law(self, alpha, beta, n):
+        # quadrature over the seed's support (alpha, n] against the closed forms
+        pure = PowerLawMixing(alpha=alpha, beta=beta)
+        cut = SeedCdfMixing(seed=PowerLawSeed(alpha=alpha, beta=beta))
+        rs, orders = np.arange(n + 1), np.arange(41)
+        assert_allclose(log_row_prob(cut, n, rs), log_row_prob(pure, n, rs), rtol=0, atol=1e-11)
+        assert_allclose([moment(cut, n, i) for i in range(1, 6)],
+                        [moment(pure, n, i) for i in range(1, 6)], rtol=1e-11)
+        assert_allclose(xi(cut, n, orders), xi(pure, n, orders), rtol=1e-11)
+
+    @pytest.mark.parametrize("t0", [0.0, 3.0, 10.0])
+    def test_dirac_seed_cut_at_n_is_the_dirac_law(self, t0):
+        n, ts, rs = 10, np.linspace(0.0, 1.0, 21), np.arange(11)
+        pure, cut = DiracMixing(lam=t0), SeedCdfMixing(seed=DiracSeed(t0=t0))
+        assert [moment(cut, n, i) for i in range(6)] == [moment(pure, n, i) for i in range(6)]
+        # the pure law takes Python's pow per order, the cut one the binomial
+        # expansion, whose alternating sum is good to a few ulps of 1
+        assert_allclose(xi(cut, n, rs), xi(pure, n, rs), rtol=0, atol=1e-14)
+        assert log_row_prob(cut, n, rs).tolist() == log_row_prob(pure, n, rs).tolist()
+        assert [tail(cut, n, t) for t in ts] == [tail(pure, n, t) for t in ts]
+        assert (sample_thetas(cut, n, spawn_rng(5, 0), 50).tolist()
+                == sample_thetas(pure, n, spawn_rng(5, 0), 50).tolist() == [t0 / n] * 50)
+
+    def test_the_point_mass_at_zero_has_no_degree(self):
+        ks = np.arange(6)
+        for law in (default_limit_law(SeedCdfMixing(seed=DiracSeed(t0=0.0))),
+                    PoissonMixtureLaw(seed=DiracSeed(t0=0.0))):
+            assert law.pmf(ks).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("spec,start", [
+        (PowerLawMixing(alpha=30.0, beta=3.0), "30.0"),
+        (PowerLawMixing(alpha=10.0, beta=3.0), "10.0"),
+        (DiracMixing(lam=11.0), "11.0"),
+        (SeedCdfMixing(seed=PowerLawSeed(alpha=30.0, beta=3.0)), "30.0"),
+        (SeedCdfMixing(seed=DiracSeed(t0=11.0)), "11.0"),
+    ], ids=["power_law-30", "power_law-10", "dirac-11", "seed_cdf-power_law-30",
+            "seed_cdf-dirac-11"])
+    def test_a_seed_past_n_has_no_mass(self, spec, start):
+        with pytest.raises(ParameterError,
+                           match=rf"{spec.variant} mixing has no mass on \[0, 10\]: "
+                                 rf"its seed starts at {start}$"):
+            moment(spec, 10, 1)
+
+    def test_a_point_mass_at_n_is_the_full_row(self):
+        for spec in (DiracMixing(lam=10.0), SeedCdfMixing(seed=DiracSeed(t0=10.0))):
+            assert moment(spec, 10, 1) == 1.0
+            assert log_row_prob(spec, 10, 10) == 0.0
 
 
 class TestHierarchical:
