@@ -2,9 +2,12 @@
 
 All integrals in the package funnel through :func:`checked_quad` so that the
 package-wide accuracy contract (relative tolerance ``REL_TOL``, absolute floor
-``ABS_FLOOR``) is enforced in one place.  Integrands that vary over many
-orders of magnitude go through :func:`log_quad`, which factors out the peak
-of ``log f`` before handing the rescaled integrand to QUADPACK.
+``ABS_FLOOR``) is enforced in one place.  Every integral of a density (mixing
+moments, tails, signed moments, row polynomials, shared-draw averages, seed
+truncated moments and Poisson mixtures) goes through :func:`log_quad`, which
+takes its window from the integrand, not from n: a scan that closes in on the
+ends and knots finds the peak, panels start at the peak's own width and double
+outward, and only a tail shown to be below ``REL_TOL`` is cut.
 
 SciPy submodules load on first use, never at import: ``special`` and
 ``integrate`` below are :class:`_Deferred` handles that import
@@ -16,6 +19,7 @@ books each import to the span of its first caller.
 from __future__ import annotations
 
 import importlib
+import math
 import types
 
 import numpy as np
@@ -39,7 +43,11 @@ ABS_FLOOR = 1e-300
 # QUADPACK is asked for one digit more than we promise.
 _EPS_REQUEST = 1e-11
 _LIMIT = 200
-_N_SCAN = 257   # points of the peak scan in log_quad
+# log_quad: scan depth in halvings, the fall that ends the peak's bracket and
+# first panels, the log of the ratio below which a tail is cut, and the golden-
+# section steps (0.618**100 of a bracket is below a float's resolution of it)
+_SCAN_DEPTH, _FALL, _DROP, _GOLDEN_STEPS = 52, 1.0, 60.0, 100
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class _Deferred(types.ModuleType):
@@ -57,28 +65,16 @@ integrate = _Deferred("scipy.integrate")
 
 
 def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
-    """Integrate ``func`` over [a, b], failing loudly if accuracy is not met.
-
-    Parameters
-    ----------
-    func : callable
-        Scalar integrand.
-    a, b : float
-        Integration limits; ``b`` may be ``np.inf``.
-    points : sequence of float, optional
-        Interior break points (peaks, kinks).  Only used on finite intervals,
-        where QUADPACK accepts them.
-    rel_tol : float
-        Acceptance threshold on the reported error estimate, relative to the
-        integral value with an absolute floor of ``ABS_FLOOR``.
-    """
+    """Integrate the scalar ``func`` over [a, b] (``b`` may be inf), failing loudly
+    unless QUADPACK's error estimate is within ``rel_tol`` of the value (or under
+    ``ABS_FLOOR``).  ``points`` are interior break points, used on finite [a, b]."""
     if a == b:
         return 0.0
     kwargs = {"epsabs": ABS_FLOOR, "epsrel": _EPS_REQUEST, "limit": _LIMIT}
     if points is not None and np.isfinite(b) and np.isfinite(a):
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kwargs["points"] = sorted(pts)
+        pts = sorted({p for p in points if a < p < b})
+        if pts:     # QUADPACK starts from the len(pts) + 1 panels, and needs room to split them
+            kwargs.update(points=pts, limit=_LIMIT + len(pts))
     # full_output returns QUADPACK's complaint instead of warning; the test below decides
     value, abserr = integrate.quad(func, a, b, full_output=1, **kwargs)[:2]
     if abserr > max(rel_tol * abs(value), ABS_FLOOR):
@@ -94,34 +90,77 @@ def checked_quad(func, a, b, points=None, rel_tol=REL_TOL):
     return value
 
 
-def log_quad(log_func, a, b, points=None):
-    """Compute log of ``integral(exp(log_func))`` over a finite [a, b].
+def log_quad(log_func, a, b, points=()):
+    """log of ``integral(exp(log_func))`` over [a, b], a finite, b finite or inf,
+    with kinks at ``points``; ``-inf`` for an integrand that is 0 wherever scanned.
 
-    The peak of ``log_func`` is located on a scan grid of _N_SCAN points
-    (log-spaced when the interval spans orders of magnitude), subtracted off,
-    and the remaining O(1) integrand is passed to :func:`checked_quad`.
-    Returns ``-inf`` for an identically negligible integrand.
-    """
+    A scan of the ends and knots, closing in on each by factors of 4 (toward inf,
+    doubling out until negligible), finds the best point; golden-section search
+    narrows it to a bracket whose ends are within e**-_FALL of the best.  Each
+    side's first panel ends where the integrand first falls below that as the
+    bracket's width doubles; panels then double out to the end or the cut."""
     if not b > a:
         return -np.inf
-    grid = np.geomspace(a, b, _N_SCAN) if a > 0 and b / a > 50.0 else np.linspace(a, b, _N_SCAN)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.array([log_func(g) for g in grid], dtype=float)
-    vals[~np.isfinite(vals)] = -np.inf
-    peak = float(np.max(vals))
-    if peak == -np.inf:
-        return -np.inf
-    peak_x = float(grid[int(np.argmax(vals))])
-    brk = [peak_x] if points is None else sorted(set(list(points) + [peak_x]))
+    seen = {}
 
-    def scaled(x):
-        v = log_func(x) - peak
-        return np.exp(v) if v > -745.0 else 0.0
+    def at(x):      # cached; nan and +inf (a singular end) read as log 0
+        if x not in seen:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                v = float(log_func(x))
+            seen[x] = v if math.isfinite(v) else -math.inf
+        return seen[x]
 
-    value = checked_quad(scaled, a, b, points=brk)
-    if value <= 0.0:
+    knots = sorted({float(p) for p in points if a < p < b})
+    for lo, hi in zip([a, *knots], [*knots, b]):
+        at(lo)
+        if hi < math.inf:
+            for q in (4.0 ** -k for k in range(_SCAN_DEPTH // 2 + 1)):
+                at(lo + (hi - lo) * q)
+                at(hi - (hi - lo) * q)
+            continue
+        for d in (1.0 + abs(lo)) * 2.0 ** np.arange(-_SCAN_DEPTH, _SCAN_DEPTH + 1):
+            if at(lo + d) + math.log(d) < max(seen.values()) - _DROP:
+                break
+    grid = sorted(seen)
+    j = max(range(len(grid)), key=lambda i: seen[grid[i]])
+    lo, x, hi = grid[max(j - 1, 0)], grid[j], grid[min(j + 1, len(grid) - 1)]
+    if seen[x] == -math.inf:
         return -np.inf
-    return peak + np.log(value)
+    for _ in range(_GOLDEN_STEPS):
+        if min(at(lo), at(hi)) >= at(x) - _FALL:
+            break
+        y = x - _GOLD * (x - lo) if x - lo > hi - x else x + _GOLD * (hi - x)
+        if at(y) > at(x):   # the better point is the new centre
+            lo, x, hi = (lo, y, x) if y < x else (x, y, hi)
+        else:
+            lo, hi = (y, hi) if y < x else (lo, y)
+    peak = at(x)
+    # The integral is at least about e**(peak - _FALL) (hi - lo).  The range is cut
+    # at the first panel edge past every scanned t where f(t) |t - x| tops e**-_DROP
+    # of that, if the edge is below it too.  A tail falling from there at least like
+    # |t - x|**-(1 + eps) drops under e**-_DROP / eps: below REL_TOL for eps > 1e-15.
+    floor = peak - _FALL + math.log(hi - lo) - _DROP
+
+    def edges(end):
+        sign, s, out = math.copysign(1.0, end - x), hi - lo, []
+        while s < abs(end - x) and at(x + sign * s) >= peak - _FALL:
+            s *= 2.0
+        reach = max((abs(t - x) for t, v in seen.items()
+                     if sign * (t - x) > 0 and v + math.log(abs(t - x)) >= floor), default=0.0)
+        while s < abs(end - x):
+            out.append(x + sign * s)
+            if s >= reach and at(out[-1]) + math.log(s) < floor:
+                return out
+            s *= 2.0
+        return out + [end]
+
+    left, right = edges(a), edges(b)
+    if right[-1] == math.inf:
+        raise QuadratureError(f"integrand of log_quad is not negligible toward {b}")
+    # the peak lies inside the two first panels, as it may sit an ulp from an end
+    value = checked_quad(lambda t: math.exp(max(at(t) - peak, -745.0)), left[-1], right[-1],
+                         points=[*left[:-1], *right[:-1], *knots])
+    return peak + math.log(value) if value > 0.0 else -np.inf
 
 
 def check_orders(k, what: str, hi=None) -> np.ndarray:

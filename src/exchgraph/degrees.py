@@ -88,17 +88,6 @@ class LimitLaw(JsonCodec, tag="kind", error=ParameterError, family="limit law"):
         return self.seed_class(*astuple(self))
 
 
-def _poisson_window(k: int, lo: float) -> float:
-    """Upper cutoff for integrals of t**k e**-t times a probability density.
-
-    Beyond the cutoff the factor t**k e**-t has dropped by e**-120 relative
-    to its own maximum, and the density integrates to at most one, so the
-    discarded tail is negligible against any nonzero result.
-    """
-    mode = max(float(k), lo)
-    return mode + math.sqrt(240.0 * (mode + 1.0)) + 120.0
-
-
 @dataclass(frozen=True)
 class PoissonLaw(LimitLaw):
     lam: float
@@ -122,22 +111,9 @@ class PoissonMixtureLaw(LimitLaw):
         lo, hi = self.seed._support()
         if lo == hi:    # a point mass: its mixture is Poisson
             return PoissonLaw(lam=lo)._log_pmf(ks)
-        return np.array([self._log_pmf_one(k) for k in ks.ravel().tolist()],
-                        dtype=float).reshape(ks.shape)
-
-    def _log_pmf_one(self, k: int) -> float:
-        def logf(t):
-            if t <= 0:
-                return -np.inf
-            d = float(self.seed.density(t))
-            if d <= 0.0:
-                return -np.inf
-            return k * math.log(t) - t + math.log(d)
-
-        lo = self.seed._support()[0]
-        hi = _poisson_window(k, lo)
-        peak = min(max(float(k), lo + 0.5), hi)
-        return log_quad(logf, lo, hi, points=[peak]) - special.gammaln(k + 1.0)
+        logs = [log_quad(lambda t: special.xlogy(k, t) - t + np.log(self.seed.density(t)), lo, hi)
+                for k in ks.ravel().tolist()]
+        return np.reshape(logs, ks.shape) - special.gammaln(ks + 1.0)
 
     def limit_seed(self) -> SeedDistribution:
         return self.seed

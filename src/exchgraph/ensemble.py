@@ -271,11 +271,6 @@ class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
         else:   # a has the law of t under the power law t**-gamma at width n/2
             outer, width = PowerLawMixing(spec.A, spec.gamma_exp), self.n / 2.0
             inner = partial(PowerLawMixing, beta=spec.beta)
-        # break points close in on both ends of the range, where a law of the
-        # whole matrix may spike within 1/n**2 (empty or full rows)
-        lo, hi = outer._t_support(width)
-        near = (hi - lo) * np.logspace(-12.0, -2.0, 6)
-        points = np.append(lo + near, hi - near)
 
         def log_law(t):
             with np.errstate(divide="ignore"):
@@ -283,7 +278,7 @@ class EnsembleConfig(JsonCodec, error=ConfigError, family="ensemble config"):
                 return value if log else np.log(value)
 
         shape = log_law(width).shape
-        out = np.reshape([outer._log_mean(width, lambda t: float(log_law(t).flat[i]), points)
+        out = np.reshape([outer._log_mean(width, lambda t: float(log_law(t).flat[i]))
                           for i in range(math.prod(shape))], shape)
         return shaped_like(out if log else np.exp(out), out)
 

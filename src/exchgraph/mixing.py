@@ -33,18 +33,18 @@ family hook beyond the seed.
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
-Numerical policy: closed forms for Dirac and the pure power family; adaptive
-quadrature after the substitution t = n * theta everywhere else, so the
-integrand is O(1) near the lower support edge; the two quadratures over the
-density of t are written once, in ``MixingSpec``, and no family nests one
-quadrature inside another.  The signed moment
-``xi(i) = E (1 - 2 theta)**i`` is expanded into ordinary moments for small i
-and split at theta = 1/2 into two single-sign integrals for large i, which
-avoids the alternating-sum cancellation.
+Numerical policy: closed forms for Dirac and the pure power family; elsewhere
+one log-space quadrature over the density of t = n * theta, ``_log_mean``, whose
+:func:`~exchgraph._numerics.log_quad` finds its window at every n: moments, tails,
+signed-moment halves, row polynomials and shared-draw averages all take it, and
+a point mass is its one other branch.  ``xi(i) = E (1 - 2 theta)**i`` is expanded
+into ordinary moments for small i and split at theta = 1/2 into two single-sign
+integrals for large i, avoiding the alternating-sum cancellation.
 
 For the pure power family the row polynomial and both halves of the split
 signed moment are incomplete beta functions, in closed form wherever that
-holds ``REL_TOL``: B(a, b) I_x^c(a, b) for row weights r > beta - 1, and
+holds ``REL_TOL``: B(a, b) I_x^c(a, b) for row weights r > beta - 1 (log B by
+Stirling's series once an argument reaches 10), and
 ``_upper_beta`` for the rest and for signed moments above the expansion.
 Quadrature (the scalar hooks ``_log_row_prob`` and ``_xi``, also the oracle of
 each closed form) stays for beta within ``_XI_LIFT_MIN`` above an integer,
@@ -59,7 +59,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import check_orders, checked_quad, log_quad, shaped_like, special
+from ._numerics import check_orders, log_quad, shaped_like, special
 from .errors import ParameterError
 from .seeds import SeedDistribution, DiracSeed, HierarchicalSeed, PowerLawSeed
 
@@ -77,8 +77,11 @@ __all__ = [
     "log_row_prob",
 ]
 
-# Binomial expansion of (1 - 2 theta)**i is safe up to this order; beyond it
-# the alternating sum loses more digits than the split quadrature does.
+# Binomial expansion of (1 - 2 theta)**i is safe up to this order; beyond it the
+# alternating sum loses more digits than the split quadrature does.  It loses about
+# eps E (1 + 2 theta)**i / |xi| relative.  Against mpmath: at most 1.1e-12 for the
+# tests' laws with a density, at n = 12 to 1e5, whose mass lies well below theta =
+# 1/2; 4.8e-2 at order 10 for a gamma seed (400, 80) at n = 10, centred there.
 _XI_EXPANSION_MAX = 10
 
 # _upper_beta walks down from a - floor(a) in (0, 1), dividing first by beta's
@@ -104,6 +107,18 @@ def _log_power_int(a: float, b: float, p: float) -> float:
     return q * math.log(a) + math.log1p(-math.exp(q * math.log(b / a))) - math.log(-q)
 
 
+def _log(x: float) -> float:
+    """log x, with log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_xi_base(t: float, n: int) -> float:
+    """log |1 - 2t/n| for 0 <= t <= n, from the nearer end u of [0, n]: log1p
+    while 4u < n, else through n - 2u, exact there, so no digit cancels."""
+    u = min(t, n - t)
+    return math.log1p(-2.0 * u / n) if 4.0 * u < n else _log((n - 2.0 * u) / n)
+
+
 def _power_int(a, b, p: float):
     """integral_a^b t**p dt elementwise over arrays a, b > 0; 0 where b <= a."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -124,11 +139,12 @@ def _stirling_rest(x):
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
 
 
-def _log_beta(c: float, b):
-    """log B(c, b) for 0 < c <= 1 and b >= 10, to a few ulps.
+def _log_beta(c, b):
+    """log B(c, b) for 0 < c <= b and b >= 10, to a few ulps of c log(b + c).
 
     ``special.betaln`` subtracts two log-gammas of size b log b and so loses
     about eps * b log b; here Stirling's series cancels those terms exactly.
+    Against 40-digit mpmath at b <= 1e6 it is off by at most 2.3e-13 for c <= 60.
     """
     return (special.gammaln(c) - (b - 0.5) * np.log1p(c / b) - c * np.log(b + c) + c
             + _stirling_rest(b) - _stirling_rest(b + c))
@@ -157,7 +173,8 @@ def _upper_beta(a, b, x: float):
             c = a0 - s - 1.0
             big = (c + b) * out
             down = (big - x ** c * np.exp(-lam * b)) / c
-            gain = np.where(steps > s, gain * np.abs(big / (c * down)), gain)
+            # a step from an underflowed U cancels nothing, so it magnifies no error
+            gain = np.where((steps > s) & (big != 0.0), gain * np.abs(big / (c * down)), gain)
             out = np.where(steps > s, down, out)
     return np.where((steps > 0) & (a0 > 1 - _XI_LIFT_MIN) | ~(gain <= _WALK_GAIN_MAX), np.nan, out)
 
@@ -177,9 +194,9 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     seed_class = None   # the class of limit_seed(), whose fields are the family's, in order
 
-    def __post_init__(self):
+    def __post_init__(self):    # the seed's constructor checks the family's domain
         if self.seed_class is not None:
-            self.limit_seed()
+            object.__setattr__(self, "_seed", self.seed_class(*astuple(self)))
 
     def validate(self, n: int) -> None:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -187,48 +204,27 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     # hooks ------------------------------------------------------------------
     def _moment(self, n: int, i: int) -> float:
-        return 1.0 if i == 0 else self._partial(n, lambda th: th ** i, 0.0, 1.0)
+        return 1.0 if i == 0 else math.exp(self._log_mean(n, lambda t: i * _log(t / n)))
 
     def _tail(self, n: int, t: float) -> float:
-        return self._partial(n, lambda th: 1.0, t, 1.0)
+        return math.exp(self._log_mean(n, lambda u: 0.0, t * n))
 
-    # A family with a density in t = n theta states it: _t_support(n) -> (lo,
-    # hi), _t_weight(n, t) and its log up to the factor exp(-_log_t_norm(n)),
-    # the kinks _t_knots(n) and the row break point _row_peak(n, r).  A
-    # zero-width support lo == hi is the point mass at t = lo, and needs no weight.
+    # A family with a density in t = n theta states it: _t_support(n) -> (lo, hi),
+    # _t_weight(n, t) or its log up to the factor exp(-_log_t_norm(n)), and the kinks
+    # _t_knots(n).  A zero-width support lo == hi is the point mass at t = lo.
     def _log_t_weight(self, n: int, t: float) -> float:
-        w = self._t_weight(n, t)
-        return math.log(w) if w > 0.0 else -np.inf
+        return _log(self._t_weight(n, t))
 
     def _t_knots(self, n: int) -> list[float]:
         return []
 
-    def _row_peak(self, n: int, r: int) -> float:
-        lo, hi = self._t_support(n)
-        return min(max(lo, float(r)), hi)
-
-    def _partial(self, n: int, f, lo: float, hi: float) -> float:
-        """integral of f(theta) over [lo, hi] against pi_n (normalized)."""
+    def _log_mean(self, n: int, log_f, lo: float = 0.0, hi: float = math.inf) -> float:
+        """log integral of exp(log_f(t)) against pi_n over t = n theta in [lo, hi]."""
         t_lo, t_hi = self._t_support(n)
-        if t_lo == t_hi:    # a point mass counts in (lo, hi], or at theta = lo = 0
-            th = t_lo / n
-            return float(f(th)) if lo < th <= hi or lo == th == 0.0 else 0.0
-        a, b = max(t_lo, lo * n), min(t_hi, hi * n)
-        if b <= a:
-            return 0.0
-        knots = [k for k in self._t_knots(n) if a < k < b]
-        val = checked_quad(lambda t: f(t / n) * self._t_weight(n, t), a, b,
-                           points=knots[:64])
-        return val * math.exp(-self._log_t_norm(n))
-
-    def _log_mean(self, n: int, log_f, points=()) -> float:
-        """log of the mean of exp(log_f(t)), t = n theta, under pi_n; ``points``
-        are break points in t."""
-        lo, hi = self._t_support(n)
-        if lo == hi:
-            return log_f(lo)
-        return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), lo, hi,
-                        points=[*points, *self._t_knots(n)[:32]]) - self._log_t_norm(n)
+        if t_lo == t_hi:    # a point mass counts in (lo, hi], or at t = lo = 0
+            return log_f(t_lo) if lo < t_lo <= hi or lo == t_lo == 0.0 else -np.inf
+        return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), max(t_lo, lo),
+                        min(t_hi, hi), self._t_knots(n)) - self._log_t_norm(n)
 
     def _log_row_prob(self, n: int, r: int) -> float:
         """log integral of theta**r (1 - theta)**(n - r) against pi_n."""
@@ -238,7 +234,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
             return ((r * math.log(t / n) if r else 0.0)
                     + ((n - r) * math.log1p(-t / n) if r < n else 0.0))
 
-        return self._log_mean(n, logf, [self._row_peak(n, r)])
+        return self._log_mean(n, logf)
 
     def _log_row_probs(self, n: int, rs: np.ndarray) -> np.ndarray:
         """``_log_row_prob`` over a 1-D array of row weights."""
@@ -253,13 +249,16 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         if i <= _XI_EXPANSION_MAX:
             terms = [math.comb(i, j) * (-2.0) ** j * moments[j] for j in range(i + 1)]
             return math.fsum(terms)
-        head = self._partial(n, lambda th: (1.0 - 2.0 * th) ** i, 0.0, 0.5)
-        sign = -1.0 if i % 2 else 1.0
-        tail_part = self._partial(n, lambda th: (2.0 * th - 1.0) ** i, 0.5, 1.0)
-        return head + sign * tail_part
+        head = self._log_mean(n, lambda t: i * _log_xi_base(t, n), 0.0, n / 2.0)
+        tail_part = self._log_mean(n, lambda t: i * _log_xi_base(t, n), n / 2.0, n)
+        return math.exp(head) + (-1.0 if i % 2 else 1.0) * math.exp(tail_part)
 
     def _xis(self, n: int, orders: np.ndarray) -> np.ndarray:
         """``_xi`` over a 1-D array of orders; the expansion's moments are taken once."""
+        lo, hi = self._t_support(n)
+        if lo == hi:    # a point mass: Python's pow per order, as NumPy's SIMD power
+            x = 1.0 - 2.0 * lo / n  # differs from it in the last bit
+            return np.array([x ** i for i in orders.tolist()], dtype=float)
         top = min(int(orders.max(initial=0)), _XI_EXPANSION_MAX)
         moments = [self._moment(n, j) for j in range(top + 1)]
         return np.array([self._xi(n, int(i), moments) for i in orders], dtype=float)
@@ -268,7 +267,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         """Scaling limit of n * theta as a seed distribution, where closed-form."""
         if self.seed_class is None:
             raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
-        return self.seed_class(*astuple(self))
+        return self._seed
 
     def row_exponent(self) -> float | None:
         """The beta of a theta**-beta density, which power_fraction rows read."""
@@ -317,11 +316,6 @@ class DiracMixing(_SeedTruncation):
     seed_class = DiracSeed
     _json_keys = {"lam": "lambda"}
 
-    def _xis(self, n, orders):
-        x = 1.0 - 2.0 * self.lam / n
-        # Python's pow per order: NumPy's SIMD power differs from it in the last bit
-        return np.array([x ** i for i in orders.tolist()], dtype=float)
-
     def _sample(self, n, rng, size):
         return np.full(size, self.lam / n)
 
@@ -350,9 +344,6 @@ class PowerLawMixing(_SeedTruncation):
         return math.exp(_log_power_int(t, 1.0, -self.beta)
                         - _log_power_int(lo, 1.0, -self.beta))
 
-    def _t_weight(self, n, t):
-        return t ** (-self.beta)
-
     def _log_t_weight(self, n, t):
         return -self.beta * math.log(t)
 
@@ -370,8 +361,11 @@ class PowerLawMixing(_SeedTruncation):
         b = n - rs + 1.0
         out = np.empty(rs.shape)
         up = a > 0
+        # betaln loses about eps b log b; _log_beta, with the larger argument as b, does not
+        small, big = np.minimum(a[up], b[up]), np.maximum(a[up], b[up])
         with np.errstate(divide="ignore"):
-            out[up] = (special.betaln(a[up], b[up])
+            out[up] = (np.where(big >= 10.0, _log_beta(small, np.maximum(big, 10.0)),
+                                special.betaln(a[up], b[up]))
                        + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
             out[~up] = np.log(_upper_beta(a[~up], b[~up], self.alpha / n))
         out -= self._log_norm_theta(n)
@@ -536,9 +530,6 @@ class SeedCdfMixing(_SeedTruncation):
 
     seed: SeedDistribution
     variant = "seed_cdf"
-
-    def _row_peak(self, n, r):
-        return max(float(r), 1e-3)
 
     def limit_seed(self) -> SeedDistribution:
         return self.seed

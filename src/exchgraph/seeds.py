@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import checked_quad, special
+from ._numerics import checked_quad, log_quad, special
 from .errors import InversionError, ParameterError
 
 __all__ = [
@@ -160,10 +160,8 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         lo, hi = self._support()
         if lo == hi:
             return lo ** order if lo <= cap else 0.0
-        if cap <= lo:
-            return 0.0
-        return checked_quad(lambda t: t ** order * float(self.density(t)),
-                            lo, cap, rel_tol=1e-9)
+        return math.exp(log_quad(lambda t: special.xlogy(order, t) + np.log(self.density(t)),
+                                 lo, cap))
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,19 @@ class TestMomentTransfer:
             moment_transfer_check(PoissonLaw(lam=1.0), 0.0)
 
 
+@pytest.mark.parametrize("cap", [1e6, 1e8])
+def test_truncated_moment_at_large_caps(cap):
+    # before the windowed quadrature the exponential read 0.0
+    assert_allclose(ExponentialSeed(gamma=1.0).truncated_moment(1.0, cap), 1.0, rtol=1e-9)
+    assert_allclose(GammaSeed(r=2.0, gamma=1.0).truncated_moment(1.5, cap), math.gamma(3.5),
+                    rtol=1e-9)
+    # (beta - 1) integral_1^cap t**(order - beta) dt for the power law alpha = 1, beta = 2.5
+    for order in (1.0, 2.0):
+        want = 1.5 * (cap ** (order - 1.5) - 1.0) / (order - 1.5)
+        assert_allclose(PowerLawSeed(alpha=1.0, beta=2.5).truncated_moment(order, cap), want,
+                        rtol=1e-9)
+
+
 class TestDefaultLimitLaw:
     def test_mappings(self):
         assert default_limit_law(DiracMixing(lam=2.0)) == PoissonLaw(lam=2.0)

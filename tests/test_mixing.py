@@ -10,12 +10,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from exchgraph import _numerics, mixing
+from exchgraph import _numerics
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
 from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
                                NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
-                               PowerLawTailLaw, default_limit_law, out_pmf_exact,
-                               tail_asymptote)
+                               PowerLawTailLaw, default_limit_law, in_pmf_exact,
+                               out_pmf_exact, tail_asymptote)
+from exchgraph.ensemble import EnsembleConfig
 from exchgraph.errors import ParameterError, QuadratureError
 from exchgraph.hub import competing_moment_constant, hub_limit_cdf
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
@@ -160,7 +161,13 @@ def test_power_law_row_polynomial_matches_quadrature(beta, n):
     assert_allclose(log_row_prob(spec, n, rs), by_quad, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [40, 3000])
+# the sizes where a window set by n let the quadrature route go wrong, and
+# a spread of the row weights r <= 60 on which degree laws rest
+LARGE_N = (10**4, 3 * 10**4, 10**5, 10**6)
+LARGE_N_ROWS = np.array([0, 1, 2, 3, 5, 8, 13, 20, 30, 45, 60])
+
+
+@pytest.mark.parametrize("n", [40, 3000, *LARGE_N[2:]])
 @pytest.mark.parametrize("beta", CLOSED_FORM_BETAS)
 def test_power_law_signed_moment_matches_quadrature(beta, n):
     spec = PowerLawMixing(alpha=1.0, beta=beta)
@@ -190,6 +197,76 @@ def test_power_law_signed_moment_at_large_alpha():
     spec, n = PowerLawMixing(alpha=12.0, beta=6.05), 3000
     orders = np.array([500, 1500, 2999, 3000])
     assert_allclose(xi(spec, n, orders), MixingSpec._xis(spec, n, orders), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_cut_power_law_seed_and_flat_modulation_are_the_power_law_at_large_n(n):
+    # before the windowed quadrature, 0.9 relative off at n = 1.2e4
+    pure = log_row_prob(PowerLawMixing(alpha=1.0, beta=2.5), n, LARGE_N_ROWS)
+    cut = SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=2.5))
+    flat = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 2.0), (1.0, 2.0)))
+    assert_allclose(log_row_prob(cut, n, LARGE_N_ROWS), pure, rtol=0, atol=1e-11)
+    assert_allclose(log_row_prob(flat, n, LARGE_N_ROWS), pure, rtol=0, atol=1e-11)
+
+
+def _log_exponential_row(n, r):
+    """log P(row r) of the unit-rate exponential seed cut at n, by QUADPACK on
+    [0, 400] in panels of 5, a window that holds the mass of every r <= 60:
+    past t = 400 the integrand is below e**-300 of its peak near r / 2."""
+    def log_f(t):
+        return (r * math.log(t / n) if r else 0.0) + (n - r) * math.log1p(-t / n) - t
+
+    top = log_f(r / 2.0 + 1e-9)
+    value = integrate.quad(lambda t: math.exp(log_f(t) - top), 0.0, 400.0, epsabs=0.0,
+                           epsrel=1e-13, points=np.arange(5.0, 400.0, 5.0), limit=500)[0]
+    return top + math.log(value) - math.log(-math.expm1(-n))
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_exponential_seed_row_law_at_large_n(n):
+    # before the windowed quadrature, P(out = 0) read 0.001 from n = 9000
+    spec = SeedCdfMixing(seed=ExponentialSeed(gamma=1.0))
+    assert_allclose(log_row_prob(spec, n, LARGE_N_ROWS),
+                    [_log_exponential_row(n, int(r)) for r in LARGE_N_ROWS], rtol=0, atol=1e-11)
+    # the geometric limit: n max_k |p_n(k) - p(k)| reads 0.125 at every n here
+    pmf = out_pmf_exact(spec, n, LARGE_N_ROWS)
+    assert np.abs(pmf - GeometricLaw(gamma=1.0).pmf(LARGE_N_ROWS)).max() <= 0.25 / n
+    rng = spawn_rng(2, n)
+    degrees = rng.binomial(n, sample_thetas(spec, n, rng, 100_000))
+    head = out_pmf_exact(spec, n, np.arange(6))
+    freq = np.bincount(degrees, minlength=6)[:6] / degrees.size
+    assert np.all(np.abs(freq - head) < 5.0 * np.sqrt(head * (1.0 - head) / degrees.size))
+
+
+def test_completely_exchangeable_average_at_large_n():
+    # with m = n the in-degree, Binomial(n, theta) over the shared theta, is the
+    # out-degree law; the average with fixed break points overflowed here
+    n = 10**5
+    spec = SeedCdfMixing(seed=ExponentialSeed(gamma=1.0))
+    config = EnsembleConfig(n=n, mixing=spec, variant="completely_exchangeable")
+    log_binom = [math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+                 for r in LARGE_N_ROWS]
+    want = np.exp([c + _log_exponential_row(n, int(r)) for c, r in zip(log_binom, LARGE_N_ROWS)])
+    assert_allclose(in_pmf_exact(config, LARGE_N_ROWS), want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", LARGE_N)
+def test_hierarchical_row_law_at_large_n(n):
+    # before the windowed quadrature, both laws read -3.448 for
+    # log P(row 0) at n = 3e4, against -1.896
+    A, beta, gamma = 1.0, 3.0, 4.5
+    seed = HierarchicalSeed(A=A, beta=beta, gamma_exp=gamma)
+    cut = log_row_prob(SeedCdfMixing(seed=seed), n, LARGE_N_ROWS)
+    # the seed is c_b P_b - c_g P_g, so its cut at n combines the closed
+    # forms of the two power laws, each weighted by its own mass below n
+    parts = seed.combine(lambda part: float(part.cdf(float(n))) * np.exp(
+        log_row_prob(PowerLawMixing(alpha=part.alpha, beta=part.beta), n, LARGE_N_ROWS)))
+    assert_allclose(cut, np.log(parts / float(seed.cdf(float(n)))), rtol=0, atol=1e-11)
+    # the hierarchical weight is the seed's times 1 / (1 - (a/n)**(beta-1)) over
+    # cutoffs a < t, cut at n/2, so row r, whose mass lies at t ~ r + 1, moves
+    # by O(((r + 1) / n)**(beta - 1)): 0.77 of that bound at each n here
+    got = log_row_prob(HierarchicalMixing(A=A, beta=beta, gamma_exp=gamma), n, LARGE_N_ROWS)
+    assert np.all(np.abs(got - cut) <= ((LARGE_N_ROWS + 1.0) / n) ** (beta - 1.0))
 
 
 def _upper_beta_by_mpmath(a, b, x):
@@ -381,14 +458,15 @@ class TestSeedTruncation:
                         [moment(pure, n, i) for i in range(1, 6)], rtol=1e-11)
         assert_allclose(xi(cut, n, orders), xi(pure, n, orders), rtol=1e-11)
 
-    @pytest.mark.parametrize("t0", [0.0, 3.0, 10.0])
+    @pytest.mark.parametrize("t0", [0.0, 3.0, 4.9, 10.0])
     def test_dirac_seed_cut_at_n_is_the_dirac_law(self, t0):
         n, ts, rs = 10, np.linspace(0.0, 1.0, 21), np.arange(11)
         pure, cut = DiracMixing(lam=t0), SeedCdfMixing(seed=DiracSeed(t0=t0))
         assert [moment(cut, n, i) for i in range(6)] == [moment(pure, n, i) for i in range(6)]
-        # the pure law takes Python's pow per order, the cut one the binomial
-        # expansion, whose alternating sum is good to a few ulps of 1
-        assert_allclose(xi(cut, n, rs), xi(pure, n, rs), rtol=0, atol=1e-14)
+        # both take Python's pow per order; the binomial expansion gave
+        # -3.3e-14 for (1 - 2 * 0.49)**10 = 1.0e-17
+        assert xi(cut, n, rs).tolist() == xi(pure, n, rs).tolist()
+        assert_allclose(xi(cut, n, 10), (1.0 - 2.0 * t0 / n) ** 10, rtol=1e-12)
         assert log_row_prob(cut, n, rs).tolist() == log_row_prob(pure, n, rs).tolist()
         assert [tail(cut, n, t) for t in ts] == [tail(pure, n, t) for t in ts]
         assert (sample_thetas(cut, n, spawn_rng(5, 0), 50).tolist()
@@ -492,7 +570,6 @@ def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
         return checked_quad(*args, **kwargs)
 
     monkeypatch.setattr(_numerics, "checked_quad", counting)
-    monkeypatch.setattr(mixing, "checked_quad", counting)
     pmf = out_pmf_exact(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5), 40, range(41))
     assert len(calls) <= 41
     assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
@@ -512,7 +589,7 @@ def test_xi_takes_each_moment_once(spec, monkeypatch):
         calls.append(None)
         return checked_quad(*args, **kwargs)
 
-    monkeypatch.setattr(mixing, "checked_quad", counting)
+    monkeypatch.setattr(_numerics, "checked_quad", counting)
     values = xi(spec, 40, range(41))
     assert len(calls) == 70
     assert values.tolist() == order_by_order
