@@ -102,6 +102,26 @@ exchgraph hub --config "$work/hierarchical.json"
 exchgraph gf2 --config "$work/hierarchical.json"
 
 echo
+echo "== degrees, hub, gf2 on a modulated power law: its seed, cut at n =="
+cat > "$work/modulated.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 2000,
+    "mixing": {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+               "g_table": [[0, 1], [10, 2], [100, 0.5], [1000, 1.5]]},
+    "master_seed": 42,
+    "replicas": 200
+  },
+  "output_dir": "OUT",
+  "gf2": {"n": 64}
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/modulated\"#" "$work/modulated.json"
+exchgraph degrees --config "$work/modulated.json"
+exchgraph hub --config "$work/modulated.json"
+exchgraph gf2 --config "$work/modulated.json"
+
+echo
 echo "artifacts in $work/out:"
 ls "$work/out" | grep -cv '^replica_' | xargs -I{} echo "  {} reports and tables, plus:"
 ls "$work/out" | grep -c '^replica_' | xargs -I{} echo "  {} edge-list files"

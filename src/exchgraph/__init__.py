@@ -36,7 +36,7 @@ from .motifs import (SubgraphPattern, connectivity_bound, count_cycles,
                      mean_feedforward_loops, mean_leaves, mean_roots,
                      mean_subgraph, var_feedback_loops,
                      var_feedforward_loops, weak_components)
-from .seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                    LerchSeed, ParetoTailSeed, PowerLawSeed, SeedDistribution)
+from .seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed, LerchSeed,
+                    ModulatedPowerLawSeed, ParetoTailSeed, PowerLawSeed, SeedDistribution)
 
 __version__ = "0.1.0"

@@ -217,12 +217,8 @@ def cmd_degrees(run: RunConfig) -> int:
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
     exact_in = in_pmf_exact(cfg, np.arange(min(k_max, cfg.m) + 1))
-    try:
-        law = default_limit_law(cfg.mixing)
-    except ExchGraphError:
-        law = limit = None
-    else:
-        limit = limit_pmf(law, ks)
+    law = default_limit_law(cfg.mixing)
+    limit = limit_pmf(law, ks)
     table = run.output_dir / "degrees_out_pmf.csv"
     write_pmf_table(table, ks, exact_out, limit)
     print(f"wrote {table}")
@@ -231,9 +227,9 @@ def cmd_degrees(run: RunConfig) -> int:
         "k_max": k_max,
         "out_pmf_exact": [float(v) for v in exact_out],
         "in_pmf_exact": [float(v) for v in exact_in],
-        "limit_pmf": None if law is None else [float(v) for v in limit],
-        "limit_law": None if law is None else law.to_json(),
-        "tv_exact_vs_limit": None if law is None else float(total_variation(exact_out, limit)),
+        "limit_pmf": [float(v) for v in limit],
+        "limit_law": law.to_json(),
+        "tv_exact_vs_limit": float(total_variation(exact_out, limit)),
     }
     _write_json(run.output_dir / "degrees.json", payload)
     return EXIT_OK
@@ -360,10 +356,7 @@ def cmd_gf2(run: RunConfig) -> int:
         block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
                        "se": mc.se}
     # with one shared bias the growth rate is not the iid Laplace transform's
-    try:
-        seed = cfg.mixing.limit_seed() if cfg.iid_rows else None
-    except ExchGraphError:
-        seed = None
+    seed = cfg.mixing.limit_seed() if cfg.iid_rows else None
     if seed is None:
         block["rate"] = None
     else:

@@ -31,7 +31,7 @@ from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
 from .ensemble import EnsembleConfig
 from .errors import ParameterError
-from .mixing import MixingSpec, log_row_prob, moment
+from .mixing import MixingSpec, _log_beta, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
                     HierarchicalSeed, LerchSeed, PowerLawSeed)
 
@@ -111,8 +111,8 @@ class PoissonMixtureLaw(LimitLaw):
         lo, hi = self.seed._support()
         if lo == hi:    # a point mass: its mixture is Poisson
             return PoissonLaw(lam=lo)._log_pmf(ks)
-        logs = [log_quad(lambda t: special.xlogy(k, t) - t + np.log(self.seed.density(t)), lo, hi)
-                for k in ks.ravel().tolist()]
+        logs = [log_quad(lambda t: special.xlogy(k, t) - t + np.log(self.seed.density(t)), lo, hi,
+                         self.seed._knots) for k in ks.ravel().tolist()]
         return np.reshape(logs, ks.shape) - special.gammaln(ks + 1.0)
 
     def limit_seed(self) -> SeedDistribution:
@@ -239,11 +239,15 @@ def default_limit_law(spec: MixingSpec) -> LimitLaw:
 # exact finite-n laws
 
 
+def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
+    """log C(n, k) as -log(n + 1) - log B(k + 1, n - k + 1): three log-gammas lose eps n log n."""
+    return -math.log(n + 1.0) - _log_beta(ks + 1.0, n - ks + 1.0)
+
+
 def out_pmf_exact(spec: MixingSpec, n: int, k) -> np.ndarray | float:
     """P{out-degree = k} for a row of width n under the mixing law."""
     ks = check_orders(k, "out-degree", hi=n)
-    logc = special.gammaln(n + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(n - ks + 1.0)
-    return shaped_like(np.exp(logc + log_row_prob(spec, n, ks)), k)
+    return shaped_like(np.exp(_log_binom(n, ks) + log_row_prob(spec, n, ks)), k)
 
 
 def in_pmf_exact(config: EnsembleConfig, k) -> np.ndarray | float:
@@ -251,7 +255,7 @@ def in_pmf_exact(config: EnsembleConfig, k) -> np.ndarray | float:
     over the shared draw of the config's variant."""
     n, m = config.n, config.m
     ks = check_orders(k, "in-degree", hi=m)
-    logc = special.gammaln(m + 1.0) - special.gammaln(ks + 1.0) - special.gammaln(m - ks + 1.0)
+    logc = _log_binom(m, ks)
 
     def law(spec):  # xlogy and xlog1py read 0 log 0 as 0: the mu = 0 and 1 point masses
         mu = moment(spec, n, 1)
@@ -345,14 +349,9 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def write_pmf_table(path, ks, exact, limit) -> None:
-    """CSV with columns k,exact,limit,abs_diff; the last two are empty when
-    ``limit`` is None."""
-    ks = np.atleast_1d(ks)
-    exact = np.atleast_1d(exact)
-    limit = [None] * len(ks) if limit is None else np.atleast_1d(limit)
+    """CSV with columns k,exact,limit,abs_diff."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,exact,limit,abs_diff\n")
-        for kk, ev, lv in zip(ks, exact, limit):
-            ev = float(ev)
-            cells = "," if lv is None else f"{float(lv)!r},{abs(ev - float(lv))!r}"
-            fh.write(f"{int(kk)},{ev!r},{cells}\n")
+        for kk, ev, lv in zip(np.atleast_1d(ks), np.atleast_1d(exact), np.atleast_1d(limit)):
+            ev, lv = float(ev), float(lv)
+            fh.write(f"{int(kk)},{ev!r},{lv!r},{abs(ev - lv)!r}\n")

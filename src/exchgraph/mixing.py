@@ -9,7 +9,8 @@ theta of a matrix row of width n.  The families implemented here:
     Density proportional to theta**(-beta) on (alpha/n, 1]; needs n > alpha.
 ``ModulatedPowerLawMixing(alpha, beta, g_table)``
     Density proportional to g(n theta) * theta**(-beta) on (alpha/n, 1] with
-    g tabulated, piecewise linear, and bounded away from 0 and infinity.
+    g tabulated, piecewise linear, and bounded away from 0 and infinity;
+    needs n > alpha.
 ``SeedCdfMixing(seed)``
     CDF x -> F(x n) / F(n) built from a seed distribution F on [0, inf).
 ``HierarchicalMixing(A, beta, gamma_exp)``
@@ -17,23 +18,24 @@ theta of a matrix row of width n.  The families implemented here:
     ``PowerLawMixing(a, beta)``; requires gamma_exp > beta > 2.  Its weight
     in t = n theta is closed-form, so its laws take one quadrature each.
 
-The Dirac, power-law and seed-cdf families are seed truncations, their limit
-seed F cut at n (theta has CDF F(x n) / F(n)), stated once in ``_SeedTruncation``.
+The Dirac, power-law, modulated power-law and seed-cdf families are seed
+truncations, their limit seed F cut at n (theta has CDF F(x n) / F(n)), stated
+once in ``_SeedTruncation``.
 
 Public operations validate the spec against n and then call the family's
 own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
 and the log-space row polynomial :func:`log_row_prob` that degree and motif
 formulas build on.  Each family also names the ``seed_class`` of its scaling
-limit ``limit_seed()``, the seed of n * theta (all but the modulated power
-law; seed-cdf returns its own seed), and its JSON form: the ``variant``
-discriminator plus one key per field, with ``lam`` written as ``"lambda"``
-(``MixingSpec.from_json`` reads it back).  Building a family builds its seed,
-whose constructor checks the parameter domain; ``row_exponent`` is the one
-family hook beyond the seed.
+limit ``limit_seed()``, the seed of n * theta (seed-cdf takes its own seed),
+and its JSON form: the ``variant`` discriminator plus one key per field, with
+``lam`` written as ``"lambda"`` (``MixingSpec.from_json`` reads it back).
+Building a family builds its seed, whose constructor checks the parameter
+domain; ``row_exponent`` is the one family hook beyond the seed.
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
-Numerical policy: closed forms for Dirac and the pure power family; elsewhere
+Numerical policy: closed forms for Dirac and the pure power family, and the
+modulated family's moments, tails and draws from its seed's sums over pieces; elsewhere
 one log-space quadrature over the density of t = n * theta, ``_log_mean``, whose
 :func:`~exchgraph._numerics.log_quad` finds its window at every n: moments, tails,
 signed-moment halves, row polynomials and shared-draw averages all take it, and
@@ -54,14 +56,15 @@ orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
 from .errors import ParameterError
-from .seeds import SeedDistribution, DiracSeed, HierarchicalSeed, PowerLawSeed
+from .seeds import (SeedDistribution, DiracSeed, HierarchicalSeed,
+                    ModulatedPowerLawSeed, PowerLawSeed)
 
 __all__ = [
     "MixingSpec",
@@ -119,35 +122,23 @@ def _log_xi_base(t: float, n: int) -> float:
     return math.log1p(-2.0 * u / n) if 4.0 * u < n else _log((n - 2.0 * u) / n)
 
 
-def _power_int(a, b, p: float):
-    """integral_a^b t**p dt elementwise over arrays a, b > 0; 0 where b <= a."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    q = p + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if q == 0.0:
-            val = np.log(b / a)
-        else:
-            # factor out the end where t**q is larger, so expm1 sees a negative argument
-            big, small = (b, a) if q > 0 else (a, b)
-            val = big ** q * -np.expm1(q * np.log(small / big)) / abs(q)
-    return np.where(b > a, val, 0.0)
-
-
 def _stirling_rest(x):
     """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, for x >= 10."""
     x2 = x * x
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
 
 
-def _log_beta(c, b):
-    """log B(c, b) for 0 < c <= b and b >= 10, to a few ulps of c log(b + c).
+def _log_beta(a, b):
+    """log B(a, b) elementwise for a, b > 0, with c <= b the two arguments sorted.
 
-    ``special.betaln`` subtracts two log-gammas of size b log b and so loses
-    about eps * b log b; here Stirling's series cancels those terms exactly.
-    Against 40-digit mpmath at b <= 1e6 it is off by at most 2.3e-13 for c <= 60.
-    """
-    return (special.gammaln(c) - (b - 0.5) * np.log1p(c / b) - c * np.log(b + c) + c
-            + _stirling_rest(b) - _stirling_rest(b + c))
+    ``special.betaln`` subtracts two log-gammas of size b log b and so loses about
+    eps b log b; once b reaches 10, Stirling's series cancels those terms exactly:
+    against 40-digit mpmath at b <= 1e6 it is off by at most 2.3e-13 for c <= 60."""
+    c, b = np.minimum(a, b), np.maximum(a, b)
+    big = np.maximum(b, 10.0)
+    return np.where(b >= 10.0, special.gammaln(c) - (big - 0.5) * np.log1p(c / big)
+                    - c * np.log(big + c) + c + _stirling_rest(big) - _stirling_rest(big + c),
+                    special.betaln(c, b))
 
 
 def _upper_beta(a, b, x: float):
@@ -159,8 +150,7 @@ def _upper_beta(a, b, x: float):
     steps = np.maximum(-np.floor(a), 0.0)
     a0, lam, gain = a + steps, -math.log1p(-x), np.ones(a.shape)
     with np.errstate(all="ignore"):
-        out = special.betaincc(a0, b, x) * np.exp(np.where(
-            b >= 10.0, _log_beta(a0, np.maximum(b, 10.0)), special.betaln(a0, b)))
+        out = special.betaincc(a0, b, x) * np.exp(_log_beta(a0, b))
         if (a0 == 0).any():
             # to K = max b + 8192 from the far end, the rest by Euler-Maclaurin: off by
             # (lam + 1/K)**4 / 120 of the sum: 5e-12 at most, since lam K > 40 leaves no rest
@@ -192,11 +182,9 @@ def _power_quantile(u, alpha, n: int, beta: float):
 class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"):
     """Base class; concrete families fill in the hooks below."""
 
-    seed_class = None   # the class of limit_seed(), whose fields are the family's, in order
-
-    def __post_init__(self):    # the seed's constructor checks the family's domain
-        if self.seed_class is not None:
-            object.__setattr__(self, "_seed", self.seed_class(*astuple(self)))
+    def __post_init__(self):    # limit_seed(): the seed_class on the family's fields, in order,
+        # whose constructor checks the family's domain
+        object.__setattr__(self, "_seed", self.seed_class(*astuple(self)))
 
     def validate(self, n: int) -> None:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -211,12 +199,12 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     # A family with a density in t = n theta states it: _t_support(n) -> (lo, hi),
     # _t_weight(n, t) or its log up to the factor exp(-_log_t_norm(n)), and the kinks
-    # _t_knots(n).  A zero-width support lo == hi is the point mass at t = lo.
+    # _t_knots(n), by default the seed's.  A support lo == hi is the point mass at lo.
     def _log_t_weight(self, n: int, t: float) -> float:
         return _log(self._t_weight(n, t))
 
     def _t_knots(self, n: int) -> list[float]:
-        return []
+        return self.limit_seed()._knots
 
     def _log_mean(self, n: int, log_f, lo: float = 0.0, hi: float = math.inf) -> float:
         """log integral of exp(log_f(t)) against pi_n over t = n theta in [lo, hi]."""
@@ -264,9 +252,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
         return np.array([self._xi(n, int(i), moments) for i in orders], dtype=float)
 
     def limit_seed(self) -> SeedDistribution:
-        """Scaling limit of n * theta as a seed distribution, where closed-form."""
-        if self.seed_class is None:
-            raise ParameterError(f"no closed-form seed limit for variant {self.variant!r}")
+        """Scaling limit of n * theta as a seed distribution."""
         return self._seed
 
     def row_exponent(self) -> float | None:
@@ -361,11 +347,8 @@ class PowerLawMixing(_SeedTruncation):
         b = n - rs + 1.0
         out = np.empty(rs.shape)
         up = a > 0
-        # betaln loses about eps b log b; _log_beta, with the larger argument as b, does not
-        small, big = np.minimum(a[up], b[up]), np.maximum(a[up], b[up])
         with np.errstate(divide="ignore"):
-            out[up] = (np.where(big >= 10.0, _log_beta(small, np.maximum(big, 10.0)),
-                                special.betaln(a[up], b[up]))
+            out[up] = (_log_beta(a[up], b[up])
                        + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
             out[~up] = np.log(_upper_beta(a[~up], b[~up], self.alpha / n))
         out -= self._log_norm_theta(n)
@@ -400,128 +383,34 @@ class PowerLawMixing(_SeedTruncation):
 
 
 @dataclass(frozen=True)
-class ModulatedPowerLawMixing(MixingSpec):
-    """Density proportional to g(n theta) theta**(-beta) on (alpha/n, 1].
-
-    ``g_table`` is a sequence of (tau, value) pairs defining g by linear
-    interpolation on tau = n * theta, held constant beyond either end.  Every
-    table value must be strictly positive; the implied bounds c1 = min g and
-    c2 = max g are exposed as attributes.  Because g is piecewise linear, all
-    moment/tail/CDF integrals reduce to closed-form power integrals per
-    segment; only the signed moment of high order falls back to quadrature.
-    """
+class ModulatedPowerLawMixing(_SeedTruncation):
+    """Density proportional to g(n theta) theta**(-beta) on (alpha/n, 1]: its
+    seed, which states g and checks its table, cut at n.  Moments, tails and draws
+    read the seed's closed-form sums over its pieces cut at n."""
 
     alpha: float
     beta: float
-    g_table: tuple = field()
+    g_table: tuple
     variant = "modulated_power_law"
+    seed_class = ModulatedPowerLawSeed
 
-    def __post_init__(self):
-        PowerLawSeed(self.alpha, self.beta)     # the domain of (alpha, beta)
-        pts = tuple((float(t), float(v)) for t, v in self.g_table)
-        if len(pts) < 2:
-            raise ParameterError("g table needs at least two points")
-        taus = [t for t, _ in pts]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ParameterError("g table abscissae must be strictly increasing")
-        if any(t < 0 for t in taus):
-            raise ParameterError("g table abscissae must be >= 0")
-        if any(v <= 0 for _, v in pts):
-            raise ParameterError("g table values must be strictly positive")
-        object.__setattr__(self, "g_table", pts)
+    def __post_init__(self):    # the table as the seed's float pairs
+        super().__post_init__()
+        object.__setattr__(self, "g_table", self._seed.g_table)
 
     def row_exponent(self):
         return self.beta
 
-    @property
-    def c1(self) -> float:
-        return min(v for _, v in self.g_table)
-
-    @property
-    def c2(self) -> float:
-        return max(v for _, v in self.g_table)
-
-    def validate(self, n: int) -> None:
-        super().validate(n)
-        if not n > self.alpha:
-            raise ParameterError(
-                f"modulated power law needs n > alpha, got n={n}, alpha={self.alpha}")
-
-    def modulation(self, t):
-        """The tabulated factor g evaluated at t = n * theta (clamped at the ends)."""
-        taus = np.array([p[0] for p in self.g_table])
-        vals = np.array([p[1] for p in self.g_table])
-        return np.interp(t, taus, vals)
-
-    def _segments(self, n: int):
-        """Break [alpha, n] at the g knots; g is affine A + B t on each piece."""
-        taus = [p[0] for p in self.g_table]
-        vals = [p[1] for p in self.g_table]
-        cuts = sorted({self.alpha, float(n), *[t for t in taus if self.alpha < t < n]})
-        segs = []
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            k = np.searchsorted(taus, mid) - 1
-            if k < 0:
-                segs.append((a, b, vals[0], 0.0))
-            elif k >= len(taus) - 1:
-                segs.append((a, b, vals[-1], 0.0))
-            else:
-                slope = (vals[k + 1] - vals[k]) / (taus[k + 1] - taus[k])
-                segs.append((a, b, vals[k] - slope * taus[k], slope))
-        return segs
-
-    def _seg_mass(self, a, b, const, slope, p):
-        """integral_a^b (const + slope t) t**p dt in closed form, elementwise."""
-        return const * _power_int(a, b, p) + slope * _power_int(a, b, p + 1.0)
-
-    def _t_integral(self, n: int, p: float, lo=None, hi=None) -> float:
-        """integral g(t) t**(p - beta) dt over [lo, hi] intersect [alpha, n]."""
-        total = 0.0
-        lo = self.alpha if lo is None else max(lo, self.alpha)
-        hi = float(n) if hi is None else min(hi, float(n))
-        for a, b, const, slope in self._segments(n):
-            aa, bb = max(a, lo), min(b, hi)
-            if bb > aa:
-                total += self._seg_mass(aa, bb, const, slope, p - self.beta)
-        return total
-
     def _moment(self, n: int, i: int) -> float:
-        return self._t_integral(n, i) / (n ** i * self._t_integral(n, 0))
+        seed = self.limit_seed()
+        return float(seed._power_sum(i - self.beta, n) / (n ** i * seed._power_sum(-self.beta, n)))
 
-    def _tail(self, n: int, t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        return self._t_integral(n, 0, lo=t * n) / self._t_integral(n, 0)
-
-    def _t_support(self, n):
-        return self.alpha, float(n)
-
-    def _t_weight(self, n, t):
-        return self.modulation(t) * t ** (-self.beta)
-
-    def _log_t_norm(self, n):
-        return math.log(self._t_integral(n, 0))
-
-    def _t_knots(self, n):
-        return [p[0] for p in self.g_table if self.alpha < p[0] < n]
+    def _tail(self, n: int, t: float) -> float:     # (F(n) - F(t n)) / F(n) cancels near t = 1
+        seed = self.limit_seed()
+        return float(seed._power_sum(-self.beta, n, t * n) / seed._power_sum(-self.beta, n))
 
     def _sample(self, n, rng, size):
-        u = rng.random(size)
-        segs = np.array(self._segments(n))
-        masses = self._seg_mass(*segs.T, -self.beta)
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        targets = u * cum[-1]
-        idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(segs) - 1)
-        rem = targets - cum[idx]
-        left, hi, consts, slopes = segs[idx].T
-        lo = left
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            under = self._seg_mass(left, mid, consts, slopes, -self.beta) < rem
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        return 0.5 * (lo + hi) / n
+        return self.limit_seed()._quantile(rng.random(size), n) / n
 
 
 @dataclass(frozen=True)
@@ -531,8 +420,8 @@ class SeedCdfMixing(_SeedTruncation):
     seed: SeedDistribution
     variant = "seed_cdf"
 
-    def limit_seed(self) -> SeedDistribution:
-        return self.seed
+    def __post_init__(self):
+        object.__setattr__(self, "_seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
 """Seed distributions on [0, infinity) for row-bias scaling limits.
 
 A seed distribution F describes the limit in law of n * theta where theta is
-a row bias drawn from the finite-n mixing law.  Seeds drive three things:
+a row bias drawn from the finite-n mixing law; every mixing family has one.
+Seeds drive three things:
 
-* size-coupled mixing laws (``SeedCdf`` in :mod:`exchgraph.mixing`), where the
-  finite-n law of theta is F(x n) / F(n) on [0, 1];
+* the mixing laws that are their seed cut at n (Dirac, power law, modulated
+  power law and seed cdf in :mod:`exchgraph.mixing`), where the finite-n law
+  of theta is F(x n) / F(n) on [0, 1];
 * Poisson-mixture degree limits (:mod:`exchgraph.degrees`);
 * kernel-counting rate functions through the Laplace transform
   ``integral exp(-s t) dF(t)`` (:mod:`exchgraph.gf2`).
 
 Each seed states its own Laplace transforms: elementary for the Dirac,
 exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
-(two power-law parts) and shifted Pareto seeds, a quadrature of the mixing
-weight for the Lerch seed.  Other quantities without a closed form go through
+(two power-law parts), shifted Pareto and modulated power-law (a difference on
+each linear piece of its weight) seeds, a quadrature of the mixing weight for
+the Lerch seed.  Other quantities without a closed form go through
 checked adaptive quadrature.
 
 A seed has a density on its support (lo, hi), except the point mass at t0,
@@ -43,6 +46,7 @@ __all__ = [
     "PowerLawSeed",
     "HierarchicalSeed",
     "LerchSeed",
+    "ModulatedPowerLawSeed",
 ]
 
 
@@ -87,6 +91,27 @@ def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
         a -= 1.0
         value = (value - z ** a * math.exp(-z)) / a
     return scale * value
+
+
+def _power_int(a, b, p: float):
+    """integral_a^b t**p dt elementwise over arrays a, b > 0; 0 where b <= a."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    q = p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q == 0.0:
+            val = np.log(b / a)
+        else:
+            # factor out the end where t**q is larger, so expm1 sees a negative argument
+            big, small = (b, a) if q > 0 else (a, b)
+            val = big ** q * -np.expm1(q * np.log(small / big)) / abs(q)
+    return np.where(b > a, val, 0.0)
+
+
+def _seg_mass(a, b, const, slope, p: float):
+    """integral_a^b (const + slope t) t**p dt elementwise; b may be inf where slope is 0."""
+    with np.errstate(invalid="ignore"):     # 0 * inf, read as 0 below
+        return const * _power_int(a, b, p) + np.where(slope != 0.0,
+                                                      slope * _power_int(a, b, p + 1.0), 0.0)
 
 
 class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed"):
@@ -150,6 +175,8 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         else:
             raise InversionError("quantile bisection failed to converge")
         return 0.5 * (lo + hi)
+
+    _knots = ()     # points where the density has a kink: break points of its quadratures
 
     def _support(self):
         """(lo, hi): F has a density on (lo, hi), or is the point mass at lo = hi."""
@@ -449,3 +476,109 @@ class LerchSeed(SeedDistribution):
 
     def _t_laplace(self, s: float) -> float:
         return self._tau_integral(lambda u: 1.0 / (u + s) / (u + s))
+
+
+@dataclass(frozen=True)
+class ModulatedPowerLawSeed(SeedDistribution):
+    """Density Z**-1 g(t) t**(-beta) on (alpha, inf), g linear between the (tau,
+    value) pairs of ``g_table``, constant beyond either end and positive: the
+    modulated power-law family's n theta is this law cut at n.  g is const +
+    slope t on each piece, so CDF, moments and Z are sums of power integrals, the
+    transforms of incomplete gammas; the unbounded last piece sets the tail."""
+
+    alpha: float
+    beta: float
+    g_table: tuple
+    kind = "modulated_power_law"
+
+    def __post_init__(self):
+        PowerLawSeed(self.alpha, self.beta)     # the domain of (alpha, beta)
+        pts = tuple((float(t), float(v)) for t, v in self.g_table)
+        if len(pts) < 2:
+            raise ParameterError("g table needs at least two points")
+        taus, vals = map(np.array, zip(*pts))
+        if not np.all(np.diff(taus) > 0):
+            raise ParameterError("g table abscissae must be strictly increasing")
+        if taus[0] < 0:
+            raise ParameterError("g table abscissae must be >= 0")
+        if not np.all(vals > 0):
+            raise ParameterError("g table values must be strictly positive")
+        object.__setattr__(self, "g_table", pts)
+        object.__setattr__(self, "_knots", tuple(taus.tolist()))
+        # rows (a, b, const, slope) of the pieces of (alpha, inf) between knots, each
+        # from the interval of the last knot k at or below its start
+        cuts = np.concatenate([[self.alpha], taus[taus > self.alpha], [math.inf]])
+        k = np.searchsorted(taus, cuts[:-1], side="right") - 1
+        inner, j = (k >= 0) & (k < len(taus) - 1), np.clip(k, 0, len(taus) - 2)
+        with np.errstate(over="ignore", invalid="ignore"):     # knots an ulp apart: slope inf
+            slope = np.where(inner, np.diff(vals)[j] / np.diff(taus)[j], 0.0)
+            const = np.where(inner, vals[j] - slope * taus[j], vals[np.maximum(k, 0)])
+        object.__setattr__(self, "_segs", np.stack([cuts[:-1], cuts[1:], const, slope], axis=1))
+        object.__setattr__(self, "_z", float(self._power_sum(-self.beta, math.inf)))
+
+    def _power_sum(self, p: float, cap, lo=0.0):
+        """integral of g(t) t**p over (max(alpha, lo), cap), elementwise in cap."""
+        a, b, const, slope = self._segs.T
+        cap = np.asarray(cap, dtype=float)[..., None]
+        return _seg_mass(np.clip(a, lo, cap), np.clip(b, lo, cap), const, slope, p).sum(axis=-1)
+
+    def cdf(self, x):
+        return self._power_sum(-self.beta, x) / self._z
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > self.alpha, np.interp(x, *zip(*self.g_table)) / self._z
+                        * np.maximum(x, self.alpha) ** -self.beta, 0.0)
+
+    def truncated_moment(self, order: float, cap: float) -> float:
+        return float(self._power_sum(order - self.beta, cap)) / self._z
+
+    def power_tail(self):
+        return self.g_table[-1][1] / (self._z * (self.beta - 1.0)), self.beta - 1.0
+
+    def _quantile(self, u, cap=math.inf):
+        """t at level u of the law cut at cap: the piece by its cumulative mass,
+        then 80 halvings within it, or the power-law quantile on the unbounded one."""
+        segs = self._segs[self._segs[:, 0] < cap]
+        segs[-1, 1] = min(segs[-1, 1], cap)
+        cum = np.concatenate([[0.0], np.cumsum(_seg_mass(*segs.T, -self.beta))])
+        targets = u * cum[-1]
+        idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(segs) - 1)
+        rem = targets - cum[idx]
+        left, hi, consts, slopes = segs[idx].T
+        lo = left
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            under = _seg_mass(left, mid, consts, slopes, -self.beta) < rem
+            lo = np.where(under, mid, lo)
+            hi = np.where(under, hi, mid)
+        # the unbounded piece above left holds consts left**(1 - beta) / (beta - 1)
+        bm1 = self.beta - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = left * (1.0 - rem * bm1 / (consts * left ** -bm1)) ** (-1.0 / bm1)
+        return np.where(hi == math.inf, far, 0.5 * (lo + hi))
+
+    def inverse_cdf(self, u):
+        return self._quantile(np.asarray(u, dtype=float))
+
+    def _support(self):
+        return self.alpha, np.inf
+
+    def _gamma_sum(self, p: float, s: float) -> float:
+        """integral g(t) t**p e**(-s t) dt / Z: s**-q (Gamma(q, s a) - Gamma(q, s b))
+        on each piece (a, b), times const at q = p + 1 and slope at q = p + 2."""
+        def part(q, a, b):  # for q > 0 and s b < 1 both are near Gamma(q): lower ones cancel less
+            if q > 0.0 and s * b < 1.0:
+                return s ** -q * math.gamma(q) * (special.gammainc(q, s * b)
+                                                  - special.gammainc(q, s * a))
+            return s ** -q * (_upper_gamma(q, s * a) - (_upper_gamma(q, s * b) if b < math.inf
+                                                        else 0.0))
+
+        return math.fsum(c * part(p + 1.0, a, b) + (m * part(p + 2.0, a, b) if m else 0.0)
+                         for a, b, c, m in self._segs.tolist()) / self._z
+
+    def _laplace(self, s: float) -> float:
+        return self._gamma_sum(-self.beta, s)
+
+    def _t_laplace(self, s: float) -> float:
+        return self._gamma_sum(1.0 - self.beta, s)

@@ -143,24 +143,45 @@ def test_degrees_on_lerch_seed_cdf(tmp_path):
     assert sum(block["out_pmf_exact"]) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_degrees_without_a_limit_law_writes_the_exact_laws(tmp_path):
-    # a modulated power law has no closed-form seed limit: the limit keys are
-    # null and the table's limit and abs_diff cells empty
-    cfg = _write_config(tmp_path, degrees={"k_max": 40})
-    data = json.loads(cfg.read_text())
-    data["ensemble"].update(n=40, mixing={
-        "variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
-        "g_table": [[0, 1], [10, 2]]})
-    cfg.write_text(json.dumps(data))
+_MODULATED = {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+              "g_table": [[0, 1], [10, 2], [100, 0.5], [1000, 1.5]]}
+
+
+def test_degrees_on_modulated_power_law_writes_its_limit_law(tmp_path):
+    # the limit is the Poisson mixture of the family's seed, 0.23 / n off in TV
+    cfg = _write_config(tmp_path, degrees={"k_max": 40}, ensemble={
+        "n": 40, "mixing": _MODULATED, "master_seed": SEED, "replicas": 3})
     assert main(["degrees", "--config", str(cfg)]) == 0
     block = json.loads(_read_out(tmp_path, "degrees.json"))["degrees"]
-    assert block["limit_law"] is None and block["limit_pmf"] is None
-    assert block["tv_exact_vs_limit"] is None
+    seed = {**_MODULATED, "g_table": [[float(t), float(g)] for t, g in _MODULATED["g_table"]]}
+    del seed["variant"]
+    assert block["limit_law"] == {"kind": "poisson_mixture",
+                                  "seed": {"kind": "modulated_power_law", **seed}}
+    assert 0.0 < block["tv_exact_vs_limit"] < 0.3 / 40
     assert sum(block["out_pmf_exact"]) == pytest.approx(1.0, abs=1e-9)
     assert sum(block["in_pmf_exact"]) == pytest.approx(1.0, abs=1e-9)
     table = _read_out(tmp_path, "degrees_out_pmf.csv").decode().splitlines()
     assert table[0] == "k,exact,limit,abs_diff" and len(table) == 42
-    assert all(line.endswith(",,") and line.count(",") == 3 for line in table[1:])
+    assert all(",," not in line and line.count(",") == 3 for line in table[1:])
+
+
+def test_hub_and_gf2_on_modulated_power_law(tmp_path):
+    # the hub scale and curve come from the seed's power tail, the rate from its
+    # transforms; at n = 400 the hub, near t = n**(2/3) = 54, sits where g is
+    # still far from its last value, so its KS distance to the curve is large
+    cfg = _write_config(tmp_path, ensemble={
+        "n": 400, "mixing": _MODULATED, "master_seed": SEED, "replicas": 200},
+        gf2={"n": 16, "gammas": [0.5, 1.0]})
+    assert main(["hub", "--config", str(cfg)]) == 0
+    hub = json.loads(_read_out(tmp_path, "hub.json"))["hub"]
+    c_eta, eta = cli.MixingSpec.from_json(_MODULATED).limit_seed().power_tail()
+    assert hub["limit_cdf_params"] == {"c_eta": c_eta, "eta": eta} and eta == 1.5
+    assert hub["m_n"] == 400 and hub["b_n"] == pytest.approx(400 ** (1 / 1.5), rel=1e-15)
+    assert main(["gf2", "--config", str(cfg)]) == 0
+    rate = json.loads(_read_out(tmp_path, "gf2.json"))["gf2"]["rate"]
+    assert rate["seed"]["kind"] == "modulated_power_law"
+    assert [row["gamma"] for row in rate["sup_by_gamma"]] == [0.5, 1.0]
+    assert rate["threshold"]["verdict"] == "no_threshold"     # a finite mean at beta > 2
 
 
 def test_motifs_report_fields(tmp_path):

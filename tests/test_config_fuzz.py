@@ -53,6 +53,9 @@ def _object(draw, tag, kinds):
     return out
 
 
+# the modulated power law's keys, as a mixing family and as its seed
+_MODULATED_KEYS = {"alpha": ([1.0], [0.0]), "beta": ([2.5], [0.5]),
+                   "g_table": ([[[0, 1], [10, 2]]], [[[0, 1]], [[1, 2], [0, 1]], "ab"])}
 SEEDS = _object("kind", {
     "dirac": {"t0": ([2.0, 0.5, 0.0], [-1.0])},
     "exponential": {"gamma": ([1.0, 2], [0.0])},
@@ -62,12 +65,12 @@ SEEDS = _object("kind", {
     "lerch": {"alpha": ([1.5], [0.5]), "s": ([2.5], [1.0])},
     "hierarchical": {"A": ([1.0, 0.5], [0.0]), "beta": ([3.0, 2.5], [2.0]),
                      "gamma_exp": ([4.5, 4.0], [2.0])},
+    "modulated_power_law": _MODULATED_KEYS,
 })
 MIXINGS = _object("variant", {
     "dirac": {"lambda": ([2, 2.5, 0], [-1.0, 100.0])},
     "power_law": {"alpha": ([1, 0.5], [0.0, 70.0]), "beta": ([3, 1.5, 2.0, 2.5], [1.0])},
-    "modulated_power_law": {"alpha": ([1.0], [0.0]), "beta": ([2.5], [0.5]),
-                            "g_table": ([[[0, 1], [10, 2]]], [[[0, 1]], [[1, 2], [0, 1]], "ab"])},
+    "modulated_power_law": _MODULATED_KEYS,
     "seed_cdf": {"seed": (SEEDS, [])},
     "hierarchical": {"A": ([1.0], [40.0]), "beta": ([3.0], [2.0]),
                      "gamma_exp": ([4.5], [3.0])},
@@ -155,6 +158,8 @@ def _seed_cdf(kind, **keys):
 
 
 _HIERARCHICAL = {"variant": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}
+_MODULATED = {"variant": "modulated_power_law", "alpha": 1, "beta": 2.5,
+              "g_table": [[0, 1], [10, 2], [100, 0.5], [1000, 1.5]]}
 _C13_BLOCKS = {
     "tasks": ["degrees", "motifs", "hub", "gf2", "report"],
     "degrees": {"n": 30.0, "rows": 20.0, "replicas": 100.0, "k_max": 12.0,
@@ -198,6 +203,9 @@ _C13_BLOCKS = {
 @example(("hub", _ensemble(40, _seed_cdf("hierarchical", A=1.0, beta=3.0, gamma_exp=4.5),
                            replicas=100)))  # a seed of the hierarchical family
 @example(("hub", _ensemble(40, _seed_cdf("dirac", t0=0.0), replicas=100)))  # no edges
+@example(("hub", _ensemble(40, _MODULATED, replicas=100)))  # the modulated family's seed
+@example(("gf2", _ensemble(40, _MODULATED)))
+@example(("degrees", _ensemble(40, _MODULATED)))
 def test_every_config_runs_or_fails_with_a_config_error(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -22,10 +22,13 @@ from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLa
                                write_pmf_table)
 from exchgraph.ensemble import EnsembleConfig, ExplicitRows
 from exchgraph.errors import ParameterError
-from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing,
-                              SeedCdfMixing, log_row_prob, moment, xi)
+from exchgraph.mixing import (DiracMixing, HierarchicalMixing, ModulatedPowerLawMixing,
+                              PowerLawMixing, SeedCdfMixing, log_row_prob, moment, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                             LerchSeed, ParetoTailSeed, PowerLawSeed)
+                             LerchSeed, ModulatedPowerLawSeed, ParetoTailSeed, PowerLawSeed)
+
+# the benchmark's modulated table
+_TABLE = ((0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))
 
 
 class TestFrozenValues:
@@ -199,7 +202,71 @@ class TestHierarchicalSeed:
         assert (1.0 - float(self.SEED.cdf(1e4))) / (c * 1e4 ** -eta) == pytest.approx(1.0, abs=1e-5)
 
 
+class TestModulatedPowerLawSeed:
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 2.5), (1.0, 1.5), (2.0, 3.0)])
+    def test_constant_g_is_the_power_law_seed(self, alpha, beta):
+        seed = ModulatedPowerLawSeed(alpha=alpha, beta=beta, g_table=((0.0, 2.0), (5.0, 2.0),
+                                                                      (50.0, 2.0)))
+        pure = PowerLawSeed(alpha=alpha, beta=beta)
+        xs = np.array([0.5, 1.0, 1.5, 2.5, 4.9, 5.0, 7.0, 60.0, 1e4])
+        us = np.linspace(0, 0.999, 30)
+        for name in ("cdf", "density"):
+            assert_allclose(getattr(seed, name)(xs), getattr(pure, name)(xs), rtol=1e-12, atol=0)
+        assert_allclose(seed.inverse_cdf(us), pure.inverse_cdf(us), rtol=1e-12)
+        assert_allclose(seed.power_tail(), pure.power_tail(), rtol=1e-12)
+        for order, cap in [(0.5, 3.0), (1.0, 70.0), (2.0, 1e5)]:
+            assert_allclose(seed.truncated_moment(order, cap), pure.truncated_moment(order, cap),
+                            rtol=1e-12)
+        # s = 1e-12 is the gf2 rate grid's smallest argument
+        for s in (1e-12, 1e-6, 1e-3, 0.3, 1.0, 5.0):
+            assert_allclose(seed.laplace(s), pure.laplace(s), rtol=1e-12)
+            assert_allclose(seed.t_laplace(s), pure.t_laplace(s), rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [2.5, 1.5])
+    def test_normalizer_and_transforms_match_quadrature(self, beta):
+        seed = ModulatedPowerLawSeed(alpha=1.0, beta=beta, g_table=_TABLE)
+        cuts = [1, 10, 100, 1000, mpmath.inf]
+
+        def g(t):
+            return mpmath.mpf(np.interp(float(t), *zip(*_TABLE))) if t < 1000 else 1.5
+
+        with mpmath.workdps(30):
+            z = mpmath.quad(lambda t: g(t) * t ** -beta, cuts)
+            assert float(seed.cdf(math.inf)) == 1.0
+            assert_allclose(float(seed.cdf(50.0)),
+                            float(mpmath.quad(lambda t: g(t) * t ** -beta, [1, 10, 50]) / z),
+                            rtol=1e-13)
+            assert_allclose(seed.power_tail(), (float(1.5 / (z * (beta - 1.0))), beta - 1.0),
+                            rtol=1e-14)
+            for s in (1e-12, 1e-3, 1.0, 5.0):
+                lap = mpmath.quad(lambda t: g(t) * t ** -beta * mpmath.exp(-s * t), cuts) / z
+                t_lap = mpmath.quad(lambda t: g(t) * t ** (1 - beta) * mpmath.exp(-s * t), cuts)
+                assert_allclose(seed.laplace(s), float(lap), rtol=1e-12)
+                assert_allclose(seed.t_laplace(s), float(t_lap / z), rtol=1e-12)
+
+    def test_limit_tv_falls_as_one_over_n(self):
+        spec = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=_TABLE)
+        ks = np.arange(31)
+        limit = default_limit_law(spec).pmf(ks)
+        for n in (10**2, 10**3, 10**4, 10**5):
+            # 2.3e-3, 2.2e-4, 2.2e-5, 2.2e-6 times n: 0.23 to 0.22
+            assert total_variation(out_pmf_exact(spec, n, ks), limit) <= 0.3 / n
+
+
 class TestExactFiniteN:
+    @pytest.mark.parametrize("n", [3000, 10**5, 10**6])
+    def test_log_binomials_to_1e_12(self, n):
+        # three log-gammas put log C(n, k) off by eps n log n: 6.3e-12 at n = 3000, 2.4e-9 at 1e6
+        ks, lam = np.arange(61), 3.0
+        with mpmath.workdps(40):
+            theta = mpmath.mpf(lam) / n
+            want = [float(mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log(theta)
+                          + (n - k) * mpmath.log1p(-theta)) for k in ks]
+        spec = DiracMixing(lam=lam)
+        assert_allclose(np.log(out_pmf_exact(spec, n, ks)), want, rtol=0, atol=1e-12)
+        assert_allclose(np.log(in_pmf_exact(EnsembleConfig(n, spec), ks)), want,
+                        rtol=0, atol=1e-12)
+
     def test_out_pmf_sums_to_one(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         p = out_pmf_exact(spec, 12, np.arange(13))
@@ -337,6 +404,7 @@ class TestDefaultLimitLaw:
     PowerLawSeed(alpha=1.0, beta=1.5),
     HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
     LerchSeed(alpha=1.5, s=2.5),
+    ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=_TABLE),
 ], ids=lambda seed: "-".join(map(str, seed.to_json().values())))
 def test_seed_transforms_are_the_generating_function_of_its_limit_law(seed):
     """The Poisson mixture p of a seed has sum_k p_k z**k = E exp(-t (1 - z)),
@@ -374,11 +442,9 @@ def test_pmf_table_format(tmp_path):
     write_pmf_table(path, [0, 1], [0.5, 0.25], [0.5, 0.2])
     lines = path.read_text().splitlines()
     assert lines[0] == "k,exact,limit,abs_diff"
-    assert lines[1].startswith("0,0.5,0.5,")
+    assert lines[1] == "0,0.5,0.5,0.0"
     k, e, l, d = lines[2].split(",")
     assert float(d) == pytest.approx(0.05)
-    write_pmf_table(path, [0, 1], [0.5, 0.25], None)     # no limit law
-    assert path.read_text().splitlines()[1:] == ["0,0.5,,", "1,0.25,,"]
 
 
 def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():

@@ -17,7 +17,8 @@ from exchgraph.errors import ConfigError, ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                             LerchSeed, ParetoTailSeed, PowerLawSeed, SeedDistribution)
+                             LerchSeed, ModulatedPowerLawSeed, ParetoTailSeed, PowerLawSeed,
+                             SeedDistribution)
 
 # (family root, reader, error class)
 FAMILIES = {
@@ -77,6 +78,9 @@ FROZEN_LATER = {
     "seed": [
         (HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
          {"kind": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
+        (ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0))),
+         {"kind": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+          "g_table": [[0.0, 1.0], [3.0, 2.0]]}),
     ],
 }
 
@@ -137,6 +141,7 @@ SEEDS = st.one_of(
     st.builds(LerchSeed, alpha=_above(1.0), s=_above(1.0)),
     st.builds(lambda a, bg: HierarchicalSeed(A=a, beta=bg[0], gamma_exp=bg[1]),
               _pos(), _ordered_pair(2.0)),
+    st.builds(ModulatedPowerLawSeed, alpha=_pos(), beta=_above(1.0), g_table=_g_tables),
 )
 
 STRATEGIES = {

@@ -22,7 +22,8 @@ from exchgraph.hub import competing_moment_constant, hub_limit_cdf
 from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
-from exchgraph.seeds import DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed, PowerLawSeed
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
+                             ModulatedPowerLawSeed, PowerLawSeed)
 
 
 def brute_moment(spec, n, i):
@@ -32,7 +33,7 @@ def brute_moment(spec, n, i):
         w = lambda t: t ** (-spec.beta)
     elif isinstance(spec, ModulatedPowerLawMixing):
         a, b = spec.alpha / n, 1.0
-        w = lambda t: spec.modulation(n * t) * t ** (-spec.beta)
+        w = lambda t: np.interp(n * t, *zip(*spec.g_table)) * t ** (-spec.beta)
     else:
         raise AssertionError
     z = checked_quad(w, a, b, rel_tol=1e-11)
@@ -368,9 +369,14 @@ class TestModulated:
     SPEC = ModulatedPowerLawMixing(alpha=1.0, beta=2.5,
                                    g_table=((0.0, 1.0), (2.0, 3.0), (5.0, 0.5), (50.0, 1.0)))
 
-    def test_bounds_from_table(self):
-        assert self.SPEC.c1 == 0.5
-        assert self.SPEC.c2 == 3.0
+    def test_modulation_from_table(self):
+        # g linear between knots and held constant past the last: the seed's density
+        # over t**-beta, scaled to g(2) = 3; the mixing keeps the seed's float pairs
+        seed, ts = self.SPEC.limit_seed(), np.array([2.0, 3.5, 5.0, 27.5, 50.0, 1e6])
+        g = seed.density(ts) * ts ** 2.5
+        assert_allclose(3.0 * g / g[0], [3.0, 1.75, 0.5, 0.75, 1.0, 1.0], rtol=1e-14)
+        spec = ModulatedPowerLawMixing(1, 2.5, [[0, 1], [3, 2]])
+        assert spec.g_table == ((0.0, 1.0), (3.0, 2.0))
 
     @pytest.mark.parametrize("i", [0, 1, 2, 4])
     def test_moments_match_quadrature(self, i):
@@ -378,10 +384,43 @@ class TestModulated:
 
     def test_tail_matches_quadrature(self):
         n, t0 = 40, 0.21
-        w = lambda t: self.SPEC.modulation(n * t) * t ** (-2.5)
+        w = lambda t: np.interp(n * t, *zip(*self.SPEC.g_table)) * t ** (-2.5)
         z = checked_quad(w, 1.0 / n, 1.0, rel_tol=1e-11)
         want = checked_quad(w, t0, 1.0, rel_tol=1e-11) / z
         assert_allclose(tail(self.SPEC, n, t0), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [2000, 10**6])
+    def test_small_tails_keep_their_digits(self, n):
+        # 1 - F(t n) / F(n) of the seed cut at n lost 7.5e-5 relative at n = 1e6, t = 0.999
+        table = ((0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))
+        spec = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=table)
+
+        def mass(lo, hi):
+            cuts = sorted({lo, hi, *[t for t, _ in table if lo < t < hi]})
+            g = lambda t: mpmath.mpf(np.interp(float(t), *zip(*table)))
+            return mpmath.quad(lambda t: g(t) * t ** -2.5, cuts)
+
+        with mpmath.workdps(30):
+            for t in (0.3, 0.9, 0.999):
+                want = float(mass(t * n, n) / mass(1, n))
+                assert_allclose(tail(spec, n, t), want, rtol=1e-12)
+
+    def test_pieces_match_the_knot_loop(self):
+        # each piece (a, b) of (alpha, inf) takes g = const + slope t from the knot
+        # interval holding its midpoint; the vectorized rows must equal the loop's bits,
+        # which the sampler's edge files rest on
+        table = ((0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))
+        seed = ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=table)
+        taus, vals = [t for t, _ in table], [v for _, v in table]
+        cuts, rows = [1.0, 10.0, 100.0, 1000.0, math.inf], []
+        for a, b in zip(cuts, cuts[1:]):
+            k = np.searchsorted(taus, 0.5 * (a + b) if b < math.inf else math.inf) - 1
+            if 0 <= k < len(taus) - 1:
+                slope = (vals[k + 1] - vals[k]) / (taus[k + 1] - taus[k])
+                rows.append((a, b, vals[k] - slope * taus[k], slope))
+            else:
+                rows.append((a, b, vals[min(max(k, 0), len(vals) - 1)], 0.0))
+        assert seed._segs.tolist() == [list(row) for row in rows]
 
     def test_sampler_matches_mean(self):
         rng = spawn_rng(7, 0)
@@ -408,6 +447,11 @@ class TestModulated:
             ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (0.0, 2.0)))
         with pytest.raises(ParameterError):
             ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (1.0, -2.0)))
+        # NaN fails every comparison, so each check must be one that rejects it
+        with pytest.raises(ParameterError, match="strictly positive"):
+            ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, math.nan), (1.0, 2.0)))
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((math.nan, 1.0), (1.0, 2.0)))
 
 
 class TestSeedCdfSlice:
@@ -458,6 +502,18 @@ class TestSeedTruncation:
                         [moment(pure, n, i) for i in range(1, 6)], rtol=1e-11)
         assert_allclose(xi(cut, n, orders), xi(pure, n, orders), rtol=1e-11)
 
+    @pytest.mark.parametrize("n", [40, 10**4, 10**6])
+    def test_modulated_seed_cut_at_n_is_the_modulated_law(self, n):
+        # the seed-cdf route takes its moments by quadrature, the family by segment sums
+        spec = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=(
+            (0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5)))
+        cut = SeedCdfMixing(seed=spec.limit_seed())
+        rs, orders = np.array([0, 1, 2, 5, 10, 30, 40]), np.array([1, 2, 5, 10, 11, 20, 40])
+        assert_allclose(log_row_prob(cut, n, rs), log_row_prob(spec, n, rs), rtol=0, atol=1e-11)
+        assert_allclose([moment(cut, n, i) for i in range(1, 6)],
+                        [moment(spec, n, i) for i in range(1, 6)], rtol=1e-11)
+        assert_allclose(xi(cut, n, orders), xi(spec, n, orders), rtol=1e-11)
+
     @pytest.mark.parametrize("t0", [0.0, 3.0, 4.9, 10.0])
     def test_dirac_seed_cut_at_n_is_the_dirac_law(self, t0):
         n, ts, rs = 10, np.linspace(0.0, 1.0, 21), np.arange(11)
@@ -484,8 +540,9 @@ class TestSeedTruncation:
         (DiracMixing(lam=11.0), "11.0"),
         (SeedCdfMixing(seed=PowerLawSeed(alpha=30.0, beta=3.0)), "30.0"),
         (SeedCdfMixing(seed=DiracSeed(t0=11.0)), "11.0"),
+        (ModulatedPowerLawMixing(alpha=30.0, beta=3.0, g_table=((0.0, 1.0), (3.0, 2.0))), "30.0"),
     ], ids=["power_law-30", "power_law-10", "dirac-11", "seed_cdf-power_law-30",
-            "seed_cdf-dirac-11"])
+            "seed_cdf-dirac-11", "modulated_power_law-30"])
     def test_a_seed_past_n_has_no_mass(self, spec, start):
         with pytest.raises(ParameterError,
                            match=rf"{spec.variant} mixing has no mass on \[0, 10\]: "
@@ -603,8 +660,8 @@ class TestImpliedSeed:
         seed = ExponentialSeed(gamma=1.3)
         assert SeedCdfMixing(seed=seed).limit_seed() == seed
         modulated = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0)))
-        with pytest.raises(ParameterError, match="no closed-form seed limit"):
-            modulated.limit_seed()
+        assert modulated.limit_seed() == ModulatedPowerLawSeed(
+            alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (3.0, 2.0)))
 
     def test_zero_rate_seed_is_the_point_mass_at_zero(self):
         # theta = 0 scales to the point mass at 0, which the hub reads as no edges
