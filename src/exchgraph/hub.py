@@ -7,9 +7,9 @@ tracked-sender count m and the tail exponent eta = beta - 1 set the scale
 b = m**(1/eta); three canonical pairings of m with n keep that scale
 meaningful as n grows (see hub_limit_cdf).
 
-Monte Carlo here samples row sums directly as Binomials, which is
-law-identical to popcounting sampled bit rows and orders of magnitude
-cheaper; replica streams are deterministic in master_seed.
+Monte Carlo keeps each replica's largest Binomial row sum, law-identical to
+popcounting sampled bit rows, and draws only the rows that can set it
+(_block_hubs).  Replica streams are deterministic in master_seed.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _TAG_HUB = 104
+_SCREEN_MEAN = 16.0     # n * theta above which a row always draws a NumPy binomial
 
 
 def hub_statistic(sample: GraphSample) -> int:
@@ -208,15 +209,56 @@ class HubReport:
         }
 
 
-def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
-    """Hub statistic for each configured replica, as an int64 array.
+def _binomial_cdfs(thetas, n: int, top: int):
+    """Yield F(0), ..., F(top) under Binomial(n, theta) for theta < 1, entrywise, by
+    the pmf recursion from exp(n log1p(-theta)): within 1e-14 for n * theta <= 16."""
+    pmf, ratio = np.exp(n * np.log1p(-thetas)), thetas / (1.0 - thetas)
+    cdf = pmf
+    for j in range(1, top + 2):
+        yield cdf
+        pmf = pmf * (ratio * ((n - j + 1) / j))
+        cdf = cdf + pmf
 
-    Samples row sums directly as Binomial(n, theta), which matches the law
-    of popcounted bit rows exactly.  Deterministic in master_seed.
-    """
+
+def _binomial_inverse(u: np.ndarray, thetas: np.ndarray, n: int, top: int) -> np.ndarray:
+    """Least k <= top with u <= F(k) under Binomial(n, theta), else top, entrywise."""
+    return sum(cdf < u for cdf in _binomial_cdfs(thetas, n, top - 1))
+
+
+def _block_hubs(thetas: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Largest of independent Binomial(n, thetas[r, j]) over j, for each replica r.
+
+    Rows with n * theta > t = min(_SCREEN_MEAN, n/2) draw NumPy binomials, whose
+    largest is M0.  F_theta falls as theta grows, so any other row, F_theta^-1(u)
+    of one uniform u, stays <= M0 when u <= F_{t/n}(M0); only the rest are
+    inverted, up to NumPy's bound t + 10 sqrt(t + 1).  Routes read theta and M0,
+    never u, so the law is exact: NumPy draws a block with over 1/8 of its rows
+    above t, and the rows below t of a replica expected to leave over m/16."""
+    (count, m), t = thetas.shape, min(_SCREEN_MEAN, n / 2)
+    high = thetas > t / n
+    highs = high.sum(axis=1)
+    if 8 * highs.sum() > high.size:
+        return rng.binomial(n, thetas).max(axis=1)
+    hubs = np.zeros(count, dtype=np.int64)
+    np.maximum.at(hubs, np.repeat(np.arange(count), highs), rng.binomial(n, thetas[high]))
+    top = min(n, int(t + 10.0 * math.sqrt(t + 1.0)))
+    screen = np.array([*_binomial_cdfs(t / n, n, top)])[np.minimum(hubs, top)] - 1e-12
+    drawn = (1.0 - screen) * (m - highs) > m / 16
+    rows = thetas if drawn.all() else thetas[drawn]
+    rows = np.where(high[drawn], 0.0, rows) if highs[drawn].any() else rows
+    hubs[drawn] = np.maximum(hubs[drawn], rng.binomial(n, rows).max(axis=1))
+    keep = np.flatnonzero(~drawn)
+    u = rng.random((len(keep), m))
+    r, j = np.divmod(np.flatnonzero((u > screen[keep, None]) & ~high[keep]), m)
+    np.maximum.at(hubs, keep[r], _binomial_inverse(u[r, j], thetas[keep[r], j], n, top))
+    return hubs
+
+
+def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
+    """Hub statistic of each configured replica (int64), deterministic in master_seed."""
     values = np.empty(config.replicas, dtype=np.int64)
     for lo, thetas, rng in replica_blocks(config, _TAG_HUB, dense=False):
-        values[lo:lo + len(thetas)] = rng.binomial(config.n, thetas).max(axis=1)
+        values[lo:lo + len(thetas)] = _block_hubs(thetas, config.n, rng)
     return values
 
 

@@ -173,10 +173,13 @@ def _power_quantile(u, alpha, n: int, beta: float):
     """theta at CDF level u under the density ~ theta**(-beta) on (alpha/n, 1].
 
     F(x) = ((n/alpha)**(beta-1) - x**(1-beta)) / ((n/alpha)**(beta-1) - 1).
+    Overwrites the uniform array u, which it returns.
     """
     bm1 = beta - 1.0
     top = (n / alpha) ** bm1
-    return (top - u * (top - 1.0)) ** (-1.0 / bm1)
+    u *= top - 1.0
+    np.subtract(top, u, out=u)
+    return np.power(u, -1.0 / bm1, out=u)
 
 
 class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"):

@@ -734,12 +734,14 @@ def test_cli_import_leaves_scipy_stats_out():
 
 def test_sample_and_hub_never_load_scipy_special(tmp_path):
     # each command starts a fresh interpreter, so for a short sample run the
-    # import is most of the cost
+    # import is most of the cost; the hub kernel screens rows at n = 2000,
+    # and at n = 200 most replicas leave it for NumPy's binomials
     modulated = {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
                  "g_table": [[0.0, 1.0], [10.0, 2.0], [100.0, 0.5]]}
     args = []
     for command, ensemble in [("sample", {}), ("sample", {"mixing": modulated}),
-                              ("hub", {"n": 200, "replicas": 100})]:
+                              ("hub", {"n": 200, "replicas": 100}),
+                              ("hub", {"n": 2000, "replicas": 100})]:
         cfg = _write_config(tmp_path, f"cfg{len(args)}.json")
         data = json.loads(cfg.read_text())
         data["ensemble"].update(ensemble)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from exchgraph import hub
 from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, LogFractionRows,
@@ -299,6 +299,95 @@ def test_mc_hub_rejects_empty_grid_before_sampling(monkeypatch):
     for points in (0, -3):
         with pytest.raises(ParameterError, match="grid_points"):
             mc_hub(cfg, grid_points=points)
+
+
+# -- screened block kernel -----------------------------------------------------
+
+
+class _DrawLog:
+    """A Generator stand-in that logs the shape of every draw it serves."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def binomial(self, n, p):
+        self.calls.append(("binomial", np.shape(p)))
+        return self.rng.binomial(n, p)
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+
+def _power_row(beta, m, n):
+    """The m mid-quantiles of the power law alpha = 1 at size n."""
+    top = n ** (beta - 1.0)
+    u = (np.arange(m) + 0.5) / m
+    return (top - u * (top - 1.0)) ** (-1.0 / (beta - 1.0))
+
+
+_KERNEL_CASES = {
+    # the screen at the benchmark's law; the one row above n*theta = 16 has
+    # n*theta = 24.5, so its draw M0 sends some replicas to NumPy and leaves
+    # rows past the screen in others
+    "screen": (_power_row(3.0, 300, 5000), 5000, "screen"),
+    # no row above 16: every replica expects most rows past the screen
+    "dirac 5": (np.full(1000, 5 / 5000), 5000, "replica"),
+    "dirac 15": (np.full(1000, 15 / 5000), 5000, "replica"),
+    # over 1/8 of the rows above 16
+    "dirac 40": (np.full(1000, 40 / 5000), 5000, "block"),
+    "beta 1.5, m 100": (_power_row(1.5, 100, 5000), 5000, "block"),
+    # n < 32: the screen sits at n/2 and the inversion runs to n
+    "n below 2T": (np.r_[0.75, np.linspace(0.0, 0.5, 39)], 20, "screen"),
+    "zero rows": (np.r_[np.zeros(300), _power_row(3.0, 300, 5000)], 5000, "screen"),
+    # M0 = n: every replica screens, and no row passes
+    "one full row": (np.r_[1.0, np.zeros(50), _power_row(3.0, 200, 300)], 300, "all screened"),
+}
+
+
+@pytest.mark.parametrize("row,n,route", _KERNEL_CASES.values(), ids=_KERNEL_CASES)
+def test_block_kernel_is_the_law_of_the_largest_binomial(monkeypatch, row, n, route):
+    # KS distance to prod_j Binomial(n, theta_j).cdf(h) over R replicas of one
+    # row, below the 1 % Kolmogorov value, on every route
+    inverted = []
+
+    def logged_inverse(u, *args):
+        inverted.append(len(u))
+        return inverse(u, *args)
+
+    inverse = hub._binomial_inverse
+    monkeypatch.setattr(hub, "_binomial_inverse", logged_inverse)
+    reps, draws = 2000, _DrawLog(SEED)
+    values = hub._block_hubs(np.tile(row, (reps, 1)), n, draws)
+    hs = np.arange(values.max() + 1)
+    exact = np.prod(stats.binom.cdf(hs[:, None], n, row), axis=1)
+    empirical = np.searchsorted(np.sort(values), hs, side="right") / reps
+    assert np.max(np.abs(empirical - exact)) < 1.628 / math.sqrt(reps)
+
+    drawn = sum(shape[0] for name, shape in draws.calls if name == "binomial" and len(shape) == 2)
+    screened = sum(shape[0] for name, shape in draws.calls if name == "random")
+    if route == "block":
+        assert draws.calls == [("binomial", (reps, len(row)))] and not inverted
+    elif route == "replica":
+        assert drawn == reps and sum(inverted) == 0
+    elif route == "all screened":
+        assert screened == reps and sum(inverted) == 0
+    else:
+        assert 0 < screened < reps and sum(inverted) > 0
+
+
+@pytest.mark.parametrize("n,theta,top", [(5000, 0.0, 57), (5000, 1e-4, 57), (5000, 16 / 5000, 57),
+                                         (5000, 16 / 5000, 20), (20, 0.5, 20), (20, 0.1, 20),
+                                         (1, 0.5, 1)])
+def test_binomial_inverse_is_the_least_k_with_u_at_most_F(n, theta, top):
+    # k = top stands for every u past F(top - 1)
+    u = np.r_[np.linspace(0.0, 1.0, 4001)[1:-1], 1.0 - np.logspace(-3, -11, 9)]
+    k = hub._binomial_inverse(u, np.full(len(u), theta), n, top)
+    cdf = stats.binom.cdf(np.arange(top + 1), n, theta)
+    clear = np.min(np.abs(u[:, None] - cdf[None, :]), axis=1) > 1e-12
+    below = np.r_[0.0, cdf][k]            # F(k - 1)
+    assert np.all((below < u)[clear])
+    assert np.all(((u <= cdf[k]) | (k == top))[clear])
 
 
 def test_atom_estimate_handmade():

@@ -72,6 +72,29 @@ class TestPowerLaw:
         sd = math.sqrt(moment(spec, 60, 2) - mu * mu)
         assert abs(draws.mean() - mu) < 5 * sd / math.sqrt(len(draws))
 
+    @pytest.mark.parametrize("beta", [1.5, 3.0])
+    def test_quantile_in_place_is_the_out_of_place_formula(self, beta):
+        # the sampler overwrites its uniforms; the draws stay those of the
+        # out-of-place inverse CDF, bit for bit, for a scalar cutoff ...
+        def formula(u, alpha, beta):
+            top = (n / alpha) ** (beta - 1.0)
+            return (top - u * (top - 1.0)) ** (-1.0 / (beta - 1.0))
+
+        n, size = 5000, 200_000
+        draws = sample_thetas(PowerLawMixing(alpha=1.0, beta=beta), n, spawn_rng(7, 0), size)
+        assert np.array_equal(draws, formula(spawn_rng(7, 0).random(size), 1.0, beta))
+        # ... and for the hierarchical family's per-slice cutoffs
+        spec = HierarchicalMixing(A=1.0, beta=beta + 1.0, gamma_exp=4.5)
+        q = 1.0 - spec.gamma_exp
+        lo_p, hi_p = spec.A ** q, (n / 2.0) ** q
+        for count, rows in [(size, 1), (400, 500)]:
+            rng = spawn_rng(7, 1)
+            cuts = (lo_p + rng.random(count) * (hi_p - lo_p)) ** (1.0 / q)
+            expected = formula(rng.random((count, rows)), cuts[:, None], spec.beta)
+            drawn = (sample_thetas(spec, n, spawn_rng(7, 1), size)[:, None] if rows == 1
+                     else spec.sample_slices(n, spawn_rng(7, 1), count, rows))
+            assert np.array_equal(drawn, expected)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             PowerLawMixing(alpha=1.0, beta=1.0)
