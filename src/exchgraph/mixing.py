@@ -36,18 +36,18 @@ domain; ``row_exponent`` is the one family hook beyond the seed.
 
 Numerical policy: closed forms for Dirac and the pure power family, and the
 modulated family's moments, tails and draws from its seed's sums over pieces; elsewhere
-one log-space quadrature over the density of t = n * theta, ``_log_mean``, whose
-:func:`~exchgraph._numerics.log_quad` finds its window at every n: moments, tails,
-signed-moment halves, row polynomials and shared-draw averages all take it, and
-a point mass is its one other branch.  ``xi(i) = E (1 - 2 theta)**i`` is expanded
-into ordinary moments for small i and split at theta = 1/2 into two single-sign
-integrals for large i, avoiding the alternating-sum cancellation.
+one log-space quadrature over the density of t = n * theta in (lo, hi], ``_log_mean``,
+whose :func:`~exchgraph._numerics.log_quad` finds its window at every n: moments, tails
+(over (t n, n], not as a difference of CDFs), signed-moment halves, row polynomials and
+shared-draw averages all take it, and a point mass, counted where lo < t0 <= hi, is
+its one other branch.  ``xi(i) = E (1 - 2 theta)**i`` splits at theta = 1/2 into two
+single-sign integrals at every order i >= 1, so no alternating sum cancels.
 
 For the pure power family the row polynomial and both halves of the split
 signed moment are incomplete beta functions, in closed form wherever that
 holds ``REL_TOL``: B(a, b) I_x^c(a, b) for row weights r > beta - 1 (log B by
 Stirling's series once an argument reaches 10), and
-``_upper_beta`` for the rest and for signed moments above the expansion.
+``_upper_beta`` for the rest and for the head of every signed moment.
 Quadrature (the scalar hooks ``_log_row_prob`` and ``_xi``, also the oracle of
 each closed form) stays for beta within ``_XI_LIFT_MIN`` above an integer,
 orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
@@ -79,13 +79,6 @@ __all__ = [
     "xi",
     "log_row_prob",
 ]
-
-# Binomial expansion of (1 - 2 theta)**i is safe up to this order; beyond it the
-# alternating sum loses more digits than the split quadrature does.  It loses about
-# eps E (1 + 2 theta)**i / |xi| relative.  Against mpmath: at most 1.1e-12 for the
-# tests' laws with a density, at n = 12 to 1e5, whose mass lies well below theta =
-# 1/2; 4.8e-2 at order 10 for a gamma seed (400, 80) at n = 10, centred there.
-_XI_EXPANSION_MAX = 10
 
 # _upper_beta walks down from a - floor(a) in (0, 1), dividing first by beta's
 # distance above the integer below it.  Measured against mpmath at n <= 5e4
@@ -209,11 +202,11 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
     def _t_knots(self, n: int) -> list[float]:
         return self.limit_seed()._knots
 
-    def _log_mean(self, n: int, log_f, lo: float = 0.0, hi: float = math.inf) -> float:
-        """log integral of exp(log_f(t)) against pi_n over t = n theta in [lo, hi]."""
+    def _log_mean(self, n: int, log_f, lo: float = -math.inf, hi: float = math.inf) -> float:
+        """log integral of exp(log_f(t)) against pi_n over t = n theta in (lo, hi]."""
         t_lo, t_hi = self._t_support(n)
-        if t_lo == t_hi:    # a point mass counts in (lo, hi], or at t = lo = 0
-            return log_f(t_lo) if lo < t_lo <= hi or lo == t_lo == 0.0 else -np.inf
+        if t_lo == t_hi:    # a point mass
+            return log_f(t_lo) if lo < t_lo <= hi else -np.inf
         return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), max(t_lo, lo),
                         min(t_hi, hi), self._t_knots(n)) - self._log_t_norm(n)
 
@@ -234,25 +227,20 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
     def _sample(self, n: int, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _xi(self, n: int, i: int, moments: list[float]) -> float:
+    def _xi(self, n: int, i: int) -> float:
         if i == 0:
             return 1.0
-        if i <= _XI_EXPANSION_MAX:
-            terms = [math.comb(i, j) * (-2.0) ** j * moments[j] for j in range(i + 1)]
-            return math.fsum(terms)
-        head = self._log_mean(n, lambda t: i * _log_xi_base(t, n), 0.0, n / 2.0)
-        tail_part = self._log_mean(n, lambda t: i * _log_xi_base(t, n), n / 2.0, n)
+        head = self._log_mean(n, lambda t: i * _log_xi_base(t, n), hi=n / 2.0)
+        tail_part = self._log_mean(n, lambda t: i * _log_xi_base(t, n), n / 2.0)
         return math.exp(head) + (-1.0 if i % 2 else 1.0) * math.exp(tail_part)
 
     def _xis(self, n: int, orders: np.ndarray) -> np.ndarray:
-        """``_xi`` over a 1-D array of orders; the expansion's moments are taken once."""
+        """``_xi`` over a 1-D array of orders."""
         lo, hi = self._t_support(n)
         if lo == hi:    # a point mass: Python's pow per order, as NumPy's SIMD power
             x = 1.0 - 2.0 * lo / n  # differs from it in the last bit
             return np.array([x ** i for i in orders.tolist()], dtype=float)
-        top = min(int(orders.max(initial=0)), _XI_EXPANSION_MAX)
-        moments = [self._moment(n, j) for j in range(top + 1)]
-        return np.array([self._xi(n, int(i), moments) for i in orders], dtype=float)
+        return np.array([self._xi(n, int(i)) for i in orders], dtype=float)
 
     def limit_seed(self) -> SeedDistribution:
         """Scaling limit of n * theta as a seed distribution."""
@@ -284,11 +272,6 @@ class _SeedTruncation(MixingSpec):
 
     def _log_t_norm(self, n):
         return math.log(float(self.limit_seed().cdf(float(n))))
-
-    def _tail(self, n: int, t: float) -> float:
-        seed = self.limit_seed()
-        fn = float(seed.cdf(float(n)))
-        return (fn - float(seed.cdf(t * n))) / fn
 
     def _sample(self, n, rng, size):
         seed = self.limit_seed()
@@ -369,11 +352,11 @@ class PowerLawMixing(_SeedTruncation):
         # tail: integral_{1/2}^1 theta**-beta (2 theta - 1)**i
         #   = 2**(beta-1) integral_0^1 v**i (1+v)**-beta = 2F1(beta, 1; i+2; 1/2) / (2 b)
         tail_part = special.hyp2f1(self.beta, 1.0, b + 1.0, 0.5) / (2.0 * b)
-        out = np.where(orders > _XI_EXPANSION_MAX, (
+        out = np.where(orders > 0, (
             2.0 ** (self.beta - 1.0) * _upper_beta(1.0 - self.beta, b, x)
             + np.where(orders % 2, -1.0, 1.0) * tail_part) * math.exp(-self._log_norm_theta(n)),
-            np.nan)
-        # the orders of the expansion, and those _upper_beta leaves out
+            1.0)
+        # the orders _upper_beta leaves out
         redo = ~np.isfinite(out)
         out[redo] = super()._xis(n, orders[redo])
         return out

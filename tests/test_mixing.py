@@ -129,14 +129,14 @@ class TestDirac:
 
 
 class TestSymmetryTransform:
-    """xi_n(i) = E (1 - 2 theta)**i in both evaluation regimes."""
+    """xi_n(i) = E (1 - 2 theta)**i, split at theta = 1/2 at every order."""
 
     def test_small_order_identity(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         d1, d2 = moment(spec, 10, 1), moment(spec, 10, 2)
         assert_allclose(xi(spec, 10, 2), 1.0 - 4.0 * d1 + 4.0 * d2, rtol=1e-12)
 
-    @pytest.mark.parametrize("i", [11, 12, 25])
+    @pytest.mark.parametrize("i", [2, 10, 11, 12, 25])
     def test_split_route_matches_quadrature(self, i):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
         n = 10
@@ -148,6 +148,21 @@ class TestSymmetryTransform:
 
     def test_dirac_closed_form(self):
         assert_allclose(xi(DiracMixing(lam=3.0), 10, 7), (1 - 0.6) ** 7, rtol=1e-13)
+
+    def test_signed_moments_keep_their_digits_near_one_half(self):
+        # the gamma seed (400, 80) centres theta at 1/2 at n = 10, where the binomial
+        # expansion in ordinary moments lost 4.8e-2 of xi at order 10.  The oracle is
+        # that expansion at 50 digits over the seed's moments cut at n, in closed form
+        spec, n = SeedCdfMixing(seed=GammaSeed(r=400.0, gamma=80.0)), 10
+        with mpmath.workdps(50):
+            r, g = mpmath.mpf(400), mpmath.mpf(80)
+            cut = [mpmath.rf(r, k) / g ** k * mpmath.gammainc(r + k, 0, g * n, regularized=True)
+                   for k in range(11)]
+            want = [float(mpmath.fsum(mpmath.binomial(i, k) * (-2 / mpmath.mpf(n)) ** k * cut[k]
+                                      for k in range(i + 1)) / cut[0]) for i in range(11)]
+        got = xi(spec, n, np.arange(11))
+        assert want[1] < 1e-40 and abs(got[1] - want[1]) <= 2e-15
+        assert_allclose(got[2:], want[2:], rtol=1e-12, atol=0)
 
     def test_order_zero(self):
         assert xi(PowerLawMixing(alpha=1.0, beta=3.0), 10, 0) == 1.0
@@ -166,13 +181,13 @@ def test_row_polynomial_normalizes(spec, n):
 
 
 # closed forms against their quadrature routes: betas near, at and between
-# integers, and orders near beta - 1, at 11, n/2 and n
+# integers, and orders near beta - 1, at 10 to 12, n/2 and n
 CLOSED_FORM_BETAS = (1.0001, 1.5, 1.999, 2.0, 2.0001, 2.5, 3.0, 3.7)
 
 
 def _orders_near(beta, n):
     ks = [math.floor(beta) - 2, math.floor(beta) - 1, math.floor(beta), math.ceil(beta),
-          11, 12, n // 2, n // 2 + 1, n - 1, n]
+          10, 11, 12, n // 2, n // 2 + 1, n - 1, n]
     return np.unique(np.clip(ks, 0, n))
 
 
@@ -486,6 +501,15 @@ class TestSeedCdfSlice:
         want = 1.0 - (-math.expm1(-n * x)) / (-math.expm1(-float(n)))
         assert_allclose(tail(spec, n, x), want, rtol=1e-9)
 
+    def test_small_tails_keep_their_digits(self):
+        # (F(n) - F(t n)) / F(n) lost 2.2e-5 and 6.2e-10 relative here
+        cut = SeedCdfMixing(seed=PowerLawSeed(alpha=1.0, beta=2.5))
+        assert_allclose(tail(cut, 10**6, 0.999),
+                        tail(PowerLawMixing(alpha=1.0, beta=2.5), 10**6, 0.999), rtol=1e-12)
+        q = lambda x: math.exp(-x) * (1.0 + x)      # 1 - F(x) of the gamma (2, 1) seed
+        assert_allclose(tail(SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0)), 40, 0.5),
+                        (q(20.0) - q(40.0)) / (1.0 - q(40.0)), rtol=1e-13)
+
     def test_sampler_stays_in_slice(self):
         spec = SeedCdfMixing(seed=ExponentialSeed(gamma=2.0))
         rng = spawn_rng(3, 0)
@@ -572,6 +596,10 @@ class TestSeedTruncation:
                                  rf"its seed starts at {start}$"):
             moment(spec, 10, 1)
 
+    def test_a_point_mass_at_zero_has_no_tail(self):
+        for spec in (DiracMixing(lam=0.0), SeedCdfMixing(seed=DiracSeed(t0=0.0))):
+            assert tail(spec, 10, 0.0) == 0.0
+
     def test_a_point_mass_at_n_is_the_full_row(self):
         for spec in (DiracMixing(lam=10.0), SeedCdfMixing(seed=DiracSeed(t0=10.0))):
             assert moment(spec, 10, 1) == 1.0
@@ -633,12 +661,7 @@ def test_hierarchical_weight_matches_two_level_quadrature(A, beta, gamma_exp, n)
     want = _two_level(spec, n, lambda law: [tail(law, n, t) for t in ts], len(ts))
     assert_allclose([tail(spec, n, t) for t in ts], want, rtol=1e-12, atol=0)
     want = _two_level(spec, n, lambda law: xi(law, n, orders), n + 1)
-    # up to order 10 xi is the alternating sum of C(i, j) (-2)**j E theta**j, whose
-    # terms reach E (1 + 2 theta)**i; both routes, and mpmath, differ there by up to
-    # 4e-12 of xi at (2, 2.2, 6), n = 12, so the tolerance there is relative to that sum
-    scale = [math.fsum(math.comb(i, j) * 2.0 ** j * moment(spec, n, j) for j in range(i + 1))
-             if i <= 10 else abs(w) for i, w in zip(orders, want)]
-    assert np.all(np.abs(xi(spec, n, orders) - want) <= 1e-12 * np.array(scale))
+    assert_allclose(xi(spec, n, orders), want, rtol=1e-12, atol=0)
 
 
 def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
@@ -658,10 +681,8 @@ def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
 
 @pytest.mark.parametrize("spec", [HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
                                   SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0))])
-def test_xi_takes_each_moment_once(spec, monkeypatch):
-    # orders 1..10 expand in the moments 1..10, one quadrature each; orders
-    # 11..40 split at 1/2, two each: 10 + 60 calls (115 when every order
-    # recomputed its moments)
+def test_xi_takes_two_quadratures_per_order(spec, monkeypatch):
+    # every order from 1 splits at theta = 1/2, one quadrature per half; order 0 is 1
     order_by_order = [xi(spec, 40, i) for i in range(41)]
     calls = []
 
@@ -671,8 +692,9 @@ def test_xi_takes_each_moment_once(spec, monkeypatch):
 
     monkeypatch.setattr(_numerics, "checked_quad", counting)
     values = xi(spec, 40, range(41))
-    assert len(calls) == 70
+    assert len(calls) == 80
     assert values.tolist() == order_by_order
+
 
 class TestImpliedSeed:
     def test_known_mappings(self):
