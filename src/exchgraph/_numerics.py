@@ -2,10 +2,10 @@
 
 All integrals in the package funnel through :func:`checked_quad` so that the
 package-wide accuracy contract (relative tolerance ``REL_TOL``, absolute floor
-``ABS_FLOOR``) is enforced in one place.  Every integral of a density (mixing
-moments, tails, signed moments, row polynomials, shared-draw averages, seed
-truncated moments and Poisson mixtures) goes through :func:`log_quad`, which
-takes its window from the integrand, not from n: a scan that closes in on the
+``ABS_FLOOR``) is enforced in one place.  Every integral of a density, a seed's
+``_log_expect`` (truncated moments, Poisson mixtures, the laws of the seed cut at n)
+or the hierarchical mixing's weight, goes through :func:`log_quad`, which takes
+its window from the integrand, not from n: a scan that closes in on the
 ends and knots finds the peak, panels start at the peak's own width and double
 outward, and only a tail shown to be below ``REL_TOL`` is cut.
 

@@ -14,10 +14,10 @@ Limit families: when n * theta converges to a seed distribution F, out-degrees
 converge to the Poisson mixture integral t**k e**-t / k! dF(t).  Closed forms
 of that mixture, each naming its seed's class (Poisson, geometric, negative
 binomial, power-law tail, Lerch zipf, hierarchical two-term combination), are
-looked up by ``default_limit_law`` and cross-checked against the quadrature
-route, ``PoissonMixtureLaw``, in the tests.  The power-law tail also takes
-that route for the orders k <= beta - 1 and wherever its incomplete gamma
-underflows.
+looked up by ``default_limit_law`` and cross-checked in the tests against
+``PoissonMixtureLaw``, the seed's own integral of t**k e**-t / k!
+(``SeedDistribution._log_expect``).  The power-law tail also takes that route
+for the orders k <= beta - 1 and wherever its incomplete gamma underflows.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import check_orders, log_quad, shaped_like, special
+from ._numerics import check_orders, shaped_like, special
 from .ensemble import EnsembleConfig
 from .errors import ParameterError
-from .mixing import MixingSpec, _log_beta, log_row_prob, moment
+from .mixing import MixingSpec, _log_binom, log_row_prob, moment
 from .seeds import (SeedDistribution, DiracSeed, ExponentialSeed, GammaSeed,
                     HierarchicalSeed, LerchSeed, PowerLawSeed)
 
@@ -108,11 +108,8 @@ class PoissonMixtureLaw(LimitLaw):
     kind = "poisson_mixture"
 
     def _log_pmf(self, ks):
-        lo, hi = self.seed._support()
-        if lo == hi:    # a point mass: its mixture is Poisson
-            return PoissonLaw(lam=lo)._log_pmf(ks)
-        logs = [log_quad(lambda t: special.xlogy(k, t) - t + np.log(self.seed.density(t)), lo, hi,
-                         self.seed._knots) for k in ks.ravel().tolist()]
+        logs = [self.seed._log_expect(lambda t: special.xlogy(k, t) - t)
+                for k in ks.ravel().tolist()]
         return np.reshape(logs, ks.shape) - special.gammaln(ks + 1.0)
 
     def limit_seed(self) -> SeedDistribution:
@@ -237,11 +234,6 @@ def default_limit_law(spec: MixingSpec) -> LimitLaw:
 
 # ---------------------------------------------------------------------------
 # exact finite-n laws
-
-
-def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
-    """log C(n, k) as -log(n + 1) - log B(k + 1, n - k + 1): three log-gammas lose eps n log n."""
-    return -math.log(n + 1.0) - _log_beta(ks + 1.0, n - ks + 1.0)
 
 
 def out_pmf_exact(spec: MixingSpec, n: int, k) -> np.ndarray | float:

@@ -38,7 +38,7 @@ import numpy as np
 from ._numerics import special
 from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import NoThresholdError, ParameterError
-from .mixing import xi
+from .mixing import _log_binom, xi
 from .seeds import SeedDistribution
 
 __all__ = [
@@ -175,8 +175,7 @@ def log_expected_solutions(config: EnsembleConfig) -> float:
     proceeds: the exhaustive oracle validates the formula there too.
     """
     n, m = config.n, config.m
-    log_binom = [math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
-                 for j in range(n + 1)]
+    log_binom = _log_binom(n, np.arange(n + 1)).tolist()
     vanished = []
 
     def law(spec):

@@ -36,12 +36,12 @@ domain; ``row_exponent`` is the one family hook beyond the seed.
 
 Numerical policy: closed forms for Dirac and the pure power family, and the
 modulated family's moments, tails and draws from its seed's sums over pieces; elsewhere
-one log-space quadrature over the density of t = n * theta in (lo, hi], ``_log_mean``,
-whose :func:`~exchgraph._numerics.log_quad` finds its window at every n: moments, tails
+one log-space integral over t = n * theta in (lo, hi], ``_log_mean``: moments, tails
 (over (t n, n], not as a difference of CDFs), signed-moment halves, row polynomials and
-shared-draw averages all take it, and a point mass, counted where lo < t0 <= hi, is
-its one other branch.  ``xi(i) = E (1 - 2 theta)**i`` splits at theta = 1/2 into two
-single-sign integrals at every order i >= 1, so no alternating sum cancels.
+shared-draw averages all take it.  A cut seed's is the seed's own integral over
+(lo, min(hi, n)], ``SeedDistribution._log_expect``, over F(n); the hierarchical family
+integrates its closed-form weight.  ``xi(i) = E (1 - 2 theta)**i`` splits at theta = 1/2
+into two single-sign integrals at every order i >= 1, so no alternating sum cancels.
 
 For the pure power family the row polynomial and both halves of the split
 signed moment are incomplete beta functions, in closed form wherever that
@@ -134,6 +134,11 @@ def _log_beta(a, b):
                     special.betaln(c, b))
 
 
+def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
+    """log C(n, k) as -log(n + 1) - log B(k + 1, n - k + 1): three log-gammas lose eps n log n."""
+    return -math.log(n + 1.0) - _log_beta(ks + 1.0, n - ks + 1.0)
+
+
 def _upper_beta(a, b, x: float):
     """U(a, b; x) = integral_x^1 u**(a-1) (1-u)**(b-1) du elementwise over a <= 1,
     integer b >= 1, 0 < x < 1: by parts, a U(a, b) = (a + b) U(a + 1, b) - x**a (1-x)**b,
@@ -193,22 +198,9 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
     def _tail(self, n: int, t: float) -> float:
         return math.exp(self._log_mean(n, lambda u: 0.0, t * n))
 
-    # A family with a density in t = n theta states it: _t_support(n) -> (lo, hi),
-    # _t_weight(n, t) or its log up to the factor exp(-_log_t_norm(n)), and the kinks
-    # _t_knots(n), by default the seed's.  A support lo == hi is the point mass at lo.
-    def _log_t_weight(self, n: int, t: float) -> float:
-        return _log(self._t_weight(n, t))
-
-    def _t_knots(self, n: int) -> list[float]:
-        return self.limit_seed()._knots
-
     def _log_mean(self, n: int, log_f, lo: float = -math.inf, hi: float = math.inf) -> float:
         """log integral of exp(log_f(t)) against pi_n over t = n theta in (lo, hi]."""
-        t_lo, t_hi = self._t_support(n)
-        if t_lo == t_hi:    # a point mass
-            return log_f(t_lo) if lo < t_lo <= hi else -np.inf
-        return log_quad(lambda t: self._log_t_weight(n, t) + log_f(t), max(t_lo, lo),
-                        min(t_hi, hi), self._t_knots(n)) - self._log_t_norm(n)
+        raise NotImplementedError
 
     def _log_row_prob(self, n: int, r: int) -> float:
         """log integral of theta**r (1 - theta)**(n - r) against pi_n."""
@@ -236,7 +228,7 @@ class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"
 
     def _xis(self, n: int, orders: np.ndarray) -> np.ndarray:
         """``_xi`` over a 1-D array of orders."""
-        lo, hi = self._t_support(n)
+        lo, hi = self.limit_seed()._support()
         if lo == hi:    # a point mass: Python's pow per order, as NumPy's SIMD power
             x = 1.0 - 2.0 * lo / n  # differs from it in the last bit
             return np.array([x ** i for i in orders.tolist()], dtype=float)
@@ -263,15 +255,9 @@ class _SeedTruncation(MixingSpec):
             raise ParameterError(
                 f"{self.variant} mixing has no mass on [0, {n}]: its seed starts at {lo}")
 
-    def _t_support(self, n):
-        lo, hi = self.limit_seed()._support()
-        return lo, min(hi, float(n))
-
-    def _t_weight(self, n, t):
-        return float(self.limit_seed().density(t))
-
-    def _log_t_norm(self, n):
-        return math.log(float(self.limit_seed().cdf(float(n))))
+    def _log_mean(self, n, log_f, lo=-math.inf, hi=math.inf):
+        seed = self.limit_seed()
+        return seed._log_expect(log_f, lo, min(hi, float(n))) - math.log(float(seed.cdf(float(n))))
 
     def _sample(self, n, rng, size):
         seed = self.limit_seed()
@@ -315,12 +301,6 @@ class PowerLawMixing(_SeedTruncation):
             return 1.0
         return math.exp(_log_power_int(t, 1.0, -self.beta)
                         - _log_power_int(lo, 1.0, -self.beta))
-
-    def _log_t_weight(self, n, t):
-        return -self.beta * math.log(t)
-
-    def _log_t_norm(self, n):
-        return _log_power_int(self.alpha, float(n), -self.beta)
 
     def _log_norm_theta(self, n: int) -> float:
         # log integral_{alpha/n}^1 theta**(-beta) dtheta
@@ -387,9 +367,10 @@ class ModulatedPowerLawMixing(_SeedTruncation):
     def row_exponent(self):
         return self.beta
 
-    def _moment(self, n: int, i: int) -> float:
+    def _moment(self, n: int, i: int) -> float:     # in units of n, where no power of n overflows
         seed = self.limit_seed()
-        return float(seed._power_sum(i - self.beta, n) / (n ** i * seed._power_sum(-self.beta, n)))
+        return float(seed._power_sum(i - self.beta, n, unit=n)
+                     / seed._power_sum(-self.beta, n, unit=n))
 
     def _tail(self, n: int, t: float) -> float:     # (F(n) - F(t n)) / F(n) cancels near t = 1
         seed = self.limit_seed()
@@ -448,18 +429,12 @@ class HierarchicalMixing(MixingSpec):
                 break
         return total
 
-    def _t_support(self, n):
-        return self.A, float(n)
-
-    def _t_weight(self, n, t):
-        return t ** (-self.beta) * self._h(n, min(t, n / 2.0))
-
-    def _log_t_norm(self, n):
-        return (_log_power_int(self.A, n / 2.0, -self.gamma_exp) - math.log(self.beta - 1.0)
-                - (self.beta - self.gamma_exp) * math.log(self.A))
-
-    def _t_knots(self, n):
-        return [n / 2.0]
+    def _log_mean(self, n, log_f, lo=-math.inf, hi=math.inf):
+        # its weight in t (kinked at n/2, with H scaled as _h) over that weight's mass
+        log_norm = (_log_power_int(self.A, n / 2.0, -self.gamma_exp) - math.log(self.beta - 1.0)
+                    - (self.beta - self.gamma_exp) * math.log(self.A))
+        return log_quad(lambda t: _log(t ** -self.beta * self._h(n, min(t, n / 2.0))) + log_f(t),
+                        max(self.A, lo), min(float(n), hi), [n / 2.0]) - log_norm
 
     def sample_slices(self, n: int, rng: np.random.Generator, count: int,
                       rows: int) -> np.ndarray:

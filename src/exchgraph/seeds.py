@@ -4,22 +4,22 @@ A seed distribution F describes the limit in law of n * theta where theta is
 a row bias drawn from the finite-n mixing law; every mixing family has one.
 Seeds drive three things:
 
-* the mixing laws that are their seed cut at n (Dirac, power law, modulated
-  power law and seed cdf in :mod:`exchgraph.mixing`), where the finite-n law
-  of theta is F(x n) / F(n) on [0, 1];
+* the mixing laws that are their seed cut at n (:mod:`exchgraph.mixing`),
+  where the finite-n law of theta is F(x n) / F(n) on [0, 1];
 * Poisson-mixture degree limits (:mod:`exchgraph.degrees`);
 * kernel-counting rate functions through the Laplace transform
   ``integral exp(-s t) dF(t)`` (:mod:`exchgraph.gf2`).
+
+The first two, and truncated moments, are one integral against the seed: ``_log_expect``
+is log integral exp(log_f(t)) dF(t) over (lo, hi], one :func:`~exchgraph._numerics.log_quad`
+of the density on its support (lo, hi), kinked at its ``_knots``, or at the point mass t0,
+whose support is the zero-width (t0, t0), log_f(t0) where lo < t0 <= hi.
 
 Each seed states its own Laplace transforms: elementary for the Dirac,
 exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
 (two power-law parts), shifted Pareto and modulated power-law (a difference on
 each linear piece of its weight) seeds, a quadrature of the mixing weight for
-the Lerch seed.  Other quantities without a closed form go through
-checked adaptive quadrature.
-
-A seed has a density on its support (lo, hi), except the point mass at t0,
-whose support is the zero-width (t0, t0).
+the Lerch seed.
 
 Each seed owns its parameter domain, which its constructor checks for the
 families that name it as ``seed_class``, and the finite-mean rule: the mean is
@@ -151,7 +151,7 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         """Quantile function, vectorized; generic route bisects the CDF.
 
         The bracket is grown geometrically from [0, 1] until it contains the
-        quantile, then halved to an absolute width of 1e-12.
+        quantile, then halved to max(1e-12, 4 ulp of its top) and clamped to the support.
         """
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u >= 1.0)):
@@ -170,11 +170,11 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
             below = self.cdf(mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-12:
+            if np.all(hi - lo <= np.maximum(1e-12, 4.0 * np.spacing(hi))):
                 break
         else:
             raise InversionError("quantile bisection failed to converge")
-        return 0.5 * (lo + hi)
+        return np.maximum(0.5 * (lo + hi), self._support()[0])
 
     _knots = ()     # points where the density has a kink: break points of its quadratures
 
@@ -182,13 +182,21 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         """(lo, hi): F has a density on (lo, hi), or is the point mass at lo = hi."""
         return 0.0, np.inf
 
+    def _log_density(self, t) -> float:
+        return np.log(self.density(t))
+
+    def _log_expect(self, log_f, lo: float = -math.inf, hi: float = math.inf) -> float:
+        """log integral of exp(log_f(t)) dF(t) over t in (lo, hi]: one quadrature
+        of the density, or at a point mass t0 log_f(t0) where lo < t0 <= hi."""
+        t_lo, t_hi = self._support()
+        if t_lo == t_hi:
+            return log_f(t_lo) if lo < t_lo <= hi else -math.inf
+        return log_quad(lambda t: self._log_density(t) + log_f(t), max(t_lo, lo),
+                        min(t_hi, hi), self._knots)
+
     def truncated_moment(self, order: float, cap: float) -> float:
         """integral_0^cap t**order dF(t)."""
-        lo, hi = self._support()
-        if lo == hi:
-            return lo ** order if lo <= cap else 0.0
-        return math.exp(log_quad(lambda t: special.xlogy(order, t) + np.log(self.density(t)),
-                                 lo, cap))
+        return math.exp(self._log_expect(lambda t: special.xlogy(order, t), hi=cap))
 
 
 @dataclass(frozen=True)
@@ -351,6 +359,11 @@ class PowerLawSeed(SeedDistribution):
         with np.errstate(divide="ignore"):
             val = (self.beta - 1.0) * self.alpha ** (self.beta - 1.0) * x ** (-self.beta)
         return np.where(x > self.alpha, val, 0.0)
+
+    def _log_density(self, t):     # scalar: read at every node of its quadratures
+        bm1 = self.beta - 1.0
+        return (math.log(bm1) + bm1 * math.log(self.alpha) - self.beta * math.log(t)
+                if t > self.alpha else -math.inf)
 
     def power_tail(self):
         return self.alpha ** (self.beta - 1.0), self.beta - 1.0
@@ -516,11 +529,12 @@ class ModulatedPowerLawSeed(SeedDistribution):
         object.__setattr__(self, "_segs", np.stack([cuts[:-1], cuts[1:], const, slope], axis=1))
         object.__setattr__(self, "_z", float(self._power_sum(-self.beta, math.inf)))
 
-    def _power_sum(self, p: float, cap, lo=0.0):
-        """integral of g(t) t**p over (max(alpha, lo), cap), elementwise in cap."""
+    def _power_sum(self, p: float, cap, lo=0.0, unit=1.0):
+        """integral of g(unit u) u**p du over (max(alpha, lo), cap) / unit, elementwise in cap."""
         a, b, const, slope = self._segs.T
         cap = np.asarray(cap, dtype=float)[..., None]
-        return _seg_mass(np.clip(a, lo, cap), np.clip(b, lo, cap), const, slope, p).sum(axis=-1)
+        return _seg_mass(np.clip(a, lo, cap) / unit, np.clip(b, lo, cap) / unit, const,
+                         slope * unit, p).sum(axis=-1)
 
     def cdf(self, x):
         return self._power_sum(-self.beta, x) / self._z

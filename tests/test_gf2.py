@@ -215,6 +215,15 @@ def test_expected_solutions_balanced_bias_keeps_constant_term():
     assert value == pytest.approx(1.75, rel=1e-12)
 
 
+def test_balanced_bias_mean_keeps_its_digits_at_large_n():
+    """At theta = 1/2 every xi(j >= 1) vanishes and E N = 2 - 2**-n exactly; three
+    log-gammas per binomial put log E N 7.1e-11 off at n = m = 1e5."""
+    n = 10**5
+    with pytest.warns(DegenerateTermWarning, match="xi vanishes"):
+        value = log_expected_solutions(EnsembleConfig(n, DiracMixing(lam=n / 2)))
+    assert abs(value - math.log(2.0 - 2.0 ** -n)) <= 3e-11
+
+
 def test_expected_solutions_large_exponent_stays_in_log_scale():
     cfg = EnsembleConfig(4000, DiracMixing(lam=0.5))
     log_value = log_expected_solutions(cfg)

@@ -23,7 +23,7 @@ from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, Mixi
                               ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
                               log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                             ModulatedPowerLawSeed, PowerLawSeed)
+                             ModulatedPowerLawSeed, PowerLawSeed, SeedDistribution)
 
 
 def brute_moment(spec, n, i):
@@ -478,6 +478,13 @@ class TestModulated:
         cdf = np.vectorize(lambda t: 1.0 - tail(spec, n, float(t)))
         assert stats.kstest(draws, cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("n,i", [(10**6, 60), (10**4, 90), (3000, 100)])
+    def test_high_moments_do_not_overflow(self, n, i):
+        # n**i and a power sum of size n**(i - beta + 1) passed the float range here
+        flat = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (1.0, 1.0)))
+        assert_allclose(moment(flat, n, i), moment(PowerLawMixing(alpha=1.0, beta=2.5), n, i),
+                        rtol=1e-12)
+
     def test_table_validation(self):
         with pytest.raises(ParameterError):
             ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0),))
@@ -532,6 +539,43 @@ class TestSeedCdfSlice:
         assert_allclose(moment(spec, 10, 1), 0.4, rtol=1e-12)
         assert tail(spec, 10, 0.3) == 1.0
         assert tail(spec, 10, 0.5) == 0.0
+
+
+class TestSeedQuantile:
+    SEED = HierarchicalSeed(A=1.0, beta=2.1, gamma_exp=2.2)
+
+    def test_quantiles_past_8192_converge(self):
+        # floats there are 1.8e-12 apart, so no bracket got narrower than 1e-12
+        (q,) = self.SEED.inverse_cdf([0.99999])
+        assert q > 8192.0
+        assert_allclose(float(self.SEED.cdf(q)), 0.99999, rtol=1e-12)
+        draws = sample_thetas(SeedCdfMixing(seed=self.SEED), 10**5, spawn_rng(1, 0), 10**5)
+        assert draws.min() > 1e-5 and draws.max() <= 1.0
+
+    def test_quantile_zero_is_the_support_start(self):
+        assert self.SEED.inverse_cdf([0.0]).tolist() == [1.0]
+
+
+def test_the_seed_integral_counts_a_point_mass_once():
+    """_log_expect over (lo, hi]: a point mass t0 counts only where lo < t0 <= hi;
+    its Poisson mixture is the Poisson law to the bit; the generic truncated moment
+    of a knotted density meets the seed's closed form."""
+    for t0 in (0.0, 3.0):
+        seed, below = DiracSeed(t0=t0), math.nextafter(t0, -math.inf)
+        assert seed._log_expect(lambda t: 2.0, hi=t0) == 2.0
+        assert seed._log_expect(lambda t: 2.0, hi=below) == -math.inf
+        assert seed._log_expect(lambda t: 2.0, lo=below) == 2.0
+        assert seed._log_expect(lambda t: 2.0, lo=t0) == -math.inf
+    ks = np.arange(12)
+    for t0 in (0.0, 3.0, 4.9, 0.37):
+        assert (PoissonMixtureLaw(seed=DiracSeed(t0=t0)).log_pmf(ks).tolist()
+                == PoissonLaw(lam=t0).log_pmf(ks).tolist())
+    seed = ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=(
+        (0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5)))
+    for order in (0.5, 1.0, 1.5, 2.0):
+        for cap in (5.0, 10.0, 10.5, 99.0, 100.0, 500.0, 1000.0, 2e3, 1e4, 1e6):
+            assert_allclose(SeedDistribution.truncated_moment(seed, order, cap),
+                            seed.truncated_moment(order, cap), rtol=1e-12)
 
 
 class TestSeedTruncation:
