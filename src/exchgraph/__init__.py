@@ -5,10 +5,7 @@ connected sender, and kernel counting over the two-element field, with
 Monte Carlo validation of every closed form.
 """
 
-from .degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                      LimitLaw, NegativeBinomialLaw, PoissonLaw,
-                      PoissonMixtureLaw, PowerLawTailLaw, default_limit_law,
-                      in_pmf_exact, limit_pmf, moment_transfer_check,
+from .degrees import (in_pmf_exact, limit_pmf, moment_transfer_check,
                       out_pmf_exact, tail_asymptote, total_variation)
 from .ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                        GraphSample, LogFractionRows, PowerFractionRows,

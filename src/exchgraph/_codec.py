@@ -1,5 +1,5 @@
 """One JSON codec for every config object: the parameter families (mixing
-laws, seeds, limit laws, row rules), the ensemble and the CLI's task blocks.
+laws, seeds, row rules), the ensemble and the CLI's task blocks.
 
 A root class names its error class, its name in messages and, for a family,
 its discriminator key, under whose value each concrete class registers.  The

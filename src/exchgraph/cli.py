@@ -35,8 +35,8 @@ import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import special
-from .degrees import (default_limit_law, in_pmf_exact, limit_pmf,
-                      out_pmf_exact, total_variation, write_pmf_table)
+from .degrees import (in_pmf_exact, limit_law_json, limit_pmf, out_pmf_exact,
+                      total_variation, write_pmf_table)
 from .ensemble import (EnsembleConfig, ExplicitRows, SquareRows, map_replicas,
                        out_degrees, sample_graph, write_edge_list)
 from .errors import ConfigError, ExchGraphError, NoThresholdError
@@ -217,8 +217,8 @@ def cmd_degrees(run: RunConfig) -> int:
     ks = np.arange(min(k_max, cfg.n) + 1)
     exact_out = out_pmf_exact(cfg.mixing, cfg.n, ks)
     exact_in = in_pmf_exact(cfg, np.arange(min(k_max, cfg.m) + 1))
-    law = default_limit_law(cfg.mixing)
-    limit = limit_pmf(law, ks)
+    seed = cfg.mixing.limit_seed()
+    limit = limit_pmf(seed, ks)
     table = run.output_dir / "degrees_out_pmf.csv"
     write_pmf_table(table, ks, exact_out, limit)
     print(f"wrote {table}")
@@ -228,7 +228,7 @@ def cmd_degrees(run: RunConfig) -> int:
         "out_pmf_exact": [float(v) for v in exact_out],
         "in_pmf_exact": [float(v) for v in exact_in],
         "limit_pmf": [float(v) for v in limit],
-        "limit_law": law.to_json(),
+        "limit_law": limit_law_json(seed),
         "tv_exact_vs_limit": float(total_variation(exact_out, limit)),
     }
     _write_json(run.output_dir / "degrees.json", payload)

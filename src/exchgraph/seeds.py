@@ -6,7 +6,9 @@ Seeds drive three things:
 
 * the mixing laws that are their seed cut at n (:mod:`exchgraph.mixing`),
   where the finite-n law of theta is F(x n) / F(n) on [0, 1];
-* Poisson-mixture degree limits (:mod:`exchgraph.degrees`);
+* Poisson-mixture degree limits (:mod:`exchgraph.degrees`), which each seed
+  states (``_mixture_pmf``): geometric, negative binomial, incomplete-gamma,
+  Lerch zipf and two-part closed forms, else one integral per order;
 * kernel-counting rate functions through the Laplace transform
   ``integral exp(-s t) dF(t)`` (:mod:`exchgraph.gf2`).
 
@@ -198,6 +200,12 @@ class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed
         """integral_0^cap t**order dF(t)."""
         return math.exp(self._log_expect(lambda t: special.xlogy(order, t), hi=cap))
 
+    def _mixture_pmf(self, ks: np.ndarray) -> np.ndarray:
+        """The Poisson mixture p_k = integral t**k e**-t / k! dF(t) at int64 orders
+        ks; seeds with a closed form override it, and the tests hold each to this."""
+        logs = [self._log_expect(lambda t: special.xlogy(k, t) - t) for k in ks.ravel().tolist()]
+        return np.exp(np.reshape(logs, ks.shape) - special.gammaln(ks + 1.0))
+
 
 @dataclass(frozen=True)
 class DiracSeed(SeedDistribution):
@@ -256,6 +264,9 @@ class ExponentialSeed(SeedDistribution):
         u = np.asarray(u, dtype=float)
         return -np.log1p(-u) / self.gamma
 
+    def _mixture_pmf(self, ks):     # geometric: (gamma / (1 + gamma)) (1 + gamma)**-k
+        return np.exp(math.log(self.gamma) - (ks + 1.0) * math.log1p(self.gamma))
+
 
 @dataclass(frozen=True)
 class GammaSeed(SeedDistribution):
@@ -289,6 +300,11 @@ class GammaSeed(SeedDistribution):
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
         return special.gammaincinv(self.r, u) / self.gamma
+
+    def _mixture_pmf(self, ks):     # negative binomial: C(r+k-1, k) (g/(1+g))**r (1+g)**-k
+        r, g = self.r, self.gamma
+        return np.exp(special.gammaln(r + ks) - special.gammaln(ks + 1.0) - special.gammaln(r)
+                      + r * (math.log(g) - math.log1p(g)) - ks * math.log1p(g))
 
 
 @dataclass(frozen=True)
@@ -386,6 +402,22 @@ class PowerLawSeed(SeedDistribution):
     def _support(self):
         return self.alpha, np.inf
 
+    def _mixture_pmf(self, ks):
+        """p_k = alpha**(beta-1) (beta-1) / k! Gamma(k+1-beta, alpha), which decays
+        like k**-beta, through ``gammaincc`` for k + 1 - beta > 0.  The orders
+        below that, and any whose regularized gamma underflows, take the base route."""
+        a = ks + 1.0 - self.beta
+        log_g = np.full(ks.shape, np.nan)
+        up = a > 0
+        with np.errstate(divide="ignore"):
+            log_g[up] = special.gammaln(a[up]) + np.log(special.gammaincc(a[up], self.alpha))
+        out = ((self.beta - 1.0) * math.log(self.alpha) + math.log(self.beta - 1.0)
+               - special.gammaln(ks + 1.0)) + log_g
+        redo = ~np.isfinite(out)
+        out = np.exp(out)
+        out[redo] = super()._mixture_pmf(ks[redo])
+        return out
+
 
 @dataclass(frozen=True)
 class HierarchicalSeed(SeedDistribution):
@@ -426,6 +458,9 @@ class HierarchicalSeed(SeedDistribution):
 
     def _support(self):
         return self.A, np.inf
+
+    def _mixture_pmf(self, ks):
+        return self.combine(lambda p: p._mixture_pmf(ks))
 
 
 @dataclass(frozen=True)
@@ -489,6 +524,10 @@ class LerchSeed(SeedDistribution):
 
     def _t_laplace(self, s: float) -> float:
         return self._tau_integral(lambda u: 1.0 / (u + s) / (u + s))
+
+    def _mixture_pmf(self, ks):     # the Lerch zipf law (alpha + k)**-s / Phi(1, s, alpha)
+        norm = float(special.zeta(self.s, self.alpha))
+        return np.exp(-self.s * np.log(self.alpha + ks) - math.log(norm))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,7 @@ import pytest
 from scipy import stats
 
 from exchgraph.cli import main
-from exchgraph.degrees import (GeometricLaw, LerchZipfLaw, NegativeBinomialLaw,
-                               PoissonLaw, PoissonMixtureLaw, default_limit_law,
-                               in_pmf_exact, limit_pmf, out_pmf_exact,
-                               total_variation)
+from exchgraph.degrees import in_pmf_exact, limit_pmf, out_pmf_exact, total_variation
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
                                 PowerFractionRows, map_replicas, sample_graph)
 from exchgraph.errors import NoThresholdError
@@ -36,8 +33,8 @@ from exchgraph.motifs import (count_feedback_loops, count_feedforward_loops,
                               mc_roots_leaves, mean_feedback_loops,
                               mean_feedforward_loops, mean_leaves, mean_roots,
                               var_feedback_loops, var_feedforward_loops)
-from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed,
-                             LerchSeed, PowerLawSeed)
+from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, LerchSeed, PowerLawSeed,
+                             SeedDistribution)
 
 SEED = 20260821
 
@@ -101,11 +98,11 @@ def test_criterion_02_degree_law_convergence():
     ks = np.arange(101)
 
     out_exact = out_pmf_exact(spec, n, ks)
-    out_limit = limit_pmf(default_limit_law(spec), ks)
+    out_limit = limit_pmf(spec.limit_seed(), ks)
     assert total_variation(out_exact, out_limit) < 0.01
 
     in_exact = in_pmf_exact(EnsembleConfig(n, spec), ks)
-    in_limit = limit_pmf(PoissonLaw(lam=2.0), ks)
+    in_limit = limit_pmf(DiracSeed(t0=2.0), ks)
     assert total_variation(in_exact, in_limit) < 0.005
     assert time.monotonic() - start < 60.0
 
@@ -113,16 +110,16 @@ def test_criterion_02_degree_law_convergence():
 def test_criterion_03_worked_pmf_identities():
     """Closed-form limit pmfs agree with their independent quadrature routes."""
     ks = np.arange(31)
-    geo = GeometricLaw(gamma=1.0).pmf(ks)
+    geo = limit_pmf(ExponentialSeed(gamma=1.0), ks)
     assert np.max(np.abs(geo - 2.0 ** -(ks + 1.0))) <= 1e-15
 
-    nb = NegativeBinomialLaw(r=2.5, gamma=0.7).pmf(ks)
-    mixed = PoissonMixtureLaw(seed=GammaSeed(r=2.5, gamma=0.7)).pmf(ks)
+    seed = GammaSeed(r=2.5, gamma=0.7)
+    nb, mixed = limit_pmf(seed, ks), SeedDistribution._mixture_pmf(seed, ks)
     assert np.max(np.abs(nb - mixed)) <= 1e-8
 
     ks20 = np.arange(21)
-    lerch = LerchZipfLaw(alpha=1.5, s=2.5).pmf(ks20)
-    mixed = PoissonMixtureLaw(seed=LerchSeed(alpha=1.5, s=2.5)).pmf(ks20)
+    seed = LerchSeed(alpha=1.5, s=2.5)
+    lerch, mixed = limit_pmf(seed, ks20), SeedDistribution._mixture_pmf(seed, ks20)
     assert np.max(np.abs(lerch - mixed)) <= 1e-7
 
 

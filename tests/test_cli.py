@@ -147,6 +147,38 @@ _MODULATED = {"variant": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
               "g_table": [[0, 1], [10, 2], [100, 0.5], [1000, 1.5]]}
 
 
+def _seed_cdf(**seed):
+    return {"variant": "seed_cdf", "seed": seed}
+
+
+# one mixing law per kind of limit law that degrees.json writes, and its frozen form
+_LIMIT_LAWS = {
+    "poisson": ({"variant": "dirac", "lambda": 2.0}, {"kind": "poisson", "lam": 2.0}),
+    "geometric": (_seed_cdf(kind="exponential", gamma=1.3), {"kind": "geometric", "gamma": 1.3}),
+    "negative_binomial": (_seed_cdf(kind="gamma", r=2.0, gamma=0.5),
+                          {"kind": "negative_binomial", "r": 2.0, "gamma": 0.5}),
+    "power_law_tail": ({"variant": "power_law", "alpha": 1.0, "beta": 3.0},
+                       {"kind": "power_law_tail", "alpha": 1.0, "beta": 3.0}),
+    "lerch_zipf": (_seed_cdf(kind="lerch", alpha=1.5, s=2.5),
+                   {"kind": "lerch_zipf", "alpha": 1.5, "s": 2.5}),
+    "hierarchical_mixture": ({"variant": "hierarchical", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5},
+                             {"kind": "hierarchical_mixture", "A": 1.0, "beta": 3.0,
+                              "gamma_exp": 4.5}),
+    "poisson_mixture": (_MODULATED, {"kind": "poisson_mixture", "seed": {
+        "kind": "modulated_power_law", "alpha": 1.0, "beta": 2.5,
+        "g_table": [[0.0, 1.0], [10.0, 2.0], [100.0, 0.5], [1000.0, 1.5]]}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIMIT_LAWS))
+def test_degrees_writes_the_limit_law_in_its_report_form(tmp_path, kind):
+    mixing, wire = _LIMIT_LAWS[kind]
+    cfg = _write_config(tmp_path, degrees={"k_max": 4}, ensemble={
+        "n": 12, "mixing": mixing, "master_seed": SEED})
+    assert main(["degrees", "--config", str(cfg)]) == 0
+    assert json.loads(_read_out(tmp_path, "degrees.json"))["degrees"]["limit_law"] == wire
+
+
 def test_degrees_on_modulated_power_law_writes_its_limit_law(tmp_path):
     # the limit is the Poisson mixture of the family's seed, 0.23 / n off in TV
     cfg = _write_config(tmp_path, degrees={"k_max": 40}, ensemble={

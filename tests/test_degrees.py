@@ -1,10 +1,12 @@
-"""Exact degree pmfs, limit families, and the moment-transfer diagnostic.
+"""Exact degree pmfs, limit laws, and the moment-transfer diagnostic.
 
 Closed forms are pinned two ways: frozen hand-computed values, and an
 independent quadrature route (the Poisson mixture integral evaluated
-numerically) that every specialized family must reproduce.
+numerically, ``SeedDistribution._mixture_pmf``) that every seed's closed form
+must reproduce.
 """
 
+import json
 import math
 
 import mpmath
@@ -14,10 +16,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from exchgraph._numerics import checked_quad
-from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                               LimitLaw, NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
-                               PowerLawTailLaw, default_limit_law, in_pmf_exact,
-                               limit_pmf, moment_transfer_check,
+from exchgraph.degrees import (in_pmf_exact, limit_law_json, limit_pmf, moment_transfer_check,
                                out_pmf_exact, tail_asymptote, total_variation,
                                write_pmf_table)
 from exchgraph.ensemble import EnsembleConfig, ExplicitRows
@@ -25,7 +24,8 @@ from exchgraph.errors import ParameterError
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, ModulatedPowerLawMixing,
                               PowerLawMixing, SeedCdfMixing, log_row_prob, moment, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
-                             LerchSeed, ModulatedPowerLawSeed, ParetoTailSeed, PowerLawSeed)
+                             LerchSeed, ModulatedPowerLawSeed, ParetoTailSeed, PowerLawSeed,
+                             SeedDistribution)
 
 # the benchmark's modulated table
 _TABLE = ((0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))
@@ -34,12 +34,12 @@ _TABLE = ((0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))
 class TestFrozenValues:
     def test_geometric_worked_example(self):
         # unit-rate exponential seed: p_k = 2**-(k+1)
-        assert GeometricLaw(gamma=1.0).pmf(3) == pytest.approx(2.0 ** -4, rel=1e-14)
+        assert limit_pmf(ExponentialSeed(gamma=1.0), 3) == pytest.approx(2.0 ** -4, rel=1e-14)
 
     def test_lerch_zipf_worked_example(self):
-        # alpha=1, s=2: normalizer is zeta(2) = pi**2 / 6
-        assert LerchZipfLaw(alpha=1.0, s=2.0).pmf(0) == pytest.approx(6.0 / math.pi ** 2,
-                                                                      rel=1e-12)
+        # alpha=2, s=2: p_0 = 2**-2 / zeta(2, 2), and zeta(2, 2) = pi**2 / 6 - 1
+        assert limit_pmf(LerchSeed(alpha=2.0, s=2.0), 0) == pytest.approx(
+            0.25 / (math.pi ** 2 / 6.0 - 1.0), rel=1e-12)
 
     def test_tail_asymptote_value(self):
         assert tail_asymptote(2.0, 2.5, 10) == pytest.approx(2.0 ** 1.5 * 1.5 * 10 ** -2.5,
@@ -47,59 +47,50 @@ class TestFrozenValues:
 
 
 class TestMixtureCrossChecks:
-    """Each closed family equals the quadrature Poisson mixture of its seed."""
+    """Each seed's closed form equals the quadrature Poisson mixture of the seed."""
 
     KS = np.arange(0, 31)
 
-    def _max_rel(self, closed, generic):
-        a, b = closed.pmf(self.KS), generic.pmf(self.KS)
+    def _max_rel(self, seed, want=None):
+        a = limit_pmf(seed, self.KS)
+        b = SeedDistribution._mixture_pmf(seed, self.KS) if want is None else want
         return float(np.max(np.abs(a - b) / a))
 
     def test_geometric_is_exponential_mixture(self):
-        err = self._max_rel(GeometricLaw(gamma=1.3),
-                            PoissonMixtureLaw(seed=ExponentialSeed(gamma=1.3)))
-        assert err < 1e-8
+        assert self._max_rel(ExponentialSeed(gamma=1.3)) < 1e-8
 
     def test_negative_binomial_is_gamma_mixture(self):
-        err = self._max_rel(NegativeBinomialLaw(r=2.5, gamma=0.7),
-                            PoissonMixtureLaw(seed=GammaSeed(r=2.5, gamma=0.7)))
-        assert err < 1e-8
+        assert self._max_rel(GammaSeed(r=2.5, gamma=0.7)) < 1e-8
 
     def test_power_tail_is_power_seed_mixture(self):
-        err = self._max_rel(PowerLawTailLaw(alpha=1.0, beta=3.0),
-                            PoissonMixtureLaw(seed=PowerLawSeed(alpha=1.0, beta=3.0)))
-        assert err < 1e-8
+        assert self._max_rel(PowerLawSeed(alpha=1.0, beta=3.0)) < 1e-8
 
     def test_lerch_zipf_is_lerch_mixture(self):
-        err = self._max_rel(LerchZipfLaw(alpha=1.5, s=2.5),
-                            PoissonMixtureLaw(seed=LerchSeed(alpha=1.5, s=2.5)))
-        assert err < 1e-7
+        assert self._max_rel(LerchSeed(alpha=1.5, s=2.5)) < 1e-7
 
     def test_dirac_mixture_is_poisson(self):
-        err = self._max_rel(PoissonLaw(lam=2.0),
-                            PoissonMixtureLaw(seed=DiracSeed(t0=2.0)))
-        assert err < 1e-14
+        assert self._max_rel(DiracSeed(t0=2.0), stats.poisson.pmf(self.KS, 2.0)) < 1e-14
 
 
 class TestPowerLawTail:
-    LAW = PowerLawTailLaw(alpha=1.0, beta=3.0)
+    SEED = PowerLawSeed(alpha=1.0, beta=3.0)
 
     def test_recurrence_matches_direct_quadrature(self):
         # the closed form (incomplete gamma) against the quadrature of the mixture
         ks = np.array([0, 1, 2, 5, 17, 60, 143, 300])
-        by_quad = PoissonMixtureLaw(seed=PowerLawSeed(alpha=1.0, beta=3.0))._log_pmf(ks)
-        assert_allclose(self.LAW.log_pmf(ks), by_quad, rtol=0, atol=1e-9)
+        by_quad = np.log(SeedDistribution._mixture_pmf(self.SEED, ks))
+        assert_allclose(np.log(limit_pmf(self.SEED, ks)), by_quad, rtol=0, atol=1e-9)
 
     def test_normalizes(self):
-        assert self.LAW.pmf_range(3000).sum() == pytest.approx(1.0, abs=1e-6)
+        assert limit_pmf(self.SEED, np.arange(3001)).sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_asymptote_within_five_percent_at_k200(self):
-        ratio = self.LAW.pmf(200) / tail_asymptote(1.0, 3.0, 200)
+        ratio = limit_pmf(self.SEED, 200) / tail_asymptote(1.0, 3.0, 200)
         assert abs(ratio - 1.0) < 0.05
 
     def test_noninteger_tail_exponent(self):
-        law = PowerLawTailLaw(alpha=0.5, beta=2.3)
-        assert law.pmf_range(20000).sum() == pytest.approx(1.0, abs=1e-4)
+        seed = PowerLawSeed(alpha=0.5, beta=2.3)
+        assert limit_pmf(seed, np.arange(20001)).sum() == pytest.approx(1.0, abs=1e-4)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 10.0])
@@ -107,10 +98,10 @@ class TestPowerLawTail:
 def test_power_tail_closed_form_matches_quadrature(beta, alpha):
     # orders near beta - 1, at 11 and up to 3000; those with k + 1 - beta <= 0
     # stay on the quadrature and match trivially
-    law = PowerLawTailLaw(alpha=alpha, beta=beta)
+    seed = PowerLawSeed(alpha=alpha, beta=beta)
     ks = np.array([0, 1, 2, 3, 4, 11, 12, 1500, 3000])
-    by_quad = PoissonMixtureLaw(seed=PowerLawSeed(alpha=alpha, beta=beta))._log_pmf(ks)
-    assert_allclose(law.log_pmf(ks), by_quad, rtol=0, atol=1e-10)
+    by_quad = np.log(SeedDistribution._mixture_pmf(seed, ks))
+    assert_allclose(np.log(limit_pmf(seed, ks)), by_quad, rtol=0, atol=1e-10)
 
 
 def test_lerch_seed_matches_u_form_at_small_x():
@@ -133,27 +124,27 @@ def test_lerch_seed_matches_u_form_at_small_x():
             assert seed.cdf(x) == pytest.approx(float(cdf), rel=1e-9)
 
 
-class TestHierarchicalMixtureLaw:
-    LAW = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
+class TestHierarchicalMixture:
+    SEED = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
 
     def test_matches_outer_quadrature(self):
         # oracle: integrate the conditional pmf against the cutoff density
         A, b, g = 1.0, 3.0, 4.5
         for k in range(10):
             want = checked_quad(
-                lambda a: PowerLawTailLaw(alpha=a, beta=b).pmf(k)
+                lambda a: limit_pmf(PowerLawSeed(alpha=a, beta=b), k)
                 * (g - 1.0) * A ** (g - 1.0) * a ** (-g),
                 A, np.inf, rel_tol=1e-9)
-            assert self.LAW.pmf(k) == pytest.approx(want, rel=1e-7)
+            assert limit_pmf(self.SEED, k) == pytest.approx(want, rel=1e-7)
 
     def test_normalizes_and_positive(self):
-        p = self.LAW.pmf_range(2000)
+        p = limit_pmf(self.SEED, np.arange(2001))
         assert np.all(p > 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-5)
 
     def test_exponent_ordering_enforced(self):
         with pytest.raises(ParameterError):
-            HierarchicalMixtureLaw(A=1.0, beta=2.0, gamma_exp=3.0)
+            HierarchicalSeed(A=1.0, beta=2.0, gamma_exp=3.0)
         with pytest.raises(ParameterError):
             HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=3.0)
         with pytest.raises(ParameterError):
@@ -162,10 +153,10 @@ class TestHierarchicalMixtureLaw:
     @pytest.mark.parametrize("A, beta, gamma_exp", [(1.0, 3.0, 4.5), (1.0, 2.5, 4.0)])
     def test_matches_the_quadrature_of_its_seed(self, A, beta, gamma_exp):
         ks = np.arange(31)
-        law = HierarchicalMixtureLaw(A=A, beta=beta, gamma_exp=gamma_exp)
-        mixed = PoissonMixtureLaw(seed=HierarchicalSeed(A=A, beta=beta, gamma_exp=gamma_exp))
+        seed = HierarchicalSeed(A=A, beta=beta, gamma_exp=gamma_exp)
         # the quadrature agrees to 6e-14 here; 1e-11 leaves room for its error estimate
-        assert_allclose(mixed.pmf(ks), law.pmf(ks), rtol=1e-11, atol=0.0)
+        assert_allclose(SeedDistribution._mixture_pmf(seed, ks), limit_pmf(seed, ks),
+                        rtol=1e-11, atol=0.0)
 
 
 class TestHierarchicalSeed:
@@ -187,7 +178,7 @@ class TestHierarchicalSeed:
         assert self.SEED.laplace(s) == pytest.approx(laplace, rel=1e-12, abs=0.0)
         assert self.SEED.t_laplace(s) == pytest.approx(t_laplace, rel=1e-12, abs=0.0)
         # the mixture's generating function at 1 - s; (1 - s)**k is below 1e-90 past k = 2000
-        pmf = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5).pmf_range(2000)
+        pmf = limit_pmf(self.SEED, np.arange(2001))
         pgf = math.fsum(pmf * (1.0 - s) ** np.arange(2001))
         assert self.SEED.laplace(s) == pytest.approx(pgf, rel=1e-12, abs=0.0)
 
@@ -247,7 +238,7 @@ class TestModulatedPowerLawSeed:
     def test_limit_tv_falls_as_one_over_n(self):
         spec = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=_TABLE)
         ks = np.arange(31)
-        limit = default_limit_law(spec).pmf(ks)
+        limit = limit_pmf(spec.limit_seed(), ks)
         for n in (10**2, 10**3, 10**4, 10**5):
             # 2.3e-3, 2.2e-4, 2.2e-5, 2.2e-6 times n: 0.23 to 0.22
             assert total_variation(out_pmf_exact(spec, n, ks), limit) <= 0.3 / n
@@ -289,10 +280,10 @@ class TestExactFiniteN:
 
     def test_out_degree_tv_convergence(self):
         spec = PowerLawMixing(alpha=1.0, beta=3.0)
-        lim = PowerLawTailLaw(alpha=1.0, beta=3.0)
         ks = np.arange(0, 101)
-        tv_small = total_variation(out_pmf_exact(spec, 200, ks), lim.pmf(ks))
-        tv_big = total_variation(out_pmf_exact(spec, 10_000, ks), lim.pmf(ks))
+        lim = limit_pmf(PowerLawSeed(alpha=1.0, beta=3.0), ks)
+        tv_small = total_variation(out_pmf_exact(spec, 200, ks), lim)
+        tv_big = total_variation(out_pmf_exact(spec, 10_000, ks), lim)
         assert tv_big < tv_small
         assert tv_big < 0.01
 
@@ -300,7 +291,7 @@ class TestExactFiniteN:
         spec = DiracMixing(lam=2.0)
         ks = np.arange(0, 41)
         tv = total_variation(in_pmf_exact(EnsembleConfig(10_000, spec), ks),
-                             PoissonLaw(lam=2.0).pmf(ks))
+                             limit_pmf(DiracSeed(t0=2.0), ks))
         assert tv < 0.005
 
     def test_degree_bounds_checked(self):
@@ -317,50 +308,48 @@ class TestExactFiniteN:
 
 class TestMomentTransfer:
     def test_poisson_partial_sums_hit_known_moments(self):
-        rep = moment_transfer_check(PoissonLaw(lam=2.0), 2.0, k_cap=1000)
+        rep = moment_transfer_check(DiracSeed(t0=2.0), 2.0, k_cap=1000)
         # sum k**2 p_k = lam + lam**2; integral t**2 dF = lam**2
         assert rep.pmf_partial == pytest.approx(2.0 + 4.0, rel=1e-8)
         assert rep.mixing_partial == pytest.approx(4.0, rel=1e-8)
         assert rep.agree and rep.both_finite_verdict
 
     def test_first_moments_agree_in_value(self):
-        rep = moment_transfer_check(GeometricLaw(gamma=1.0), 1.0, k_cap=2000)
+        rep = moment_transfer_check(ExponentialSeed(gamma=1.0), 1.0, k_cap=2000)
         assert rep.pmf_partial == pytest.approx(1.0, rel=1e-6)
         assert rep.mixing_partial == pytest.approx(1.0, rel=1e-6)
         assert rep.both_finite_verdict
 
     def test_heavy_tail_moment_blows_up_on_both_routes(self):
-        law = PowerLawTailLaw(alpha=1.0, beta=3.0)
-        rep = moment_transfer_check(law, 2.0, k_cap=20_000)
+        rep = moment_transfer_check(PowerLawSeed(alpha=1.0, beta=3.0), 2.0, k_cap=20_000)
         assert not rep.pmf_stabilized and not rep.mixing_stabilized
         assert rep.agree and not rep.both_finite_verdict
 
     def test_heavy_tail_low_moment_stabilizes(self):
-        law = PowerLawTailLaw(alpha=1.0, beta=4.0)
-        rep = moment_transfer_check(law, 1.0, k_cap=20_000)
+        rep = moment_transfer_check(PowerLawSeed(alpha=1.0, beta=4.0), 1.0, k_cap=20_000)
         assert rep.pmf_stabilized and rep.mixing_stabilized
         # both routes converge to the seed mean 3/2
         assert rep.pmf_partial == pytest.approx(1.5, rel=1e-4)
         assert rep.mixing_partial == pytest.approx(1.5, rel=1e-4)
 
     @pytest.mark.parametrize("law,order,finite", [
-        (PowerLawTailLaw(alpha=1.0, beta=3.0), 0.5, True),
-        (PowerLawTailLaw(alpha=1.0, beta=3.0), 1.0, True),
-        (PowerLawTailLaw(alpha=1.0, beta=3.0), 2.0, False),
-        (PowerLawTailLaw(alpha=1.0, beta=3.0), 2.5, False),
-        (HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5), 1.0, True),
+        (PowerLawSeed(alpha=1.0, beta=3.0), 0.5, True),
+        (PowerLawSeed(alpha=1.0, beta=3.0), 1.0, True),
+        (PowerLawSeed(alpha=1.0, beta=3.0), 2.0, False),
+        (PowerLawSeed(alpha=1.0, beta=3.0), 2.5, False),
+        (HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5), 1.0, True),
     ])
     def test_verdict_splits_at_beta_minus_one(self, law, order, finite):
-        """A k**-beta tail has finite moments exactly below order beta - 1 = 2; a
-        slowly converging finite moment still reads finite, and the
-        logarithmically divergent one at order 2 reads infinite."""
+        """A k**-beta tail of the limit law (stated by its seed) has finite moments
+        exactly below order beta - 1 = 2; a slowly converging finite moment still
+        reads finite, and the logarithmically divergent one at order 2 reads infinite."""
         rep = moment_transfer_check(law, order)
         assert rep.pmf_stabilized == rep.mixing_stabilized == finite
         assert rep.agree and rep.both_finite_verdict == finite
 
     def test_requires_positive_order(self):
         with pytest.raises(ParameterError):
-            moment_transfer_check(PoissonLaw(lam=1.0), 0.0)
+            moment_transfer_check(DiracSeed(t0=1.0), 0.0)
 
 
 @pytest.mark.parametrize("cap", [1e6, 1e8])
@@ -376,23 +365,27 @@ def test_truncated_moment_at_large_caps(cap):
                         rtol=1e-9)
 
 
-class TestDefaultLimitLaw:
+class TestLimitReportForm:
     def test_mappings(self):
-        assert default_limit_law(DiracMixing(lam=2.0)) == PoissonLaw(lam=2.0)
-        assert default_limit_law(PowerLawMixing(alpha=1.0, beta=3.0)) == \
-            PowerLawTailLaw(alpha=1.0, beta=3.0)
-        assert default_limit_law(SeedCdfMixing(seed=ExponentialSeed(gamma=1.3))) == \
-            GeometricLaw(gamma=1.3)
-        assert default_limit_law(SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0))) == \
-            NegativeBinomialLaw(r=2.0, gamma=1.0)
-        assert default_limit_law(SeedCdfMixing(seed=LerchSeed(alpha=1.5, s=2.5))) == \
-            LerchZipfLaw(alpha=1.5, s=2.5)
-        assert default_limit_law(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)) == \
-            HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
-        seed = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
-        assert default_limit_law(SeedCdfMixing(seed=seed)) == \
-            HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
-        assert default_limit_law(DiracMixing(lam=0.0)) == PoissonLaw(lam=0.0)
+        # a mixing law's limit, in the form degrees.json writes it
+        hierarchical = {"kind": "hierarchical_mixture", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}
+        for spec, wire in [
+            (DiracMixing(lam=2.0), {"kind": "poisson", "lam": 2.0}),
+            (DiracMixing(lam=0.0), {"kind": "poisson", "lam": 0.0}),
+            (PowerLawMixing(alpha=1.0, beta=3.0),
+             {"kind": "power_law_tail", "alpha": 1.0, "beta": 3.0}),
+            (SeedCdfMixing(seed=ExponentialSeed(gamma=1.3)), {"kind": "geometric", "gamma": 1.3}),
+            (SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0)),
+             {"kind": "negative_binomial", "r": 2.0, "gamma": 1.0}),
+            (SeedCdfMixing(seed=LerchSeed(alpha=1.5, s=2.5)),
+             {"kind": "lerch_zipf", "alpha": 1.5, "s": 2.5}),
+            (HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5), hierarchical),
+            (SeedCdfMixing(seed=HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)), hierarchical),
+            (SeedCdfMixing(seed=ParetoTailSeed(alpha=1.0, eta=1.5)),
+             {"kind": "poisson_mixture",
+              "seed": {"kind": "pareto_tail", "alpha": 1.0, "eta": 1.5}}),
+        ]:
+            assert limit_law_json(spec.limit_seed()) == wire
 
 
 @pytest.mark.parametrize("seed", [
@@ -411,30 +404,41 @@ def test_seed_transforms_are_the_generating_function_of_its_limit_law(seed):
     so at z = 1 - u its pmf sums to laplace(u), and its z-derivative to
     t_laplace(u): p_0 and p_1 at u = 1.  The sums stop at k = 159, where
     z**k < 1e-24."""
-    law = default_limit_law(SeedCdfMixing(seed=seed))
     ks = np.arange(160)
-    p = law.pmf(ks)
+    p = limit_pmf(SeedCdfMixing(seed=seed).limit_seed(), ks)
     for u in (0.3, 0.6, 1.0):
         z = 1.0 - u
         assert_allclose(seed.laplace(u), math.fsum(p * z ** ks), rtol=1e-11)
         assert_allclose(seed.t_laplace(u), math.fsum(ks[1:] * p[1:] * z ** (ks[1:] - 1)),
                         rtol=1e-11)
-    if not isinstance(law, PoissonMixtureLaw):      # every closed form
-        assert_allclose(law.log_pmf(ks), np.log(p), rtol=1e-13)
+
+
+# the seed kind of each closed form in the report, for reading the report form back
+_SEED_KINDS = {"poisson": "dirac", "geometric": "exponential", "negative_binomial": "gamma",
+               "power_law_tail": "power_law", "lerch_zipf": "lerch",
+               "hierarchical_mixture": "hierarchical"}
 
 
 @pytest.mark.parametrize("law", [
-    PoissonLaw(lam=2.0),
-    PoissonMixtureLaw(seed=ExponentialSeed(gamma=1.0)),
-    GeometricLaw(gamma=1.3),
-    NegativeBinomialLaw(r=2.0, gamma=0.5),
-    PowerLawTailLaw(alpha=1.0, beta=3.0),
-    LerchZipfLaw(alpha=1.5, s=2.5),
-    HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5),
+    DiracSeed(t0=2.0),
+    ParetoTailSeed(alpha=1.0, eta=2.5),
+    ExponentialSeed(gamma=1.3),
+    GammaSeed(r=2.0, gamma=0.5),
+    PowerLawSeed(alpha=1.0, beta=3.0),
+    LerchSeed(alpha=1.5, s=2.5),
+    HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5),
 ])
 def test_limit_law_json_round_trip(law):
-    assert LimitLaw.from_json(law.to_json()) == law
-    assert limit_pmf(LimitLaw.from_json(law.to_json()), 2) == pytest.approx(law.pmf(2))
+    """A limit law, stated by its seed, is read back from its report form."""
+    wire = json.loads(json.dumps(limit_law_json(law)))
+    kind = wire.pop("kind")
+    if kind == "poisson_mixture":
+        back = SeedDistribution.from_json(wire["seed"])
+    else:
+        fields = {("t0" if key == "lam" else key): value for key, value in wire.items()}
+        back = SeedDistribution.from_json({"kind": _SEED_KINDS[kind], **fields})
+    assert back == law
+    assert limit_pmf(back, 2) == limit_pmf(law, 2)
 
 
 def test_pmf_table_format(tmp_path):
@@ -449,17 +453,21 @@ def test_pmf_table_format(tmp_path):
 
 def test_order_arguments_take_integral_floats_and_reject_non_finite_ones():
     spec, n, m = PowerLawMixing(alpha=1.0, beta=2.5), 40, 30
-    law = HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5)
+    hierarchical = HierarchicalSeed(A=1.0, beta=3.0, gamma_exp=4.5)
+    # the tail asymptote takes orders from 1, so it reads each order shifted by one
     calls = [lambda k: xi(spec, n, k), lambda k: log_row_prob(spec, n, k),
              lambda k: out_pmf_exact(spec, n, k),
              lambda k: in_pmf_exact(EnsembleConfig(n, spec, ExplicitRows(m)), k),
-             PoissonLaw(lam=2.0).log_pmf, PoissonLaw(lam=2.0).pmf, law.pmf]
+             lambda k: limit_pmf(DiracSeed(t0=2.0), k), lambda k: limit_pmf(hierarchical, k),
+             lambda k: tail_asymptote(1.0, 3.0, np.add(k, 1))]
     for call in calls:
         assert call(3.0) == call(3)
         assert_allclose(call(np.array([0.0, 3.0])), call(np.array([0, 3])), rtol=0)
         for bad in (math.nan, math.inf, -math.inf, 1e300, 2.5, -1, [1, math.nan]):
             with pytest.raises(ParameterError):
                 call(bad)
+    with pytest.raises(ParameterError, match="tail asymptote order must be at least 1"):
+        tail_asymptote(1.0, 3.0, 0)
     assert moment(spec, n, 3.0) == moment(spec, n, 3)
     for bad in (math.nan, math.inf, -math.inf, 1e300, 2.5, -1, [3]):
         with pytest.raises(ParameterError):

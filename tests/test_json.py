@@ -1,4 +1,4 @@
-"""Wire format of the four parameter families: frozen dicts and round trips."""
+"""Wire format of the three parameter families: frozen dicts and round trips."""
 
 import json
 import re
@@ -8,9 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exchgraph.cli import Gf2Block, MotifsBlock
-from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                               LimitLaw, NegativeBinomialLaw, PoissonLaw,
-                               PoissonMixtureLaw, PowerLawTailLaw)
 from exchgraph.ensemble import (EnsembleConfig, ExplicitRows, FractionRows, LogFractionRows,
                                 PowerFractionRows, RowRule, SquareRows)
 from exchgraph.errors import ConfigError, ParameterError
@@ -24,7 +21,6 @@ from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, Hierarchical
 FAMILIES = {
     "mixing": (MixingSpec, MixingSpec.from_json, ParameterError),
     "seed": (SeedDistribution, SeedDistribution.from_json, ParameterError),
-    "law": (LimitLaw, LimitLaw.from_json, ParameterError),
     "rows": (RowRule, RowRule.from_json, ConfigError),
 }
 
@@ -49,19 +45,6 @@ FROZEN = {
         (ParetoTailSeed(alpha=1.0, eta=1.5), {"kind": "pareto_tail", "alpha": 1.0, "eta": 1.5}),
         (PowerLawSeed(alpha=1.0, beta=2.5), {"kind": "power_law", "alpha": 1.0, "beta": 2.5}),
         (LerchSeed(alpha=1.5, s=2.5), {"kind": "lerch", "alpha": 1.5, "s": 2.5}),
-    ],
-    "law": [
-        (PoissonLaw(lam=2.0), {"kind": "poisson", "lam": 2.0}),
-        (PoissonMixtureLaw(seed=DiracSeed(t0=2.0)),
-         {"kind": "poisson_mixture", "seed": {"kind": "dirac", "t0": 2.0}}),
-        (GeometricLaw(gamma=1.3), {"kind": "geometric", "gamma": 1.3}),
-        (NegativeBinomialLaw(r=2.0, gamma=0.5),
-         {"kind": "negative_binomial", "r": 2.0, "gamma": 0.5}),
-        (PowerLawTailLaw(alpha=1.0, beta=3.0),
-         {"kind": "power_law_tail", "alpha": 1.0, "beta": 3.0}),
-        (LerchZipfLaw(alpha=1.5, s=2.5), {"kind": "lerch_zipf", "alpha": 1.5, "s": 2.5}),
-        (HierarchicalMixtureLaw(A=1.0, beta=3.0, gamma_exp=4.5),
-         {"kind": "hierarchical_mixture", "A": 1.0, "beta": 3.0, "gamma_exp": 4.5}),
     ],
     "rows": [
         (SquareRows(), {"kind": "square"}),
@@ -154,16 +137,6 @@ STRATEGIES = {
                   _pos(), _ordered_pair(2.0)),
     ),
     "seed": SEEDS,
-    "law": st.one_of(
-        st.builds(PoissonLaw, lam=_pos(0.0)),
-        st.builds(PoissonMixtureLaw, seed=SEEDS),
-        st.builds(GeometricLaw, gamma=_pos()),
-        st.builds(NegativeBinomialLaw, r=_pos(), gamma=_pos()),
-        st.builds(PowerLawTailLaw, alpha=_pos(), beta=_above(1.0)),
-        st.builds(LerchZipfLaw, alpha=_pos(), s=_above(1.0)),
-        st.builds(lambda a, bg: HierarchicalMixtureLaw(A=a, beta=bg[0], gamma_exp=bg[1]),
-                  _pos(), _ordered_pair(2.0)),
-    ),
     "rows": st.one_of(
         st.just(SquareRows()),
         st.builds(FractionRows, delta=_pos(1e-3, 1.0)),
@@ -186,7 +159,6 @@ def _round_trip_test(family):
 
 test_mixing_round_trip = _round_trip_test("mixing")
 test_seed_round_trip = _round_trip_test("seed")
-test_limit_law_round_trip = _round_trip_test("law")
 test_row_rule_round_trip = _round_trip_test("rows")
 
 

@@ -12,10 +12,7 @@ from scipy import stats
 
 from exchgraph import _numerics
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
-from exchgraph.degrees import (GeometricLaw, HierarchicalMixtureLaw, LerchZipfLaw,
-                               NegativeBinomialLaw, PoissonLaw, PoissonMixtureLaw,
-                               PowerLawTailLaw, default_limit_law, in_pmf_exact,
-                               out_pmf_exact, tail_asymptote)
+from exchgraph.degrees import in_pmf_exact, limit_pmf, out_pmf_exact, tail_asymptote
 from exchgraph.ensemble import EnsembleConfig
 from exchgraph.errors import ParameterError, QuadratureError
 from exchgraph.hub import competing_moment_constant, hub_limit_cdf
@@ -269,7 +266,7 @@ def test_exponential_seed_row_law_at_large_n(n):
                     [_log_exponential_row(n, int(r)) for r in LARGE_N_ROWS], rtol=0, atol=1e-11)
     # the geometric limit: n max_k |p_n(k) - p(k)| reads 0.125 at every n here
     pmf = out_pmf_exact(spec, n, LARGE_N_ROWS)
-    assert np.abs(pmf - GeometricLaw(gamma=1.0).pmf(LARGE_N_ROWS)).max() <= 0.25 / n
+    assert np.abs(pmf - limit_pmf(ExponentialSeed(gamma=1.0), LARGE_N_ROWS)).max() <= 0.25 / n
     rng = spawn_rng(2, n)
     degrees = rng.binomial(n, sample_thetas(spec, n, rng, 100_000))
     head = out_pmf_exact(spec, n, np.arange(6))
@@ -568,8 +565,8 @@ def test_the_seed_integral_counts_a_point_mass_once():
         assert seed._log_expect(lambda t: 2.0, lo=t0) == -math.inf
     ks = np.arange(12)
     for t0 in (0.0, 3.0, 4.9, 0.37):
-        assert (PoissonMixtureLaw(seed=DiracSeed(t0=t0)).log_pmf(ks).tolist()
-                == PoissonLaw(lam=t0).log_pmf(ks).tolist())
+        poisson = np.exp(special.xlogy(ks, t0) - t0 - special.gammaln(ks + 1.0))
+        assert limit_pmf(DiracSeed(t0=t0), ks).tolist() == poisson.tolist()
     seed = ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=(
         (0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5)))
     for order in (0.5, 1.0, 1.5, 2.0):
@@ -621,9 +618,8 @@ class TestSeedTruncation:
 
     def test_the_point_mass_at_zero_has_no_degree(self):
         ks = np.arange(6)
-        for law in (default_limit_law(SeedCdfMixing(seed=DiracSeed(t0=0.0))),
-                    PoissonMixtureLaw(seed=DiracSeed(t0=0.0))):
-            assert law.pmf(ks).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        for spec in (SeedCdfMixing(seed=DiracSeed(t0=0.0)), DiracMixing(lam=0.0)):
+            assert limit_pmf(spec.limit_seed(), ks).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("spec,start", [
         (PowerLawMixing(alpha=30.0, beta=3.0), "30.0"),
@@ -793,26 +789,21 @@ _TABLE = ((0.0, 1.0), (3.0, 2.0))
 
 @pytest.mark.parametrize("build, args", [
     *[(DiracMixing, (lam,)) for lam in (-1.0, math.nan)],
-    *[(PoissonLaw, (lam,)) for lam in (-1.0, math.nan)],
-    *[(GeometricLaw, (g,)) for g in (0.0, math.nan)],
-    *[(NegativeBinomialLaw, rg) for rg in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan))],
-    *[(build, ab) for build in (PowerLawMixing, PowerLawTailLaw) for ab in _BAD_POWER],
+    *[(DiracSeed, (lam,)) for lam in (-1.0, math.nan)],
+    *[(ExponentialSeed, (g,)) for g in (0.0, math.nan)],
+    *[(GammaSeed, rg) for rg in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan))],
+    *[(build, ab) for build in (PowerLawMixing, PowerLawSeed) for ab in _BAD_POWER],
     *[(lambda a, b: ModulatedPowerLawMixing(a, b, _TABLE), ab) for ab in _BAD_POWER],
     *[(lambda a, b: tail_asymptote(a, b, 5), ab) for ab in _BAD_POWER],
     *[(lambda a, b: hub_limit_cdf(a, b, 100), ab) for ab in _BAD_POWER],
     *[(lambda a, b: competing_moment_constant(a, b, 0.5), ab) for ab in _BAD_POWER],
-    *[(build, abg) for build in (HierarchicalMixing, HierarchicalMixtureLaw)
+    *[(build, abg) for build in (HierarchicalMixing, HierarchicalSeed)
       for abg in _BAD_HIERARCHICAL],
 ])
 def test_families_refuse_what_their_seed_refuses(build, args):
     """Each family's parameter domain is its seed's: the seed's constructor
-    raises, NaN included, with the seed's message."""
+    raises, NaN included, with the seed's message.  The seeds of the closed-form
+    limit laws are listed themselves: they state those laws."""
     with pytest.raises(ParameterError, match="seed needs"):
         build(*args)
 
-
-def test_lerch_zipf_law_keeps_its_wider_domain():
-    # alpha in (0, 1] is a Lerch zipf law whose seed the package does not state
-    assert LerchZipfLaw(1.0, 2.0).pmf(0) > 0.0
-    with pytest.raises(ParameterError, match="lerch zipf law needs"):
-        LerchZipfLaw(0.0, 2.0)
