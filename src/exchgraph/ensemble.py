@@ -66,10 +66,12 @@ _DENSE_CELLS = 1 << 15
 _DENSE_THETA = 0.05
 # Elements per temporary array in the sampler and the edge-list writer.
 _BLOCK = 1 << 12
-# Per-replica cells in one Monte Carlo block of replica_blocks: the hub's
-# row sums at m = 5000 take 800 replicas, and no dense kernel's temporaries
-# outgrow them.
-_MC_CELLS = 4_000_000
+# Per-replica cells in one Monte Carlo block of replica_blocks: 2 MiB per
+# float64 array, one core's L2 on a 2-core Xeon.  Swept over 2**16 ... 2**22
+# cells there, the kernels' CPU was flat up to 2**20 and climbed above it,
+# while each kernel's traced peak grows with the budget: 2.6-5.8 MiB at this
+# one, 39-87 MiB at 4e6.
+_MC_CELLS = 1 << 18
 
 
 class BitMatrix:
@@ -382,8 +384,10 @@ def replica_blocks(config: EnsembleConfig, tag: int, dense: bool = True):
 
     thetas holds the bias rows of replicas offset, offset + 1, ..., drawn
     from rng = spawn_rng(master_seed, offset, tag), which then serves the
-    block's further draws.  A block holds about _MC_CELLS per-replica cells:
-    m * n for a dense adjacency draw, m when ``dense`` is false.
+    block's further draws.  A block holds at most _MC_CELLS per-replica
+    cells (m * n for a dense adjacency draw, m when ``dense`` is false), or
+    one replica that has more.  Monte Carlo outputs are thus a function of
+    the seed, the resolved config and this budget.
     """
     cells = config.m * (config.n if dense else 1)
     step = max(1, _MC_CELLS // cells)

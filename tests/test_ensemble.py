@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +15,21 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from exchgraph import ensemble
+from exchgraph._numerics import spawn_rng
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
                                 GraphSample, LogFractionRows, PowerFractionRows, SquareRows,
                                 in_degrees, map_replicas, out_degrees, read_edge_list,
-                                RowRule, sample_graph, write_edge_list)
+                                replica_blocks, RowRule, sample_bias_matrix, sample_graph,
+                                write_edge_list)
 from exchgraph.degrees import in_pmf_exact
 from exchgraph.errors import ConfigError, ParameterError
-from exchgraph.gf2 import log_expected_solutions
+from exchgraph.gf2 import log_expected_solutions, mc_kernel_mean
+from exchgraph.hub import mc_hub_values
 from exchgraph.mixing import (DiracMixing, HierarchicalMixing, PowerLawMixing, log_row_prob,
                               moment)
-from exchgraph.motifs import (mean_cycles, mean_feedback_loops, mean_feedforward_loops,
-                              mean_leaves, mean_roots, var_feedback_loops,
-                              var_feedforward_loops)
+from exchgraph.motifs import (mc_motifs, mc_roots_leaves, mean_cycles, mean_feedback_loops,
+                              mean_feedforward_loops, mean_leaves, mean_roots,
+                              var_feedback_loops, var_feedforward_loops)
 
 
 def _random_dense(rng, m, n):
@@ -171,6 +175,53 @@ class TestSampling:
                              master_seed=21, replicas=6)
         assert map_replicas(cfg, lambda s: (s.replica_index, s.matrix.count_ones())) == [
             (k, sample_graph(cfg, k).matrix.count_ones()) for k in range(6)]
+
+
+_POWER3 = PowerLawMixing(alpha=1.0, beta=3.0)
+# the mc_validate suite shapes, with replicas for about four blocks (a
+# quarter of one at a 4e6-cell budget, whose traced peaks are 8.7-21 MiB)
+_MC_KERNELS = {
+    "hub": (mc_hub_values, EnsembleConfig(n=5000, mixing=_POWER3, replicas=200)),
+    "motifs": (mc_motifs, EnsembleConfig(n=100, mixing=_POWER3, replicas=100)),
+    "roots_leaves": (mc_roots_leaves, EnsembleConfig(n=100, mixing=_POWER3, replicas=100)),
+    "gf2-power_law": (mc_kernel_mean, EnsembleConfig(n=32, mixing=_POWER3, replicas=1000)),
+    "gf2-dirac16": (mc_kernel_mean,
+                    EnsembleConfig(n=32, mixing=DiracMixing(lam=16.0), replicas=1000)),
+}
+
+
+class TestReplicaBlocks:
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("n, m", [(10, 10), (50, 40), (4, 1500)])
+    def test_blocks_cover_the_replicas_on_their_own_streams(self, monkeypatch, n, m, dense):
+        """Replicas 0..R-1 once and in order; each block on spawn_rng(seed,
+        offset, tag) and within the budget, or one replica that exceeds it."""
+        budget, tag = 1000, 7
+        monkeypatch.setattr(ensemble, "_MC_CELLS", budget)
+        cfg = EnsembleConfig(n=n, mixing=_POWER3, row_rule=ExplicitRows(m=m),
+                             master_seed=13, replicas=23)
+        cells = m * n if dense else m
+        offsets = []
+        for lo, thetas, rng in replica_blocks(cfg, tag, dense=dense):
+            offsets += range(lo, lo + len(thetas))
+            fresh = spawn_rng(cfg.master_seed, lo, tag)
+            assert np.array_equal(thetas, sample_bias_matrix(cfg, len(thetas), fresh))
+            assert rng.bit_generator.state == fresh.bit_generator.state
+            assert len(thetas) * cells <= budget or (len(thetas) == 1 and cells > budget)
+        assert offsets == list(range(cfg.replicas))
+
+    @pytest.mark.parametrize("kernel, cfg", _MC_KERNELS.values(), ids=_MC_KERNELS)
+    def test_kernel_memory_tracks_the_block_budget(self, kernel, cfg):
+        """A kernel's temporaries are one block's: under 32 bytes, four
+        float64 arrays, per cell of the budget, and at most 8 MiB."""
+        kernel(replace(cfg, replicas=2))    # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            kernel(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * ensemble._MC_CELLS <= 8 * 2 ** 20
 
 
 _SHARED = [("completely_exchangeable", PowerLawMixing(alpha=2.0, beta=2.5)),
