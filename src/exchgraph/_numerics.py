@@ -12,8 +12,8 @@ outward, and only a tail shown to be below ``REL_TOL`` is cut.
 SciPy submodules load on first use, never at import: ``special`` and
 ``integrate`` below are :class:`_Deferred` handles that import
 ``scipy.special`` and ``scipy.integrate`` on their first attribute lookup.
-So ``sample`` and ``hub`` on power-law configs load neither, and a traced run
-books each import to the span of its first caller.
+So on power-law configs ``sample``, ``hub``, ``motifs``, ``gf2`` and ``report``
+load neither, and a traced run books each import to its first caller's span.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "ABS_FLOOR",
     "checked_quad",
     "log_quad",
+    "logsumexp",
     "check_orders",
     "shaped_like",
     "stream_seed",
@@ -161,6 +162,12 @@ def log_quad(log_func, a, b, points=()):
     value = checked_quad(lambda t: math.exp(max(at(t) - peak, -745.0)), left[-1], right[-1],
                          points=[*left[:-1], *right[:-1], *knots])
     return peak + math.log(value) if value > 0.0 else -np.inf
+
+
+def logsumexp(values) -> float:
+    """log of the sum of exp(values), the largest term factored out; -inf when all are -inf."""
+    top = float(np.max(values))
+    return top if top == -math.inf else top + float(np.log(np.exp(np.subtract(values, top)).sum()))
 
 
 def check_orders(k, what: str, hi=None) -> np.ndarray:

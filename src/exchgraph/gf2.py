@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import special
+from ._numerics import logsumexp
 from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
 from .errors import NoThresholdError, ParameterError
 from .mixing import _log_binom, xi
@@ -184,7 +184,7 @@ def log_expected_solutions(config: EnsembleConfig) -> float:
             vanished.extend(j for j, x in enumerate(xs) if j > 0 and abs(x) <= 1e-12)
         log_terms = [b + m * math.log1p(x) if x > -1.0 else -math.inf
                      for b, x in zip(log_binom, xs)]
-        return float(-n * _LOG2 + special.logsumexp(log_terms))
+        return float(-n * _LOG2 + logsumexp(log_terms))
 
     value = config.average(law, log=True)
     if vanished:

@@ -45,9 +45,9 @@ into two single-sign integrals at every order i >= 1, so no alternating sum canc
 
 For the pure power family the row polynomial and both halves of the split
 signed moment are incomplete beta functions, in closed form wherever that
-holds ``REL_TOL``: B(a, b) I_x^c(a, b) for row weights r > beta - 1 (log B by
-Stirling's series once an argument reaches 10), and
-``_upper_beta`` for the rest and for the head of every signed moment.
+holds ``REL_TOL``: SciPy's B(a, b) I_x^c(a, b) for row weights r > beta - 1, and
+``_upper_beta``, in NumPy and math, for the rest and for the head of every signed
+moment, whose tail is a positive series; log B takes Stirling's series from 10.
 Quadrature (the scalar hooks ``_log_row_prob`` and ``_xi``, also the oracle of
 each closed form) stays for beta within ``_XI_LIFT_MIN`` above an integer,
 orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
@@ -62,9 +62,9 @@ import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
-from .errors import ParameterError
+from .errors import ParameterError, QuadratureError
 from .seeds import (SeedDistribution, DiracSeed, HierarchicalSeed,
-                    ModulatedPowerLawSeed, PowerLawSeed)
+                    ModulatedPowerLawSeed, PowerLawSeed, _upper_gamma)
 
 __all__ = [
     "MixingSpec",
@@ -89,6 +89,7 @@ _XI_LIFT_MIN = 0.01
 # about b x / |a| for b x > |a|.  Against mpmath (a in [-8, 1], b <= 5e4) the error
 # stayed under 4e-15 times their product, so above 1e4 (b x past 10-40) quadrature stays.
 _WALK_GAIN_MAX = 1e4
+_TERMS = 1000   # the cap on the terms of the series in _hyp2f1_half
 
 
 def _log_power_int(a: float, b: float, p: float) -> float:
@@ -121,17 +122,27 @@ def _stirling_rest(x):
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
 
 
-def _log_beta(a, b):
-    """log B(a, b) elementwise for a, b > 0, with c <= b the two arguments sorted.
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
-    ``special.betaln`` subtracts two log-gammas of size b log b and so loses about
-    eps b log b; once b reaches 10, Stirling's series cancels those terms exactly:
-    against 40-digit mpmath at b <= 1e6 it is off by at most 2.3e-13 for c <= 60."""
-    c, b = np.minimum(a, b), np.maximum(a, b)
+
+def _log_rise(c, b):
+    """log Gamma(b + c) - log Gamma(b) elementwise for b > 0, c >= 0, at least 1-D:
+    below b = 10 by ``math.lgamma``, else by Stirling's series, whose terms of size
+    b log b cancel exactly (a difference of log-gammas loses about eps b log b)."""
+    c, b = np.broadcast_arrays(*np.atleast_1d(c, b))
     big = np.maximum(b, 10.0)
-    return np.where(b >= 10.0, special.gammaln(c) - (big - 0.5) * np.log1p(c / big)
-                    - c * np.log(big + c) + c + _stirling_rest(big) - _stirling_rest(big + c),
-                    special.betaln(c, b))
+    out = ((big - 0.5) * np.log1p(c / big) + c * np.log(big + c) - c
+           + _stirling_rest(big + c) - _stirling_rest(big))
+    small = b < 10.0
+    out[small] = _lgamma(b[small] + c[small]) - _lgamma(b[small])
+    return out
+
+
+def _log_beta(a, b):
+    """log B(a, b) elementwise for a, b > 0, with c <= b the two arguments sorted: against
+    40-digit mpmath at b <= 1e6 off by at most 2.3e-13 for c <= 60."""
+    c, b = np.minimum(a, b), np.maximum(a, b)
+    return _lgamma(c) - _log_rise(c, b)
 
 
 def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
@@ -142,21 +153,29 @@ def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
 def _upper_beta(a, b, x: float):
     """U(a, b; x) = integral_x^1 u**(a-1) (1-u)**(b-1) du elementwise over a <= 1,
     integer b >= 1, 0 < x < 1: by parts, a U(a, b) = (a + b) U(a + 1, b) - x**a (1-x)**b,
-    down from a0 = a - floor(a), where U = B(a0, b) I_x^c(a0, b), or at integer a
-    U(0, b) = sum_{k >= b} (1-x)**k / k.  NaN where that does not hold ``REL_TOL``."""
+    down from a0 = a - floor(a) in [0, 1], where Euler's transformation of its 2F1 gives
+    positive terms: U(a0, b) = x**a0 Gamma(b) / Gamma(a0 + b) sum_{j >= b} t_j, t_j =
+    Gamma(a0 + j) / Gamma(j + 1) (1-x)**j.  NaN where the walk does not hold ``REL_TOL``."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     steps = np.maximum(-np.floor(a), 0.0)
     a0, lam, gain = a + steps, -math.log1p(-x), np.ones(a.shape)
+    out = np.empty(a.shape)
     with np.errstate(all="ignore"):
-        out = special.betaincc(a0, b, x) * np.exp(_log_beta(a0, b))
-        if (a0 == 0).any():
-            # to K = max b + 8192 from the far end, the rest by Euler-Maclaurin: off by
-            # (lam + 1/K)**4 / 120 of the sum: 5e-12 at most, since lam K > 40 leaves no rest
-            bs = b[a0 == 0]
+        for c in np.unique(a0).tolist():
+            bs = b[a0 == c]
             lo, hi = int(bs.min()), int(bs.max()) + 8192
-            k = np.arange(hi - 1, lo - 1, -1.0)
-            rest = special.exp1(lam * hi) + math.exp(-lam * hi) * (6.0 + lam + 1 / hi) / (12 * hi)
-            out[a0 == 0] = (rest + np.cumsum(np.exp(-lam * k) / k))[hi - 1 - bs.astype(int)]
+            j = np.arange(hi, lo - 1, -1.0)
+            t = np.exp(_log_rise(c, j) - np.log(j) - lam * j)
+            # from K = hi on by Euler-Maclaurin: t_K / 2 - t'_K / 12 and the integral of t_u ~
+            # w**(c-1) (1 - c (c-1) (c-2) / (24 w**2)) e**(-lam u), w = u + c/2, to O(w**-4); off
+            # by (lam + 1/K)**4 / 120 of the sum: 5e-12 at most, since lam K > 40 leaves no rest
+            w = hi + c / 2.0
+            z, g = lam * w, _upper_gamma(c, lam * w)
+            rest = (math.exp(lam * c / 2.0) * lam ** -c * (g - c * lam * lam / 24.0 * (
+                g - z ** (c - 1.0) * math.exp(-z) * (1.0 + (c - 1.0) / z)))
+                + t[0] * (6.0 + lam - (c - 1.0) / w) / 12.0)
+            out[a0 == c] = (np.exp(c * math.log(x) - _log_rise(c, bs))
+                            * (rest + np.cumsum(t[1:]))[hi - 1 - bs.astype(int)])
         for s in range(int(steps.max(initial=0.0))):
             c = a0 - s - 1.0
             big = (c + b) * out
@@ -165,6 +184,18 @@ def _upper_beta(a, b, x: float):
             gain = np.where((steps > s) & (big != 0.0), gain * np.abs(big / (c * down)), gain)
             out = np.where(steps > s, down, out)
     return np.where((steps > 0) & (a0 > 1 - _XI_LIFT_MIN) | ~(gain <= _WALK_GAIN_MAX), np.nan, out)
+
+
+def _hyp2f1_half(beta: float, c):
+    """2F1(beta, 1; c; 1/2) elementwise over an array c > 0: the series
+    sum_k (beta)_k / (c)_k 2**-k, whose terms are positive."""
+    term, total = np.ones(c.shape), np.ones(c.shape)
+    for k in range(_TERMS):
+        term *= (beta + k) / (2.0 * (c + k))
+        total += term
+        if np.all(term < 1e-17 * total):
+            return total
+    raise QuadratureError(f"2F1({beta}, 1; c; 1/2): its series did not converge")
 
 
 def _power_quantile(u, alpha, n: int, beta: float):
@@ -314,8 +345,9 @@ class PowerLawMixing(_SeedTruncation):
         out = np.empty(rs.shape)
         up = a > 0
         with np.errstate(divide="ignore"):
-            out[up] = (_log_beta(a[up], b[up])
-                       + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
+            if up.any():    # SciPy's incomplete beta, where x**a cancels against B(a, b)
+                out[up] = (_log_beta(a[up], b[up])
+                           + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
             out[~up] = np.log(_upper_beta(a[~up], b[~up], self.alpha / n))
         out -= self._log_norm_theta(n)
         # orders _upper_beta leaves out, or an incomplete beta that underflowed
@@ -331,7 +363,7 @@ class PowerLawMixing(_SeedTruncation):
         # head: integral_{alpha/n}^{1/2} theta**-beta (1 - 2 theta)**i = 2**(beta-1) U(1 - beta, b)
         # tail: integral_{1/2}^1 theta**-beta (2 theta - 1)**i
         #   = 2**(beta-1) integral_0^1 v**i (1+v)**-beta = 2F1(beta, 1; i+2; 1/2) / (2 b)
-        tail_part = special.hyp2f1(self.beta, 1.0, b + 1.0, 0.5) / (2.0 * b)
+        tail_part = _hyp2f1_half(self.beta, b + 1.0) / (2.0 * b)
         out = np.where(orders > 0, (
             2.0 ** (self.beta - 1.0) * _upper_beta(1.0 - self.beta, b, x)
             + np.where(orders % 2, -1.0, 1.0) * tail_part) * math.exp(-self._log_norm_theta(n)),

@@ -30,6 +30,7 @@ finite unless the power tail has eta <= 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from ._codec import JsonCodec
 from ._numerics import checked_quad, log_quad, special
-from .errors import InversionError, ParameterError
+from .errors import InversionError, ParameterError, QuadratureError
 
 __all__ = [
     "SeedDistribution",
@@ -52,47 +53,51 @@ __all__ = [
 ]
 
 
+_TERMS = 1000   # the cap on the terms of each series and continued fraction below
+
+
+@functools.lru_cache(maxsize=256)   # keeps Gamma(a, 1), which each z < 1 reads
 def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
     """Upper incomplete gamma for any real a, z > 0; times e^z if ``scaled``
-    (finite where e^z overflows, for a < 1).
+    (finite where e^z overflows, for a <= 1).
 
-    For a < 1 and z > 2: Legendre's continued fraction e^-z z^a / (z + 1 - a
-    - 1 (1 - a) / (z + 3 - a - ...)) by modified Lentz, whose denominators
-    stay positive there.  Other nonpositive a is lifted into (0, 1] and walked
-    down by Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a, whose subtractions
-    cancel once z is large.  Within 0.01 of a negative integer or 0, one step
-    divides by a number near 0 (1e-9 lost at a = -1e-6), so there Gamma(a, z)
-    is the integral of the positive exp(a u - e^u) over u > log z.
+    For a <= 1 and z >= 1: Legendre's continued fraction e^-z z^a / (z + 1 - a
+    - 1 (1 - a) / (z + 3 - a - ...)).  Modified Lentz, whose denominators stay
+    positive there, finds the depth where it has converged, and the fraction is
+    summed back from there: within 7e-16 of 40-digit mpmath at z in [1, 3], where
+    Lentz's running product lost 5e-15.  For a <= 1 and z < 1, Gamma(a, 1) adds
+    the positive integral_z^1 t^(a-1) e^-t dt = sum_k (-1)^k (1 - z^(a+k)) / (k! (a+k)),
+    whose terms at a + k = 0 read -log z; its terms shrink once a + k > 0, so a
+    near a negative integer divides by no number near 0.  Only a > 1 takes SciPy.
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
-    if a < 1.0 and z > 2.0:
+    if a > 1.0:
+        return float(special.gammaincc(a, z)) * math.gamma(a) * (math.exp(z) if scaled else 1.0)
+    if z >= 1.0:
         b = z + 1.0 - a
-        c, d, h = math.inf, 1.0 / b, 1.0 / b
-        for i in range(1, 1000):
+        c, d = math.inf, 1.0 / b
+        for i in range(1, _TERMS):
             b += 2.0
             d = 1.0 / (b - i * (i - a) * d)
             c = b - i * (i - a) / c
-            h *= d * c
             if abs(d * c - 1.0) < 1e-16:
                 break
-        return math.exp(a * math.log(z) - (0.0 if scaled else z)) * h
-    scale = math.exp(z) if scaled else 1.0
-    if a < 0.0 and 0.0 < abs(a - round(a)) < 0.01:
-        # the integrand is below exp(-1000) past u = 7
-        return scale * checked_quad(lambda u: math.exp(a * u - math.exp(u)), math.log(z), 7.0)
-    steps = 0
-    while a < 0.0:
-        a += 1.0
-        steps += 1
-    if a == 0.0:
-        value = float(special.exp1(z))
-    else:
-        value = float(special.gammaincc(a, z)) * math.gamma(a)
-    for _ in range(steps):
-        a -= 1.0
-        value = (value - z ** a * math.exp(-z)) / a
-    return scale * value
+        else:
+            raise QuadratureError(f"Gamma({a}, {z}): Legendre's fraction did not converge")
+        tail = 0.0
+        for k in range(i, 0, -1):
+            tail = k * (k - a) / (z + 2.0 * k + 1.0 - a - tail)
+        return math.exp(a * math.log(z) - (0.0 if scaled else z)) / (z + 1.0 - a - tail)
+    log_z, term, value = math.log(z), 1.0, _upper_gamma(a, 1.0)
+    for k in range(_TERMS):
+        q = a + k
+        part = term * (-log_z if q == 0.0 else -math.expm1(q * log_z) / q)
+        value += part
+        if q > 0.0 and abs(part) < 1e-17 * value:
+            return value * (math.exp(z) if scaled else 1.0)
+        term /= -(k + 1.0)
+    raise QuadratureError(f"Gamma({a}, {z}): its series did not converge")
 
 
 def _power_int(a, b, p: float):

@@ -786,6 +786,23 @@ def test_sample_and_hub_never_load_scipy_special(tmp_path):
     assert _run_python(code, *args).split()[-1] == "False"
 
 
+def test_motifs_gf2_and_report_never_load_scipy(tmp_path):
+    # the special functions these reach take NumPy and math on power-law
+    # configs; beta = 3 walks from a0 = 0, beta = 1.5 from a0 = 1/2
+    args = []
+    for beta in (1.5, 3.0):
+        cfg = _write_config(tmp_path, f"beta{beta}.json")
+        data = json.loads(cfg.read_text())
+        data["ensemble"]["mixing"]["beta"] = beta
+        cfg.write_text(json.dumps(data))
+        args += [command for name in ("motifs", "gf2", "report") for command in (name, str(cfg))]
+    code = ("import sys, exchgraph.cli\n"
+            "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert exchgraph.cli.main([command, '--config', path]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    assert _run_python(code, *args).splitlines()[-1] == "[]"
+
+
 def test_public_names_resolve():
     # a stale __all__ entry breaks only the star import that reads it
     for info in pkgutil.iter_modules(exchgraph.__path__):

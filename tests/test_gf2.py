@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exchgraph import ensemble, gf2
+from exchgraph import ensemble, gf2, seeds
+from exchgraph._numerics import logsumexp
 from exchgraph.ensemble import (BitMatrix, EnsembleConfig, ExplicitRows,
                                 SquareRows, draw_adjacency, replica_blocks,
                                 sample_graph)
-from exchgraph.errors import ConfigError, NoThresholdError, ParameterError
+from exchgraph.errors import ConfigError, NoThresholdError, ParameterError, QuadratureError
 from exchgraph.gf2 import (DegenerateTermWarning, Gf2Report, RateReport,
                            _transpose_words, expected_solutions, gamma_critical,
                            log_expected_solutions, mc_kernel_mean, rank_gf2,
@@ -266,10 +267,41 @@ def test_expected_solutions_rejects_bad_dimensions():
     # number near 0
     (-1e-6, 1.9), (-1.000001, 1.9), (-1e-9, 0.5)])
 def test_upper_gamma_matches_mpmath(a, z):
-    # a downward recurrence from (0, 1] cancels at large z
+    # large z, where a downward recurrence from (0, 1] would cancel
     with mpmath.workdps(30):
         exact = float(mpmath.gammainc(a, z))
     assert _upper_gamma(a, z) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [-8.0, -7.3, -2.000001, -2.0, -1.5, -0.995, -0.5, 0.0, 1e-3,
+                               0.01, 0.5, 0.99, 1.0])
+def test_upper_gamma_matches_mpmath_on_a_grid(a):
+    # z from 1e-12 to 50, and on either side of z = 1, where the series meets
+    # the continued fraction; near a negative integer the series has a term
+    # divided by a + k near 0, whose numerator 1 - z**(a+k) is as small
+    zs = [*np.geomspace(1e-12, 50.0, 25).tolist(), 0.999, 1.0, 1.001, 2.0]
+    with mpmath.workdps(40):
+        want = [float(mpmath.gammainc(a, z)) for z in zs]
+    np.testing.assert_allclose([_upper_gamma(a, z) for z in zs], want, rtol=1e-12)
+
+
+def test_upper_gamma_fails_loudly_past_its_cap(monkeypatch):
+    _upper_gamma.cache_clear()
+    _upper_gamma(0.25, 1.0)     # cached before the cap falls: each z < 1 reads it
+    monkeypatch.setattr(seeds, "_TERMS", 3)
+    with pytest.raises(QuadratureError, match="fraction did not converge"):
+        _upper_gamma(0.25, 1.5)
+    with pytest.raises(QuadratureError, match="series did not converge"):
+        _upper_gamma(0.25, 0.5)
+
+
+def test_logsumexp():
+    assert logsumexp([-math.inf, -math.inf]) == -math.inf
+    assert logsumexp([-3.25]) == -3.25
+    for terms in (np.linspace(-1000.0, 0.0, 7), np.linspace(0.0, 1000.0, 7)):
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.fsum(mpmath.exp(t) for t in terms.tolist())))
+        assert logsumexp(terms) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_power_law_t_laplace_matches_mpmath_just_above_beta_two():

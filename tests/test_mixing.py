@@ -10,15 +10,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from exchgraph import _numerics
+from exchgraph import _numerics, mixing
 from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
 from exchgraph.degrees import in_pmf_exact, limit_pmf, out_pmf_exact, tail_asymptote
 from exchgraph.ensemble import EnsembleConfig
 from exchgraph.errors import ParameterError, QuadratureError
 from exchgraph.hub import competing_moment_constant, hub_limit_cdf
-from exchgraph.mixing import (_upper_beta, DiracMixing, HierarchicalMixing, MixingSpec,
-                              ModulatedPowerLawMixing, PowerLawMixing, SeedCdfMixing,
-                              log_row_prob, moment, sample_thetas, tail, xi)
+from exchgraph.mixing import (_hyp2f1_half, _upper_beta, DiracMixing, HierarchicalMixing,
+                              MixingSpec, ModulatedPowerLawMixing, PowerLawMixing,
+                              SeedCdfMixing, log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
                              ModulatedPowerLawSeed, PowerLawSeed, SeedDistribution)
 
@@ -333,6 +333,43 @@ def test_upper_beta_matches_mpmath(a):
     assert all(inside[i] for i, (b, x) in enumerate(cases) if b * x <= 1.1)
     want = [_upper_beta_by_mpmath(a, b, x) for (b, x), ok in zip(cases, inside) if ok]
     assert_allclose(got[inside], want, rtol=1e-10)
+
+
+# the base of the walk, a0 in [0, 1]: b from 1 to 1e6 at b x from 0.1 to 40
+UPPER_BETA_BASE_CASES = [(b, bx / b) for b in (1, 2, 12, 1000, 10**6)
+                         for bx in (0.1, 0.9, 2.0, 16.0, 40.0) if bx < b]
+
+
+@pytest.mark.parametrize("a0", [0.0, 1e-3, 0.01, 0.5, 0.99, 1.0])
+def test_upper_beta_base_matches_mpmath(a0):
+    # the oracle is mpmath's hypergeometric incomplete beta B_(1-x)(b, a0), or
+    # (1-x)**b Lerch's phi(1-x, 1, b) at a0 = 0, at 40 digits; quadrature is no
+    # oracle where U is tiny.  At a0 = 1 it is checked against U = (1-x)**b / b
+    with mpmath.workdps(40):
+        want = []
+        for b, x in UPPER_BETA_BASE_CASES:
+            z = 1 - mpmath.mpf(x)
+            want.append(z ** b * mpmath.lerchphi(z, 1, b) if a0 == 0
+                        else mpmath.betainc(b, a0, 0, z))
+            if a0 == 1:
+                assert abs(want[-1] * b / z ** b - 1) < 1e-35
+    got = [_upper_beta_at(a0, b, x) for b, x in UPPER_BETA_BASE_CASES]
+    assert_allclose(got, [float(w) for w in want], rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0001, 1.5, 2.0, 3.7, 6.05, 10.0])
+def test_signed_moment_tail_series_matches_mpmath(beta):
+    # 2F1(beta, 1; i + 2; 1/2) at every order i up to n = 3000
+    c = np.arange(3001) + 2.0
+    with mpmath.workdps(40):
+        want = [float(mpmath.hyp2f1(beta, 1, ci, 0.5)) for ci in c.tolist()]
+    assert_allclose(_hyp2f1_half(beta, c), want, rtol=1e-14)
+
+
+def test_series_fail_loudly_past_their_cap(monkeypatch):
+    monkeypatch.setattr(mixing, "_TERMS", 3)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        xi(PowerLawMixing(alpha=1.0, beta=1.5), 100, 5)
 
 
 def test_upper_beta_declines_near_an_integer_and_on_long_walks():
