@@ -102,6 +102,25 @@ exchgraph hub --config "$work/hierarchical.json"
 exchgraph gf2 --config "$work/hierarchical.json"
 
 echo
+echo "== gf2 with one cutoff shared by all rows: the mean averaged over it =="
+# hub refuses shared-bias variants, so gf2 takes a config of its own
+cat > "$work/hierarchical_shared.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 2000,
+    "mixing": {"variant": "hierarchical", "A": 1.0, "beta": 2.5, "gamma_exp": 4.0},
+    "variant": "hierarchical",
+    "master_seed": 42,
+    "replicas": 200
+  },
+  "output_dir": "OUT",
+  "gf2": {"n": 64}
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/hierarchical_shared\"#" "$work/hierarchical_shared.json"
+exchgraph gf2 --config "$work/hierarchical_shared.json"
+
+echo
 echo "== degrees, hub, gf2 on a modulated power law: its seed, cut at n =="
 cat > "$work/modulated.json" <<'EOF'
 {

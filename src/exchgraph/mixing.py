@@ -46,11 +46,11 @@ into two single-sign integrals at every order i >= 1, so no alternating sum canc
 For the pure power family the row polynomial and both halves of the split
 signed moment are incomplete beta functions, in closed form wherever that
 holds ``REL_TOL``: SciPy's B(a, b) I_x^c(a, b) for row weights r > beta - 1, and
-``_upper_beta``, in NumPy and math, for the rest and for the head of every signed
+``_log_upper_beta``, in NumPy and math, for the rest and for the head of every signed
 moment, whose tail is a positive series; log B takes Stirling's series from 10.
 Quadrature (the scalar hooks ``_log_row_prob`` and ``_xi``, also the oracle of
-each closed form) stays for beta within ``_XI_LIFT_MIN`` above an integer,
-orders beyond ``_WALK_GAIN_MAX``, xi at 2 alpha >= n, and other families.
+each closed form) stays for xi at 2 alpha > n, rows whose incomplete beta underflows
+(from alpha ~ 530 at n = 1000, never at alpha <= 500), and other families.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ __all__ = [
     "log_row_prob",
 ]
 
-# _upper_beta walks down from a - floor(a) in (0, 1), dividing first by beta's
-# distance above the integer below it.  Measured against mpmath at n <= 5e4
-# that costs 2e-10 at a distance of 1e-4, 1e-11 at 1e-3 and 3e-12 at 1e-2, so
-# under 1e-2 quadrature stays.  Integer beta starts from a = 0 and has no such step.
-_XI_LIFT_MIN = 0.01
-# Each step magnifies the error of the one before by |(a+b) U(a+1, b) / (a U(a, b))|,
-# about b x / |a| for b x > |a|.  Against mpmath (a in [-8, 1], b <= 5e4) the error
-# stayed under 4e-15 times their product, so above 1e4 (b x past 10-40) quadrature stays.
-_WALK_GAIN_MAX = 1e4
 _TERMS = 1000   # the cap on the terms of the series in _hyp2f1_half
 
 
@@ -126,16 +117,18 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _log_rise(c, b):
-    """log Gamma(b + c) - log Gamma(b) elementwise for b > 0, c >= 0, at least 1-D:
-    below b = 10 by ``math.lgamma``, else by Stirling's series, whose terms of size
+    """log Gamma(b + c) - log Gamma(b) elementwise for b > 0 and b + c > 0, at least 1-D;
+    at c < 0 as -(log Gamma(b) - log Gamma(b + c)), so the smaller argument is the base:
+    below a base of 10 by ``math.lgamma``, else by Stirling's series, whose terms of size
     b log b cancel exactly (a difference of log-gammas loses about eps b log b)."""
     c, b = np.broadcast_arrays(*np.atleast_1d(c, b))
+    sign, b, c = np.where(c < 0, -1.0, 1.0), np.minimum(b, b + c), np.abs(c)
     big = np.maximum(b, 10.0)
     out = ((big - 0.5) * np.log1p(c / big) + c * np.log(big + c) - c
            + _stirling_rest(big + c) - _stirling_rest(big))
     small = b < 10.0
     out[small] = _lgamma(b[small] + c[small]) - _lgamma(b[small])
-    return out
+    return sign * out
 
 
 def _log_beta(a, b):
@@ -150,40 +143,41 @@ def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
     return -math.log(n + 1.0) - _log_beta(ks + 1.0, n - ks + 1.0)
 
 
-def _upper_beta(a, b, x: float):
-    """U(a, b; x) = integral_x^1 u**(a-1) (1-u)**(b-1) du elementwise over a <= 1,
-    integer b >= 1, 0 < x < 1: by parts, a U(a, b) = (a + b) U(a + 1, b) - x**a (1-x)**b,
-    down from a0 = a - floor(a) in [0, 1], where Euler's transformation of its 2F1 gives
-    positive terms: U(a0, b) = x**a0 Gamma(b) / Gamma(a0 + b) sum_{j >= b} t_j, t_j =
-    Gamma(a0 + j) / Gamma(j + 1) (1-x)**j.  NaN where the walk does not hold ``REL_TOL``."""
+def _log_upper_beta(a, b, x: float):
+    """log U(a, b; x), U = integral_x^1 u**(a-1) (1-u)**(b-1) du, elementwise over a <= 1,
+    integer b >= 1, 0 < x < 1.  Where a + b > 0, Euler's transformation of its 2F1 gives
+    positive terms: U(a, b) = x**a Gamma(b) / Gamma(a + b) sum_{j >= b} t_j, t_j =
+    Gamma(a + j) / Gamma(j + 1) (1-x)**j.  Below, a U(a, b) = (a + b) U(a + 1, b) - x**a
+    (1-x)**b (by parts) steps down from a + b in (0, 1]; with a and a + b negative, each
+    step adds two positive terms.  The terms of each a are scaled by its first, at the
+    smallest b, so a U more than e**-700 below that reads -inf."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    steps = np.maximum(-np.floor(a), 0.0)
-    a0, lam, gain = a + steps, -math.log1p(-x), np.ones(a.shape)
+    steps = np.maximum(np.floor(-a - b) + 1.0, 0.0)
+    a0, lam, log_x = a + steps, -math.log1p(-x), math.log(x)
     out = np.empty(a.shape)
-    with np.errstate(all="ignore"):
+    with np.errstate(divide="ignore"):
         for c in np.unique(a0).tolist():
             bs = b[a0 == c]
             lo, hi = int(bs.min()), int(bs.max()) + 8192
             j = np.arange(hi, lo - 1, -1.0)
-            t = np.exp(_log_rise(c, j) - np.log(j) - lam * j)
+            log_t = _log_rise(c, j) - np.log(j) - lam * j
+            t = np.exp(log_t - log_t[-1])
             # from K = hi on by Euler-Maclaurin: t_K / 2 - t'_K / 12 and the integral of t_u ~
             # w**(c-1) (1 - c (c-1) (c-2) / (24 w**2)) e**(-lam u), w = u + c/2, to O(w**-4); off
             # by (lam + 1/K)**4 / 120 of the sum: 5e-12 at most, since lam K > 40 leaves no rest
             w = hi + c / 2.0
-            z, g = lam * w, _upper_gamma(c, lam * w)
-            rest = (math.exp(lam * c / 2.0) * lam ** -c * (g - c * lam * lam / 24.0 * (
-                g - z ** (c - 1.0) * math.exp(-z) * (1.0 + (c - 1.0) / z)))
+            z, g = lam * w, _upper_gamma(c, lam * w, scaled=True)    # Gamma(c, z) / (z**c e**-z)
+            rest = (math.exp(lam * c / 2.0 + c * math.log(w) - z - log_t[-1]) * (
+                g - c * lam * lam / 24.0 * (g - (1.0 + (c - 1.0) / z) / z))
                 + t[0] * (6.0 + lam - (c - 1.0) / w) / 12.0)
-            out[a0 == c] = (np.exp(c * math.log(x) - _log_rise(c, bs))
-                            * (rest + np.cumsum(t[1:]))[hi - 1 - bs.astype(int)])
+            out[a0 == c] = (c * log_x - _log_rise(c, bs) + log_t[-1]
+                            + np.log((rest + np.cumsum(t[1:]))[hi - 1 - bs.astype(int)]))
         for s in range(int(steps.max(initial=0.0))):
-            c = a0 - s - 1.0
-            big = (c + b) * out
-            down = (big - x ** c * np.exp(-lam * b)) / c
-            # a step from an underflowed U cancels nothing, so it magnifies no error
-            gain = np.where((steps > s) & (big != 0.0), gain * np.abs(big / (c * down)), gain)
-            out = np.where(steps > s, down, out)
-    return np.where((steps > 0) & (a0 > 1 - _XI_LIFT_MIN) | ~(gain <= _WALK_GAIN_MAX), np.nan, out)
+            down = steps > s
+            c, bd = a0[down] - s - 1.0, b[down]
+            out[down] = np.logaddexp(out[down] + np.log((c + bd) / c),
+                                     c * log_x + bd * math.log1p(-x) - np.log(-c))
+    return out
 
 
 def _hyp2f1_half(beta: float, c):
@@ -339,7 +333,7 @@ class PowerLawMixing(_SeedTruncation):
 
     def _log_row_probs(self, n, rs):
         # integral_{alpha/n}^1 theta**(a-1) (1-theta)**(b-1) with a = r + 1 - beta
-        # and b = n - r + 1: B(a, b) I_{alpha/n}^c(a, b) for a > 0, else _upper_beta
+        # and b = n - r + 1: B(a, b) I_{alpha/n}^c(a, b) for a > 0, else U(a, b)
         a = rs + 1.0 - self.beta
         b = n - rs + 1.0
         out = np.empty(rs.shape)
@@ -348,30 +342,28 @@ class PowerLawMixing(_SeedTruncation):
             if up.any():    # SciPy's incomplete beta, where x**a cancels against B(a, b)
                 out[up] = (_log_beta(a[up], b[up])
                            + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
-            out[~up] = np.log(_upper_beta(a[~up], b[~up], self.alpha / n))
+        out[~up] = _log_upper_beta(a[~up], b[~up], self.alpha / n)
         out -= self._log_norm_theta(n)
-        # orders _upper_beta leaves out, or an incomplete beta that underflowed
+        # an incomplete beta that underflowed: from alpha ~ 530 at n = 1000 and ~ 720-750
+        # at n from 1e4 to 1e6, never at alpha <= 500
         redo = ~np.isfinite(out)
         out[redo] = super()._log_row_probs(n, rs[redo])
         return out
 
     def _xis(self, n, orders):
         x = 2.0 * self.alpha / n
-        if not x < 1.0:
+        if x > 1.0:     # theta > 1/2 throughout: one single-sign integral per order
             return super()._xis(n, orders)
         b = orders + 1.0
-        # head: integral_{alpha/n}^{1/2} theta**-beta (1 - 2 theta)**i = 2**(beta-1) U(1 - beta, b)
+        # head: integral_{alpha/n}^{1/2} theta**-beta (1 - 2 theta)**i = 2**(beta-1) U(1 - beta, b),
+        #   empty at 2 alpha = n
         # tail: integral_{1/2}^1 theta**-beta (2 theta - 1)**i
         #   = 2**(beta-1) integral_0^1 v**i (1+v)**-beta = 2F1(beta, 1; i+2; 1/2) / (2 b)
-        tail_part = _hyp2f1_half(self.beta, b + 1.0) / (2.0 * b)
-        out = np.where(orders > 0, (
-            2.0 ** (self.beta - 1.0) * _upper_beta(1.0 - self.beta, b, x)
-            + np.where(orders % 2, -1.0, 1.0) * tail_part) * math.exp(-self._log_norm_theta(n)),
-            1.0)
-        # the orders _upper_beta leaves out
-        redo = ~np.isfinite(out)
-        out[redo] = super()._xis(n, orders[redo])
-        return out
+        log_norm = self._log_norm_theta(n)
+        tail_part = _hyp2f1_half(self.beta, b + 1.0) / (2.0 * b) * math.exp(-log_norm)
+        head = (np.exp((self.beta - 1.0) * math.log(2.0) + _log_upper_beta(1.0 - self.beta, b, x)
+                       - log_norm) if x < 1.0 else 0.0)
+        return np.where(orders > 0, head + np.where(orders % 2, -1.0, 1.0) * tail_part, 1.0)
 
     def _sample(self, n, rng, size):
         return _power_quantile(rng.random(size), self.alpha, n, self.beta)

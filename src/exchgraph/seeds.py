@@ -58,8 +58,8 @@ _TERMS = 1000   # the cap on the terms of each series and continued fraction bel
 
 @functools.lru_cache(maxsize=256)   # keeps Gamma(a, 1), which each z < 1 reads
 def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
-    """Upper incomplete gamma for any real a, z > 0; times e^z if ``scaled``
-    (finite where e^z overflows, for a <= 1).
+    """Upper incomplete gamma for any real a, z > 0; if ``scaled``, in units of
+    z^a e^-z (finite where z^a or e^z overflows, for a <= 1).
 
     For a <= 1 and z >= 1: Legendre's continued fraction e^-z z^a / (z + 1 - a
     - 1 (1 - a) / (z + 3 - a - ...)).  Modified Lentz, whose denominators stay
@@ -68,12 +68,15 @@ def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
     Lentz's running product lost 5e-15.  For a <= 1 and z < 1, Gamma(a, 1) adds
     the positive integral_z^1 t^(a-1) e^-t dt = sum_k (-1)^k (1 - z^(a+k)) / (k! (a+k)),
     whose terms at a + k = 0 read -log z; its terms shrink once a + k > 0, so a
-    near a negative integer divides by no number near 0.  Only a > 1 takes SciPy.
+    near a negative integer divides by no number near 0.  Scaled, a term's
+    z^-a (1 - z^(a+k)) reads z^k (z^-(a+k) - 1), finite where z^(a+k) overflows.
+    Only a > 1 takes SciPy.
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
     if a > 1.0:
-        return float(special.gammaincc(a, z)) * math.gamma(a) * (math.exp(z) if scaled else 1.0)
+        return (float(special.gammaincc(a, z)) * math.gamma(a)
+                * (math.exp(z - a * math.log(z)) if scaled else 1.0))
     if z >= 1.0:
         b = z + 1.0 - a
         c, d = math.inf, 1.0 / b
@@ -88,11 +91,15 @@ def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
         tail = 0.0
         for k in range(i, 0, -1):
             tail = k * (k - a) / (z + 2.0 * k + 1.0 - a - tail)
-        return math.exp(a * math.log(z) - (0.0 if scaled else z)) / (z + 1.0 - a - tail)
-    log_z, term, value = math.log(z), 1.0, _upper_gamma(a, 1.0)
+        return (1.0 if scaled else math.exp(a * math.log(z) - z)) / (z + 1.0 - a - tail)
+    log_z, term = math.log(z), 1.0
+    value = _upper_gamma(a, 1.0) * (math.exp(-a * log_z) if scaled else 1.0)
     for k in range(_TERMS):
         q = a + k
-        part = term * (-log_z if q == 0.0 else -math.expm1(q * log_z) / q)
+        if scaled:
+            part = term * math.exp(k * log_z) * (-log_z if q == 0.0 else math.expm1(-q * log_z) / q)
+        else:
+            part = term * (-log_z if q == 0.0 else -math.expm1(q * log_z) / q)
         value += part
         if q > 0.0 and abs(part) < 1e-17 * value:
             return value * (math.exp(z) if scaled else 1.0)
@@ -344,13 +351,12 @@ class ParetoTailSeed(SeedDistribution):
     # with u = alpha + t, both are e^z integrals of u**p e^(-s u) over u > alpha, z = alpha s
     def _laplace(self, s: float) -> float:
         z = self.alpha * s
-        return self.eta * z ** self.eta * _upper_gamma(-self.eta, z, scaled=True)
+        return self.eta * _upper_gamma(-self.eta, z, scaled=True)
 
     def _t_laplace(self, s: float) -> float:
         z = self.alpha * s
-        return (self.eta * self.alpha ** self.eta * s ** (self.eta - 1.0)
-                * (_upper_gamma(1.0 - self.eta, z, scaled=True)
-                   - z * _upper_gamma(-self.eta, z, scaled=True)))
+        return self.eta * self.alpha * (_upper_gamma(1.0 - self.eta, z, scaled=True)
+                                        - _upper_gamma(-self.eta, z, scaled=True))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from exchgraph import _numerics, mixing
-from exchgraph._numerics import checked_quad, integrate, spawn_rng, special
+from exchgraph._numerics import REL_TOL, checked_quad, integrate, spawn_rng, special
 from exchgraph.degrees import in_pmf_exact, limit_pmf, out_pmf_exact, tail_asymptote
 from exchgraph.ensemble import EnsembleConfig
 from exchgraph.errors import ParameterError, QuadratureError
+from exchgraph.gf2 import log_expected_solutions
 from exchgraph.hub import competing_moment_constant, hub_limit_cdf
-from exchgraph.mixing import (_hyp2f1_half, _upper_beta, DiracMixing, HierarchicalMixing,
+from exchgraph.mixing import (_hyp2f1_half, _log_upper_beta, DiracMixing, HierarchicalMixing,
                               MixingSpec, ModulatedPowerLawMixing, PowerLawMixing,
                               SeedCdfMixing, log_row_prob, moment, sample_thetas, tail, xi)
 from exchgraph.seeds import (DiracSeed, ExponentialSeed, GammaSeed, HierarchicalSeed,
@@ -305,37 +306,50 @@ def test_hierarchical_row_law_at_large_n(n):
     assert np.all(np.abs(got - cut) <= ((LARGE_N_ROWS + 1.0) / n) ** (beta - 1.0))
 
 
-def _upper_beta_by_mpmath(a, b, x):
-    # tanh-sinh at 30 digits, split geometrically from x on the scale of the
-    # faster of the two factors
-    with mpmath.workdps(30):
+def _log_upper_beta_by_mpmath(a, b, x):
+    # Euler's form (1-x)**b x**a / b 2F1(a + b, 1; b + 1; 1-x) at 40 digits; 30-digit
+    # tanh-sinh quadrature read 4.3e-7 off at a = -2.009, b = 11, x = 0.9999
+    with mpmath.workdps(40):
         a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
-        h, points = min(x, 1 / b) / 4, [x]
-        while x + h < 1:
-            points.append(x + h)
-            h *= 2
-        return float(mpmath.quad(lambda u: u ** (a - 1) * (1 - u) ** (b - 1), points + [1]))
+        return float(mpmath.log((1 - x) ** b * x ** a / b * mpmath.hyp2f1(a + b, 1, b + 1, 1 - x)))
+
+
+def _log_upper_beta_at(a, b, x):
+    return float(_log_upper_beta(np.array([a]), np.array([float(b)]), x)[0])
 
 
 def _upper_beta_at(a, b, x):
-    return float(_upper_beta(np.array([a]), np.array([float(b)]), x)[0])
+    return math.exp(_log_upper_beta_at(a, b, x))
 
 
-# integer and non-integer a in [-4, 1], with -0.99 and -1.01 on either side of
-# the lift; b from 1 to 5e4; b x around 1 and past the edge of the walk
-@pytest.mark.parametrize("a", [1.0, 0.0, -1.0, -2.0, -4.0, 0.5, -0.99, -1.01, -2.5, -3.7])
+# b from 1 to 5e4, with b <= -a (a + b <= 0, where the form steps down in a) for
+# every a below -1; b x from 0.01 to 40, and x up to 0.9999
+UPPER_BETA_CASES = sorted({(b, bx / b) for b in (1, 2, 5, 12, 19, 3001, 50_001)
+                           for bx in (0.01, 0.9, 1.0, 1.1, 16.0, 25.0, 40.0) if bx < b}
+                          | {(b, x) for b in (1, 2, 5, 12, 19, 3001) for x in (0.5, 0.9999)})
+
+
+# integers in [-19, 1], points just above and below them, and halfway and beyond
+@pytest.mark.parametrize("a", [1.0, 0.0, -1.0, -2.0, -4.0, 0.5, -0.99, -1.01, -2.5, -3.7,
+                               -1.005, -2.0001, -3.009, -9.001, -19.0])
 def test_upper_beta_matches_mpmath(a):
-    cases = [(b, bx / b) for b in (1, 12, 50_001) for bx in (0.01, 0.9, 1.0, 1.1, 16.0, 40.0)
-             if bx < b]
-    got = np.array([_upper_beta_at(a, b, x) for b, x in cases])
-    inside = np.isfinite(got)
-    # the closed form covers every b x up to 1.1; further out the walk may decline
-    assert all(inside[i] for i, (b, x) in enumerate(cases) if b * x <= 1.1)
-    want = [_upper_beta_by_mpmath(a, b, x) for (b, x), ok in zip(cases, inside) if ok]
-    assert_allclose(got[inside], want, rtol=1e-10)
+    got = np.array([_log_upper_beta_at(a, b, x) for b, x in UPPER_BETA_CASES])
+    assert np.all(np.isfinite(got))
+    want = np.array([_log_upper_beta_by_mpmath(a, b, x) for b, x in UPPER_BETA_CASES])
+    assert np.all(np.abs(got - want) <= 1e-12 + 1e-15 * np.abs(want))
 
 
-# the base of the walk, a0 in [0, 1]: b from 1 to 1e6 at b x from 0.1 to 40
+@pytest.mark.parametrize("c", [-19.5, -9.001, -0.5, 0.5, 9.001])
+def test_log_rise_matches_mpmath(c):
+    # at c < 0 from the smaller argument b + c: the Stirling branch read at b + c < 10
+    # was 4e-5 off at c = -9.001, b = 10
+    bs = [b for b in (1.0, 10.0, 20.0, 1e3, 1e6) if b + c > 0]
+    with mpmath.workdps(40):
+        want = [float(mpmath.loggamma(b + mpmath.mpf(c)) - mpmath.loggamma(b)) for b in bs]
+    assert_allclose(mixing._log_rise(c, np.array(bs)), want, rtol=1e-13, atol=1e-13)
+
+
+# a0 in [0, 1]: b from 1 to 1e6 at b x from 0.1 to 40
 UPPER_BETA_BASE_CASES = [(b, bx / b) for b in (1, 2, 12, 1000, 10**6)
                          for bx in (0.1, 0.9, 2.0, 16.0, 40.0) if bx < b]
 
@@ -370,12 +384,6 @@ def test_series_fail_loudly_past_their_cap(monkeypatch):
     monkeypatch.setattr(mixing, "_TERMS", 3)
     with pytest.raises(QuadratureError, match="did not converge"):
         xi(PowerLawMixing(alpha=1.0, beta=1.5), 100, 5)
-
-
-def test_upper_beta_declines_near_an_integer_and_on_long_walks():
-    assert math.isnan(_upper_beta_at(-1.005, 3001, 1.0 / 3001))
-    assert math.isfinite(_upper_beta_at(-4.0, 50_001, 16.0 / 50_001))
-    assert math.isnan(_upper_beta_at(-4.0, 50_001, 25.0 / 50_001))
 
 
 def test_order_arrays_keep_their_shape():
@@ -741,8 +749,9 @@ def test_hierarchical_weight_matches_two_level_quadrature(A, beta, gamma_exp, n)
     assert_allclose(xi(spec, n, orders), want, rtol=1e-12, atol=0)
 
 
-def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
-    # the nested route made 7790 calls here
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The list that each ``checked_quad`` call appends to from here on."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -750,27 +759,86 @@ def test_hierarchical_row_law_takes_one_quadrature_per_order(monkeypatch):
         return checked_quad(*args, **kwargs)
 
     monkeypatch.setattr(_numerics, "checked_quad", counting)
-    pmf = out_pmf_exact(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5), 40, range(41))
-    assert len(calls) <= 41
-    assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
+    return calls
 
+
+def test_hierarchical_row_law_takes_one_quadrature_per_order(quad_calls):
+    # the nested route made 7790 calls here
+    pmf = out_pmf_exact(HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5), 40, range(41))
+    assert len(quad_calls) <= 41
+    assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5),
                                   SeedCdfMixing(seed=GammaSeed(r=2.0, gamma=1.0))])
-def test_xi_takes_two_quadratures_per_order(spec, monkeypatch):
+def test_xi_takes_two_quadratures_per_order(spec, quad_calls):
     # every order from 1 splits at theta = 1/2, one quadrature per half; order 0 is 1
     order_by_order = [xi(spec, 40, i) for i in range(41)]
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return checked_quad(*args, **kwargs)
-
-    monkeypatch.setattr(_numerics, "checked_quad", counting)
+    quad_calls.clear()
     values = xi(spec, 40, range(41))
-    assert len(calls) == 80
+    assert len(quad_calls) == 80
     assert values.tolist() == order_by_order
+
+
+POWER_BETAS = [1.001, 1.5, 2.0, 2.0001, 3.0, 3.009, 10.0]
+
+
+def _orders(n):
+    """Every order up to n = 1000, else a geometric sample with both ends."""
+    if n <= 1000:
+        return np.arange(n + 1)
+    return np.unique(np.r_[0, np.geomspace(1, n, 60).astype(int)])
+
+
+@pytest.mark.parametrize("n", [12, 1000, 10**6])
+def test_power_law_laws_take_no_quadrature(n, quad_calls):
+    # the incomplete beta of every xi head and of every row r <= beta - 1 is one positive
+    # sum; a row r > beta - 1 takes SciPy's, which underflows only above alpha ~ 530
+    orders = _orders(n)
+    b = orders + 1.0
+    for alpha in (1.0, n / 100, n / 2):
+        for beta in POWER_BETAS:
+            spec = PowerLawMixing(alpha=alpha, beta=beta)
+            assert np.all(np.isfinite(xi(spec, n, orders)))
+            if alpha <= 500:
+                assert np.all(np.isfinite(log_row_prob(spec, n, orders)))
+            if 2 * alpha < n:   # a head that reads -inf is below U <= x**-beta (1-x)**b / b,
+                x = 2 * alpha / n   # e**-40 of its tail 2F1(beta, 1; b + 1; 1/2) / (2 b)
+                lost = ~np.isfinite(_log_upper_beta(1.0 - beta, b, x))
+                bound = (beta - 1.0) * math.log(2.0) - beta * math.log(x) + b * math.log1p(-x)
+                tail_part = _hyp2f1_half(beta, b + 1.0) / 2.0
+                assert np.all(bound[lost] < np.log(tail_part[lost]) - 40.0)
+    assert quad_calls == []
+
+
+@pytest.mark.parametrize("n", [12, 1000, 10**6])
+def test_xi_at_the_half_cutoff_matches_quadrature(n):
+    # at 2 alpha = n the head is the empty integral; the tail is the positive series
+    orders = np.unique(np.geomspace(1, n, 6).astype(int))
+    for beta in (1.001, 2.0, 3.009, 10.001):
+        spec = PowerLawMixing(alpha=n / 2, beta=beta)
+        assert_allclose(xi(spec, n, orders), MixingSpec._xis(spec, n, orders), rtol=REL_TOL)
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(1e-3, 150.0, 10**6), (1.0, 150.0, 1000)])
+def test_steep_power_laws_match_quadrature(alpha, beta, n, quad_calls):
+    # Gamma(a, z) and x**a pass the float range at a = 1 - beta: the tail of the
+    # incomplete beta's sum takes Gamma in units of z**a e**-z, and xi its norm in logs
+    spec, orders = PowerLawMixing(alpha=alpha, beta=beta), np.array([1, 2, 5, 100])
+    got = xi(spec, n, orders), log_row_prob(spec, n, orders)
+    assert quad_calls == []
+    assert_allclose(got[0], MixingSpec._xis(spec, n, orders), rtol=REL_TOL)
+    assert_allclose(got[1], MixingSpec._log_row_probs(spec, n, orders), rtol=REL_TOL)
+
+
+def test_hierarchical_gf2_mean_takes_one_quadrature(quad_calls):
+    # the average over the shared cutoff takes one; the xi of every cutoff is closed
+    # form.  With a quadrature per half of each xi the mean took 1509 calls and read
+    # 93.50120171766932
+    spec = HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
+    value = log_expected_solutions(EnsembleConfig(400, spec, variant="hierarchical"))
+    assert len(quad_calls) == 1
+    assert value == pytest.approx(93.50120171766932, rel=1e-12)
 
 
 class TestImpliedSeed:
