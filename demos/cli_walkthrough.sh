@@ -141,6 +141,28 @@ exchgraph hub --config "$work/modulated.json"
 exchgraph gf2 --config "$work/modulated.json"
 
 echo
+echo "== sample, degrees, motifs, gf2 on a steep modulated power law: its sums in logs =="
+# alpha**(1 - beta) is 1e357 here, past the float range: every law of the
+# family is a sum over the pieces of g taken in logs
+cat > "$work/steep.json" <<'EOF'
+{
+  "ensemble": {
+    "n": 100,
+    "mixing": {"variant": "modulated_power_law", "alpha": 0.001, "beta": 120.0,
+               "g_table": [[0, 1], [10, 2]]},
+    "master_seed": 42,
+    "replicas": 2
+  },
+  "output_dir": "OUT"
+}
+EOF
+sed -i "s#\"OUT\"#\"$work/steep\"#" "$work/steep.json"
+exchgraph sample --config "$work/steep.json"
+exchgraph degrees --config "$work/steep.json"
+exchgraph motifs --config "$work/steep.json"
+exchgraph gf2 --config "$work/steep.json"
+
+echo
 echo "artifacts in $work/out:"
 ls "$work/out" | grep -cv '^replica_' | xargs -I{} echo "  {} reports and tables, plus:"
 ls "$work/out" | grep -c '^replica_' | xargs -I{} echo "  {} edge-list files"

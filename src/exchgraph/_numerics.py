@@ -164,10 +164,16 @@ def log_quad(log_func, a, b, points=()):
     return peak + math.log(value) if value > 0.0 else -np.inf
 
 
-def logsumexp(values) -> float:
-    """log of the sum of exp(values), the largest term factored out; -inf when all are -inf."""
-    top = float(np.max(values))
-    return top if top == -math.inf else top + float(np.log(np.exp(np.subtract(values, top)).sum()))
+def logsumexp(values):
+    """log of the sum of exp(values) over the last axis, the largest term factored out;
+    -inf where all are -inf."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 1:   # one term is its own log-sum
+        return values[..., 0]
+    top = values.max(axis=-1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(values - shift[..., None]).sum(axis=-1))
 
 
 def check_orders(k, what: str, hi=None) -> np.ndarray:

@@ -507,7 +507,7 @@ def _suite_degrees(run: RunConfig) -> dict:
         raise ConfigError("degree suite needs enough draws for two bins")
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs_bins, exp_bins)))
     p_value = float(special.chdtrc(df, stat))
-    tv = 0.5 * float(np.abs(counts / draws - pmf).sum())
+    tv = total_variation(counts / draws, pmf)
     ok = p_value >= block.min_p
     if block.tv_max is not None:
         ok = ok and tv <= block.tv_max

@@ -20,7 +20,7 @@ theta of a matrix row of width n.  The families implemented here:
 
 The Dirac, power-law, modulated power-law and seed-cdf families are seed
 truncations, their limit seed F cut at n (theta has CDF F(x n) / F(n)), stated
-once in ``_SeedTruncation``.
+once in ``_SeedTruncation``; the two power families share ``_PowerTruncation``.
 
 Public operations validate the spec against n and then call the family's
 own hooks: :func:`sample_thetas`, :func:`moment`, :func:`tail`, :func:`xi`,
@@ -34,10 +34,11 @@ domain; ``row_exponent`` is the one family hook beyond the seed.
 
 :func:`log_row_prob` and :func:`xi` take one order or an array of orders.
 
-Numerical policy: closed forms for Dirac and the pure power family, and the
-modulated family's moments, tails and draws from its seed's sums over pieces; elsewhere
-one log-space integral over t = n * theta in (lo, hi], ``_log_mean``: moments, tails
-(over (t n, n], not as a difference of CDFs), signed-moment halves, row polynomials and
+Numerical policy: closed forms for Dirac, and for the two power families their
+moments, tails and draws from their seed's one log-space sum over the pieces of g,
+so no power of alpha, n or Z overflows at steep beta; elsewhere one log-space
+integral over t = n * theta in (lo, hi], ``_log_mean``: moments, tails (over
+(t n, n], not as a difference of CDFs), signed-moment halves, row polynomials and
 shared-draw averages all take it.  A cut seed's is the seed's own integral over
 (lo, min(hi, n)], ``SeedDistribution._log_expect``, over F(n); the hierarchical family
 integrates its closed-form weight.  ``xi(i) = E (1 - 2 theta)**i`` splits at theta = 1/2
@@ -63,8 +64,8 @@ import numpy as np
 from ._codec import JsonCodec
 from ._numerics import check_orders, log_quad, shaped_like, special
 from .errors import ParameterError, QuadratureError
-from .seeds import (SeedDistribution, DiracSeed, HierarchicalSeed,
-                    ModulatedPowerLawSeed, PowerLawSeed, _upper_gamma)
+from .seeds import (SeedDistribution, DiracSeed, HierarchicalSeed, ModulatedPowerLawSeed,
+                    PowerLawSeed, _log_power_int, _power_quantile, _upper_gamma)
 
 __all__ = [
     "MixingSpec",
@@ -81,18 +82,6 @@ __all__ = [
 ]
 
 _TERMS = 1000   # the cap on the terms of the series in _hyp2f1_half
-
-
-def _log_power_int(a: float, b: float, p: float) -> float:
-    """log of integral_a^b t**p dt for 0 < a < b, any real p."""
-    if not 0 < a < b:
-        raise ParameterError(f"bad power-integral range [{a}, {b}]")
-    q = p + 1.0
-    if q == 0.0:
-        return math.log(math.log(b / a))
-    if q > 0:
-        return q * math.log(b) + math.log1p(-math.exp(q * math.log(a / b))) - math.log(q)
-    return q * math.log(a) + math.log1p(-math.exp(q * math.log(b / a))) - math.log(-q)
 
 
 def _log(x: float) -> float:
@@ -190,19 +179,6 @@ def _hyp2f1_half(beta: float, c):
         if np.all(term < 1e-17 * total):
             return total
     raise QuadratureError(f"2F1({beta}, 1; c; 1/2): its series did not converge")
-
-
-def _power_quantile(u, alpha, n: int, beta: float):
-    """theta at CDF level u under the density ~ theta**(-beta) on (alpha/n, 1].
-
-    F(x) = ((n/alpha)**(beta-1) - x**(1-beta)) / ((n/alpha)**(beta-1) - 1).
-    Overwrites the uniform array u, which it returns.
-    """
-    bm1 = beta - 1.0
-    top = (n / alpha) ** bm1
-    u *= top - 1.0
-    np.subtract(top, u, out=u)
-    return np.power(u, -1.0 / bm1, out=u)
 
 
 class MixingSpec(JsonCodec, tag="variant", error=ParameterError, family="mixing"):
@@ -303,33 +279,38 @@ class DiracMixing(_SeedTruncation):
         return np.full(size, self.lam / n)
 
 
+class _PowerTruncation(_SeedTruncation):
+    """A power-law family: its seed's piece table cut at n, in t = n theta on (alpha, n].
+    Moments and tails are ratios of the seed's log power sums, draws its quantile."""
+
+    def row_exponent(self):
+        return self.beta
+
+    def _log_norm(self, n: int) -> float:
+        """log integral of g(t) t**(-beta) dt over (alpha, n]."""
+        return float(self._seed._log_power_sum(-self.beta, n))
+
+    def _moment(self, n: int, i: int) -> float:     # in units of n, in logs: nothing overflows
+        return math.exp(float(self._seed._log_power_sum(i - self.beta, n)) - i * math.log(n)
+                        - self._log_norm(n))
+
+    def _tail(self, n: int, t: float) -> float:     # over (t n, n]: no difference of CDFs
+        return math.exp(float(self._seed._log_power_sum(-self.beta, n, t * n)) - self._log_norm(n))
+
+    def _sample(self, n, rng, size):
+        out = self._seed._quantile(rng.random(size), n)
+        out /= n
+        return out
+
+
 @dataclass(frozen=True)
-class PowerLawMixing(_SeedTruncation):
+class PowerLawMixing(_PowerTruncation):
     """Density Z_n**-1 theta**(-beta) on (alpha/n, 1]."""
 
     alpha: float
     beta: float
     variant = "power_law"
     seed_class = PowerLawSeed
-
-    # All integrals are ratios of power integrals over theta in (alpha/n, 1].
-    def _moment(self, n: int, i: int) -> float:
-        lo = self.alpha / n
-        return math.exp(_log_power_int(lo, 1.0, i - self.beta)
-                        - _log_power_int(lo, 1.0, -self.beta))
-
-    def _tail(self, n: int, t: float) -> float:
-        lo = self.alpha / n
-        if t >= 1.0:
-            return 0.0
-        if t <= lo:
-            return 1.0
-        return math.exp(_log_power_int(t, 1.0, -self.beta)
-                        - _log_power_int(lo, 1.0, -self.beta))
-
-    def _log_norm_theta(self, n: int) -> float:
-        # log integral_{alpha/n}^1 theta**(-beta) dtheta
-        return _log_power_int(self.alpha / n, 1.0, -self.beta)
 
     def _log_row_probs(self, n, rs):
         # integral_{alpha/n}^1 theta**(a-1) (1-theta)**(b-1) with a = r + 1 - beta
@@ -343,7 +324,7 @@ class PowerLawMixing(_SeedTruncation):
                 out[up] = (_log_beta(a[up], b[up])
                            + np.log(special.betaincc(a[up], b[up], self.alpha / n)))
         out[~up] = _log_upper_beta(a[~up], b[~up], self.alpha / n)
-        out -= self._log_norm_theta(n)
+        out -= self._log_norm(n) + (self.beta - 1.0) * math.log(n)    # the norm in theta
         # an incomplete beta that underflowed: from alpha ~ 530 at n = 1000 and ~ 720-750
         # at n from 1e4 to 1e6, never at alpha <= 500
         redo = ~np.isfinite(out)
@@ -359,24 +340,17 @@ class PowerLawMixing(_SeedTruncation):
         #   empty at 2 alpha = n
         # tail: integral_{1/2}^1 theta**-beta (2 theta - 1)**i
         #   = 2**(beta-1) integral_0^1 v**i (1+v)**-beta = 2F1(beta, 1; i+2; 1/2) / (2 b)
-        log_norm = self._log_norm_theta(n)
+        log_norm = self._log_norm(n) + (self.beta - 1.0) * math.log(n)
         tail_part = _hyp2f1_half(self.beta, b + 1.0) / (2.0 * b) * math.exp(-log_norm)
         head = (np.exp((self.beta - 1.0) * math.log(2.0) + _log_upper_beta(1.0 - self.beta, b, x)
                        - log_norm) if x < 1.0 else 0.0)
         return np.where(orders > 0, head + np.where(orders % 2, -1.0, 1.0) * tail_part, 1.0)
 
-    def _sample(self, n, rng, size):
-        return _power_quantile(rng.random(size), self.alpha, n, self.beta)
-
-    def row_exponent(self):
-        return self.beta
-
 
 @dataclass(frozen=True)
-class ModulatedPowerLawMixing(_SeedTruncation):
+class ModulatedPowerLawMixing(_PowerTruncation):
     """Density proportional to g(n theta) theta**(-beta) on (alpha/n, 1]: its
-    seed, which states g and checks its table, cut at n.  Moments, tails and draws
-    read the seed's closed-form sums over its pieces cut at n."""
+    seed, which states g and checks its table, cut at n."""
 
     alpha: float
     beta: float
@@ -387,21 +361,6 @@ class ModulatedPowerLawMixing(_SeedTruncation):
     def __post_init__(self):    # the table as the seed's float pairs
         super().__post_init__()
         object.__setattr__(self, "g_table", self._seed.g_table)
-
-    def row_exponent(self):
-        return self.beta
-
-    def _moment(self, n: int, i: int) -> float:     # in units of n, where no power of n overflows
-        seed = self.limit_seed()
-        return float(seed._power_sum(i - self.beta, n, unit=n)
-                     / seed._power_sum(-self.beta, n, unit=n))
-
-    def _tail(self, n: int, t: float) -> float:     # (F(n) - F(t n)) / F(n) cancels near t = 1
-        seed = self.limit_seed()
-        return float(seed._power_sum(-self.beta, n, t * n) / seed._power_sum(-self.beta, n))
-
-    def _sample(self, n, rng, size):
-        return self.limit_seed()._quantile(rng.random(size), n) / n
 
 
 @dataclass(frozen=True)
@@ -455,8 +414,8 @@ class HierarchicalMixing(MixingSpec):
 
     def _log_mean(self, n, log_f, lo=-math.inf, hi=math.inf):
         # its weight in t (kinked at n/2, with H scaled as _h) over that weight's mass
-        log_norm = (_log_power_int(self.A, n / 2.0, -self.gamma_exp) - math.log(self.beta - 1.0)
-                    - (self.beta - self.gamma_exp) * math.log(self.A))
+        log_norm = (float(_log_power_int(self.A, n / 2.0, -self.gamma_exp))
+                    - math.log(self.beta - 1.0) - (self.beta - self.gamma_exp) * math.log(self.A))
         return log_quad(lambda t: _log(t ** -self.beta * self._h(n, min(t, n / 2.0))) + log_f(t),
                         max(self.A, lo), min(float(n), hi), [n / 2.0]) - log_norm
 
@@ -467,7 +426,7 @@ class HierarchicalMixing(MixingSpec):
         q = 1.0 - self.gamma_exp
         lo_p, hi_p = self.A ** q, (n / 2.0) ** q
         cuts = (lo_p + rng.random((count,)) * (hi_p - lo_p)) ** (1.0 / q)
-        return _power_quantile(rng.random((count, rows)), cuts[:, None], n, self.beta)
+        return _power_quantile(rng.random((count, rows)), cuts[:, None] / n, 1.0, self.beta)
 
     def _sample(self, n, rng, size):
         return self.sample_slices(n, rng, size, 1).ravel()

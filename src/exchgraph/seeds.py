@@ -19,9 +19,14 @@ whose support is the zero-width (t0, t0), log_f(t0) where lo < t0 <= hi.
 
 Each seed states its own Laplace transforms: elementary for the Dirac,
 exponential and gamma seeds, incomplete gammas for the power-law, hierarchical
-(two power-law parts), shifted Pareto and modulated power-law (a difference on
-each linear piece of its weight) seeds, a quadrature of the mixing weight for
-the Lerch seed.
+(two power-law parts), shifted Pareto and modulated power-law seeds, a quadrature
+of the mixing weight for the Lerch seed.
+
+The power-law and modulated power-law seeds are one law, ``_PowerTable``: the
+density g(t) t**-beta / Z on (alpha, inf) with g linear on each piece of a table
+(one constant piece for the power law).  One log-space sum over the pieces,
+log integral g(t) t**p dt, gives Z, the CDF, truncated moments and the mixing laws
+cut at n; the transforms are its sum of incomplete gammas in units of z**q e**-z.
 
 Each seed owns its parameter domain, which its constructor checks for the
 families that name it as ``seed_class``, and the finite-mean rule: the mean is
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import JsonCodec
-from ._numerics import checked_quad, log_quad, special
+from ._numerics import checked_quad, log_quad, logsumexp, special
 from .errors import InversionError, ParameterError, QuadratureError
 
 __all__ = [
@@ -70,13 +75,13 @@ def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
     whose terms at a + k = 0 read -log z; its terms shrink once a + k > 0, so a
     near a negative integer divides by no number near 0.  Scaled, a term's
     z^-a (1 - z^(a+k)) reads z^k (z^-(a+k) - 1), finite where z^(a+k) overflows.
-    Only a > 1 takes SciPy.
+    For a > 1, Gamma(a, z) = (a - 1) Gamma(a - 1, z) + z^(a-1) e^-z adds two positive terms.
     """
     if not z > 0:
         raise ParameterError("upper incomplete gamma needs z > 0")
     if a > 1.0:
-        return (float(special.gammaincc(a, z)) * math.gamma(a)
-                * (math.exp(z - a * math.log(z)) if scaled else 1.0))
+        g = ((a - 1.0) * _upper_gamma(a - 1.0, z, True) + 1.0) / z
+        return g if scaled else g * math.exp(a * math.log(z) - z)
     if z >= 1.0:
         b = z + 1.0 - a
         c, d = math.inf, 1.0 / b
@@ -107,25 +112,51 @@ def _upper_gamma(a: float, z: float, scaled: bool = False) -> float:
     raise QuadratureError(f"Gamma({a}, {z}): its series did not converge")
 
 
-def _power_int(a, b, p: float):
-    """integral_a^b t**p dt elementwise over arrays a, b > 0; 0 where b <= a."""
+def _log_power_int(a, b, p: float):
+    """log integral_a^b t**p dt elementwise over arrays a, b > 0, b may be inf; -inf where
+    b <= a.  The end where t**(p+1) is larger is factored out, so expm1 sees a negative
+    argument and no power overflows."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     q = p + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         if q == 0.0:
-            val = np.log(b / a)
+            val = np.log(np.log(b / a))
         else:
-            # factor out the end where t**q is larger, so expm1 sees a negative argument
             big, small = (b, a) if q > 0 else (a, b)
-            val = big ** q * -np.expm1(q * np.log(small / big)) / abs(q)
-    return np.where(b > a, val, 0.0)
+            val = q * np.log(big) + np.log(-np.expm1(q * np.log(small / big))) - math.log(abs(q))
+    return np.where(b > a, val, -np.inf)
 
 
-def _seg_mass(a, b, const, slope, p: float):
-    """integral_a^b (const + slope t) t**p dt elementwise; b may be inf where slope is 0."""
-    with np.errstate(invalid="ignore"):     # 0 * inf, read as 0 below
-        return const * _power_int(a, b, p) + np.where(slope != 0.0,
-                                                      slope * _power_int(a, b, p + 1.0), 0.0)
+def _log_lin(const, slope, log0, log1):
+    """log(const e**log0 + slope e**log1) elementwise, a positive sum whose const may be
+    negative: the two terms after factoring out the larger log; -inf where both are
+    (an empty piece), or where rounding leaves the sum at or below 0."""
+    top = np.maximum(log0, log1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = const * np.exp(log0 - top) + slope * np.exp(log1 - top)
+        return np.where(np.isfinite(top), top + np.log(np.maximum(val, 0.0)), top)
+
+
+def _log_piece_mass(a, b, const, slope, p: float):
+    """log integral_a^b (const + slope t) t**p dt elementwise; b may be inf where slope is 0."""
+    log0 = _log_power_int(a, b, p)
+    if not np.any(slope):   # constant pieces: const, which is g > 0, times one integral
+        return np.log(const) + log0
+    log1 = np.where(slope != 0.0, _log_power_int(a, b, p + 1.0), -np.inf)
+    return _log_lin(const, slope, log0, log1)
+
+
+def _power_quantile(u, a, b, beta: float):
+    """t at level u in [0, 1) of the density ~ t**(-beta) on (a, b], elementwise, b may be
+    inf: a (1 - u (1 - (a/b)**(beta-1)))**(-1/(beta-1)), whose one power of a/b may
+    underflow to 0 but none can overflow.  Overwrites the array u, which it returns."""
+    bm1 = beta - 1.0
+    with np.errstate(divide="ignore"):      # log 0 at b = inf
+        u *= -np.expm1(bm1 * np.log(a / b))
+    np.subtract(1.0, u, out=u)
+    np.power(u, -1.0 / bm1, out=u)
+    u *= a
+    return u
 
 
 class SeedDistribution(JsonCodec, tag="kind", error=ParameterError, family="seed"):
@@ -359,9 +390,108 @@ class ParetoTailSeed(SeedDistribution):
                                         - _upper_gamma(-self.eta, z, scaled=True))
 
 
+class _PowerTable(SeedDistribution):
+    """Density Z**-1 g(t) t**(-beta) on (alpha, inf), g > 0 const + slope t on each row
+    (a, b, const, slope) of the piece table ``_segs``, whose last piece is constant and
+    unbounded.  Each law is a sum over the pieces in logs, so no power of t, alpha or Z
+    overflows: of power integrals, or of incomplete gammas for the transforms."""
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.beta > 1):
+            raise ParameterError("power law seed needs alpha > 0 and beta > 1")
+        object.__setattr__(self, "_segs", self._table())
+        object.__setattr__(self, "_log_z", float(self._log_power_sum(-self.beta, math.inf)))
+
+    def _log_power_sum(self, p: float, cap, lo=0.0):
+        """log integral of g(t) t**p dt over (max(alpha, lo), cap), elementwise in cap."""
+        a, b, const, slope = self._segs.T
+        cap = np.asarray(cap, dtype=float)[..., None]
+        return logsumexp(_log_piece_mass(np.clip(a, lo, cap), np.clip(b, lo, cap), const,
+                                        slope, p))
+
+    def cdf(self, x):
+        return np.exp(self._log_power_sum(-self.beta, x) - self._log_z)
+
+    def _log_density(self, t):     # log g(t) - beta log t - log Z, elementwise
+        t = np.asarray(t, dtype=float)
+        a, _, const, slope = self._segs.T
+        k = np.maximum(np.searchsorted(a, t, side="right") - 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log(const[k] + slope[k] * t) - self.beta * np.log(t) - self._log_z
+        return np.where(t > self.alpha, out, -np.inf)
+
+    def density(self, x):   # elementwise, whatever scalar _log_density a subclass states
+        return np.exp(_PowerTable._log_density(self, x))
+
+    def truncated_moment(self, order: float, cap: float) -> float:
+        return float(np.exp(self._log_power_sum(order - self.beta, cap) - self._log_z))
+
+    def power_tail(self):
+        bm1 = self.beta - 1.0
+        return math.exp(math.log(self._segs[-1, 2]) - self._log_z - math.log(bm1)), bm1
+
+    def _quantile(self, u, cap=math.inf):
+        """t at level u of the law cut at cap, overwriting the uniform array u: the piece
+        by its share of the cut mass, then the level within it, closed form on a constant
+        piece and 80 halvings of its share on a sloped one."""
+        segs = self._segs[self._segs[:, 0] < cap]
+        segs[-1, 1] = min(segs[-1, 1], cap)
+        if len(segs) == 1 and segs[0, 3] == 0.0:    # one constant piece: in place, no index
+            return _power_quantile(u, segs[0, 0], segs[0, 1], self.beta)
+        log_m = _log_piece_mass(*segs.T, -self.beta)
+        share = np.exp(log_m - logsumexp(log_m))
+        below = np.concatenate([[0.0], np.cumsum(share)[:-1]])
+        k = np.minimum(np.searchsorted(below, u, side="right") - 1, np.flatnonzero(share)[-1])
+        u -= below[k]
+        u /= share[k]
+        np.clip(u, 0.0, 1.0 - 2.0 ** -53, out=u)
+        a, b, const, slope = segs[k].T
+        sloped = np.flatnonzero(slope)
+        left, lo, hi, level = a[sloped], a[sloped], b[sloped], u[sloped]
+        c, m, whole = const[sloped], slope[sloped], log_m[k[sloped]]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            under = np.exp(_log_piece_mass(left, mid, c, m, -self.beta) - whole) < level
+            lo, hi = np.where(under, mid, lo), np.where(under, hi, mid)
+        t = _power_quantile(u, a, b, self.beta)
+        t[sloped] = 0.5 * (lo + hi)
+        return t
+
+    def inverse_cdf(self, u):
+        u = np.array(u, dtype=float)
+        return self._quantile(u.reshape(-1)).reshape(u.shape)
+
+    def _support(self):
+        return self.alpha, np.inf
+
+    def _log_gamma_sum(self, p: float, s: float) -> float:
+        """log integral g(t) t**p e**(-s t) dt: on each piece (a, b), const and slope times
+        integral_a^b t**(q-1) e**(-s t) dt at q = p + 1 and p + 2.  That is E(a) - E(b),
+        E(x) = x**q e**(-s x) G(q, s x) with G the scaled upper gamma, or, for q > 0 and
+        s b < 1, where both are near Gamma(q) s**-q, a difference of lower gammas."""
+        def part(q, a, b):
+            if q > 0.0 and s * b < 1.0:
+                return (math.lgamma(q) - q * math.log(s)
+                        + np.log(special.gammainc(q, s * b) - special.gammainc(q, s * a)))
+            end = lambda x: q * math.log(x) - s * x + math.log(_upper_gamma(q, s * x, True))
+            with np.errstate(divide="ignore"):
+                return end(a) + (np.log(-np.expm1(end(b) - end(a))) if b < math.inf else 0.0)
+
+        return float(logsumexp([_log_lin(c, m, part(p + 1.0, a, b), part(p + 2.0, a, b)) if m
+                                else math.log(c) + part(p + 1.0, a, b)
+                                for a, b, c, m in self._segs.tolist()]))
+
+    def _laplace(self, s: float) -> float:
+        return math.exp(self._log_gamma_sum(-self.beta, s) - self._log_z)
+
+    def _t_laplace(self, s: float) -> float:
+        return math.exp(self._log_gamma_sum(1.0 - self.beta, s) - self._log_z)
+
+
 @dataclass(frozen=True)
-class PowerLawSeed(SeedDistribution):
-    """Pure power tail: F(x) = 1 - (alpha / x)**(beta - 1) on x >= alpha.
+class PowerLawSeed(_PowerTable):
+    """Pure power tail: F(x) = 1 - (alpha / x)**(beta - 1) on x >= alpha, the table of
+    one constant piece.
 
     This is the scaling limit of the truncated power-law mixing family with
     the same (alpha, beta); its mean is finite only for beta > 2.
@@ -371,47 +501,13 @@ class PowerLawSeed(SeedDistribution):
     beta: float
     kind = "power_law"
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 1):
-            raise ParameterError("power law seed needs alpha > 0 and beta > 1")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            val = 1.0 - (self.alpha / x) ** (self.beta - 1.0)
-        return np.where(x > self.alpha, val, 0.0)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            val = (self.beta - 1.0) * self.alpha ** (self.beta - 1.0) * x ** (-self.beta)
-        return np.where(x > self.alpha, val, 0.0)
+    def _table(self):
+        return np.array([[self.alpha, math.inf, 1.0, 0.0]])
 
     def _log_density(self, t):     # scalar: read at every node of its quadratures
         bm1 = self.beta - 1.0
         return (math.log(bm1) + bm1 * math.log(self.alpha) - self.beta * math.log(t)
                 if t > self.alpha else -math.inf)
-
-    def power_tail(self):
-        return self.alpha ** (self.beta - 1.0), self.beta - 1.0
-
-    def inverse_cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.alpha * (1.0 - u) ** (-1.0 / (self.beta - 1.0))
-
-    def _laplace(self, s: float) -> float:
-        # (beta-1) alpha^(beta-1) s^(beta-1) Gamma(1-beta, alpha s)
-        bm1 = self.beta - 1.0
-        return bm1 * (self.alpha * s) ** bm1 * _upper_gamma(1.0 - self.beta,
-                                                           self.alpha * s)
-
-    def _t_laplace(self, s: float) -> float:
-        bm1 = self.beta - 1.0
-        return (bm1 * self.alpha ** bm1 * s ** (self.beta - 2.0)
-                * _upper_gamma(2.0 - self.beta, self.alpha * s))
-
-    def _support(self):
-        return self.alpha, np.inf
 
     def _mixture_pmf(self, ks):
         """p_k = alpha**(beta-1) (beta-1) / k! Gamma(k+1-beta, alpha), which decays
@@ -444,11 +540,13 @@ class HierarchicalSeed(SeedDistribution):
     def __post_init__(self):
         if not (self.A > 0 and self.gamma_exp > self.beta > 2):
             raise ParameterError("hierarchical seed needs gamma_exp > beta > 2 and A > 0")
+        object.__setattr__(self, "_parts", (PowerLawSeed(self.A, self.beta),
+                                            PowerLawSeed(self.A, self.gamma_exp)))
 
     def combine(self, part):
         """The combination above of ``part(P_b)`` and ``part(P_g)``."""
         b, g = self.beta, self.gamma_exp
-        low, high = part(PowerLawSeed(self.A, b)), part(PowerLawSeed(self.A, g))
+        low, high = map(part, self._parts)
         return (g - 1.0) / (g - b) * low - (b - 1.0) / (g - b) * high
 
     def cdf(self, x):
@@ -542,20 +640,18 @@ class LerchSeed(SeedDistribution):
 
 
 @dataclass(frozen=True)
-class ModulatedPowerLawSeed(SeedDistribution):
+class ModulatedPowerLawSeed(_PowerTable):
     """Density Z**-1 g(t) t**(-beta) on (alpha, inf), g linear between the (tau,
     value) pairs of ``g_table``, constant beyond either end and positive: the
-    modulated power-law family's n theta is this law cut at n.  g is const +
-    slope t on each piece, so CDF, moments and Z are sums of power integrals, the
-    transforms of incomplete gammas; the unbounded last piece sets the tail."""
+    modulated power-law family's n theta is this law cut at n.  Its table has a
+    piece between each two knots past alpha; the unbounded last piece sets the tail."""
 
     alpha: float
     beta: float
     g_table: tuple
     kind = "modulated_power_law"
 
-    def __post_init__(self):
-        PowerLawSeed(self.alpha, self.beta)     # the domain of (alpha, beta)
+    def _table(self):
         pts = tuple((float(t), float(v)) for t, v in self.g_table)
         if len(pts) < 2:
             raise ParameterError("g table needs at least two points")
@@ -576,73 +672,4 @@ class ModulatedPowerLawSeed(SeedDistribution):
         with np.errstate(over="ignore", invalid="ignore"):     # knots an ulp apart: slope inf
             slope = np.where(inner, np.diff(vals)[j] / np.diff(taus)[j], 0.0)
             const = np.where(inner, vals[j] - slope * taus[j], vals[np.maximum(k, 0)])
-        object.__setattr__(self, "_segs", np.stack([cuts[:-1], cuts[1:], const, slope], axis=1))
-        object.__setattr__(self, "_z", float(self._power_sum(-self.beta, math.inf)))
-
-    def _power_sum(self, p: float, cap, lo=0.0, unit=1.0):
-        """integral of g(unit u) u**p du over (max(alpha, lo), cap) / unit, elementwise in cap."""
-        a, b, const, slope = self._segs.T
-        cap = np.asarray(cap, dtype=float)[..., None]
-        return _seg_mass(np.clip(a, lo, cap) / unit, np.clip(b, lo, cap) / unit, const,
-                         slope * unit, p).sum(axis=-1)
-
-    def cdf(self, x):
-        return self._power_sum(-self.beta, x) / self._z
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > self.alpha, np.interp(x, *zip(*self.g_table)) / self._z
-                        * np.maximum(x, self.alpha) ** -self.beta, 0.0)
-
-    def truncated_moment(self, order: float, cap: float) -> float:
-        return float(self._power_sum(order - self.beta, cap)) / self._z
-
-    def power_tail(self):
-        return self.g_table[-1][1] / (self._z * (self.beta - 1.0)), self.beta - 1.0
-
-    def _quantile(self, u, cap=math.inf):
-        """t at level u of the law cut at cap: the piece by its cumulative mass,
-        then 80 halvings within it, or the power-law quantile on the unbounded one."""
-        segs = self._segs[self._segs[:, 0] < cap]
-        segs[-1, 1] = min(segs[-1, 1], cap)
-        cum = np.concatenate([[0.0], np.cumsum(_seg_mass(*segs.T, -self.beta))])
-        targets = u * cum[-1]
-        idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(segs) - 1)
-        rem = targets - cum[idx]
-        left, hi, consts, slopes = segs[idx].T
-        lo = left
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            under = _seg_mass(left, mid, consts, slopes, -self.beta) < rem
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        # the unbounded piece above left holds consts left**(1 - beta) / (beta - 1)
-        bm1 = self.beta - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = left * (1.0 - rem * bm1 / (consts * left ** -bm1)) ** (-1.0 / bm1)
-        return np.where(hi == math.inf, far, 0.5 * (lo + hi))
-
-    def inverse_cdf(self, u):
-        return self._quantile(np.asarray(u, dtype=float))
-
-    def _support(self):
-        return self.alpha, np.inf
-
-    def _gamma_sum(self, p: float, s: float) -> float:
-        """integral g(t) t**p e**(-s t) dt / Z: s**-q (Gamma(q, s a) - Gamma(q, s b))
-        on each piece (a, b), times const at q = p + 1 and slope at q = p + 2."""
-        def part(q, a, b):  # for q > 0 and s b < 1 both are near Gamma(q): lower ones cancel less
-            if q > 0.0 and s * b < 1.0:
-                return s ** -q * math.gamma(q) * (special.gammainc(q, s * b)
-                                                  - special.gammainc(q, s * a))
-            return s ** -q * (_upper_gamma(q, s * a) - (_upper_gamma(q, s * b) if b < math.inf
-                                                        else 0.0))
-
-        return math.fsum(c * part(p + 1.0, a, b) + (m * part(p + 2.0, a, b) if m else 0.0)
-                         for a, b, c, m in self._segs.tolist()) / self._z
-
-    def _laplace(self, s: float) -> float:
-        return self._gamma_sum(-self.beta, s)
-
-    def _t_laplace(self, s: float) -> float:
-        return self._gamma_sum(1.0 - self.beta, s)
+        return np.stack([cuts[:-1], cuts[1:], const, slope], axis=1)

@@ -216,6 +216,23 @@ def test_hub_and_gf2_on_modulated_power_law(tmp_path):
     assert rate["threshold"]["verdict"] == "no_threshold"     # a finite mean at beta > 2
 
 
+@pytest.mark.parametrize("mixing", [
+    {"variant": "modulated_power_law", "alpha": 1e-3, "beta": 60.0, "g_table": [[0, 1], [10, 2]]},
+    {"variant": "modulated_power_law", "alpha": 1e-3, "beta": 120.0, "g_table": [[0, 1], [10, 2]]},
+    {"variant": "power_law", "alpha": 1e-3, "beta": 150.0},
+], ids=["modulated-60", "modulated-120", "power_law-150"])
+def test_steep_power_laws_run_with_finite_outputs(tmp_path, mixing):
+    # Z, (n / alpha)**(beta - 1) and an unscaled incomplete gamma passed the float range
+    # here: NaN in the JSON, or an OverflowError
+    cfg = _write_config(tmp_path, ensemble={"n": 100, "mixing": mixing, "master_seed": SEED,
+                                            "replicas": 2})
+    for command in ("sample", "degrees", "motifs", "gf2"):
+        assert main([command, "--config", str(cfg)]) == 0
+        json.loads(_read_out(tmp_path, f"{command}.json"), parse_constant=pytest.fail)
+    for table in (tmp_path / "out").glob("*.csv"):
+        assert not {"nan", "inf"} & set(table.read_text().replace(",", " ").split())
+
+
 def test_motifs_report_fields(tmp_path):
     cfg = _write_config(tmp_path, motifs={"cycle_lengths": [2, 3]})
     assert main(["motifs", "--config", str(cfg)]) == 0

@@ -274,11 +274,12 @@ def test_upper_gamma_matches_mpmath(a, z):
 
 
 @pytest.mark.parametrize("a", [-8.0, -7.3, -2.000001, -2.0, -1.5, -0.995, -0.5, 0.0, 1e-3,
-                               0.01, 0.5, 0.99, 1.0])
+                               0.01, 0.5, 0.99, 1.0, 1.5, 2.3])
 def test_upper_gamma_matches_mpmath_on_a_grid(a):
     # z from 1e-12 to 50, and on either side of z = 1, where the series meets
     # the continued fraction; near a negative integer the series has a term
-    # divided by a + k near 0, whose numerator 1 - z**(a+k) is as small
+    # divided by a + k near 0, whose numerator 1 - z**(a+k) is as small; above
+    # a = 1 the recurrence in a steps up from (0, 1]
     zs = [*np.geomspace(1e-12, 50.0, 25).tolist(), 0.999, 1.0, 1.001, 2.0]
     with mpmath.workdps(40):
         want = [float(mpmath.gammainc(a, z)) for z in zs]

@@ -74,13 +74,14 @@ class TestPowerLaw:
     def test_quantile_in_place_is_the_out_of_place_formula(self, beta):
         # the sampler overwrites its uniforms; the draws stay those of the
         # out-of-place inverse CDF, bit for bit, for a scalar cutoff ...
-        def formula(u, alpha, beta):
-            top = (n / alpha) ** (beta - 1.0)
-            return (top - u * (top - 1.0)) ** (-1.0 / (beta - 1.0))
+        def formula(u, a, b, beta):     # t at level u of t**-beta on (a, b]
+            bm1 = beta - 1.0
+            return a * (1.0 - u * -np.expm1(bm1 * np.log(a / b))) ** (-1.0 / bm1)
 
         n, size = 5000, 200_000
         draws = sample_thetas(PowerLawMixing(alpha=1.0, beta=beta), n, spawn_rng(7, 0), size)
-        assert np.array_equal(draws, formula(spawn_rng(7, 0).random(size), 1.0, beta))
+        ends = np.full(size, 1.0), np.full(size, float(n))
+        assert np.array_equal(draws, formula(spawn_rng(7, 0).random(size), *ends, beta) / n)
         # ... and for the hierarchical family's per-slice cutoffs
         spec = HierarchicalMixing(A=1.0, beta=beta + 1.0, gamma_exp=4.5)
         q = 1.0 - spec.gamma_exp
@@ -88,7 +89,7 @@ class TestPowerLaw:
         for count, rows in [(size, 1), (400, 500)]:
             rng = spawn_rng(7, 1)
             cuts = (lo_p + rng.random(count) * (hi_p - lo_p)) ** (1.0 / q)
-            expected = formula(rng.random((count, rows)), cuts[:, None], spec.beta)
+            expected = formula(rng.random((count, rows)), cuts[:, None] / n, 1.0, spec.beta)
             drawn = (sample_thetas(spec, n, spawn_rng(7, 1), size)[:, None] if rows == 1
                      else spec.sample_slices(n, spawn_rng(7, 1), count, rows))
             assert np.array_equal(drawn, expected)
@@ -513,6 +514,10 @@ class TestModulated:
         (SPEC, 40),
         (ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=(
             (0.0, 1.0), (10.0, 2.0), (100.0, 0.5), (1000.0, 1.5))), 2000),
+        # steep: (n / alpha)**(beta - 1) overflowed; Z overflowed, and every draw read t = 10
+        (PowerLawMixing(alpha=1e-3, beta=150.0), 2000),
+        (PowerLawMixing(alpha=1.0, beta=60.0), 10**6),
+        (ModulatedPowerLawMixing(alpha=1e-3, beta=120.0, g_table=((0.0, 1.0), (10.0, 2.0))), 1000),
     ])
     def test_sampler_fits_tail(self, spec, n):
         # Kolmogorov-Smirnov against the closed-form CDF 1 - tail
@@ -520,12 +525,24 @@ class TestModulated:
         cdf = np.vectorize(lambda t: 1.0 - tail(spec, n, float(t)))
         assert stats.kstest(draws, cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("n,i", [(10**6, 60), (10**4, 90), (3000, 100)])
-    def test_high_moments_do_not_overflow(self, n, i):
+    @pytest.mark.parametrize("alpha,beta,n,i", [
+        pytest.param(1.0, 2.5, 10**6, 60, id="1000000-60"),
+        pytest.param(1.0, 2.5, 10**4, 90, id="10000-90"),
+        pytest.param(1.0, 2.5, 3000, 100, id="3000-100"),
+        # (alpha / n)**(1 - beta) and Z passed the float range here
+        pytest.param(1e-3, 60.0, 10**6, 30, id="steep-60-1000000-30"),
+        pytest.param(1e-3, 150.0, 10**6, 30, id="steep-150-1000000-30"),
+    ])
+    def test_high_moments_do_not_overflow(self, alpha, beta, n, i):
         # n**i and a power sum of size n**(i - beta + 1) passed the float range here
-        flat = ModulatedPowerLawMixing(alpha=1.0, beta=2.5, g_table=((0.0, 1.0), (1.0, 1.0)))
-        assert_allclose(moment(flat, n, i), moment(PowerLawMixing(alpha=1.0, beta=2.5), n, i),
-                        rtol=1e-12)
+        flat = ModulatedPowerLawMixing(alpha=alpha, beta=beta, g_table=((0.0, 1.0), (1.0, 1.0)))
+        pure = moment(PowerLawMixing(alpha=alpha, beta=beta), n, i)
+        with mpmath.workdps(40):
+            a, b, top = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(n)
+            mass = lambda p: (top ** (p + 1) - a ** (p + 1)) / (p + 1)
+            want = float(mass(i - b) / mass(-b) / top ** i)
+        assert_allclose(moment(flat, n, i), pure, rtol=1e-12)
+        assert_allclose([moment(flat, n, i), pure], want, rtol=1e-12)
 
     def test_table_validation(self):
         with pytest.raises(ParameterError):
@@ -694,6 +711,20 @@ class TestSeedTruncation:
 class TestHierarchical:
     SPEC = HierarchicalMixing(A=1.0, beta=3.0, gamma_exp=4.5)
 
+    def test_steep_slices_draw_without_a_warning(self):
+        # (n / a)**(beta - 1) overflowed here; each slice fits its own cut's power law
+        spec, n, count = HierarchicalMixing(A=1.0, beta=60.0, gamma_exp=70.0), 10**6, 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = spec.sample_slices(n, spawn_rng(4, 0), count, 2000)
+        q = 1.0 - spec.gamma_exp
+        lo_p, hi_p = spec.A ** q, (n / 2.0) ** q
+        cuts = (lo_p + spawn_rng(4, 0).random(count) * (hi_p - lo_p)) ** (1.0 / q)
+        for cut, row in zip(cuts.tolist(), draws):
+            law = PowerLawMixing(alpha=cut, beta=spec.beta)
+            cdf = np.vectorize(lambda t: 1.0 - tail(law, n, float(t)))
+            assert stats.kstest(row, cdf).pvalue > 1e-3
+
     def test_moment_matches_two_level_quadrature(self):
         n = 30
         norm = checked_quad(lambda a: a ** -4.5, 1.0, 15.0, rel_tol=1e-11)
@@ -829,6 +860,18 @@ def test_steep_power_laws_match_quadrature(alpha, beta, n, quad_calls):
     assert quad_calls == []
     assert_allclose(got[0], MixingSpec._xis(spec, n, orders), rtol=REL_TOL)
     assert_allclose(got[1], MixingSpec._log_row_probs(spec, n, orders), rtol=REL_TOL)
+    # the flat table, whose Z passed the float range, by quadrature of its seed cut at n;
+    # the transforms of both seeds, in scaled incomplete gammas, against their quadrature
+    flat = ModulatedPowerLawMixing(alpha=alpha, beta=beta, g_table=((0.0, 2.0), (1.0, 2.0)))
+    assert_allclose(xi(flat, n, orders), got[0], rtol=REL_TOL)
+    assert_allclose(log_row_prob(flat, n, orders), got[1], rtol=REL_TOL)
+    for seed in (spec.limit_seed(), flat.limit_seed()):
+        for s in (1e-3, 0.5, 1e3):
+            assert_allclose(seed.laplace(s), math.exp(seed._log_expect(lambda t: -s * t)),
+                            rtol=REL_TOL)
+            assert_allclose(seed.t_laplace(s),
+                            math.exp(seed._log_expect(lambda t: math.log(t) - s * t)),
+                            rtol=REL_TOL)
 
 
 def test_hierarchical_gf2_mean_takes_one_quadrature(quad_calls):
