@@ -9,7 +9,7 @@ to it; the demo prints the observed mass near the cutoff beside the limit's.
 
 import math
 
-from exchgraph import (EnsembleConfig, PowerFractionRows, PowerLawMixing,
+from exchgraph import (EnsembleConfig, McEstimate, PowerFractionRows, PowerLawMixing,
                        competing_moment_constant, frechet_moment, hub_limit_cdf,
                        mc_hub, mc_hub_values, hub_atom_estimate)
 
@@ -23,12 +23,10 @@ print(f"beta=3: scale b_n = {scaling.scale:.1f}, "
       f"KS over {config.replicas} replicas = {report.ks_distance:.4f}")
 
 # the first moment separates the two candidate constants
-values = mc_hub_values(config) / math.sqrt(config.n)
-mean = values.mean()
-se = values.std(ddof=1) / math.sqrt(len(values))
+scaled = McEstimate.of(mc_hub_values(config) / math.sqrt(config.n))
 a = frechet_moment(1.0, 2.0, 1.0)
 b = competing_moment_constant(1.0, 3.0, 1.0)
-print(f"scaled mean {mean:.4f} +- {se:.4f}; "
+print(f"scaled mean {scaled.mean:.4f} +- {scaled.se:.4f}; "
       f"candidates sqrt(pi) = {a:.4f} and 4 sqrt(pi) = {b:.4f}")
 
 # heavy-tail regime: the conditioned cutoff law, no atom at the cutoff

@@ -23,7 +23,7 @@ dirac = EnsembleConfig(n=24, mixing=DiracMixing(lam=0.9), master_seed=3, replica
 exact = expected_solutions(dirac)
 mc = mc_kernel_mean(dirac)
 print(f"mean solutions, 24x24 dirac bias: exact {exact:.3f}, "
-      f"mc {mc.mean_solutions:.3f} +- {mc.se:.3f}")
+      f"mc {mc.mean:.3f} +- {mc.se:.3f}")
 
 # growth rate of the log-mean at three dilutions (rows per column = 1/gamma)
 print()

@@ -8,9 +8,9 @@ Monte Carlo validation of every closed form.
 from .degrees import (in_pmf_exact, limit_pmf, moment_transfer_check,
                       out_pmf_exact, tail_asymptote, total_variation)
 from .ensemble import (BitMatrix, EnsembleConfig, ExplicitRows, FractionRows,
-                       GraphSample, LogFractionRows, PowerFractionRows,
+                       GraphSample, LogFractionRows, McEstimate, PowerFractionRows,
                        SquareRows, in_degrees, map_replicas, out_degrees,
-                       read_edge_list, sample_bias_matrix,
+                       read_edge_list, replica_values, sample_bias_matrix,
                        sample_graph, write_edge_list)
 from .errors import (ConfigError, EnumerationBudgetError, ExchGraphError,
                      InversionError, NoThresholdError, ParameterError,

@@ -37,8 +37,8 @@ from ._codec import JsonCodec
 from ._numerics import special
 from .degrees import (in_pmf_exact, limit_law_json, limit_pmf, out_pmf_exact,
                       total_variation, write_pmf_table)
-from .ensemble import (EnsembleConfig, ExplicitRows, SquareRows, map_replicas,
-                       out_degrees, sample_graph, write_edge_list)
+from .ensemble import (EnsembleConfig, ExplicitRows, McEstimate, SquareRows,
+                       map_replicas, out_degrees, sample_graph, write_edge_list)
 from .errors import ConfigError, ExchGraphError, NoThresholdError
 from .gf2 import (DegenerateTermWarning, expected_solutions,
                   log_expected_solutions, mc_kernel_mean, rank_gf2, rate_sup,
@@ -299,22 +299,16 @@ def _moment_comparison(report) -> dict:
     """
     eta = report.scaling.limit.eta
     alpha_eff = report.scaling.limit.c_eta ** (1.0 / eta)
-    scaled = report.values / report.b_n
-    mean = float(scaled.mean())
-    se = float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
+    scaled = McEstimate.of(report.values / report.b_n)
     frechet = frechet_moment(alpha_eff, eta, 1.0)
     competing = competing_moment_constant(alpha_eff, eta + 1.0, 1.0)
-    z_f, z_c = _z_score(mean, se, frechet), _z_score(mean, se, competing)
-    hit_f, hit_c = (z is not None and z <= 3.0 for z in (z_f, z_c))
-    if hit_f and not hit_c:
-        winner = "frechet_moment"
-    elif hit_c and not hit_f:
-        winner = "competing_constant"
-    else:
-        winner = "unresolved"
+    z_f, z_c = (_z_score(scaled.mean, scaled.se, c) for c in (frechet, competing))
+    hits = tuple(z is not None and z <= 3.0 for z in (z_f, z_c))
+    winner = {(True, False): "frechet_moment",
+              (False, True): "competing_constant"}.get(hits, "unresolved")
     return {
-        "mc_mean": mean,
-        "mc_se": se,
+        "mc_mean": scaled.mean,
+        "mc_se": scaled.se,
         "frechet_moment": frechet,
         "competing_constant": competing,
         "z_frechet": z_f,
@@ -353,8 +347,7 @@ def cmd_gf2(run: RunConfig) -> int:
     # bounds this command's work; the mc suite, sized by its block, runs wider systems
     if cfg.m <= 64 and cfg.replicas >= 2:
         mc = mc_kernel_mean(cfg)
-        block["mc"] = {"replicas": mc.replicas, "mean": mc.mean_solutions,
-                       "se": mc.se}
+        block["mc"] = {"replicas": mc.replicas, "mean": mc.mean, "se": mc.se}
     # with one shared bias the growth rate is not the iid Laplace transform's
     seed = cfg.mixing.limit_seed() if cfg.iid_rows else None
     if seed is None:
@@ -519,13 +512,13 @@ def _suite_motifs(run: RunConfig) -> dict:
     cfg, z_max = run.motifs.resize(run.ensemble), run.motifs.z_max
     # the replica count also goes as the second argument, where the span
     # recorder of bench/tracer.py reads it
-    rep = mc_motifs(cfg, cfg.replicas)
-    rl = mc_roots_leaves(cfg, cfg.replicas)
+    fbl, ffl = mc_motifs(cfg, cfg.replicas)
+    roots, leaves = mc_roots_leaves(cfg, cfg.replicas)
     checks = {
-        "feedback": _z_score(rep.fbl_mean, rep.fbl_se, mean_feedback_loops(cfg)),
-        "feedforward": _z_score(rep.ffl_mean, rep.ffl_se, mean_feedforward_loops(cfg)),
-        "roots": _z_score(rl.roots_mean, rl.roots_se, mean_roots(cfg)),
-        "leaves": _z_score(rl.leaves_mean, rl.leaves_se, mean_leaves(cfg)),
+        "feedback": _z_score(fbl.mean, fbl.se, mean_feedback_loops(cfg)),
+        "feedforward": _z_score(ffl.mean, ffl.se, mean_feedforward_loops(cfg)),
+        "roots": _z_score(roots.mean, roots.se, mean_roots(cfg)),
+        "leaves": _z_score(leaves.mean, leaves.se, mean_leaves(cfg)),
     }
     ok = all(z is not None and z <= z_max for z in checks.values())
     return {"pass": bool(ok), "z_scores": checks, "z_max": z_max,
@@ -556,9 +549,9 @@ def _suite_gf2(run: RunConfig) -> dict:
     if math.isinf(exact):
         return {"pass": False, "reason": "exact mean overflows; shrink n"}
     rep = mc_kernel_mean(cfg)
-    z = _z_score(rep.mean_solutions, rep.se, exact)
+    z = _z_score(rep.mean, rep.se, exact)
     miss = {} if z is not None else {"reason": "all replicas agree and miss the exact mean"}
-    return {"pass": bool(z is not None and z <= z_max), "mean": rep.mean_solutions, "se": rep.se,
+    return {"pass": bool(z is not None and z <= z_max), "mean": rep.mean, "se": rep.se,
             "exact": exact, "z": z, "z_max": z_max, "replicas": cfg.replicas, **miss}
 
 

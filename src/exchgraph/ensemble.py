@@ -52,6 +52,8 @@ __all__ = [
     "sample_graph",
     "sample_bias_matrix",
     "replica_blocks",
+    "replica_values",
+    "McEstimate",
     "draw_adjacency",
     "out_degrees",
     "in_degrees",
@@ -394,6 +396,30 @@ def replica_blocks(config: EnsembleConfig, tag: int, dense: bool = True):
     for lo in range(0, config.replicas, step):
         rng = spawn_rng(config.master_seed, lo, tag)
         yield lo, sample_bias_matrix(config, min(step, config.replicas - lo), rng), rng
+
+
+def replica_values(config: EnsembleConfig, tag: int, kernel, dense: bool = True) -> np.ndarray:
+    """``kernel(thetas, rng)`` on each block of :func:`replica_blocks`, whose values
+    (last axis over the block's replicas) are joined in replica order."""
+    return np.concatenate([kernel(thetas, rng) for _, thetas, rng
+                           in replica_blocks(config, tag, dense)], axis=-1)
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """Replica mean of a Monte Carlo statistic, its ddof-1 variance and the standard
+    error sqrt(var / replicas); var and se are 0 for one replica."""
+
+    replicas: int
+    mean: float
+    se: float
+    var: float
+
+    @classmethod
+    def of(cls, values) -> "McEstimate":
+        values = np.asarray(values)
+        var = float(values.var(ddof=1)) if len(values) > 1 else 0.0
+        return cls(len(values), float(values.mean()), math.sqrt(var / len(values)), var)
 
 
 def draw_adjacency(thetas: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,9 +21,10 @@ tails push it back to the baseline for small gamma, and the crossover
 gamma_c is found by bisection.  The rate is independent-row theory only.
 
 The Monte Carlo mean draws replica blocks through
-:func:`ensemble.replica_blocks` and is deterministic in master_seed.  It
-ranks every replica with the column packer and XOR-basis eliminator that
-:func:`rank_gf2` uses, so it takes any sender count.
+:func:`ensemble.replica_values` and returns an :class:`ensemble.McEstimate`,
+deterministic in master_seed.  It ranks every replica with the column packer
+and XOR-basis eliminator that :func:`rank_gf2` uses, so it takes any sender
+count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import logsumexp
-from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
+from .ensemble import (BitMatrix, EnsembleConfig, McEstimate, draw_adjacency,
+                       replica_values)
 from .errors import NoThresholdError, ParameterError
 from .mixing import _log_binom, xi
 from .seeds import SeedDistribution
@@ -52,7 +54,6 @@ __all__ = [
     "rate_sup",
     "gamma_critical",
     "threshold_bisection",
-    "KernelMcReport",
     "mc_kernel_mean",
     "write_theta_grid",
 ]
@@ -358,32 +359,24 @@ def gamma_critical(seed: SeedDistribution) -> float:
 # -- Monte Carlo ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelMcReport:
-    replicas: int
-    mean_solutions: float
-    se: float
-
-
-def mc_kernel_mean(config: EnsembleConfig) -> KernelMcReport:
-    """Replica mean of the solution count N = 2^(m - rank).
+def mc_kernel_mean(config: EnsembleConfig) -> McEstimate:
+    """Replica estimate of the solution count N = 2^(m - rank).
 
     Samples the adjacency law directly (bias rows, then independent entries)
     and ranks each replica as rank_gf2 does, for any sender count.
     Deterministic in master_seed.
     """
-    n, m, replicas = config.n, config.m, config.replicas
-    counts = np.empty(replicas)
-    for lo, thetas, rng in replica_blocks(config, _TAG_GF2):
+    n, m = config.n, config.m
+
+    def kernel(thetas, rng):
         bits = draw_adjacency(thetas, n, rng)
         # the block's replicas side by side as one m x (B n) matrix, packed at once
         block = BitMatrix.from_dense(bits.transpose(1, 0, 2).reshape(m, -1))
         columns = _transpose_words(block)
         ranks = [_int_rank(columns[k:k + n], m) for k in range(0, len(columns), n)]
-        counts[lo:lo + len(ranks)] = 2.0 ** (m - np.array(ranks))
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return KernelMcReport(replicas=replicas, mean_solutions=mean, se=se)
+        return 2.0 ** (m - np.array(ranks))
+
+    return McEstimate.of(replica_values(config, _TAG_GF2, kernel))
 
 
 def write_theta_grid(report: RateReport, path) -> None:

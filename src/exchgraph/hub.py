@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_blocks
+from .ensemble import EnsembleConfig, GraphSample, out_degrees, replica_values
 from .errors import ParameterError
 from .seeds import PowerLawSeed
 
@@ -256,10 +256,8 @@ def _block_hubs(thetas: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
 
 def mc_hub_values(config: EnsembleConfig) -> np.ndarray:
     """Hub statistic of each configured replica (int64), deterministic in master_seed."""
-    values = np.empty(config.replicas, dtype=np.int64)
-    for lo, thetas, rng in replica_blocks(config, _TAG_HUB, dense=False):
-        values[lo:lo + len(thetas)] = _block_hubs(thetas, config.n, rng)
-    return values
+    return replica_values(config, _TAG_HUB,
+                          lambda thetas, rng: _block_hubs(thetas, config.n, rng), dense=False)
 
 
 def _reference_scaling(config: EnsembleConfig):

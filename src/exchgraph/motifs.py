@@ -13,11 +13,11 @@ hand.  Each law is written for iid biases and averaged over the shared draw
 of the config's variant (a variance averages its second moment and its mean
 apart), and each holds for every m <= n.
 
-The Monte Carlo routines draw the adjacency law in replica blocks
-(:func:`ensemble.replica_blocks`) and count with the routines a realized
+The Monte Carlo routines draw the adjacency law in replica blocks through
+:func:`ensemble.replica_values` and count with the routines a realized
 graph uses, over stacks of adjacency matrices; triple counts run in float64,
-which is exact for the integer counts at hand.  Their results are
-deterministic in master_seed.
+which is exact for the integer counts at hand.  Each count comes back as an
+:class:`ensemble.McEstimate`, deterministic in master_seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .ensemble import BitMatrix, EnsembleConfig, draw_adjacency, replica_blocks
+from .ensemble import (BitMatrix, EnsembleConfig, McEstimate, draw_adjacency,
+                       replica_values)
 from .errors import EnumerationBudgetError, ParameterError
 from .mixing import MixingSpec, log_row_prob, moment
 
@@ -53,8 +54,6 @@ __all__ = [
     "var_feedback_loops",
     "var_feedforward_loops",
     "connectivity_bound",
-    "MotifMcReport",
-    "RootLeafMcReport",
     "mc_motifs",
     "mc_cycles",
     "mc_roots_leaves",
@@ -427,38 +426,13 @@ _TAG_CYCLE = 102
 _TAG_ROOT_LEAF = 103
 
 
-@dataclass(frozen=True)
-class MotifMcReport:
-    replicas: int
-    fbl_mean: float
-    fbl_se: float
-    fbl_var: float
-    ffl_mean: float
-    ffl_se: float
-    ffl_var: float
-
-
-@dataclass(frozen=True)
-class RootLeafMcReport:
-    replicas: int
-    roots_mean: float
-    roots_se: float
-    leaves_mean: float
-    leaves_se: float
-
-
-def _mean_se_var(x: np.ndarray):
-    mean = float(x.mean())
-    var = float(x.var(ddof=1)) if len(x) > 1 else 0.0
-    return mean, math.sqrt(var / len(x)), var
-
-
 def _with_replicas(config: EnsembleConfig, replicas) -> EnsembleConfig:
     return config if replicas is None else replace(config, replicas=int(replicas))
 
 
-def mc_motifs(config: EnsembleConfig, replicas: int | None = None) -> MotifMcReport:
-    """Replica means and variances of the two triple counts.
+def mc_motifs(config: EnsembleConfig,
+              replicas: int | None = None) -> tuple[McEstimate, McEstimate]:
+    """Replica estimates of the feedback and feedforward triple counts.
 
     Replicates only the adjacency law (bias draws then independent rows),
     not the bit-level sampler, so large replica counts stay affordable;
@@ -466,50 +440,37 @@ def mc_motifs(config: EnsembleConfig, replicas: int | None = None) -> MotifMcRep
     stands in for config.replicas.
     """
     config = _with_replicas(config, replicas)
-    fbl = np.empty(config.replicas)
-    ffl = np.empty(config.replicas)
-    for lo, thetas, rng in replica_blocks(config, _TAG_MOTIF):
-        a = _no_self_edges(draw_adjacency(thetas, config.n, rng))
-        fbl[lo:lo + len(a)], ffl[lo:lo + len(a)] = _triple_counts(a)
-    f_mean, f_se, f_var = _mean_se_var(fbl)
-    g_mean, g_se, g_var = _mean_se_var(ffl)
-    return MotifMcReport(replicas=config.replicas, fbl_mean=f_mean, fbl_se=f_se,
-                         fbl_var=f_var, ffl_mean=g_mean, ffl_se=g_se, ffl_var=g_var)
+
+    def kernel(thetas, rng):
+        return np.stack(_triple_counts(_no_self_edges(draw_adjacency(thetas, config.n, rng))))
+
+    return tuple(map(McEstimate.of, replica_values(config, _TAG_MOTIF, kernel)))
 
 
-def mc_cycles(config: EnsembleConfig, ks,
-              budget: int = 50_000_000) -> dict[int, tuple[float, float]]:
-    """Replica mean and standard error of the k-cycle count for each k."""
+def mc_cycles(config: EnsembleConfig, ks, budget: int = 50_000_000) -> dict[int, McEstimate]:
+    """Replica estimate of the k-cycle count for each k."""
     ks = [int(k) for k in ks]
     if any(k < 2 for k in ks):
         raise ParameterError("cycle lengths must be >= 2")
-    counts = {k: np.empty(config.replicas) for k in ks}
-    for lo, thetas, rng in replica_blocks(config, _TAG_CYCLE):
+
+    def kernel(thetas, rng):
         a = _no_self_edges(draw_adjacency(thetas, config.n, rng), bool)[..., :config.m]
-        for r in range(len(a)):
-            adj = _adjacency_lists(a[r])
-            for k in ks:
-                counts[k][lo + r] = _cycles_from_adj(adj, a[r], k, budget)
-    out = {}
-    for k in ks:
-        mean, se, _ = _mean_se_var(counts[k])
-        out[k] = (mean, se)
-    return out
+        adj = [_adjacency_lists(graph) for graph in a]     # once per replica, for every k
+        return np.array([[_cycles_from_adj(lists, graph, k, budget)
+                          for graph, lists in zip(a, adj)] for k in ks], dtype=float)
+
+    return dict(zip(ks, map(McEstimate.of, replica_values(config, _TAG_CYCLE, kernel))))
 
 
 def mc_roots_leaves(config: EnsembleConfig,
-                    replicas: int | None = None) -> RootLeafMcReport:
-    """Replica means of the root and leaf counts among senders.
+                    replicas: int | None = None) -> tuple[McEstimate, McEstimate]:
+    """Replica estimates of the root and leaf counts among senders.
 
     ``replicas``, when given, stands in for config.replicas.
     """
     config = _with_replicas(config, replicas)
-    roots = np.empty(config.replicas)
-    leaves = np.empty(config.replicas)
-    for lo, thetas, rng in replica_blocks(config, _TAG_ROOT_LEAF):
-        a = draw_adjacency(thetas, config.n, rng)
-        roots[lo:lo + len(a)], leaves[lo:lo + len(a)] = _roots_leaves(a)
-    r_mean, r_se, _ = _mean_se_var(roots)
-    l_mean, l_se, _ = _mean_se_var(leaves)
-    return RootLeafMcReport(replicas=config.replicas, roots_mean=r_mean, roots_se=r_se,
-                            leaves_mean=l_mean, leaves_se=l_se)
+
+    def kernel(thetas, rng):
+        return np.stack(_roots_leaves(draw_adjacency(thetas, config.n, rng)))
+
+    return tuple(map(McEstimate.of, replica_values(config, _TAG_ROOT_LEAF, kernel)))

@@ -35,6 +35,7 @@ finite unless the power tail has eta <= 1.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -400,6 +401,8 @@ class _PowerTable(SeedDistribution):
         if not (self.alpha > 0 and self.beta > 1):
             raise ParameterError("power law seed needs alpha > 0 and beta > 1")
         object.__setattr__(self, "_segs", self._table())
+        object.__setattr__(self, "_rows", self._segs.tolist())
+        object.__setattr__(self, "_starts", self._segs[:, 0].tolist())
         object.__setattr__(self, "_log_z", float(self._log_power_sum(-self.beta, math.inf)))
 
     def _log_power_sum(self, p: float, cap, lo=0.0):
@@ -412,7 +415,13 @@ class _PowerTable(SeedDistribution):
     def cdf(self, x):
         return np.exp(self._log_power_sum(-self.beta, x) - self._log_z)
 
-    def _log_density(self, t):     # log g(t) - beta log t - log Z, elementwise
+    def _log_density(self, t):
+        """log g(t) - beta log t - log Z: a scalar (a quadrature node) in math on the
+        piece that bisect finds, an array elementwise in NumPy."""
+        if isinstance(t, (int, float)):
+            _, _, const, slope = self._rows[max(bisect.bisect_right(self._starts, t) - 1, 0)]
+            return (math.log(const + slope * t) - self.beta * math.log(t) - self._log_z
+                    if t > self.alpha else -math.inf)
         t = np.asarray(t, dtype=float)
         a, _, const, slope = self._segs.T
         k = np.maximum(np.searchsorted(a, t, side="right") - 1, 0)
@@ -420,8 +429,8 @@ class _PowerTable(SeedDistribution):
             out = np.log(const[k] + slope[k] * t) - self.beta * np.log(t) - self._log_z
         return np.where(t > self.alpha, out, -np.inf)
 
-    def density(self, x):   # elementwise, whatever scalar _log_density a subclass states
-        return np.exp(_PowerTable._log_density(self, x))
+    def density(self, x):
+        return np.exp(self._log_density(x))
 
     def truncated_moment(self, order: float, cap: float) -> float:
         return float(np.exp(self._log_power_sum(order - self.beta, cap) - self._log_z))
@@ -503,11 +512,6 @@ class PowerLawSeed(_PowerTable):
 
     def _table(self):
         return np.array([[self.alpha, math.inf, 1.0, 0.0]])
-
-    def _log_density(self, t):     # scalar: read at every node of its quadratures
-        bm1 = self.beta - 1.0
-        return (math.log(bm1) + bm1 * math.log(self.alpha) - self.beta * math.log(t)
-                if t > self.alpha else -math.inf)
 
     def _mixture_pmf(self, ks):
         """p_k = alpha**(beta-1) (beta-1) / k! Gamma(k+1-beta, alpha), which decays

@@ -150,11 +150,11 @@ def test_criterion_04_motif_oracle_and_moments():
 
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=100, mixing=spec, master_seed=SEED)
-    mc = mc_motifs(replace(config, replicas=10_000))
-    assert abs(mc.fbl_mean - mean_feedback_loops(config)) <= 3.0 * mc.fbl_se
-    assert abs(mc.ffl_mean - mean_feedforward_loops(config)) <= 3.0 * mc.ffl_se
-    assert mc.fbl_var == pytest.approx(var_feedback_loops(config), rel=0.05)
-    assert mc.ffl_var == pytest.approx(var_feedforward_loops(config), rel=0.05)
+    fbl, ffl = mc_motifs(replace(config, replicas=10_000))
+    assert abs(fbl.mean - mean_feedback_loops(config)) <= 3.0 * fbl.se
+    assert abs(ffl.mean - mean_feedforward_loops(config)) <= 3.0 * ffl.se
+    assert fbl.var == pytest.approx(var_feedback_loops(config), rel=0.05)
+    assert ffl.var == pytest.approx(var_feedforward_loops(config), rel=0.05)
 
     probs = [math.exp(log_row_prob(spec, 3, r)) for r in range(4)]
     m1f = m2f = m1g = m2g = 0.0
@@ -195,9 +195,9 @@ def test_criterion_05_roots_leaves_resolution():
 
     spec = PowerLawMixing(alpha=1.0, beta=3.0)
     config = EnsembleConfig(n=500, mixing=spec, master_seed=SEED)
-    mc = mc_roots_leaves(replace(config, replicas=2000))
-    assert abs(mc.roots_mean - mean_roots(config)) <= 3.0 * mc.roots_se
-    assert abs(mc.leaves_mean - mean_leaves(config)) <= 3.0 * mc.leaves_se
+    roots, leaves = mc_roots_leaves(replace(config, replicas=2000))
+    assert abs(roots.mean - mean_roots(config)) <= 3.0 * roots.se
+    assert abs(leaves.mean - mean_leaves(config)) <= 3.0 * leaves.se
 
 
 def test_criterion_06_hub_frechet_ks():

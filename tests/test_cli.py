@@ -639,6 +639,27 @@ def test_hub_suite_passes_on_conditioned_heavy_tail_law(tmp_path):
                                             rel=1e-9, abs=1e-300)
 
 
+def test_mc_gf2_suite_refuses_an_exact_mean_past_the_float_range(tmp_path, monkeypatch):
+    # a null bias law at n = 1100 has E N = 2**1100; the suite fails with its
+    # reason before any Monte Carlo runs
+    monkeypatch.setattr(cli, "mc_kernel_mean", lambda config: pytest.fail("Monte Carlo ran"))
+    cfg = _mc_config(tmp_path, tasks=["gf2"], gf2={"n": 1100}, ensemble={
+        "n": 200, "mixing": {"variant": "dirac", "lambda": 0}, "master_seed": SEED,
+        "replicas": 200})
+    assert main(["mc", "--config", str(cfg)]) == 2
+    payload = json.loads(_read_out(tmp_path, "mc.json"))
+    assert payload["pass"] is False
+    assert payload["suites"]["gf2"] == {"pass": False, "reason": "exact mean overflows; shrink n"}
+
+
+def test_mc_without_a_suite_names_the_suites(tmp_path, capsys):
+    cfg = _mc_config(tmp_path, tasks=["report"])
+    assert main(["mc", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "validation suites" in err
+    assert all(repr(name) in err for name in ("degrees", "motifs", "hub", "gf2"))
+
+
 def test_mc_rejects_few_replicas(tmp_path):
     cfg = _mc_config(tmp_path)
     data = json.loads(cfg.read_text())

@@ -244,6 +244,28 @@ class TestModulatedPowerLawSeed:
             assert total_variation(out_pmf_exact(spec, n, ks), limit) <= 0.3 / n
 
 
+@pytest.mark.parametrize("seed", [
+    PowerLawSeed(alpha=1.0, beta=2.5),
+    PowerLawSeed(alpha=1e-3, beta=150.0),
+    ModulatedPowerLawSeed(alpha=1.0, beta=2.5, g_table=_TABLE),
+    ModulatedPowerLawSeed(alpha=20.0, beta=1.5, g_table=_TABLE),
+    ModulatedPowerLawSeed(alpha=1e-3, beta=120.0, g_table=((0.0, 1.0), (10.0, 2.0))),
+], ids=["power", "power-steep", "modulated", "modulated-alpha-past-knots", "modulated-steep"])
+def test_scalar_and_array_log_density_agree(seed):
+    """A quadrature node takes the scalar route (math on the bisected piece), an
+    array the elementwise one: at alpha, at each knot, one ulp either side of
+    each, inside each piece, and below alpha, where both read -inf."""
+    knots = [seed.alpha, *(t for t, _ in getattr(seed, "g_table", ()))]
+    xs = sorted({y for x in knots for y in (math.nextafter(x, -math.inf), x,
+                                            math.nextafter(x, math.inf), 1.5 * x)}
+                | {0.0, seed.alpha / 2, 1e6})
+    scalar = [seed._log_density(x) for x in xs]
+    assert all(isinstance(v, float) for v in scalar)
+    below = [v for x, v in zip(xs, scalar) if x <= seed.alpha]
+    assert len(below) >= 4 and below == [-math.inf] * len(below)
+    assert_allclose(scalar, seed._log_density(np.array(xs)), rtol=1e-15, atol=0)
+
+
 class TestExactFiniteN:
     @pytest.mark.parametrize("n", [3000, 10**5, 10**6])
     def test_log_binomials_to_1e_12(self, n):

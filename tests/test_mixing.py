@@ -851,6 +851,20 @@ def test_xi_at_the_half_cutoff_matches_quadrature(n):
         assert_allclose(xi(spec, n, orders), MixingSpec._xis(spec, n, orders), rtol=REL_TOL)
 
 
+@pytest.mark.parametrize("alpha, beta, n", [(2.0, 2.5, 3), (2.0, 2.5, 4), (30.0, 3.0, 40)])
+def test_power_law_xi_from_the_half_cutoff_up_matches_mpmath(alpha, beta, n):
+    # 2 alpha > n: theta > 1/2 throughout, and xi takes the generic single-sign
+    # quadratures; 2 alpha = n: the closed form with an empty head.  Every order
+    # against a 40-digit integral of the density; both routes agreed within 1e-15
+    got = xi(PowerLawMixing(alpha=alpha, beta=beta), n, np.arange(n + 1))
+    with mpmath.workdps(40):
+        lo, b = mpmath.mpf(alpha) / n, mpmath.mpf(beta)
+        z = mpmath.quad(lambda t: t ** -b, [lo, 1])
+        want = [float(mpmath.quad(lambda t: t ** -b * (1 - 2 * t) ** i, [lo, 1]) / z)
+                for i in range(n + 1)]
+    assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("alpha, beta, n", [(1e-3, 150.0, 10**6), (1.0, 150.0, 1000)])
 def test_steep_power_laws_match_quadrature(alpha, beta, n, quad_calls):
     # Gamma(a, z) and x**a pass the float range at a = 1 - beta: the tail of the

@@ -464,9 +464,9 @@ class TestMonteCarlo:
 
     def test_triple_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
-        rep = mc_motifs(replace(cfg, replicas=4000))
-        assert abs(rep.fbl_mean - mean_feedback_loops(cfg)) < 4 * rep.fbl_se
-        assert abs(rep.ffl_mean - mean_feedforward_loops(cfg)) < 4 * rep.ffl_se
+        fbl, ffl = mc_motifs(replace(cfg, replicas=4000))
+        assert abs(fbl.mean - mean_feedback_loops(cfg)) < 4 * fbl.se
+        assert abs(ffl.mean - mean_feedforward_loops(cfg)) < 4 * ffl.se
 
     def test_deterministic_for_fixed_seed(self):
         cfg = EnsembleConfig(n=20, mixing=self.SPEC, master_seed=5)
@@ -477,25 +477,25 @@ class TestMonteCarlo:
     def test_cycle_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, master_seed=5)
         out = mc_cycles(replace(cfg, replicas=2000), (2, 4))
-        for k, (mean, se) in out.items():
-            assert abs(mean - mean_cycles(cfg, k)) < 4 * se
+        for k, est in out.items():
+            assert abs(est.mean - mean_cycles(cfg, k)) < 4 * est.se
 
     def test_roots_leaves_within_four_se(self):
         cfg = EnsembleConfig(n=200, mixing=self.SPEC, row_rule=ExplicitRows(m=100),
                              master_seed=6)
-        rep = mc_roots_leaves(replace(cfg, replicas=3000))
-        assert abs(rep.roots_mean - mean_roots(cfg)) < 4 * rep.roots_se
-        assert abs(rep.leaves_mean - mean_leaves(cfg)) < 4 * rep.leaves_se
+        roots, leaves = mc_roots_leaves(replace(cfg, replicas=3000))
+        assert abs(roots.mean - mean_roots(cfg)) < 4 * roots.se
+        assert abs(leaves.mean - mean_leaves(cfg)) < 4 * leaves.se
 
     def test_triple_counts_are_exact_on_the_complete_graph(self):
         # theta = 1 gives the complete digraph: 2 C(n,3) directed 3-cycles and
         # 6 C(n,3) feedforward triples, sums far above float32's 2**24
         cfg = EnsembleConfig(n=600, mixing=DiracMixing(lam=600), master_seed=5,
                              replicas=2)
-        rep = mc_motifs(cfg)
-        assert rep.fbl_mean == 2 * math.comb(600, 3)
-        assert rep.ffl_mean == 6 * math.comb(600, 3)
-        assert rep.fbl_se == rep.ffl_se == 0.0
+        fbl, ffl = mc_motifs(cfg)
+        assert fbl.mean == 2 * math.comb(600, 3)
+        assert ffl.mean == 6 * math.comb(600, 3)
+        assert fbl.se == ffl.se == 0.0
 
     def test_rectangular_triple_moments(self):
         """The m x n draw is the graph whose last n - m nodes only receive.  A
@@ -503,18 +503,18 @@ class TestMonteCarlo:
         variances to about 1 % (largest deviation 0.02 over seeds 1-12)."""
         cfg = EnsembleConfig(n=60, mixing=DiracMixing(lam=6.0), row_rule=ExplicitRows(m=40),
                              master_seed=5)
-        rep = mc_motifs(replace(cfg, replicas=20_000))
-        assert abs(rep.fbl_mean - mean_feedback_loops(cfg)) < 4 * rep.fbl_se
-        assert abs(rep.ffl_mean - mean_feedforward_loops(cfg)) < 4 * rep.ffl_se
-        assert rep.fbl_var == pytest.approx(var_feedback_loops(cfg), rel=0.05)
-        assert rep.ffl_var == pytest.approx(var_feedforward_loops(cfg), rel=0.05)
+        fbl, ffl = mc_motifs(replace(cfg, replicas=20_000))
+        assert abs(fbl.mean - mean_feedback_loops(cfg)) < 4 * fbl.se
+        assert abs(ffl.mean - mean_feedforward_loops(cfg)) < 4 * ffl.se
+        assert fbl.var == pytest.approx(var_feedback_loops(cfg), rel=0.05)
+        assert ffl.var == pytest.approx(var_feedforward_loops(cfg), rel=0.05)
 
     def test_rectangular_cycle_means_within_four_se(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=20),
                              master_seed=5)
         out = mc_cycles(replace(cfg, replicas=2000), (2, 3, 4))
-        for k, (mean, se) in out.items():
-            assert abs(mean - mean_cycles(cfg, k)) < 4 * se
+        for k, est in out.items():
+            assert abs(est.mean - mean_cycles(cfg, k)) < 4 * est.se
 
     def test_rejects_more_senders_than_nodes(self):
         cfg = EnsembleConfig(n=30, mixing=self.SPEC, row_rule=ExplicitRows(m=40),
